@@ -268,13 +268,16 @@ func run() int {
 	})
 	srv := &http.Server{Addr: *addr, Handler: handler}
 
+	// The handler goes in before serving starts: a signal that arrives as
+	// soon as the "listening" line is out must still drain, close the
+	// stores and print the final stats instead of killing the process.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Printf("farosd listening on %s (%d workers, %v job timeout)\n",
 		*addr, pool.Stats().Workers, *timeout)
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		fmt.Printf("farosd: %v, shutting down\n", sig)

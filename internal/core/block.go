@@ -54,9 +54,9 @@ func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm
 		// loop — never mid-chain.
 		for {
 			n, trap, err := m.ExecBlockPlain(b)
-			f.instrs += n
+			f.stats.Instructions += n
 			if err != nil {
-				f.instrs++ // the faulting instruction was observed too
+				f.stats.Instructions++ // the faulting instruction was observed too
 			}
 			total += n
 			budget -= n
@@ -109,11 +109,11 @@ func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm
 			// effect is a no-op on a no-op (copies of zero, deletes of zero,
 			// unions the reference skips). Run the taint-no-op loop.
 			n, trap, err = m.ExecBlockPlain(b)
-			f.instrs += n
+			f.stats.Instructions += n
 			if err != nil {
-				f.instrs++
+				f.stats.Instructions++
 			}
-			f.fastBlocks++
+			f.stats.Block.UntaintedFastBlocks++
 		} else {
 			n, trap, err = f.execFused(m, b, fast)
 		}
@@ -219,7 +219,7 @@ func (f *FAROS) execFused(m *vm.Machine, b *vm.Block, fast bool) (uint64, vm.Tra
 				// Clean page: the loaded provenance is zero, the policy
 				// check vacuous — taintLoadAt reduced to its first branch.
 				bank[u.A] = 0
-				f.loadsChecked++
+				f.stats.LoadsChecked++
 			} else if noDeps && st < 0 {
 				if ids := tl.ids; ids != nil && u.Size == 1 {
 					// Single tainted byte: the provenance is the shadow byte
@@ -232,7 +232,7 @@ func (f *FAROS) execFused(m *vm.Machine, b *vm.Block, fast bool) (uint64, vm.Tra
 						f.bankClean = false
 						fast = false
 					}
-					f.loadsChecked++
+					f.stats.LoadsChecked++
 					if f.T.Has(raw, taint.TagExportTable) {
 						m.InstrCount = entry + uint64(ii)
 						f.checkPolicy(m, pc, b.Ins[ii], addr, raw, 1)
@@ -445,7 +445,7 @@ func (f *FAROS) execFused(m *vm.Machine, b *vm.Block, fast bool) (uint64, vm.Tra
 			lpa, lst := tl.probe(space, spaceGen, laddr, 1, f.T.PageAllocs())
 			if noDeps && lst > 0 {
 				bank[u.Imm] = 0
-				f.loadsChecked++
+				f.stats.LoadsChecked++
 			} else if noDeps && lst < 0 {
 				if ids := tl.ids; ids != nil {
 					raw := ids[lpa%mem.PageSize]
@@ -454,7 +454,7 @@ func (f *FAROS) execFused(m *vm.Machine, b *vm.Block, fast bool) (uint64, vm.Tra
 						f.bankClean = false
 						fast = false
 					}
-					f.loadsChecked++
+					f.stats.LoadsChecked++
 					if f.T.Has(raw, taint.TagExportTable) {
 						m.InstrCount = entry + uint64(ii)
 						f.checkPolicy(m, pc, b.Ins[ii], laddr, raw, 1)
@@ -536,9 +536,9 @@ func (f *FAROS) fusedCommit(m *vm.Machine, entry uint64, retired, next uint32, t
 	m.CPU.EIP = next
 	m.InstrCount = entry + uint64(retired)
 	m.AddFusedOps(fused)
-	f.instrs += uint64(retired)
+	f.stats.Instructions += uint64(retired)
 	if fast {
-		f.fastBlocks++
+		f.stats.Block.UntaintedFastBlocks++
 	}
 	return uint64(retired), trap, nil
 }
@@ -550,6 +550,6 @@ func (f *FAROS) fusedFault(m *vm.Machine, entry uint64, retired, pc uint32, fuse
 	m.CPU.EIP = pc
 	m.InstrCount = entry + uint64(retired)
 	m.AddFusedOps(fused)
-	f.instrs += uint64(retired) + 1
+	f.stats.Instructions += uint64(retired) + 1
 	return uint64(retired), vm.TrapFault, &vm.FaultError{PC: pc, Err: err}
 }

@@ -96,39 +96,40 @@ type Finding struct {
 	Prov *provgraph.Graph
 }
 
+// TaintStats is the taint store's counters plus the engine's own
+// instruction-provenance cache hits.
+type TaintStats struct {
+	taint.Stats
+	InstrProvHits uint64 `json:"instr_prov_hits"`
+}
+
+// ProvStats counts provenance-graph construction (findings and taint-map
+// regions): graphs built, and nodes/edges across those builds.
+type ProvStats struct {
+	Builds uint64 `json:"builds"`
+	Nodes  uint64 `json:"nodes"`
+	Edges  uint64 `json:"edges"`
+}
+
 // BlockStats counts block-dispatch activity: the VM's predecoded block
 // cache plus the engine's taint-no-op fast path.
 type BlockStats struct {
-	// Built counts basic blocks decoded and lowered to micro-ops.
-	Built uint64
-	// Hits counts block dispatches served from the cache.
-	Hits uint64
-	// Invalidated counts frames whose cached blocks were dropped by
-	// self-modifying-code signals.
-	Invalidated uint64
-	// FusedOps counts superinstructions (fused micro-ops) retired.
-	FusedOps uint64
+	vm.BlockStats
 	// UntaintedFastBlocks counts block executions that ran start to finish
 	// on the taint-no-op dispatch loop (clean register bank, every touched
 	// page clean) without a single propagation call.
-	UntaintedFastBlocks uint64
+	UntaintedFastBlocks uint64 `json:"untainted_fast_blocks"`
 }
 
 // Stats summarizes engine activity for the performance and ablation tables.
 type Stats struct {
-	Taint         taint.Stats
 	Instructions  uint64
 	LoadsChecked  uint64
 	ExportReads   uint64
-	InstrProvHits uint64 // instruction-provenance cache hits
 	FindingsTotal int
-	// Provenance-graph construction counters (findings and taint-map
-	// regions): graphs built, and nodes/edges across those builds.
-	ProvGraphBuilds uint64
-	ProvGraphNodes  uint64
-	ProvGraphEdges  uint64
-	// Block counts block-dispatch activity.
-	Block BlockStats
+	Block         BlockStats
+	Taint         TaintStats
+	Prov          ProvStats
 }
 
 // pageTLB is a one-entry software TLB over Space.FrameOf: the engine's
@@ -238,14 +239,9 @@ type FAROS struct {
 	stampOut taint.ProvID
 	stampTag taint.Tag
 
-	instrs        uint64
-	loadsChecked  uint64
-	exportReads   uint64
-	instrProvHits uint64
-	provBuilds    uint64
-	provNodes     uint64
-	provEdges     uint64
-	fastBlocks    uint64 // block executions completed on the taint-no-op loop
+	// stats holds the engine's own counters; Stats fills in the taint
+	// store's and the VM's at snapshot time.
+	stats Stats
 }
 
 var _ guest.TaintBridge = (*FAROS)(nil)
@@ -300,36 +296,20 @@ func (f *FAROS) Flagged() bool { return len(f.findings) > 0 }
 
 // Stats returns the engine counters.
 func (f *FAROS) Stats() Stats {
-	vb := f.k.M.BlockStats()
-	return Stats{
-		Taint:         f.T.Stats(),
-		Instructions:  f.instrs,
-		LoadsChecked:  f.loadsChecked,
-		ExportReads:   f.exportReads,
-		InstrProvHits: f.instrProvHits,
-		FindingsTotal: len(f.findings),
-
-		ProvGraphBuilds: f.provBuilds,
-		ProvGraphNodes:  f.provNodes,
-		ProvGraphEdges:  f.provEdges,
-
-		Block: BlockStats{
-			Built:               vb.Built,
-			Hits:                vb.Hits,
-			Invalidated:         vb.Invalidated,
-			FusedOps:            vb.FusedOps,
-			UntaintedFastBlocks: f.fastBlocks,
-		},
-	}
+	s := f.stats
+	s.Taint.Stats = f.T.Stats()
+	s.Block.BlockStats = f.k.M.BlockStats()
+	s.FindingsTotal = len(f.findings)
+	return s
 }
 
 // buildGraph canonicalizes a builder's graph and charges its size to the
 // engine's provenance-graph counters.
 func (f *FAROS) buildGraph(b *provgraph.Builder) *provgraph.Graph {
 	g := b.Graph()
-	f.provBuilds++
-	f.provNodes += uint64(len(g.Nodes))
-	f.provEdges += uint64(len(g.Edges))
+	f.stats.Prov.Builds++
+	f.stats.Prov.Nodes += uint64(len(g.Nodes))
+	f.stats.Prov.Edges += uint64(len(g.Edges))
 	return g
 }
 
@@ -475,7 +455,7 @@ func (f *FAROS) memSetRange(s *mem.Space, va uint32, n int, id taint.ProvID) {
 // and applies the detection policy on loads. It sees the pre-execution
 // register file, from which all effective addresses derive.
 func (f *FAROS) BeforeInstr(m *vm.Machine, pc uint32, in isa.Instruction) {
-	f.instrs++
+	f.stats.Instructions++
 	if f.bank == nil {
 		return // no process context yet
 	}
@@ -599,7 +579,7 @@ func (f *FAROS) taintLoadAt(m *vm.Machine, pc uint32, in isa.Instruction, addr u
 	if id != 0 {
 		f.bankClean = false
 	}
-	f.loadsChecked++
+	f.stats.LoadsChecked++
 	if f.T.Has(raw, taint.TagExportTable) {
 		f.checkPolicy(m, pc, in, addr, raw, size)
 	}
@@ -635,7 +615,7 @@ func (f *FAROS) taintLoadPA(m *vm.Machine, pc uint32, in isa.Instruction, addr u
 	if raw != 0 {
 		f.bankClean = false
 	}
-	f.loadsChecked++
+	f.stats.LoadsChecked++
 	if f.T.Has(raw, taint.TagExportTable) {
 		f.checkPolicy(m, pc, in, addr, raw, size)
 	}
@@ -757,7 +737,7 @@ func (f *FAROS) instrProv(s *mem.Space, pc uint32) taint.ProvID {
 		if pa, ok := f.pagePA(s, pc, tlbCode); ok {
 			changes := f.T.ChangeCount()
 			if e, hit := f.ipCache[pa]; hit && e.changes == changes {
-				f.instrProvHits++
+				f.stats.Taint.InstrProvHits++
 				return e.prov
 			}
 			prov := f.T.MemUnionFrom(0, pa, isa.InstrSize)
@@ -825,7 +805,7 @@ func (f *FAROS) strictExecCheck(m *vm.Machine, pc uint32, in isa.Instruction) {
 // established that targetProv carries the export-table tag (the O(1)
 // summary-bit test), so this function only runs on actual export reads.
 func (f *FAROS) checkPolicy(m *vm.Machine, pc uint32, in isa.Instruction, addr uint32, targetProv taint.ProvID, size int) {
-	f.exportReads++
+	f.stats.ExportReads++
 
 	space := m.Space()
 	iProv := f.instrProv(space, pc)

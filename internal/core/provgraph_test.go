@@ -78,7 +78,7 @@ func TestFindingsCarryProvGraph(t *testing.T) {
 	}
 
 	st := f.Stats()
-	if st.ProvGraphBuilds == 0 || st.ProvGraphNodes == 0 || st.ProvGraphEdges == 0 {
+	if st.Prov.Builds == 0 || st.Prov.Nodes == 0 || st.Prov.Edges == 0 {
 		t.Fatalf("prov graph counters not populated: %+v", st)
 	}
 }

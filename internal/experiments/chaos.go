@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -92,7 +93,7 @@ func chaosReport() (string, error) {
 		n := 0
 		var names []string
 		for _, spec := range specs {
-			res, err := scenario.RunLiveWith(spec, scenario.Plugins{Faros: &core.Config{}}, plan)
+			res, err := scenario.RunLiveContext(context.Background(), spec, scenario.Plugins{Faros: &core.Config{}}, plan)
 			if err != nil {
 				return 0, nil, fmt.Errorf("%s: %w", spec.Name, err)
 			}
@@ -127,7 +128,7 @@ func chaosReport() (string, error) {
 	// bystander while the reflective injection runs.
 	guestPlan := *plan
 	guestPlan.Guest = faults.GuestPlan{FlipRate: 0.05, ProbeRate: 0.05, Targets: []string{"bystander.exe"}}
-	res, err := scenario.RunLiveWith(samples.ChaosResilience(), scenario.Plugins{Faros: &core.Config{}}, &guestPlan)
+	res, err := scenario.RunLiveContext(context.Background(), samples.ChaosResilience(), scenario.Plugins{Faros: &core.Config{}}, &guestPlan)
 	if err != nil {
 		return "", fmt.Errorf("chaos_resilience: %w", err)
 	}
@@ -142,16 +143,16 @@ func chaosReport() (string, error) {
 	return sb.String(), nil
 }
 
-// detectChaos is scenario.DetectWith, but failing loudly on divergence so
+// detectChaos is scenario.DetectContext, but failing loudly on divergence so
 // the table's "bit-exact" column is honest. It also returns the record
 // pass's fault stats: network faults fire only live (replay preloads the
 // logged wire stream), so the replay result alone would undercount.
 func detectChaos(spec samples.Spec, plan *faults.Plan) (*scenario.Result, faults.Stats, error) {
-	log, recRes, err := scenario.RecordWith(spec, plan)
+	log, recRes, err := scenario.RecordContext(context.Background(), spec, plan)
 	if err != nil {
 		return nil, faults.Stats{}, err
 	}
-	res, err := scenario.ReplayWith(spec, log, scenario.Plugins{
+	res, err := scenario.ReplayContext(context.Background(), spec, log, scenario.Plugins{
 		Faros:   &core.Config{},
 		Cuckoo:  true,
 		Malfind: true,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestChaosSmoke(t *testing.T) {
 
 	// A couple of benign corpus samples must stay clean under the plan.
 	for _, spec := range samples.BenignPrograms()[:2] {
-		bres, err := scenario.RunLiveWith(spec, scenario.Plugins{Faros: &core.Config{}}, chaosPlan())
+		bres, err := scenario.RunLiveContext(context.Background(), spec, scenario.Plugins{Faros: &core.Config{}}, chaosPlan())
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}

@@ -49,43 +49,25 @@ type perfTableVRow struct {
 	Slowdown     float64 `json:"slowdown"`
 }
 
-// perfTaint is the fast-path counter snapshot from one FAROS run of the
-// benchmark workload.
-type perfTaint struct {
-	ListsInterned   int     `json:"lists_interned"`
-	Prepends        uint64  `json:"prepends"`
-	PrependMemoHits uint64  `json:"prepend_memo_hits"`
-	PrependHitRate  float64 `json:"prepend_hit_rate"`
-	Unions          uint64  `json:"unions"`
-	UnionMemoHits   uint64  `json:"union_memo_hits"`
-	UnionHitRate    float64 `json:"union_hit_rate"`
-	ShadowWrites    uint64  `json:"shadow_writes"`
-	RangeFastSkips  uint64  `json:"range_fast_skips"`
-	InstrProvHits   uint64  `json:"instr_prov_hits"`
-	TaintedBytes    int     `json:"tainted_bytes"`
-	TaintedPages    int     `json:"tainted_pages"`
-}
-
-// perfBlock is the block-dispatch counter snapshot from the same FAROS
-// run: predecode amortization (hit rate) and how much of the run retired
-// through the fused and untainted fast loops.
-type perfBlock struct {
-	Built               uint64  `json:"built"`
-	Hits                uint64  `json:"hits"`
-	HitRate             float64 `json:"hit_rate"`
-	Invalidated         uint64  `json:"invalidated"`
-	FusedOps            uint64  `json:"fused_ops"`
-	UntaintedFastBlocks uint64  `json:"untainted_fast_blocks"`
-}
-
 // perfSnapshot is the full snapshot payload (committed as BENCH_3.json at
-// the taint-fast-path PR, BENCH_8.json at the block-dispatch PR).
+// the taint-fast-path PR, BENCH_8.json at the block-dispatch PR). Taint
+// and Block are the engine's own counters from one FAROS run of the
+// benchmark workload — memo and whole-page fast paths, predecode
+// amortization, fused and untainted fast loops — next to the hit rates
+// derived from them.
 type perfSnapshot struct {
 	GuestExecution perfGuestExec   `json:"guest_execution"`
 	TableV         []perfTableVRow `json:"table5"`
 	TableVAvg      float64         `json:"table5_avg_slowdown"`
-	Taint          perfTaint       `json:"taint"`
-	Block          perfBlock       `json:"block"`
+	Taint          struct {
+		core.TaintStats
+		PrependHitRate float64 `json:"prepend_hit_rate"`
+		UnionHitRate   float64 `json:"union_hit_rate"`
+	} `json:"taint"`
+	Block struct {
+		core.BlockStats
+		HitRate float64 `json:"hit_rate"`
+	} `json:"block"`
 }
 
 // perfRepeats matches scenario.MeasurePerf: fastest of three, since noise
@@ -136,28 +118,11 @@ func Perf() (string, error) {
 	}
 
 	st := farosRes.Faros.Stats()
-	snap.Taint = perfTaint{
-		ListsInterned:   st.Taint.ListsInterned,
-		Prepends:        st.Taint.Prepends,
-		PrependMemoHits: st.Taint.PrependMemoHits,
-		PrependHitRate:  hitRate(st.Taint.PrependMemoHits, st.Taint.Prepends),
-		Unions:          st.Taint.Unions,
-		UnionMemoHits:   st.Taint.UnionMemoHits,
-		UnionHitRate:    hitRate(st.Taint.UnionMemoHits, st.Taint.Unions),
-		ShadowWrites:    st.Taint.ShadowWrites,
-		RangeFastSkips:  st.Taint.RangeFastSkips,
-		InstrProvHits:   st.InstrProvHits,
-		TaintedBytes:    st.Taint.TaintedBytes,
-		TaintedPages:    st.Taint.TaintedPages,
-	}
-	snap.Block = perfBlock{
-		Built:               st.Block.Built,
-		Hits:                st.Block.Hits,
-		HitRate:             hitRate(st.Block.Hits, st.Block.Built+st.Block.Hits),
-		Invalidated:         st.Block.Invalidated,
-		FusedOps:            st.Block.FusedOps,
-		UntaintedFastBlocks: st.Block.UntaintedFastBlocks,
-	}
+	snap.Taint.TaintStats = st.Taint
+	snap.Taint.PrependHitRate = hitRate(st.Taint.PrependMemoHits, st.Taint.Prepends)
+	snap.Taint.UnionHitRate = hitRate(st.Taint.UnionMemoHits, st.Taint.Unions)
+	snap.Block.BlockStats = st.Block
+	snap.Block.HitRate = hitRate(st.Block.Hits, st.Block.Built+st.Block.Hits)
 
 	var total float64
 	for _, pw := range samples.PerfWorkloads() {

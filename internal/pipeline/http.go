@@ -17,6 +17,7 @@ import (
 	"faros/internal/samples"
 	"faros/internal/scenario"
 	"faros/internal/trace"
+	"faros/internal/triage"
 )
 
 // ServerConfig wires the HTTP layer to a scenario namespace. The pipeline
@@ -179,7 +180,7 @@ func resolveTrace(p *Pool, sc ServerConfig, req AnalyzeRequest) (samples.Spec, e
 	if err != nil {
 		var mm *trace.MismatchError
 		if errors.As(err, &mm) {
-			p.NoteTraceMismatch()
+			p.count(func(s *Stats) { s.Trace.DigestMismatch++ })
 		}
 		return samples.Spec{}, err
 	}
@@ -193,7 +194,7 @@ func resolveTrace(p *Pool, sc ServerConfig, req AnalyzeRequest) (samples.Spec, e
 			return samples.Spec{}, &httpError{http.StatusBadRequest, err.Error()}
 		}
 		if wantHash != info.SpecHash {
-			p.NoteTraceMismatch()
+			p.count(func(s *Stats) { s.Trace.DigestMismatch++ })
 			return samples.Spec{}, &trace.MismatchError{Field: "spec hash", Want: info.SpecHash, Got: wantHash}
 		}
 	}
@@ -285,7 +286,7 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			fwd.Wait = true
 			view, err := cl.AnalyzePeer(r.Context(), node, fwd)
 			if err == nil {
-				p.NoteForwardedOut()
+				p.count(func(s *Stats) { s.Cluster.ForwardedOut++ })
 				if view.Result != nil && view.State == StateDone {
 					p.Backfill(view.Result)
 				}
@@ -307,7 +308,7 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 				}
 			}
 		}
-		p.NoteOwnerDownLocal()
+		p.count(func(s *Stats) { s.Cluster.OwnerDownLocalRuns++ })
 		return false
 	}
 
@@ -317,10 +318,11 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			// Fleet-internal traffic: the origin node already admitted the
 			// client, so the per-client rate limit does not apply twice
 			// (queue-saturation shedding below still does).
-			p.NoteForwardedIn()
+			p.count(func(s *Stats) { s.Cluster.ForwardedIn++ })
 		} else if adm != nil {
 			if ok, after := adm.allow(clientKey(r.RemoteAddr)); !ok {
-				p.NoteRateLimited()
+				p.count(func(s *Stats) { s.AdmissionRateLimited++ })
+				p.emit(triage.Event{Type: triage.EventRateLimited, Detail: "per-client rate limit exceeded"})
 				writeRetryable(w, http.StatusTooManyRequests, after, "rate limit exceeded")
 				return
 			}
@@ -386,7 +388,10 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			// anything needing execution sheds with a retry hint.
 			cached, ok := p.CachedJob(preq)
 			if !ok {
-				p.NoteShed(preq.Spec.Name)
+				// Stream-only: no job exists to ledger the shed under.
+				p.count(func(s *Stats) { s.AdmissionShed++ })
+				p.emit(triage.Event{Type: triage.EventShed, Scenario: preq.Spec.Name,
+					Detail: "queue saturated; serving cached results only"})
 				writeRetryable(w, http.StatusTooManyRequests, adm.cfg.RetryAfter,
 					"queue saturated; serving cached results only")
 				return
@@ -456,10 +461,10 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			return
 		}
 		if created {
-			p.NoteTraceIngested(len(data))
+			p.count(func(s *Stats) { s.Trace.Ingested++; s.Trace.Bytes += uint64(len(data)) })
 		}
 		if forwardedFrom := r.Header.Get(ForwardedHeader); forwardedFrom != "" {
-			p.NoteForwardedIn()
+			p.count(func(s *Stats) { s.Cluster.ForwardedIn++ })
 		} else if cl := p.Cluster(); cl != nil {
 			// Replicate the trace to its ring owner so trace-replay jobs
 			// routed there resolve it locally. A failed replication is
@@ -468,7 +473,7 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			// unreachable.
 			if node, self, up := cl.Owner(digest); !self && up {
 				if _, err := cl.TracePeer(r.Context(), node, data); err == nil {
-					p.NoteForwardedOut()
+					p.count(func(s *Stats) { s.Cluster.ForwardedOut++ })
 				}
 			}
 		}
@@ -607,7 +612,7 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			return nil, false
 		}
 		if r.Header.Get(ForwardedHeader) != "" {
-			p.NoteForwardedIn()
+			p.count(func(s *Stats) { s.Cluster.ForwardedIn++ })
 			return nil, false
 		}
 		for _, node := range cl.WalkUp(hash) {
@@ -615,7 +620,7 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			if err != nil {
 				continue
 			}
-			p.NoteForwardedOut()
+			p.count(func(s *Stats) { s.Cluster.ForwardedOut++ })
 			p.Backfill(res)
 			return res, true
 		}

@@ -2,69 +2,21 @@ package pipeline
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"faros/internal/core"
 	"faros/internal/store"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds. Guest runs
 // span sub-millisecond microbenchmarks to multi-second corpus sweeps.
 var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
-
-// histogram is a fixed-bucket latency histogram (cumulative on render,
-// per-bucket internally).
-type histogram struct {
-	counts []uint64
-	sum    float64
-	n      uint64
-}
-
-func newHistogram() *histogram {
-	return &histogram{counts: make([]uint64, len(latencyBuckets)+1)}
-}
-
-func (h *histogram) observe(seconds float64) {
-	h.sum += seconds
-	h.n++
-	for i, le := range latencyBuckets {
-		if seconds <= le {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(latencyBuckets)]++
-}
-
-// counters is the mutable metric state, guarded by metrics.mu.
-type counters struct {
-	submitted            uint64
-	coalesced            uint64
-	done                 uint64
-	failed               uint64
-	deadlines            uint64
-	canceled             uint64
-	queueFull            uint64
-	admissionShed        uint64
-	admissionRateLimited uint64
-	cacheHits            uint64
-	cacheMisses          uint64
-	cacheExpired         uint64
-	cacheSkippedDegraded uint64
-	instructions         uint64
-	findings             map[string]uint64
-	triageFindings       map[string]uint64 // findings scored, by risk
-	triageResults        map[string]uint64 // results scored, by aggregate risk
-	lat                  *histogram
-	taint                TaintStats
-	prov                 ProvStats
-	trace                TraceStats
-	block                BlockStats
-	cluster              ClusterStats
-}
 
 // ClusterStats counts the cross-node surface: requests received from
 // peers (they carried the hop-guard header), requests this node
@@ -76,45 +28,6 @@ type ClusterStats struct {
 	ForwardedOut       uint64 `json:"forwarded_out"`
 	Backfills          uint64 `json:"backfills"`
 	OwnerDownLocalRuns uint64 `json:"owner_down_local_runs"`
-}
-
-// TaintStats aggregates the taint engine's fast-path counters across
-// completed FAROS jobs: how often propagation was answered from the memo
-// tables, how much shadow traffic the page summaries skipped, and how much
-// taint the runs left behind. Memo hit rates near 1 and large skip counts
-// are the signature of the optimized hot path doing its job.
-type TaintStats struct {
-	Prepends        uint64 `json:"prepends"`
-	PrependMemoHits uint64 `json:"prepend_memo_hits"`
-	Unions          uint64 `json:"unions"`
-	UnionMemoHits   uint64 `json:"union_memo_hits"`
-	ShadowWrites    uint64 `json:"shadow_writes"`
-	RangeFastSkips  uint64 `json:"range_fast_skips"`
-	InstrProvHits   uint64 `json:"instr_prov_hits"`
-	TaintedBytes    uint64 `json:"tainted_bytes"`
-	TaintedPages    uint64 `json:"tainted_pages"`
-}
-
-// ProvStats aggregates provenance-graph construction across completed
-// FAROS jobs: graphs built (findings and taint-map regions) and the nodes
-// and edges those builds produced.
-type ProvStats struct {
-	Builds uint64 `json:"builds"`
-	Nodes  uint64 `json:"nodes"`
-	Edges  uint64 `json:"edges"`
-}
-
-// BlockStats aggregates the VM block-dispatch counters across completed
-// FAROS jobs: blocks predecoded, cache hits, SMC invalidations, fused
-// superinstruction retirements, and block executions that took the
-// untainted fast loop. High hit and fast-block counts against low builds
-// and invalidations are the signature of the fused dispatcher paying off.
-type BlockStats struct {
-	Built               uint64 `json:"built"`
-	Hits                uint64 `json:"hits"`
-	Invalidated         uint64 `json:"invalidated"`
-	FusedOps            uint64 `json:"fused_ops"`
-	UntaintedFastBlocks uint64 `json:"untainted_fast_blocks"`
 }
 
 // TraceStats counts the replay-farm surface: traces ingested through
@@ -129,26 +42,6 @@ type TraceStats struct {
 	DigestMismatch uint64 `json:"digest_mismatch"`
 }
 
-type metrics struct {
-	mu sync.Mutex
-	c  counters
-}
-
-func newMetrics() *metrics {
-	return &metrics{c: counters{
-		findings:       make(map[string]uint64),
-		triageFindings: make(map[string]uint64),
-		triageResults:  make(map[string]uint64),
-		lat:            newHistogram(),
-	}}
-}
-
-func (m *metrics) add(f func(*counters)) {
-	m.mu.Lock()
-	f(&m.c)
-	m.mu.Unlock()
-}
-
 // LatencyBucket is one cumulative histogram bucket; LE is the upper bound
 // in seconds (math.Inf(1) for the overflow bucket).
 type LatencyBucket struct {
@@ -156,34 +49,10 @@ type LatencyBucket struct {
 	Count uint64
 }
 
-// snapshotGauges carries point-in-time gauge values into a snapshot.
-type snapshotGauges struct {
-	workers          int
-	queueDepth       int
-	running          int
-	cacheEntries     int
-	jobsActive       int
-	jobsRetained     int
-	waitersCoalesced int
-	storeEnabled     bool
-	store            store.Stats
-	traceEnabled     bool
-	traces           store.Stats
-	triageEnabled    bool
-	triagePolicy     string
-	clusterEnabled   bool
-	clusterNode      string
-	clusterPeers     []PeerHealth
-	eventsPublished  uint64
-	eventsDropped    uint64
-	eventSubscribers int
-	ledgerJobs       int
-	ledgerEvicted    uint64
-}
-
-// Stats is an immutable snapshot of the pool's observable state. Both the
-// CLI (farosbench progress, farosd logs) and the HTTP layer (/metrics,
-// /stats) render this one type.
+// Stats is the pool's observable state. The pool keeps one live value
+// under its mutex and updates the counters in place; Pool.Stats returns a
+// snapshot with the gauges filled in. Both the CLI (farosbench progress,
+// farosd logs) and the HTTP layer (/metrics, /stats) render this one type.
 type Stats struct {
 	Workers      int `json:"workers"`
 	QueueDepth   int `json:"queue_depth"`
@@ -262,86 +131,75 @@ type Stats struct {
 
 	Instructions   uint64            `json:"instructions"`
 	FindingsByRule map[string]uint64 `json:"findings_by_rule,omitempty"`
-	Taint          TaintStats        `json:"taint"`
-	Prov           ProvStats         `json:"prov"`
-	Block          BlockStats        `json:"block"`
+	Taint          core.TaintStats   `json:"taint"`
+	Prov           core.ProvStats    `json:"prov"`
+	Block          core.BlockStats   `json:"block"`
 
 	LatencyCount   uint64          `json:"latency_count"`
 	LatencySum     time.Duration   `json:"latency_sum_ns"`
 	LatencyBuckets []LatencyBucket `json:"-"`
 }
 
-func (m *metrics) snapshot(g snapshotGauges) Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// newStats returns the zero live counters a pool accumulates into: the
+// per-key maps allocated and the latency buckets laid out.
+func newStats() Stats {
 	s := Stats{
-		Workers:              g.workers,
-		QueueDepth:           g.queueDepth,
-		Running:              g.running,
-		CacheEntries:         g.cacheEntries,
-		JobsActive:           g.jobsActive,
-		JobsRetained:         g.jobsRetained,
-		WaitersCoalesced:     g.waitersCoalesced,
-		JobsSubmitted:        m.c.submitted,
-		JobsCoalesced:        m.c.coalesced,
-		JobsDone:             m.c.done,
-		JobsFailed:           m.c.failed,
-		JobsDeadline:         m.c.deadlines,
-		JobsCanceled:         m.c.canceled,
-		QueueFull:            m.c.queueFull,
-		AdmissionShed:        m.c.admissionShed,
-		AdmissionRateLimited: m.c.admissionRateLimited,
-		StoreEnabled:         g.storeEnabled,
-		Store:                g.store,
-		TraceStoreEnabled:    g.traceEnabled,
-		TraceStore:           g.traces,
-		Trace:                m.c.trace,
-		TriageEnabled:        g.triageEnabled,
-		TriagePolicy:         g.triagePolicy,
-		ClusterEnabled:       g.clusterEnabled,
-		ClusterNode:          g.clusterNode,
-		ClusterPeers:         g.clusterPeers,
-		Cluster:              m.c.cluster,
-		EventsPublished:      g.eventsPublished,
-		EventsDropped:        g.eventsDropped,
-		EventSubscribers:     g.eventSubscribers,
-		LedgerJobs:           g.ledgerJobs,
-		LedgerEvicted:        g.ledgerEvicted,
-		CacheHits:            m.c.cacheHits,
-		CacheMisses:          m.c.cacheMisses,
-		CacheExpired:         m.c.cacheExpired,
-		CacheSkippedDegraded: m.c.cacheSkippedDegraded,
-		Instructions:         m.c.instructions,
-		FindingsByRule:       make(map[string]uint64, len(m.c.findings)),
-		Taint:                m.c.taint,
-		Prov:                 m.c.prov,
-		Block:                m.c.block,
-		LatencyCount:         m.c.lat.n,
-		LatencySum:           time.Duration(m.c.lat.sum * float64(time.Second)),
+		FindingsByRule: make(map[string]uint64),
+		FindingsByRisk: make(map[string]uint64),
+		ResultsByRisk:  make(map[string]uint64),
 	}
-	for rule, n := range m.c.findings {
-		s.FindingsByRule[rule] = n
+	for _, le := range latencyBuckets {
+		s.LatencyBuckets = append(s.LatencyBuckets, LatencyBucket{LE: le})
 	}
-	if len(m.c.triageFindings) > 0 {
-		s.FindingsByRisk = make(map[string]uint64, len(m.c.triageFindings))
-		for risk, n := range m.c.triageFindings {
-			s.FindingsByRisk[risk] = n
-		}
-	}
-	if len(m.c.triageResults) > 0 {
-		s.ResultsByRisk = make(map[string]uint64, len(m.c.triageResults))
-		for risk, n := range m.c.triageResults {
-			s.ResultsByRisk[risk] = n
-		}
-	}
-	cum := uint64(0)
-	for i, le := range latencyBuckets {
-		cum += m.c.lat.counts[i]
-		s.LatencyBuckets = append(s.LatencyBuckets, LatencyBucket{LE: le, Count: cum})
-	}
-	cum += m.c.lat.counts[len(latencyBuckets)]
-	s.LatencyBuckets = append(s.LatencyBuckets, LatencyBucket{LE: math.Inf(1), Count: cum})
+	s.LatencyBuckets = append(s.LatencyBuckets, LatencyBucket{LE: math.Inf(1)})
 	return s
+}
+
+// clone deep-copies the maps and buckets, so a snapshot shares nothing
+// with the live counters.
+func (s Stats) clone() Stats {
+	s.FindingsByRule = maps.Clone(s.FindingsByRule)
+	s.FindingsByRisk = maps.Clone(s.FindingsByRisk)
+	s.ResultsByRisk = maps.Clone(s.ResultsByRisk)
+	s.LatencyBuckets = slices.Clone(s.LatencyBuckets)
+	return s
+}
+
+// observeLatency records one completed job's wall time in the cumulative
+// histogram.
+func (s *Stats) observeLatency(d time.Duration) {
+	s.LatencyCount++
+	s.LatencySum += d
+	sec := d.Seconds()
+	for i := range s.LatencyBuckets {
+		if sec <= s.LatencyBuckets[i].LE {
+			s.LatencyBuckets[i].Count++
+		}
+	}
+}
+
+// addEngine folds one FAROS run's engine counters into the totals.
+func (s *Stats) addEngine(e core.Stats) {
+	addCounters(reflect.ValueOf(&s.Taint).Elem(), reflect.ValueOf(e.Taint))
+	addCounters(reflect.ValueOf(&s.Prov).Elem(), reflect.ValueOf(e.Prov))
+	addCounters(reflect.ValueOf(&s.Block).Elem(), reflect.ValueOf(e.Block))
+}
+
+// addCounters adds every integer field of src into dst, recursing into
+// embedded structs. The engine counter groups are summed field by field,
+// so a counter added to one of them needs no fold code here.
+func addCounters(dst, src reflect.Value) {
+	for i := 0; i < dst.NumField(); i++ {
+		d, v := dst.Field(i), src.Field(i)
+		switch {
+		case d.Kind() == reflect.Struct:
+			addCounters(d, v)
+		case d.CanUint():
+			d.SetUint(d.Uint() + v.Uint())
+		case d.CanInt():
+			d.SetInt(d.Int() + v.Int())
+		}
+	}
 }
 
 // rate is hits/total, 0 when total is zero.
@@ -352,16 +210,6 @@ func rate(hits, total uint64) float64 {
 	return float64(hits) / float64(total)
 }
 
-// CacheHitRate is hits / (hits + misses), 0 when no cacheable submissions
-// have been seen.
-func (s Stats) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
-
 // String renders a compact human-readable report (the CLI surface).
 func (s Stats) String() string {
 	var sb strings.Builder
@@ -370,7 +218,7 @@ func (s Stats) String() string {
 	fmt.Fprintf(&sb, "jobs: %d submitted, %d done, %d failed (%d deadline), %d canceled, %d coalesced, %d queue-full\n",
 		s.JobsSubmitted, s.JobsDone, s.JobsFailed, s.JobsDeadline, s.JobsCanceled, s.JobsCoalesced, s.QueueFull)
 	fmt.Fprintf(&sb, "cache: %d hits, %d misses (%.0f%% hit rate), %d expired, %d degraded skipped\n",
-		s.CacheHits, s.CacheMisses, 100*s.CacheHitRate(), s.CacheExpired, s.CacheSkippedDegraded)
+		s.CacheHits, s.CacheMisses, 100*rate(s.CacheHits, s.CacheHits+s.CacheMisses), s.CacheExpired, s.CacheSkippedDegraded)
 	if s.StoreEnabled {
 		fmt.Fprintf(&sb, "store: %d entries (%d bytes), %d hits, %d misses, %d quarantined, %d gc-evicted\n",
 			s.Store.Entries, s.Store.Bytes, s.Store.Hits, s.Store.Misses,
@@ -426,13 +274,8 @@ func (s Stats) String() string {
 			b.Built, b.Hits, 100*rate(b.Hits, b.Built+b.Hits), b.Invalidated, b.FusedOps, b.UntaintedFastBlocks)
 	}
 	if len(s.FindingsByRule) > 0 {
-		rules := make([]string, 0, len(s.FindingsByRule))
-		for rule := range s.FindingsByRule {
-			rules = append(rules, rule)
-		}
-		sort.Strings(rules)
 		sb.WriteString("findings:")
-		for _, rule := range rules {
+		for _, rule := range sortedKeys(s.FindingsByRule) {
 			fmt.Fprintf(&sb, " %s=%d", rule, s.FindingsByRule[rule])
 		}
 		sb.WriteByte('\n')
@@ -445,118 +288,184 @@ func (s Stats) String() string {
 	return sb.String()
 }
 
+// metricKind is a Prometheus metric type.
+type metricKind string
+
+const (
+	counter metricKind = "counter"
+	gauge   metricKind = "gauge"
+)
+
+// metricGroup gates a metric on an optional subsystem being configured.
+type metricGroup int
+
+const (
+	always metricGroup = iota
+	storeOn
+	traceOn
+	clusterOn
+)
+
+func (g metricGroup) enabled(s *Stats) bool {
+	switch g {
+	case storeOn:
+		return s.StoreEnabled
+	case traceOn:
+		return s.TraceStoreEnabled
+	case clusterOn:
+		return s.ClusterEnabled
+	}
+	return true
+}
+
+// series is one labelled sample; labels is the rendered label set.
+type series struct {
+	labels string
+	value  uint64
+}
+
+// metricDef declares one /metrics family. An unlabelled family reads its
+// one sample through value; a labelled family lists its samples through
+// series instead.
+type metricDef struct {
+	name, help string
+	kind       metricKind
+	group      metricGroup
+	value      func(*Stats) uint64
+	series     func(*Stats) []series
+}
+
+// metricTable is every /metrics family except the latency histogram, in
+// exposition order. Adding a metric is its Stats field plus one row here.
+var metricTable = []metricDef{
+	{"faros_workers", "Worker pool size.", gauge, always, func(s *Stats) uint64 { return uint64(s.Workers) }, nil},
+	{"faros_jobs_queued", "Jobs waiting in the queue.", gauge, always, func(s *Stats) uint64 { return uint64(s.QueueDepth) }, nil},
+	{"faros_jobs_running", "Jobs currently executing.", gauge, always, func(s *Stats) uint64 { return uint64(s.Running) }, nil},
+	{"faros_cache_entries", "Results held in the cache.", gauge, always, func(s *Stats) uint64 { return uint64(s.CacheEntries) }, nil},
+	{"faros_jobs_active", "Waiter handles in the active (queued/running) registry.", gauge, always, func(s *Stats) uint64 { return uint64(s.JobsActive) }, nil},
+	{"faros_jobs_retained", "Terminal jobs held in the retention ring.", gauge, always, func(s *Stats) uint64 { return uint64(s.JobsRetained) }, nil},
+	{"faros_waiters_coalesced", "Waiters currently sharing an in-flight run with a peer.", gauge, always, func(s *Stats) uint64 { return uint64(s.WaitersCoalesced) }, nil},
+	{"faros_jobs_submitted_total", "Jobs accepted into the queue.", counter, always, func(s *Stats) uint64 { return s.JobsSubmitted }, nil},
+	{"faros_jobs_coalesced_total", "Submissions coalesced onto an in-flight identical run.", counter, always, func(s *Stats) uint64 { return s.JobsCoalesced }, nil},
+	{"faros_jobs_done_total", "Waiter handles settled successfully.", counter, always, func(s *Stats) uint64 { return s.JobsDone }, nil},
+	{"faros_jobs_failed_total", "Waiter handles settled failed (including deadline expiries).", counter, always, func(s *Stats) uint64 { return s.JobsFailed }, nil},
+	{"faros_jobs_deadline_total", "Runs cancelled by their deadline.", counter, always, func(s *Stats) uint64 { return s.JobsDeadline }, nil},
+	{"faros_jobs_canceled_total", "Waiter handles cancelled by request.", counter, always, func(s *Stats) uint64 { return s.JobsCanceled }, nil},
+	{"faros_queue_full_total", "Submissions rejected because the queue was at capacity.", counter, always, func(s *Stats) uint64 { return s.QueueFull }, nil},
+	{"faros_admission_shed_total", "Submissions shed with 429 because the queue passed the shed threshold.", counter, always, func(s *Stats) uint64 { return s.AdmissionShed }, nil},
+	{"faros_admission_rate_limited_total", "Submissions rejected by the per-client rate limit.", counter, always, func(s *Stats) uint64 { return s.AdmissionRateLimited }, nil},
+	{"faros_store_entries", "Entries in the persistent result store.", gauge, storeOn, func(s *Stats) uint64 { return uint64(s.Store.Entries) }, nil},
+	{"faros_store_bytes", "On-disk bytes held by the persistent result store.", gauge, storeOn, func(s *Stats) uint64 { return uint64(s.Store.Bytes) }, nil},
+	{"faros_store_hits_total", "Lookups served from the persistent result store.", counter, storeOn, func(s *Stats) uint64 { return s.Store.Hits }, nil},
+	{"faros_store_misses_total", "Persistent-store lookups that found no entry.", counter, storeOn, func(s *Stats) uint64 { return s.Store.Misses }, nil},
+	{"faros_store_corrupt_quarantined_total", "Store entries that failed verification and were quarantined.", counter, storeOn, func(s *Stats) uint64 { return s.Store.CorruptQuarantined }, nil},
+	{"faros_store_gc_evicted_total", "Store entries dropped by TTL or size garbage collection.", counter, storeOn, func(s *Stats) uint64 { return s.Store.GCEvicted }, nil},
+	{"faros_trace_entries", "Traces in the content-addressed trace store.", gauge, traceOn, func(s *Stats) uint64 { return uint64(s.TraceStore.Entries) }, nil},
+	{"faros_trace_store_bytes", "On-disk bytes held by the trace store.", gauge, traceOn, func(s *Stats) uint64 { return uint64(s.TraceStore.Bytes) }, nil},
+	{"faros_trace_store_corrupt_quarantined_total", "Trace store entries that failed verification and were quarantined.", counter, traceOn, func(s *Stats) uint64 { return s.TraceStore.CorruptQuarantined }, nil},
+	{"faros_trace_store_gc_evicted_total", "Trace store entries dropped by TTL or size garbage collection.", counter, traceOn, func(s *Stats) uint64 { return s.TraceStore.GCEvicted }, nil},
+	{"faros_triage_enabled", "Whether a triage risk policy is active.", gauge, always, func(s *Stats) uint64 { return boolValue(s.TriageEnabled) }, nil},
+	{"faros_triage_findings_total", "Findings scored by the triage policy, by risk.", counter, always, nil, func(s *Stats) []series { return byRisk(s.FindingsByRisk) }},
+	{"faros_triage_results_total", "Completed results scored by the triage policy, by aggregate risk.", counter, always, nil, func(s *Stats) []series { return byRisk(s.ResultsByRisk) }},
+	{"faros_cluster_forwarded_total", "Requests forwarded across the cluster, by direction.", counter, clusterOn, nil, func(s *Stats) []series {
+		return []series{{`direction="in"`, s.Cluster.ForwardedIn}, {`direction="out"`, s.Cluster.ForwardedOut}}
+	}},
+	{"faros_cluster_backfill_total", "Peer results backfilled into the local cache and store.", counter, clusterOn, func(s *Stats) uint64 { return s.Cluster.Backfills }, nil},
+	{"faros_cluster_owner_down_local_runs_total", "Requests degraded to local execution because their owner was down.", counter, clusterOn, func(s *Stats) uint64 { return s.Cluster.OwnerDownLocalRuns }, nil},
+	{"faros_cluster_peer_up", "Probed peer health (1 up, 0 down).", gauge, clusterOn, nil, func(s *Stats) []series {
+		var out []series
+		for _, p := range s.ClusterPeers {
+			out = append(out, series{fmt.Sprintf("peer=%q", p.Node), boolValue(p.Up)})
+		}
+		return out
+	}},
+	{"faros_events_published_total", "Lifecycle events published to the live event hub.", counter, always, func(s *Stats) uint64 { return s.EventsPublished }, nil},
+	{"faros_events_dropped_total", "Per-subscriber event deliveries dropped for slowness.", counter, always, func(s *Stats) uint64 { return s.EventsDropped }, nil},
+	{"faros_event_subscribers", "Current live event-stream subscribers.", gauge, always, func(s *Stats) uint64 { return uint64(s.EventSubscribers) }, nil},
+	{"faros_ledger_jobs", "Job timelines retained in the audit ledger.", gauge, always, func(s *Stats) uint64 { return uint64(s.LedgerJobs) }, nil},
+	{"faros_ledger_evicted_total", "Job timelines evicted whole from the audit ledger.", counter, always, func(s *Stats) uint64 { return s.LedgerEvicted }, nil},
+	{"faros_trace_ingested_total", "Traces ingested through POST /traces (new store entries only).", counter, always, func(s *Stats) uint64 { return s.Trace.Ingested }, nil},
+	{"faros_trace_bytes_total", "Encoded bytes of ingested traces.", counter, always, func(s *Stats) uint64 { return s.Trace.Bytes }, nil},
+	{"faros_trace_replays_total", "Analysis-only replays executed from stored traces.", counter, always, func(s *Stats) uint64 { return s.Trace.Replays }, nil},
+	{"faros_trace_digest_mismatch_total", "Trace submissions rejected on spec-hash or memory-image digest mismatch.", counter, always, func(s *Stats) uint64 { return s.Trace.DigestMismatch }, nil},
+	{"faros_cache_hits_total", "Submissions served from the result cache.", counter, always, func(s *Stats) uint64 { return s.CacheHits }, nil},
+	{"faros_cache_misses_total", "Cacheable submissions that missed the cache.", counter, always, func(s *Stats) uint64 { return s.CacheMisses }, nil},
+	{"faros_cache_expired_total", "Cache entries dropped at lookup because their TTL passed.", counter, always, func(s *Stats) uint64 { return s.CacheExpired }, nil},
+	{"faros_cache_skipped_degraded_total", "Degraded results the cache policy refused to insert.", counter, always, func(s *Stats) uint64 { return s.CacheSkippedDegraded }, nil},
+	{"faros_guest_instructions_total", "Guest instructions executed by completed jobs.", counter, always, func(s *Stats) uint64 { return s.Instructions }, nil},
+	{"faros_taint_prepends_total", "Provenance list prepends across completed FAROS jobs.", counter, always, func(s *Stats) uint64 { return s.Taint.Prepends }, nil},
+	{"faros_taint_prepend_memo_hits_total", "Prepends answered from the memo table.", counter, always, func(s *Stats) uint64 { return s.Taint.PrependMemoHits }, nil},
+	{"faros_taint_unions_total", "Provenance list unions across completed FAROS jobs.", counter, always, func(s *Stats) uint64 { return s.Taint.Unions }, nil},
+	{"faros_taint_union_memo_hits_total", "Unions answered from the memo table.", counter, always, func(s *Stats) uint64 { return s.Taint.UnionMemoHits }, nil},
+	{"faros_taint_shadow_writes_total", "Shadow byte writes across completed FAROS jobs.", counter, always, func(s *Stats) uint64 { return s.Taint.ShadowWrites }, nil},
+	{"faros_taint_fastpath_skips_total", "Whole-page skips taken by the shadow range fast paths.", counter, always, func(s *Stats) uint64 { return s.Taint.RangeFastSkips }, nil},
+	{"faros_taint_instr_prov_hits_total", "Instruction-provenance cache hits across completed FAROS jobs.", counter, always, func(s *Stats) uint64 { return s.Taint.InstrProvHits }, nil},
+	{"faros_taint_tainted_bytes_total", "Shadow bytes still tainted at the end of completed jobs.", counter, always, func(s *Stats) uint64 { return uint64(s.Taint.TaintedBytes) }, nil},
+	{"faros_taint_tainted_pages_total", "Shadow pages still tainted at the end of completed jobs.", counter, always, func(s *Stats) uint64 { return uint64(s.Taint.TaintedPages) }, nil},
+	{"faros_provgraph_build_total", "Provenance graphs built by completed FAROS jobs.", counter, always, func(s *Stats) uint64 { return s.Prov.Builds }, nil},
+	{"faros_provgraph_nodes_total", "Nodes across built provenance graphs.", counter, always, func(s *Stats) uint64 { return s.Prov.Nodes }, nil},
+	{"faros_provgraph_edges_total", "Edges across built provenance graphs.", counter, always, func(s *Stats) uint64 { return s.Prov.Edges }, nil},
+	{"faros_block_built_total", "Guest code blocks predecoded into micro-op streams.", counter, always, func(s *Stats) uint64 { return s.Block.Built }, nil},
+	{"faros_block_hits_total", "Block executions served from the block cache.", counter, always, func(s *Stats) uint64 { return s.Block.Hits }, nil},
+	{"faros_block_invalidated_total", "Cached blocks invalidated by self-modifying-code writes.", counter, always, func(s *Stats) uint64 { return s.Block.Invalidated }, nil},
+	{"faros_block_fused_ops_total", "Superinstructions retired by the block executors.", counter, always, func(s *Stats) uint64 { return s.Block.FusedOps }, nil},
+	{"faros_block_untainted_fast_blocks_total", "Block executions that took the untainted fast loop.", counter, always, func(s *Stats) uint64 { return s.Block.UntaintedFastBlocks }, nil},
+	{"faros_findings_total", "Findings reported by completed jobs, by rule.", counter, always, nil, func(s *Stats) []series {
+		var out []series
+		for _, rule := range sortedKeys(s.FindingsByRule) {
+			out = append(out, series{fmt.Sprintf("rule=%q", rule), s.FindingsByRule[rule]})
+		}
+		return out
+	}},
+}
+
+// byRisk lists a per-risk count map in low/medium/high order, skipping
+// levels never counted.
+func byRisk(counts map[string]uint64) []series {
+	var out []series
+	for _, risk := range []string{"low", "medium", "high"} {
+		if n, ok := counts[risk]; ok {
+			out = append(out, series{fmt.Sprintf("risk=%q", risk), n})
+		}
+	}
+	return out
+}
+
+// sortedKeys returns a count map's keys in order.
+func sortedKeys(counts map[string]uint64) []string {
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// boolValue renders a boolean as a 0/1 gauge value.
+func boolValue(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Prometheus renders the snapshot in the Prometheus text exposition
-// format (the /metrics surface).
+// format (the /metrics surface): every metricTable row whose group is
+// enabled, then the job-latency histogram.
 func (s Stats) Prometheus() string {
 	var sb strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("faros_workers", "Worker pool size.", s.Workers)
-	gauge("faros_jobs_queued", "Jobs waiting in the queue.", s.QueueDepth)
-	gauge("faros_jobs_running", "Jobs currently executing.", s.Running)
-	gauge("faros_cache_entries", "Results held in the cache.", s.CacheEntries)
-	gauge("faros_jobs_active", "Waiter handles in the active (queued/running) registry.", s.JobsActive)
-	gauge("faros_jobs_retained", "Terminal jobs held in the retention ring.", s.JobsRetained)
-	gauge("faros_waiters_coalesced", "Waiters currently sharing an in-flight run with a peer.", s.WaitersCoalesced)
-	counter("faros_jobs_submitted_total", "Jobs accepted into the queue.", s.JobsSubmitted)
-	counter("faros_jobs_coalesced_total", "Submissions coalesced onto an in-flight identical run.", s.JobsCoalesced)
-	counter("faros_jobs_done_total", "Waiter handles settled successfully.", s.JobsDone)
-	counter("faros_jobs_failed_total", "Waiter handles settled failed (including deadline expiries).", s.JobsFailed)
-	counter("faros_jobs_deadline_total", "Runs cancelled by their deadline.", s.JobsDeadline)
-	counter("faros_jobs_canceled_total", "Waiter handles cancelled by request.", s.JobsCanceled)
-	counter("faros_queue_full_total", "Submissions rejected because the queue was at capacity.", s.QueueFull)
-	counter("faros_admission_shed_total", "Submissions shed with 429 because the queue passed the shed threshold.", s.AdmissionShed)
-	counter("faros_admission_rate_limited_total", "Submissions rejected by the per-client rate limit.", s.AdmissionRateLimited)
-	if s.StoreEnabled {
-		gauge("faros_store_entries", "Entries in the persistent result store.", s.Store.Entries)
-		gauge("faros_store_bytes", "On-disk bytes held by the persistent result store.", int(s.Store.Bytes))
-		counter("faros_store_hits_total", "Lookups served from the persistent result store.", s.Store.Hits)
-		counter("faros_store_misses_total", "Persistent-store lookups that found no entry.", s.Store.Misses)
-		counter("faros_store_corrupt_quarantined_total", "Store entries that failed verification and were quarantined.", s.Store.CorruptQuarantined)
-		counter("faros_store_gc_evicted_total", "Store entries dropped by TTL or size garbage collection.", s.Store.GCEvicted)
-	}
-	if s.TraceStoreEnabled {
-		gauge("faros_trace_entries", "Traces in the content-addressed trace store.", s.TraceStore.Entries)
-		gauge("faros_trace_store_bytes", "On-disk bytes held by the trace store.", int(s.TraceStore.Bytes))
-		counter("faros_trace_store_corrupt_quarantined_total", "Trace store entries that failed verification and were quarantined.", s.TraceStore.CorruptQuarantined)
-		counter("faros_trace_store_gc_evicted_total", "Trace store entries dropped by TTL or size garbage collection.", s.TraceStore.GCEvicted)
-	}
-	if s.TriageEnabled {
-		gauge("faros_triage_enabled", "Whether a triage risk policy is active.", 1)
-	} else {
-		gauge("faros_triage_enabled", "Whether a triage risk policy is active.", 0)
-	}
-	fmt.Fprintf(&sb, "# HELP faros_triage_findings_total Findings scored by the triage policy, by risk.\n# TYPE faros_triage_findings_total counter\n")
-	for _, risk := range []string{"low", "medium", "high"} {
-		if n, ok := s.FindingsByRisk[risk]; ok {
-			fmt.Fprintf(&sb, "faros_triage_findings_total{risk=%q} %d\n", risk, n)
+	for _, m := range metricTable {
+		if !m.group.enabled(&s) {
+			continue
 		}
-	}
-	fmt.Fprintf(&sb, "# HELP faros_triage_results_total Completed results scored by the triage policy, by aggregate risk.\n# TYPE faros_triage_results_total counter\n")
-	for _, risk := range []string{"low", "medium", "high"} {
-		if n, ok := s.ResultsByRisk[risk]; ok {
-			fmt.Fprintf(&sb, "faros_triage_results_total{risk=%q} %d\n", risk, n)
+		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.kind)
+		if m.series == nil {
+			fmt.Fprintf(&sb, "%s %d\n", m.name, m.value(&s))
+			continue
 		}
-	}
-	if s.ClusterEnabled {
-		fmt.Fprintf(&sb, "# HELP faros_cluster_forwarded_total Requests forwarded across the cluster, by direction.\n# TYPE faros_cluster_forwarded_total counter\n")
-		fmt.Fprintf(&sb, "faros_cluster_forwarded_total{direction=\"in\"} %d\n", s.Cluster.ForwardedIn)
-		fmt.Fprintf(&sb, "faros_cluster_forwarded_total{direction=\"out\"} %d\n", s.Cluster.ForwardedOut)
-		counter("faros_cluster_backfill_total", "Peer results backfilled into the local cache and store.", s.Cluster.Backfills)
-		counter("faros_cluster_owner_down_local_runs_total", "Requests degraded to local execution because their owner was down.", s.Cluster.OwnerDownLocalRuns)
-		fmt.Fprintf(&sb, "# HELP faros_cluster_peer_up Probed peer health (1 up, 0 down).\n# TYPE faros_cluster_peer_up gauge\n")
-		for _, p := range s.ClusterPeers {
-			v := 0
-			if p.Up {
-				v = 1
-			}
-			fmt.Fprintf(&sb, "faros_cluster_peer_up{peer=%q} %d\n", p.Node, v)
+		for _, x := range m.series(&s) {
+			fmt.Fprintf(&sb, "%s{%s} %d\n", m.name, x.labels, x.value)
 		}
-	}
-	counter("faros_events_published_total", "Lifecycle events published to the live event hub.", s.EventsPublished)
-	counter("faros_events_dropped_total", "Per-subscriber event deliveries dropped for slowness.", s.EventsDropped)
-	gauge("faros_event_subscribers", "Current live event-stream subscribers.", s.EventSubscribers)
-	gauge("faros_ledger_jobs", "Job timelines retained in the audit ledger.", s.LedgerJobs)
-	counter("faros_ledger_evicted_total", "Job timelines evicted whole from the audit ledger.", s.LedgerEvicted)
-	counter("faros_trace_ingested_total", "Traces ingested through POST /traces (new store entries only).", s.Trace.Ingested)
-	counter("faros_trace_bytes_total", "Encoded bytes of ingested traces.", s.Trace.Bytes)
-	counter("faros_trace_replays_total", "Analysis-only replays executed from stored traces.", s.Trace.Replays)
-	counter("faros_trace_digest_mismatch_total", "Trace submissions rejected on spec-hash or memory-image digest mismatch.", s.Trace.DigestMismatch)
-	counter("faros_cache_hits_total", "Submissions served from the result cache.", s.CacheHits)
-	counter("faros_cache_misses_total", "Cacheable submissions that missed the cache.", s.CacheMisses)
-	counter("faros_cache_expired_total", "Cache entries dropped at lookup because their TTL passed.", s.CacheExpired)
-	counter("faros_cache_skipped_degraded_total", "Degraded results the cache policy refused to insert.", s.CacheSkippedDegraded)
-	counter("faros_guest_instructions_total", "Guest instructions executed by completed jobs.", s.Instructions)
-	counter("faros_taint_prepends_total", "Provenance list prepends across completed FAROS jobs.", s.Taint.Prepends)
-	counter("faros_taint_prepend_memo_hits_total", "Prepends answered from the memo table.", s.Taint.PrependMemoHits)
-	counter("faros_taint_unions_total", "Provenance list unions across completed FAROS jobs.", s.Taint.Unions)
-	counter("faros_taint_union_memo_hits_total", "Unions answered from the memo table.", s.Taint.UnionMemoHits)
-	counter("faros_taint_shadow_writes_total", "Shadow byte writes across completed FAROS jobs.", s.Taint.ShadowWrites)
-	counter("faros_taint_fastpath_skips_total", "Whole-page skips taken by the shadow range fast paths.", s.Taint.RangeFastSkips)
-	counter("faros_taint_instr_prov_hits_total", "Instruction-provenance cache hits across completed FAROS jobs.", s.Taint.InstrProvHits)
-	counter("faros_taint_tainted_bytes_total", "Shadow bytes still tainted at the end of completed jobs.", s.Taint.TaintedBytes)
-	counter("faros_taint_tainted_pages_total", "Shadow pages still tainted at the end of completed jobs.", s.Taint.TaintedPages)
-	counter("faros_provgraph_build_total", "Provenance graphs built by completed FAROS jobs.", s.Prov.Builds)
-	counter("faros_provgraph_nodes_total", "Nodes across built provenance graphs.", s.Prov.Nodes)
-	counter("faros_provgraph_edges_total", "Edges across built provenance graphs.", s.Prov.Edges)
-	counter("faros_block_built_total", "Guest code blocks predecoded into micro-op streams.", s.Block.Built)
-	counter("faros_block_hits_total", "Block executions served from the block cache.", s.Block.Hits)
-	counter("faros_block_invalidated_total", "Cached blocks invalidated by self-modifying-code writes.", s.Block.Invalidated)
-	counter("faros_block_fused_ops_total", "Superinstructions retired by the block executors.", s.Block.FusedOps)
-	counter("faros_block_untainted_fast_blocks_total", "Block executions that took the untainted fast loop.", s.Block.UntaintedFastBlocks)
-
-	fmt.Fprintf(&sb, "# HELP faros_findings_total Findings reported by completed jobs, by rule.\n# TYPE faros_findings_total counter\n")
-	rules := make([]string, 0, len(s.FindingsByRule))
-	for rule := range s.FindingsByRule {
-		rules = append(rules, rule)
-	}
-	sort.Strings(rules)
-	for _, rule := range rules {
-		fmt.Fprintf(&sb, "faros_findings_total{rule=%q} %d\n", rule, s.FindingsByRule[rule])
 	}
 
 	fmt.Fprintf(&sb, "# HELP faros_job_duration_seconds Wall time of completed jobs.\n# TYPE faros_job_duration_seconds histogram\n")

@@ -330,11 +330,10 @@ type cacheEntry struct {
 // Pool is the analysis service: a job queue drained by a bounded set of
 // worker goroutines, fronted by a result cache.
 type Pool struct {
-	cfg     Config
-	queue   chan *run
-	metrics *metrics
-	ledger  *triage.Ledger
-	hub     *triage.Hub
+	cfg    Config
+	queue  chan *run
+	ledger *triage.Ledger
+	hub    *triage.Hub
 
 	mu        sync.Mutex
 	jobs      map[string]*Job        // active (queued/running) waiter handles
@@ -345,6 +344,7 @@ type Pool struct {
 	retOrder  []string // retained job IDs, oldest first
 	closed    bool
 	draining  bool
+	stats     Stats // live counters; gauges are filled in by Stats()
 
 	running atomic.Int64
 	nextID  atomic.Uint64
@@ -381,7 +381,6 @@ func New(cfg Config) (*Pool, error) {
 	p := &Pool{
 		cfg:       cfg,
 		queue:     make(chan *run, cfg.QueueDepth),
-		metrics:   newMetrics(),
 		ledger:    triage.NewLedger(cfg.LedgerJobs),
 		hub:       triage.NewHub(),
 		jobs:      make(map[string]*Job),
@@ -389,6 +388,7 @@ func New(cfg Config) (*Pool, error) {
 		cache:     make(map[string]*cacheEntry),
 		cacheList: list.New(),
 		retained:  make(map[string]*retainedJob),
+		stats:     newStats(),
 	}
 	p.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -502,7 +502,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 	}
 	if key != "" {
 		if res, ok := p.lookupCacheLocked(key); ok {
-			p.metrics.add(func(m *counters) { m.cacheHits++ })
+			p.stats.CacheHits++
 			return p.cacheHitJobLocked(req, key, res), nil
 		}
 		if r, ok := p.inflight[key]; ok && !r.canceled {
@@ -514,7 +514,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 				job.started = r.started
 			}
 			p.jobs[job.ID] = job
-			p.metrics.add(func(m *counters) { m.coalesced++ })
+			p.stats.JobsCoalesced++
 			p.emit(triage.Event{Type: triage.EventCoalesced, Job: job.ID,
 				Scenario: job.Scenario, Hash: job.Hash})
 			return job, nil
@@ -532,7 +532,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 	select {
 	case p.queue <- r:
 	default:
-		p.metrics.add(func(m *counters) { m.queueFull++ })
+		p.stats.QueueFull++
 		return nil, ErrQueueFull
 	}
 	p.jobs[job.ID] = job
@@ -540,9 +540,9 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 		p.inflight[key] = r
 		// Counted only after successful enqueue: an ErrQueueFull
 		// rejection is back-pressure, not a cache miss.
-		p.metrics.add(func(m *counters) { m.cacheMisses++ })
+		p.stats.CacheMisses++
 	}
-	p.metrics.add(func(m *counters) { m.submitted++ })
+	p.stats.JobsSubmitted++
 	p.emit(triage.Event{Type: triage.EventSubmitted, Job: job.ID,
 		Scenario: job.Scenario, Hash: job.Hash})
 	return job, nil
@@ -624,7 +624,7 @@ func (p *Pool) CachedJob(req Request) (*Job, bool) {
 		return nil, false
 	}
 	if res, ok := p.lookupCacheLocked(key); ok {
-		p.metrics.add(func(m *counters) { m.cacheHits++ })
+		p.stats.CacheHits++
 		return p.cacheHitJobLocked(req, key, res), true
 	}
 	if res, ok := p.storeLookupLocked(key); ok {
@@ -668,24 +668,6 @@ func (p *Pool) Cluster() Forwarder { return p.cfg.Cluster }
 // NodeID returns this node's cluster identity ("" single-node).
 func (p *Pool) NodeID() string { return p.cfg.NodeID }
 
-// NoteForwardedIn records a request received from a peer (it carried the
-// hop-guard header).
-func (p *Pool) NoteForwardedIn() {
-	p.metrics.add(func(m *counters) { m.cluster.ForwardedIn++ })
-}
-
-// NoteForwardedOut records a request this node forwarded to its owning
-// peer and got an answer for.
-func (p *Pool) NoteForwardedOut() {
-	p.metrics.add(func(m *counters) { m.cluster.ForwardedOut++ })
-}
-
-// NoteOwnerDownLocal records a request whose owner was down (or failed
-// mid-forward) and which degraded to local execution instead.
-func (p *Pool) NoteOwnerDownLocal() {
-	p.metrics.add(func(m *counters) { m.cluster.OwnerDownLocalRuns++ })
-}
-
 // Backfill inserts a peer-produced result into the local memory cache
 // and persistent store under its own cache key, so the next identical
 // submission or result read is answered locally instead of re-crossing
@@ -710,24 +692,12 @@ func (p *Pool) Backfill(res *Result) bool {
 		exp = time.Now().Add(p.cfg.CacheTTL)
 	}
 	p.storeLocked(res.Hash, res, exp)
+	p.stats.Cluster.Backfills++
 	p.mu.Unlock()
-	p.metrics.add(func(m *counters) { m.cluster.Backfills++ })
 	if p.cfg.Store != nil {
 		p.persist(res)
 	}
 	return true
-}
-
-// NoteTraceIngested records a successful trace upload (new store entry)
-// of n encoded bytes.
-func (p *Pool) NoteTraceIngested(n int) {
-	p.metrics.add(func(m *counters) { m.trace.Ingested++; m.trace.Bytes += uint64(n) })
-}
-
-// NoteTraceMismatch records a trace submission rejected because its spec
-// hash or memory-image digest did not match the job.
-func (p *Pool) NoteTraceMismatch() {
-	p.metrics.add(func(m *counters) { m.trace.DigestMismatch++ })
 }
 
 // emit publishes one lifecycle event to the live stream and, when it is
@@ -753,21 +723,6 @@ func (p *Pool) JobEvents(id string) ([]triage.Event, bool) { return p.ledger.Job
 // TriagePolicy returns the active risk policy (nil when triage is
 // disabled).
 func (p *Pool) TriagePolicy() *triage.Policy { return p.cfg.Triage }
-
-// NoteShed records a queue-saturation rejection on the metrics and event
-// surfaces (stream-only: no job exists to ledger under).
-func (p *Pool) NoteShed(scenario string) {
-	p.metrics.add(func(m *counters) { m.admissionShed++ })
-	p.emit(triage.Event{Type: triage.EventShed, Scenario: scenario,
-		Detail: "queue saturated; serving cached results only"})
-}
-
-// NoteRateLimited records a per-client rate-limit rejection on the
-// metrics and event surfaces (stream-only).
-func (p *Pool) NoteRateLimited() {
-	p.metrics.add(func(m *counters) { m.admissionRateLimited++ })
-	p.emit(triage.Event{Type: triage.EventRateLimited, Detail: "per-client rate limit exceeded"})
-}
 
 // JobErr returns a waiter handle's typed terminal error (nil while
 // unsettled or when it settled cleanly). The HTTP layer uses it to map
@@ -862,11 +817,10 @@ func (p *Pool) runJob(r *run) {
 		defer cancel()
 		return p.cfg.Runner(ctx, req)
 	}()
-	if req.Mode == ModeTrace {
-		p.metrics.add(func(m *counters) { m.trace.Replays++ })
-	}
-
 	p.mu.Lock()
+	if req.Mode == ModeTrace {
+		p.stats.Trace.Replays++
+	}
 	persist := p.finishRunLocked(r, res, err)
 	p.mu.Unlock()
 	if persist != nil {
@@ -906,35 +860,15 @@ func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist
 	case err == nil:
 		result := buildResult(r, res)
 		p.scoreResult(result)
-		waiters := len(r.waiters)
-		p.metrics.add(func(m *counters) {
-			m.done += uint64(waiters)
-			m.instructions += result.Instructions
-			for _, f := range result.Findings {
-				m.findings[f.Rule]++
-			}
-			if res != nil && res.Faros != nil {
-				ts := res.Faros.Stats()
-				m.taint.Prepends += ts.Taint.Prepends
-				m.taint.PrependMemoHits += ts.Taint.PrependMemoHits
-				m.taint.Unions += ts.Taint.Unions
-				m.taint.UnionMemoHits += ts.Taint.UnionMemoHits
-				m.taint.ShadowWrites += ts.Taint.ShadowWrites
-				m.taint.RangeFastSkips += ts.Taint.RangeFastSkips
-				m.taint.InstrProvHits += ts.InstrProvHits
-				m.taint.TaintedBytes += uint64(ts.Taint.TaintedBytes)
-				m.taint.TaintedPages += uint64(ts.Taint.TaintedPages)
-				m.prov.Builds += ts.ProvGraphBuilds
-				m.prov.Nodes += ts.ProvGraphNodes
-				m.prov.Edges += ts.ProvGraphEdges
-				m.block.Built += ts.Block.Built
-				m.block.Hits += ts.Block.Hits
-				m.block.Invalidated += ts.Block.Invalidated
-				m.block.FusedOps += ts.Block.FusedOps
-				m.block.UntaintedFastBlocks += ts.Block.UntaintedFastBlocks
-			}
-			m.lat.observe(wall.Seconds())
-		})
+		p.stats.JobsDone += uint64(len(r.waiters))
+		p.stats.Instructions += result.Instructions
+		for _, f := range result.Findings {
+			p.stats.FindingsByRule[f.Rule]++
+		}
+		if res != nil && res.Faros != nil {
+			p.stats.addEngine(res.Faros.Stats())
+		}
+		p.stats.observeLatency(wall)
 		if r.key != "" && p.cfg.CacheCap >= 0 {
 			switch {
 			case result.Degraded == "":
@@ -952,7 +886,7 @@ func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist
 				// A degraded result is a partial failure, not a
 				// deterministic outcome — serving it from cache would
 				// poison every future identical submission.
-				p.metrics.add(func(m *counters) { m.cacheSkippedDegraded++ })
+				p.stats.CacheSkippedDegraded++
 			}
 		}
 		for _, w := range r.waiters {
@@ -968,20 +902,18 @@ func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist
 			p.settleLocked(w, StateDone, result, nil, now)
 		}
 	case errors.As(err, &de):
-		waiters := len(r.waiters)
-		p.metrics.add(func(m *counters) { m.deadlines++; m.failed += uint64(waiters) })
+		p.stats.JobsDeadline++
+		p.stats.JobsFailed += uint64(len(r.waiters))
 		for _, w := range r.waiters {
 			p.settleLocked(w, StateFailed, nil, err, now)
 		}
 	case errors.Is(err, context.Canceled):
-		waiters := len(r.waiters)
-		p.metrics.add(func(m *counters) { m.canceled += uint64(waiters) })
+		p.stats.JobsCanceled += uint64(len(r.waiters))
 		for _, w := range r.waiters {
 			p.settleLocked(w, StateCanceled, nil, err, now)
 		}
 	default:
-		waiters := len(r.waiters)
-		p.metrics.add(func(m *counters) { m.failed += uint64(waiters) })
+		p.stats.JobsFailed += uint64(len(r.waiters))
 		for _, w := range r.waiters {
 			p.settleLocked(w, StateFailed, nil, err, now)
 		}
@@ -1046,12 +978,10 @@ func (p *Pool) scoreResult(result *Result) {
 	agg := triage.Aggregate(scores...)
 	result.Risk = agg.String()
 	result.RiskPolicy = pol.Hash()
-	p.metrics.add(func(m *counters) {
-		for _, s := range scores {
-			m.triageFindings[s.String()]++
-		}
-		m.triageResults[agg.String()]++
-	})
+	for _, s := range scores {
+		p.stats.FindingsByRisk[s.String()]++
+	}
+	p.stats.ResultsByRisk[agg.String()]++
 }
 
 // buildResult summarizes a scenario result for the service surface.
@@ -1142,7 +1072,7 @@ func (p *Pool) lookupCacheLocked(key string) (*Result, bool) {
 	if !e.expires.IsZero() && time.Now().After(e.expires) {
 		p.cacheList.Remove(e.elem)
 		delete(p.cache, key)
-		p.metrics.add(func(m *counters) { m.cacheExpired++ })
+		p.stats.CacheExpired++
 		return nil, false
 	}
 	if p.cfg.CacheLRU {
@@ -1190,7 +1120,7 @@ func (p *Pool) Cancel(id string) bool {
 	r := job.run
 	r.detach(job)
 	p.settleLocked(job, StateCanceled, nil, context.Canceled, time.Now())
-	p.metrics.add(func(m *counters) { m.canceled++ })
+	p.stats.JobsCanceled++
 	if len(r.waiters) == 0 {
 		r.canceled = true
 		if r.key != "" && p.inflight[r.key] == r {
@@ -1306,55 +1236,56 @@ func (p *Pool) RunAll(ctx context.Context, reqs []Request) ([]*Result, error) {
 	return results, nil
 }
 
-// Stats snapshots the pool's counters and gauges.
+// Stats snapshots the pool's counters and fills in its gauges.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
-	cacheEntries := len(p.cache)
-	queued := len(p.queue)
-	active := len(p.jobs)
-	retained := len(p.retained)
+	s := p.stats.clone()
+	s.CacheEntries = len(p.cache)
+	s.QueueDepth = len(p.queue)
+	s.JobsActive = len(p.jobs)
+	s.JobsRetained = len(p.retained)
 	// Waiters currently sharing a run with at least one peer: everything
 	// beyond the first waiter per in-flight run is a coalesced waiter.
 	perRun := make(map[*run]int, len(p.jobs))
 	for _, job := range p.jobs {
 		perRun[job.run]++
 	}
-	coalescedWaiters := 0
 	for _, n := range perRun {
 		if n > 1 {
-			coalescedWaiters += n - 1
+			s.WaitersCoalesced += n - 1
 		}
 	}
 	p.mu.Unlock()
-	g := snapshotGauges{
-		workers:          p.cfg.Workers,
-		queueDepth:       queued,
-		running:          int(p.running.Load()),
-		cacheEntries:     cacheEntries,
-		jobsActive:       active,
-		jobsRetained:     retained,
-		waitersCoalesced: coalescedWaiters,
-	}
+	s.Workers = p.cfg.Workers
+	s.Running = int(p.running.Load())
 	if p.cfg.Store != nil {
-		g.storeEnabled = true
-		g.store = p.cfg.Store.Stats()
+		s.StoreEnabled = true
+		s.Store = p.cfg.Store.Stats()
 	}
 	if p.cfg.Traces != nil {
-		g.traceEnabled = true
-		g.traces = p.cfg.Traces.Stats()
+		s.TraceStoreEnabled = true
+		s.TraceStore = p.cfg.Traces.Stats()
 	}
 	if p.cfg.Triage != nil {
-		g.triageEnabled = true
-		g.triagePolicy = p.cfg.Triage.Hash()
+		s.TriageEnabled = true
+		s.TriagePolicy = p.cfg.Triage.Hash()
 	}
 	if p.cfg.Cluster != nil {
-		g.clusterEnabled = true
-		g.clusterNode = p.cfg.Cluster.NodeID()
-		g.clusterPeers = p.cfg.Cluster.PeerHealth()
+		s.ClusterEnabled = true
+		s.ClusterNode = p.cfg.Cluster.NodeID()
+		s.ClusterPeers = p.cfg.Cluster.PeerHealth()
 	}
-	g.eventsPublished, g.eventsDropped, g.eventSubscribers = p.hub.Stats()
-	g.ledgerJobs, g.ledgerEvicted = p.ledger.Stats()
-	return p.metrics.snapshot(g)
+	s.EventsPublished, s.EventsDropped, s.EventSubscribers = p.hub.Stats()
+	s.LedgerJobs, s.LedgerEvicted = p.ledger.Stats()
+	return s
+}
+
+// count applies a counter update under the pool mutex, for callers that
+// do not already hold it.
+func (p *Pool) count(update func(*Stats)) {
+	p.mu.Lock()
+	update(&p.stats)
+	p.mu.Unlock()
 }
 
 // Close stops accepting work, cancels anything still running, settles
@@ -1371,7 +1302,7 @@ func (p *Pool) Close() {
 		r := job.run
 		r.detach(job)
 		p.settleLocked(job, StateCanceled, nil, context.Canceled, now)
-		p.metrics.add(func(m *counters) { m.canceled++ })
+		p.stats.JobsCanceled++
 		if len(r.waiters) == 0 {
 			r.canceled = true
 			if r.key != "" && p.inflight[r.key] == r {

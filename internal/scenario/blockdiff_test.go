@@ -132,11 +132,11 @@ func TestBlockDispatchDifferentialUnderFaults(t *testing.T) {
 	for _, spec := range samples.Attacks() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			with, err := RunLiveWith(spec, Plugins{Faros: &core.Config{}}, plan)
+			with, err := RunLiveContext(context.Background(), spec, Plugins{Faros: &core.Config{}}, plan)
 			if err != nil {
 				t.Fatalf("live (blocks): %v", err)
 			}
-			without, err := RunLiveWith(spec, Plugins{
+			without, err := RunLiveContext(context.Background(), spec, Plugins{
 				Faros: &core.Config{},
 				Extra: []func(*guest.Kernel){blocksOff},
 			}, plan)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -94,7 +95,7 @@ func TestReplayDivergenceTyped(t *testing.T) {
 // provenance, and the replay must reproduce the recording exactly.
 func TestChaosDetectStillFlags(t *testing.T) {
 	plan := testChaosPlan()
-	res, err := DetectWith(samples.ReflectiveDLLInject(), plan)
+	res, err := DetectContext(context.Background(), samples.ReflectiveDLLInject(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestChaosFaultIsolationPreservesFindings(t *testing.T) {
 	spec := samples.ChaosResilience()
 	plan := testChaosPlan()
 	plan.Guest = faults.GuestPlan{FlipRate: 0.05, ProbeRate: 0.05, Targets: []string{"bystander.exe"}}
-	res, err := RunLiveWith(spec, Plugins{Faros: &core.Config{}}, plan)
+	res, err := RunLiveContext(context.Background(), spec, Plugins{Faros: &core.Config{}}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,19 +239,15 @@ func run(ctx context.Context, k *guest.Kernel, spec samples.Spec, plugins Plugin
 // Record performs the live recording pass (no analysis plugins, like
 // running PANDA in record mode) and returns the log.
 func Record(spec samples.Spec) (*record.Log, *Result, error) {
-	return RecordWith(spec, nil)
+	return RecordContext(context.Background(), spec, nil)
 }
 
-// RecordWith is Record under a fault plan: the injector disturbs the live
-// run (lossy wire, flaky syscalls) and the recorder logs the post-fault
-// event stream, so the log replays without re-drawing network faults.
-func RecordWith(spec samples.Spec, plan *faults.Plan) (*record.Log, *Result, error) {
-	return RecordContext(context.Background(), spec, plan)
-}
-
-// RecordContext is RecordWith honoring a context: the kernel checks the
-// context every few thousand guest instructions and a deadline surfaces as
-// a *DeadlineError.
+// RecordContext is Record under a fault plan, honoring a context. The
+// injector disturbs the live run (lossy wire, flaky syscalls) and the
+// recorder logs the post-fault event stream, so the log replays without
+// re-drawing network faults. The kernel checks the context every few
+// thousand guest instructions and a deadline surfaces as a
+// *DeadlineError.
 func RecordContext(ctx context.Context, spec samples.Spec, plan *faults.Plan) (*record.Log, *Result, error) {
 	rec := record.NewRecorder(spec.Name)
 	k, err := setup(spec, mode{recorder: rec})
@@ -268,20 +264,16 @@ func RecordContext(ctx context.Context, spec samples.Spec, plan *faults.Plan) (*
 
 // Replay re-executes a recorded run with the given plugins attached.
 func Replay(spec samples.Spec, log *record.Log, plugins Plugins) (*Result, error) {
-	return ReplayWith(spec, log, plugins, nil)
+	return ReplayContext(context.Background(), spec, log, plugins, nil)
 }
 
-// ReplayWith is Replay under the fault plan the recording ran with. The
-// plan must match: syscall and guest fault draws happen identically in
-// both passes (the instruction stream depends on them), while network
-// draws never re-fire in replay because endpoints are disabled. After the
-// run it verifies the replay actually reproduced the recording and returns
-// a *record.DivergenceError (also stored in Result.Err) if not.
-func ReplayWith(spec samples.Spec, log *record.Log, plugins Plugins, plan *faults.Plan) (*Result, error) {
-	return ReplayContext(context.Background(), spec, log, plugins, plan)
-}
-
-// ReplayContext is ReplayWith honoring a context deadline/cancellation.
+// ReplayContext is Replay under the fault plan the recording ran with,
+// honoring a context deadline/cancellation. The plan must match: syscall
+// and guest fault draws happen identically in both passes (the
+// instruction stream depends on them), while network draws never re-fire
+// in replay because endpoints are disabled. After the run it verifies the
+// replay actually reproduced the recording and returns a
+// *record.DivergenceError (also stored in Result.Err) if not.
 func ReplayContext(ctx context.Context, spec samples.Spec, log *record.Log, plugins Plugins, plan *faults.Plan) (*Result, error) {
 	k, err := setup(spec, mode{replayLog: log})
 	if err != nil {
@@ -315,15 +307,11 @@ func ReplayContext(ctx context.Context, spec samples.Spec, log *record.Log, plug
 // guest is deterministic, so detection results match the record+replay
 // path; the corpus sweeps use this cheaper single pass.
 func RunLive(spec samples.Spec, plugins Plugins) (*Result, error) {
-	return RunLiveWith(spec, plugins, nil)
+	return RunLiveContext(context.Background(), spec, plugins, nil)
 }
 
-// RunLiveWith is RunLive under a fault plan.
-func RunLiveWith(spec samples.Spec, plugins Plugins, plan *faults.Plan) (*Result, error) {
-	return RunLiveContext(context.Background(), spec, plugins, plan)
-}
-
-// RunLiveContext is RunLiveWith honoring a context deadline/cancellation.
+// RunLiveContext is RunLive under a fault plan, honoring a context
+// deadline/cancellation.
 func RunLiveContext(ctx context.Context, spec samples.Spec, plugins Plugins, plan *faults.Plan) (*Result, error) {
 	k, err := setup(spec, mode{})
 	if err != nil {
@@ -336,17 +324,13 @@ func RunLiveContext(ctx context.Context, spec samples.Spec, plugins Plugins, pla
 // Detect is the analyst workflow of §V.C: record the scenario live, then
 // replay it with FAROS, the Cuckoo baseline, and the malfind scan attached.
 func Detect(spec samples.Spec) (*Result, error) {
-	return DetectWith(spec, nil)
+	return DetectContext(context.Background(), spec, nil)
 }
 
-// DetectWith is Detect under a fault plan applied to both passes.
-func DetectWith(spec samples.Spec, plan *faults.Plan) (*Result, error) {
-	return DetectContext(context.Background(), spec, plan)
-}
-
-// DetectContext is DetectWith honoring a context: the deadline covers both
-// the recording and the replay pass, and exceeding it returns a typed
-// *DeadlineError instead of running to the instruction budget.
+// DetectContext is Detect under a fault plan applied to both passes,
+// honoring a context: the deadline covers both the recording and the
+// replay pass, and exceeding it returns a typed *DeadlineError instead of
+// running to the instruction budget.
 func DetectContext(ctx context.Context, spec samples.Spec, plan *faults.Plan) (*Result, error) {
 	log, _, err := RecordContext(ctx, spec, plan)
 	if err != nil {

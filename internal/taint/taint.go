@@ -97,20 +97,20 @@ type ProvID uint32
 // Stats counts taint activity for the performance evaluation and the
 // overtainting ablation.
 type Stats struct {
-	ListsInterned   int
-	Prepends        uint64
-	PrependMemoHits uint64
+	ListsInterned   int    `json:"lists_interned"`
+	Prepends        uint64 `json:"prepends"`
+	PrependMemoHits uint64 `json:"prepend_memo_hits"`
 	// Unions counts every union requested; UnionMemoHits counts the ones
 	// answered without constructing a list (identity fast-outs and
 	// memo-table hits).
-	Unions         uint64
-	UnionMemoHits  uint64
-	ShadowWrites   uint64
-	RangeFastSkips uint64 // whole-page skips taken by the range fast paths
-	TaintedBytes   int    // live count of non-empty shadow bytes
-	TaintedPages   int    // live count of shadow pages holding any taint
-	TagsExhausted  uint64
-	ListsTruncated uint64
+	Unions         uint64 `json:"unions"`
+	UnionMemoHits  uint64 `json:"union_memo_hits"`
+	ShadowWrites   uint64 `json:"shadow_writes"`
+	RangeFastSkips uint64 `json:"range_fast_skips"` // whole-page skips taken by the range fast paths
+	TaintedBytes   int    `json:"tainted_bytes"`    // live count of non-empty shadow bytes
+	TaintedPages   int    `json:"tainted_pages"`    // live count of shadow pages holding any taint
+	TagsExhausted  uint64 `json:"tags_exhausted"`
+	ListsTruncated uint64 `json:"lists_truncated"`
 }
 
 const shadowPageSize = 4096

@@ -74,14 +74,14 @@ type BlockPlugin interface {
 // BlockStats counts block-cache activity.
 type BlockStats struct {
 	// Built counts blocks decoded and lowered.
-	Built uint64
+	Built uint64 `json:"built"`
 	// Hits counts dispatches served from the cache.
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// Invalidated counts frames whose cached blocks were dropped.
-	Invalidated uint64
+	Invalidated uint64 `json:"invalidated"`
 	// FusedOps counts superinstructions retired by the plain block
 	// executor (an attached engine counts its own executions separately).
-	FusedOps uint64
+	FusedOps uint64 `json:"fused_ops"`
 }
 
 // blockPage holds the cached blocks of one physical frame, indexed by
