@@ -209,6 +209,24 @@ type instrProvEntry struct {
 	changes uint64
 }
 
+// findingKey identifies a finding for deduplication: one finding per rule,
+// process and instruction address (page address for RuleForeignCodeExec).
+type findingKey struct {
+	rule string
+	pid  uint32
+	pc   uint32
+}
+
+// policyMemo is the last (pid, pc, instruction provenance) checkPolicy
+// evaluated. With the config fixed, the rule is a function of the
+// provenance alone, so a repeat of the triple either matches no rule or
+// hits a finding key already in findingSeen: skipping it is exact.
+type policyMemo struct {
+	pid   uint32
+	pc    uint32
+	iProv taint.ProvID
+}
+
 // FAROS is the attached engine.
 type FAROS struct {
 	T   *taint.Store
@@ -224,9 +242,10 @@ type FAROS struct {
 	exportTag   taint.Tag
 
 	findings    []Finding
-	findingSeen map[string]struct{}
+	findingSeen map[findingKey]struct{}
 	execChecked map[uint64]struct{} // CR3<<32|vpn pages already strict-checked
 	lastExecKey uint64              // one-entry memo over execChecked (page locality)
+	lastPolicy  policyMemo          // one-entry memo over checkPolicy
 	trace       *lifecycleTrace     // optional byte-lifecycle watch
 
 	tlb     [3]pageTLB
@@ -254,7 +273,7 @@ func Attach(k *guest.Kernel, cfg Config) *FAROS {
 		cfg:         cfg,
 		k:           k,
 		banks:       make(map[uint32]*taint.RegBank),
-		findingSeen: make(map[string]struct{}),
+		findingSeen: make(map[findingKey]struct{}),
 		execChecked: make(map[uint64]struct{}),
 		lastExecKey: ^uint64(0),
 		ipCache:     make(map[uint64]instrProvEntry),
@@ -780,7 +799,7 @@ func (f *FAROS) strictExecCheck(m *vm.Machine, pc uint32, in isa.Instruction) {
 		pid = cur.PID
 		name = cur.Name
 	}
-	dedup := fmt.Sprintf("%s/%d/%08x", RuleForeignCodeExec, pid, pc&^uint32(0xFFF))
+	dedup := findingKey{RuleForeignCodeExec, pid, pc &^ uint32(0xFFF)}
 	if _, dup := f.findingSeen[dedup]; dup {
 		return
 	}
@@ -812,6 +831,16 @@ func (f *FAROS) checkPolicy(m *vm.Machine, pc uint32, in isa.Instruction, addr u
 	if iProv == 0 {
 		return
 	}
+	cur := f.k.Current()
+	var pid uint32
+	if cur != nil {
+		pid = cur.PID
+	}
+	memo := policyMemo{pid, pc, iProv}
+	if memo == f.lastPolicy {
+		return
+	}
+	f.lastPolicy = memo
 	procs := f.T.DistinctProcessCount(iProv)
 
 	rule := ""
@@ -824,18 +853,15 @@ func (f *FAROS) checkPolicy(m *vm.Machine, pc uint32, in isa.Instruction, addr u
 		return
 	}
 
-	cur := f.k.Current()
-	var pid uint32
-	name := "?"
-	if cur != nil {
-		pid = cur.PID
-		name = cur.Name
-	}
-	key := fmt.Sprintf("%s/%d/%08x", rule, pid, pc)
+	key := findingKey{rule, pid, pc}
 	if _, dup := f.findingSeen[key]; dup {
 		return
 	}
 	f.findingSeen[key] = struct{}{}
+	name := "?"
+	if cur != nil {
+		name = cur.Name
+	}
 	resolved := ""
 	if base, size := f.k.ExportTableRange(); addr >= base && addr-base < size {
 		if apiName, ok := f.k.ExportEntryNameAt(addr - base); ok {
