@@ -52,15 +52,17 @@ const (
 	RuleForeignCodeExport = core.RuleForeignCodeExport
 )
 
-// Analyze runs the paper's §V.C analyst workflow on a scenario: record it
-// live, then replay with FAROS, the Cuckoo baseline, and the malfind
-// snapshot scan attached.
+// Analyze runs the paper's §V.C analyst workflow on a scenario: one live
+// pass with FAROS, the Cuckoo baseline, the malfind snapshot scan, and OSI
+// attached. The guest is deterministic, so the report equals analyzing a
+// replay of a fresh recording; record and replay (scenario.RecordContext,
+// scenario.ReplayContext) are for recordings that are kept and reused.
 func Analyze(spec Spec) (*Result, error) {
 	return scenario.Detect(spec)
 }
 
-// AnalyzeWith runs a single live pass with a custom engine configuration
-// (the guest is deterministic, so results match record+replay).
+// AnalyzeWith runs a single live pass with only the FAROS engine attached,
+// under a custom engine configuration.
 func AnalyzeWith(spec Spec, cfg Config) (*Result, error) {
 	return scenario.RunLive(spec, scenario.Plugins{Faros: &cfg})
 }

@@ -42,13 +42,13 @@ import (
 type Mode string
 
 const (
-	// ModeDetect is the paper's analyst workflow: record the scenario
-	// live, then replay it with FAROS, the Cuckoo baseline, the malfind
-	// scan, and OSI attached.
+	// ModeDetect is the paper's analyst workflow: one live pass with
+	// FAROS, the Cuckoo baseline, the malfind scan, and OSI attached
+	// (scenario.Detect). The job keeps no recording, so it runs no
+	// separate record pass; its report equals record-then-replay's.
 	ModeDetect Mode = "detect"
-	// ModeLive is a single live pass with only the FAROS engine attached
-	// (the cheaper path the corpus sweeps use; the guest is deterministic,
-	// so results match the record+replay path).
+	// ModeLive is a single live pass with only the FAROS engine attached,
+	// under the request's engine config (the path the corpus sweeps use).
 	ModeLive Mode = "live"
 	// ModeTrace is analysis-only replay: the job loads a stored trace by
 	// digest, verifies its identity digests, and replays it with the FAROS

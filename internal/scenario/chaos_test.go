@@ -90,9 +90,9 @@ func TestReplayDivergenceTyped(t *testing.T) {
 	}
 }
 
-// TestChaosDetectStillFlags runs the full record+replay detection under the
-// chaos fault plan: the attack must still be flagged with netflow
-// provenance, and the replay must reproduce the recording exactly.
+// TestChaosDetectStillFlags runs detection under the chaos fault plan: the
+// attack must still be flagged with netflow provenance, and the run must
+// complete without degrading.
 func TestChaosDetectStillFlags(t *testing.T) {
 	plan := testChaosPlan()
 	res, err := DetectContext(context.Background(), samples.ReflectiveDLLInject(), plan)

@@ -1,8 +1,9 @@
 // Package scenario assembles complete experiment runs: it boots a WinMini
 // kernel, installs a sample Spec's programs and seed files, wires scripted
-// endpoints and device events, and drives the paper's record-then-replay
-// workflow with a chosen set of analysis plugins (the FAROS engine, the
-// Cuckoo baseline, the malfind snapshot scan).
+// endpoints and device events, and runs it with a chosen set of analysis
+// plugins (the FAROS engine, the Cuckoo baseline, the malfind snapshot
+// scan) — live, or as the paper's record-then-replay workflow where a
+// recording is reused.
 package scenario
 
 import (
@@ -305,7 +306,7 @@ func ReplayContext(ctx context.Context, spec samples.Spec, log *record.Log, plug
 
 // RunLive executes the scenario once, live, with plugins attached. The
 // guest is deterministic, so detection results match the record+replay
-// path; the corpus sweeps use this cheaper single pass.
+// path.
 func RunLive(spec samples.Spec, plugins Plugins) (*Result, error) {
 	return RunLiveContext(context.Background(), spec, plugins, nil)
 }
@@ -321,27 +322,28 @@ func RunLiveContext(ctx context.Context, spec samples.Spec, plugins Plugins, pla
 	return run(ctx, k, spec, plugins)
 }
 
-// Detect is the analyst workflow of §V.C: record the scenario live, then
-// replay it with FAROS, the Cuckoo baseline, and the malfind scan attached.
+// detectPlugins is the analyst workflow's plugin set: the FAROS engine
+// under the paper's policy, the Cuckoo baseline, the malfind scan, and OSI.
+func detectPlugins() Plugins {
+	return Plugins{Faros: &core.Config{}, Cuckoo: true, Malfind: true, OSI: true}
+}
+
+// Detect is the analyst workflow of §V.C: run the scenario with FAROS, the
+// Cuckoo baseline, the malfind scan, and OSI attached. It is one live pass:
+// the guest is deterministic and the recorder is independent of the
+// plugins, so analyzing a replay of a fresh recording yields the same
+// report. Record and replay are for recordings that are reused (traces,
+// Table V).
 func Detect(spec samples.Spec) (*Result, error) {
 	return DetectContext(context.Background(), spec, nil)
 }
 
-// DetectContext is Detect under a fault plan applied to both passes,
-// honoring a context: the deadline covers both the recording and the
-// replay pass, and exceeding it returns a typed *DeadlineError instead of
-// running to the instruction budget.
+// DetectContext is Detect under a fault plan, honoring a context: exceeding
+// the deadline returns a typed *DeadlineError instead of running to the
+// instruction budget. Result.Faults counts every fault the plan injected,
+// network draws included — the same counts a recording pass reports.
 func DetectContext(ctx context.Context, spec samples.Spec, plan *faults.Plan) (*Result, error) {
-	log, _, err := RecordContext(ctx, spec, plan)
-	if err != nil {
-		return nil, err
-	}
-	return ReplayContext(ctx, spec, log, Plugins{
-		Faros:   &core.Config{},
-		Cuckoo:  true,
-		Malfind: true,
-		OSI:     true,
-	}, plan)
+	return RunLiveContext(ctx, spec, detectPlugins(), plan)
 }
 
 // PerfRow is one Table V measurement.

@@ -10,7 +10,7 @@ import (
 )
 
 // TestScenarioFileEndToEnd: a user-authored scenario (JSON + text-assembly
-// payload) goes through the full record+replay detection workflow.
+// payload) goes through the full detection workflow.
 func TestScenarioFileEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	payload := `
