@@ -12,8 +12,10 @@ import (
 // The perf experiment emits the machine-readable performance snapshot
 // committed as BENCH_3.json: the guest-execution microbenchmark measured
 // live against its recorded pre-optimization baseline, the Table V
-// replay-overhead rows, and the taint engine's fast-path counters (memo
-// hit rates, whole-page skips) that explain where the time went.
+// replay-overhead rows, the taint-heavy process-hollowing replay (the
+// workload where FAROS's policy check dominates, measured the Table V way),
+// and the taint engine's fast-path counters (memo hit rates, whole-page
+// skips) that explain where the time went.
 
 // Pre-optimization measurements of the guest-execution benchmark
 // (BenchmarkGuestExecutionPlain / BenchmarkGuestExecutionFAROS at the
@@ -50,15 +52,19 @@ type perfTableVRow struct {
 }
 
 // perfSnapshot is the full snapshot payload (committed as BENCH_3.json at
-// the taint-fast-path PR, BENCH_8.json at the block-dispatch PR). Taint
-// and Block are the engine's own counters from one FAROS run of the
-// benchmark workload — memo and whole-page fast paths, predecode
+// the taint-fast-path PR, BENCH_8.json at the block-dispatch PR,
+// BENCH_16.json at the one-pass-detect PR). Hollowing is process_hollowing
+// replayed without and with FAROS; its slowdown is the ratio the bench
+// gate holds, since the Table V workloads barely exercise the policy
+// check. Taint and Block are the engine's own counters from one FAROS run
+// of the benchmark workload — memo and whole-page fast paths, predecode
 // amortization, fused and untainted fast loops — next to the hit rates
 // derived from them.
 type perfSnapshot struct {
 	GuestExecution perfGuestExec   `json:"guest_execution"`
 	TableV         []perfTableVRow `json:"table5"`
 	TableVAvg      float64         `json:"table5_avg_slowdown"`
+	Hollowing      perfTableVRow   `json:"hollowing"`
 	Taint          struct {
 		core.TaintStats
 		PrependHitRate float64 `json:"prepend_hit_rate"`
@@ -126,26 +132,40 @@ func Perf() (string, error) {
 
 	var total float64
 	for _, pw := range samples.PerfWorkloads() {
-		row, err := scenario.MeasurePerf(pw)
+		row, err := measureRow(pw)
 		if err != nil {
-			return "", fmt.Errorf("%s: %w", pw.Display, err)
+			return "", err
 		}
-		snap.TableV = append(snap.TableV, perfTableVRow{
-			Application:  row.Application,
-			Instructions: row.Instructions,
-			PlainNS:      row.ReplayPlain.Nanoseconds(),
-			FarosNS:      row.ReplayFAROS.Nanoseconds(),
-			Slowdown:     row.Slowdown,
-		})
+		snap.TableV = append(snap.TableV, row)
 		total += row.Slowdown
 	}
 	snap.TableVAvg = total / float64(len(snap.TableV))
+	hollowing := samples.ProcessHollowing()
+	if snap.Hollowing, err = measureRow(samples.PerfWorkload{Display: hollowing.Name, Spec: hollowing}); err != nil {
+		return "", err
+	}
 
 	out, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return "", err
 	}
 	return string(out) + "\n", nil
+}
+
+// measureRow times one workload's replay without and with FAROS
+// (scenario.MeasurePerf) as a snapshot row.
+func measureRow(w samples.PerfWorkload) (perfTableVRow, error) {
+	row, err := scenario.MeasurePerf(w)
+	if err != nil {
+		return perfTableVRow{}, fmt.Errorf("%s: %w", w.Display, err)
+	}
+	return perfTableVRow{
+		Application:  row.Application,
+		Instructions: row.Instructions,
+		PlainNS:      row.ReplayPlain.Nanoseconds(),
+		FarosNS:      row.ReplayFAROS.Nanoseconds(),
+		Slowdown:     row.Slowdown,
+	}, nil
 }
 
 // ratio is a/b as float, 0 when b is 0.
