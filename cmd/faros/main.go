@@ -151,7 +151,6 @@ func run() int {
 		return runFromTrace(ctx, *traceIn, plugins, opts)
 	}
 
-	specs := faros.Scenarios()
 	var spec faros.Spec
 	if *file != "" {
 		loaded, err := samples.LoadScenarioFile(*file)
@@ -161,7 +160,7 @@ func run() int {
 		}
 		spec = loaded
 	} else {
-		loaded, ok := specs[*name]
+		loaded, ok := faros.Scenario(*name)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "faros: unknown scenario %q (use -list)\n", *name)
 			return 1

@@ -71,7 +71,6 @@ import (
 	"faros"
 	"faros/internal/cluster"
 	"faros/internal/pipeline"
-	"faros/internal/samples"
 	"faros/internal/store"
 	"faros/internal/trace"
 	"faros/internal/triage"
@@ -259,10 +258,7 @@ func run() int {
 			*nodeID, self, len(clus.Registry().Status()), clus.Ring().Points())
 	}
 	handler := pipeline.NewHandler(pool, pipeline.ServerConfig{
-		Resolve: func(name string) (samples.Spec, bool) {
-			spec, ok := faros.Scenarios()[name]
-			return spec, ok
-		},
+		Resolve:   faros.Scenario,
 		Names:     faros.ScenarioNames,
 		Admission: &admission,
 	})

@@ -23,7 +23,9 @@
 package faros
 
 import (
-	"sort"
+	"maps"
+	"slices"
+	"sync"
 
 	"faros/internal/core"
 	"faros/internal/samples"
@@ -67,34 +69,57 @@ func AnalyzeWith(spec Spec, cfg Config) (*Result, error) {
 	return scenario.RunLive(spec, scenario.Plugins{Faros: &cfg})
 }
 
-// Scenarios returns every built-in scenario by name: the six attacks, the
-// transient variant, 20 JIT workloads, 14 benign programs, and the
-// 90-sample malware corpus.
-func Scenarios() map[string]Spec {
-	out := make(map[string]Spec)
-	add := func(specs []Spec) {
+// registry builds the built-in scenario namespace once: the specs by name
+// and their names, sorted. The specs are shared by every caller, so no run
+// may write into a spec's programs, endpoint payloads or events;
+// TestSharedRegistrySafety holds every run to that.
+var registry = sync.OnceValues(func() (map[string]Spec, []string) {
+	byName := make(map[string]Spec)
+	for _, specs := range [][]Spec{
+		samples.Attacks(),
+		{samples.TransientReflective()},
+		samples.EvasionScenarios(),
+		samples.JITWorkloads(),
+		samples.BenignPrograms(),
+		samples.MalwareCorpus(),
+	} {
 		for _, s := range specs {
-			out[s.Name] = s
+			byName[s.Name] = s
 		}
 	}
-	add(samples.Attacks())
-	add([]Spec{samples.TransientReflective()})
-	add(samples.EvasionScenarios())
-	add(samples.JITWorkloads())
-	add(samples.BenignPrograms())
-	add(samples.MalwareCorpus())
-	return out
-}
-
-// ScenarioNames returns the built-in scenario names, sorted.
-func ScenarioNames() []string {
-	m := Scenarios()
-	names := make([]string, 0, len(m))
-	for n := range m {
+	names := make([]string, 0, len(byName))
+	for n := range byName {
 		names = append(names, n)
 	}
-	sort.Strings(names)
-	return names
+	slices.Sort(names)
+	return byName, names
+})
+
+// Scenario looks up one built-in scenario by name. It does not allocate:
+// the namespace is built once, on first use, and the returned spec shares
+// its programs, endpoints and events with every other caller, so treat it
+// as read-only.
+func Scenario(name string) (Spec, bool) {
+	byName, _ := registry()
+	spec, ok := byName[name]
+	return spec, ok
+}
+
+// Scenarios returns every built-in scenario by name: the six attacks, the
+// transient variant, the two evasion variants, 20 JIT workloads, 14 benign
+// programs, and the 90-sample malware corpus (133 in all). The namespace
+// is built once; each call returns a fresh map the caller owns, whose
+// specs are shared read-only as with Scenario.
+func Scenarios() map[string]Spec {
+	byName, _ := registry()
+	return maps.Clone(byName)
+}
+
+// ScenarioNames returns the built-in scenario names, sorted, in a fresh
+// slice the caller owns.
+func ScenarioNames() []string {
+	_, names := registry()
+	return slices.Clone(names)
 }
 
 // Attacks returns the six §VI in-memory-injection scenarios.

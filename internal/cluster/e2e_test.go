@@ -59,11 +59,8 @@ func newFleet(t *testing.T, n int) []*node {
 			t.Fatal(err)
 		}
 		handler := pipeline.NewHandler(pool, pipeline.ServerConfig{
-			Resolve: func(name string) (samples.Spec, bool) {
-				spec, ok := faros.Scenarios()[name]
-				return spec, ok
-			},
-			Names: faros.ScenarioNames,
+			Resolve: faros.Scenario,
+			Names:   faros.ScenarioNames,
 		})
 		srv := httptest.NewUnstartedServer(handler)
 		srv.Listener.Close()
@@ -130,10 +127,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	defer ref.Close()
 	refSrv := httptest.NewServer(pipeline.NewHandler(ref, pipeline.ServerConfig{
-		Resolve: func(name string) (samples.Spec, bool) {
-			spec, ok := faros.Scenarios()[name]
-			return spec, ok
-		},
+		Resolve: faros.Scenario,
 	}))
 	defer refSrv.Close()
 	refNode := &node{id: "ref", srv: refSrv}

@@ -28,11 +28,8 @@ func newTestServer(t *testing.T, cfg pipeline.Config) (*httptest.Server, *pipeli
 	}
 	t.Cleanup(p.Close)
 	srv := httptest.NewServer(pipeline.NewHandler(p, pipeline.ServerConfig{
-		Resolve: func(name string) (samples.Spec, bool) {
-			spec, ok := faros.Scenarios()[name]
-			return spec, ok
-		},
-		Names: faros.ScenarioNames,
+		Resolve: faros.Scenario,
+		Names:   faros.ScenarioNames,
 	}))
 	t.Cleanup(srv.Close)
 	return srv, p
