@@ -12,7 +12,7 @@ import (
 	"faros/internal/samples"
 )
 
-var updateFindingsGolden = flag.Bool("update-golden", false, "rewrite testdata/findings_corpus.txt")
+var updateFindingsGolden = flag.Bool("update-golden", false, "rewrite the testdata/*_corpus.txt goldens")
 
 // corpusSpecs is every built-in scenario (the 133 the facade's Scenarios
 // registry serves) followed by the six Table V applications.
@@ -70,10 +70,15 @@ func TestFindingsCorpusGolden(t *testing.T) {
 		}
 		renderFindings(&sb, spec.Name+" strict", strict)
 	}
-	got := sb.String()
-	path := filepath.Join("testdata", "findings_corpus.txt")
+	checkGolden(t, filepath.Join("testdata", "findings_corpus.txt"), sb.String())
+}
+
+// checkGolden compares got against the golden file at path, rewriting the
+// file first under -update-golden, and reports the first drifted line.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateFindingsGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
