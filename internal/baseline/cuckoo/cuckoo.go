@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"faros/internal/guest"
-	"faros/internal/syscalls"
 )
 
 // ProcessReport is the per-process section of a sandbox report.
@@ -45,9 +44,11 @@ type Report struct {
 
 // Sandbox observes a kernel run.
 type Sandbox struct {
-	k      *guest.Kernel
-	tracer *syscalls.Tracer
+	k *guest.Kernel
 
+	// apiCalls holds each pid's distinct syscall names in first-seen
+	// order: the API trace the report shows, kept without a per-call log.
+	apiCalls   map[uint32][]string
 	dllLoads   map[uint32][]string
 	filesRead  map[uint32]map[string]bool
 	filesWrote map[uint32]map[string]bool
@@ -59,7 +60,7 @@ type Sandbox struct {
 func Attach(k *guest.Kernel) *Sandbox {
 	s := &Sandbox{
 		k:          k,
-		tracer:     syscalls.Attach(k),
+		apiCalls:   make(map[uint32][]string),
 		dllLoads:   make(map[uint32][]string),
 		filesRead:  make(map[uint32]map[string]bool),
 		filesWrote: make(map[uint32]map[string]bool),
@@ -67,6 +68,7 @@ func Attach(k *guest.Kernel) *Sandbox {
 		regWrites:  make(map[uint32][]string),
 	}
 	k.OnSyscall(func(p *guest.Process, no uint32, args [4]uint32) {
+		s.noteAPI(p.PID, guest.SyscallName(no))
 		switch no {
 		case guest.SysLoadLibrary:
 			if name, err := p.Space.ReadCString(args[0], 256); err == nil {
@@ -97,6 +99,18 @@ func Attach(k *guest.Kernel) *Sandbox {
 	return s
 }
 
+// noteAPI appends name to pid's API trace unless already there. It dedups
+// by name, not number: every unknown number renders as the same
+// "NtUnknown".
+func (s *Sandbox) noteAPI(pid uint32, name string) {
+	for _, seen := range s.apiCalls[pid] {
+		if seen == name {
+			return
+		}
+	}
+	s.apiCalls[pid] = append(s.apiCalls[pid], name)
+}
+
 func (s *Sandbox) mark(m map[uint32]map[string]bool, pid uint32, name string) {
 	if m[pid] == nil {
 		m[pid] = make(map[string]bool)
@@ -113,9 +127,6 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// Tracer exposes the underlying syscall trace.
-func (s *Sandbox) Tracer() *syscalls.Tracer { return s.tracer }
-
 // Analyze builds the report after the run finished.
 func (s *Sandbox) Analyze() *Report {
 	r := &Report{FSJournal: append([]string(nil), s.k.FS.Journal...)}
@@ -124,19 +135,13 @@ func (s *Sandbox) Analyze() *Report {
 			PID:        p.PID,
 			Name:       p.Name,
 			Parent:     p.Parent,
+			APICalls:   s.apiCalls[p.PID],
 			LoadedDLLs: append([]string(nil), s.dllLoads[p.PID]...),
 			FilesRead:  sortedKeys(s.filesRead[p.PID]),
 			FilesWrote: sortedKeys(s.filesWrote[p.PID]),
 			Netflows:   append([]string(nil), s.netflows[p.PID]...),
 			RegWrites:  append([]string(nil), s.regWrites[p.PID]...),
 			ExitState:  p.State.String(),
-		}
-		seen := make(map[string]bool)
-		for _, rec := range s.tracer.ForProcess(p.PID) {
-			if !seen[rec.Name] {
-				seen[rec.Name] = true
-				pr.APICalls = append(pr.APICalls, rec.Name)
-			}
 		}
 		r.Processes = append(r.Processes, pr)
 	}

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"faros/internal/core"
 	"faros/internal/pipeline"
@@ -10,51 +13,45 @@ import (
 	"faros/internal/scenario"
 )
 
-// The corpus sweeps (Detection, Tables III/IV, the evasion matrix) run
-// their scenarios through one shared pipeline pool — the same subsystem
-// behind cmd/farosd — which is what gives farosbench parallel execution.
-// Submissions bypass the result cache: the benchmarks in bench_test.go
-// re-run experiments under testing.B, and cached results would turn the
-// timed iterations into cache lookups.
-var (
-	poolOnce  sync.Once
-	sweepPool *pipeline.Pool
-)
-
-func pool() *pipeline.Pool {
-	poolOnce.Do(func() {
-		// Retention is off: RunAll consumes results through its own
-		// waiter handles, so keeping terminal JobViews around would only
-		// hold sweep output alive across experiments.
-		p, err := pipeline.New(pipeline.Config{JobRetention: -1})
-		if err != nil {
-			// The static config above is valid; this is unreachable
-			// short of a pipeline bug.
-			panic(err)
-		}
-		sweepPool = p
-	})
-	return sweepPool
-}
-
-// runAll pushes requests through the shared pool, preserving order.
+// runAll runs the corpus sweeps (Detection, Tables III/IV, the evasion
+// matrix) in parallel, which is what gives farosbench parallel execution:
+// runtime.GOMAXPROCS(0) goroutines take requests in turn and run each
+// through the pipeline's default runner, so mode dispatch matches
+// cmd/farosd's. The sweeps read the full scenario.Result (engine stats,
+// kernel state), which a pipeline pool releases once it has built its
+// summary, so they bypass the pool and its cache. Results keep the
+// requests' order; like Pool.RunAll, the first error is returned only
+// after every request has settled.
 func runAll(reqs []pipeline.Request) ([]*scenario.Result, error) {
-	for i := range reqs {
-		reqs[i].NoCache = true
+	runner := pipeline.DefaultRunner(nil)
+	results := make([]*scenario.Result, len(reqs))
+	errs := make([]error, len(reqs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(reqs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(reqs) {
+					return
+				}
+				results[i], errs[i] = runner(context.Background(), reqs[i])
+			}
+		}()
 	}
-	results, err := pool().RunAll(context.Background(), reqs)
-	if err != nil {
-		return nil, err
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return results, fmt.Errorf("%s: %w", reqs[i].Spec.Name, err)
+		}
 	}
-	raw := make([]*scenario.Result, len(results))
-	for i, res := range results {
-		raw[i] = res.Raw
-	}
-	return raw, nil
+	return results, nil
 }
 
-// detectAll runs the full analyst workflow (record + multi-plugin replay)
-// on each spec concurrently.
+// detectAll runs the full analyst workflow (FAROS, Cuckoo, malfind and OSI
+// in one live pass) on each spec concurrently.
 func detectAll(specs []samples.Spec) ([]*scenario.Result, error) {
 	reqs := make([]pipeline.Request, len(specs))
 	for i, spec := range specs {

@@ -3,6 +3,7 @@ package guest
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"faros/internal/faults"
 	"faros/internal/guest/gfs"
@@ -139,31 +140,31 @@ type Kernel struct {
 	stubSize     uint32
 	ntdllFrames  []uint32
 	ntdllSize    uint32
-	apiAddr      map[uint32]uint32 // name hash → VA
-	apiNames     map[uint32]string // VA → name (for reports)
-	entryNames   []string          // export table entry index → name
+	// The name tables are the shared boot image's; read-only.
+	apiAddr    map[uint32]uint32 // name hash → VA
+	apiNames   map[uint32]string // VA → name (for reports)
+	entryNames []string          // export table entry index → name
 
 	syscallHooks    []SyscallHook
 	syscallRetHooks []SyscallRetHook
 	procHooks       []ProcHook
 }
 
-// NewKernel boots a machine: builds the stub region, ntdll-mini, and the
-// kernel export table, and wires the network stack to the event queue.
+// NewKernel boots a machine: copies the boot image (the stub region,
+// ntdll-mini, and the kernel export table) into its own frames, and wires
+// the network stack to the event queue.
 func NewKernel() (*Kernel, error) {
 	k := &Kernel{
-		M:        vm.New(mem.NewPhys()),
-		FS:       gfs.New(),
-		Net:      gnet.NewStack(DefaultLocalIP),
-		Reg:      NewRegistry(),
-		Bridge:   NopBridge{},
-		Quantum:  DefaultQuantum,
-		procs:    make(map[uint32]*Process),
-		nextPID:  100,
-		nextCR3:  0x00185000, // Windows-flavored CR3 values
-		events:   record.NewQueue(nil),
-		apiAddr:  make(map[uint32]uint32),
-		apiNames: map[uint32]string{},
+		M:       vm.New(mem.NewPhys()),
+		FS:      gfs.New(),
+		Net:     gnet.NewStack(DefaultLocalIP),
+		Reg:     NewRegistry(),
+		Bridge:  NopBridge{},
+		Quantum: DefaultQuantum,
+		procs:   make(map[uint32]*Process),
+		nextPID: 100,
+		nextCR3: 0x00185000, // Windows-flavored CR3 values
+		events:  record.NewQueue(nil),
 	}
 	k.Net.SetScheduler(k)
 	if err := k.buildKernelRegions(); err != nil {
@@ -325,10 +326,26 @@ func ntdllSource() (*isa.Block, map[string]string) {
 	return b, exports
 }
 
-// buildKernelRegions assembles the stub region, ntdll-mini, and the export
-// table into shared physical frames.
-func (k *Kernel) buildKernelRegions() error {
-	phys := k.M.Phys()
+// bootImage is the content of the kernel regions: the assembled API stubs,
+// ntdll-mini and export table, and the name tables derived from them. It is
+// the same for every kernel, so it is built once per process; each boot
+// copies the bytes into its own frames, and every kernel shares the
+// tables, which nothing writes after boot.
+type bootImage struct {
+	stubCode, ntdllCode, exportTable []byte
+	apiAddr                          map[uint32]uint32 // name hash → VA
+	apiNames                         map[uint32]string // VA → name (for reports)
+	entryNames                       []string          // export table entry index → name
+}
+
+// sharedBootImage returns the process's boot image, building it on first
+// use.
+var sharedBootImage = sync.OnceValues(buildBootImage)
+
+// buildBootImage assembles the stub region, ntdll-mini, and the export
+// table.
+func buildBootImage() (*bootImage, error) {
+	img := &bootImage{apiAddr: make(map[uint32]uint32), apiNames: make(map[uint32]string)}
 
 	// API stubs.
 	stubs := isa.NewBlock()
@@ -342,24 +359,21 @@ func (k *Kernel) buildKernelRegions() error {
 			stubs.Nop()
 		}
 	}
-	stubCode, err := stubs.Assemble(StubBase)
-	if err != nil {
-		return fmt.Errorf("guest: assemble stubs: %w", err)
+	var err error
+	if img.stubCode, err = stubs.Assemble(StubBase); err != nil {
+		return nil, fmt.Errorf("guest: assemble stubs: %w", err)
 	}
-	k.stubFrames, k.stubSize = writeToFrames(phys, stubCode)
 	for i, api := range apis {
 		va := StubVA(i)
-		k.apiAddr[peimg.HashName(api.Name)] = va
-		k.apiNames[va] = api.Name
+		img.apiAddr[peimg.HashName(api.Name)] = va
+		img.apiNames[va] = api.Name
 	}
 
 	// ntdll-mini.
 	ntdll, ntdllExports := ntdllSource()
-	ntdllCode, err := ntdll.Assemble(NtdllBase)
-	if err != nil {
-		return fmt.Errorf("guest: assemble ntdll: %w", err)
+	if img.ntdllCode, err = ntdll.Assemble(NtdllBase); err != nil {
+		return nil, fmt.Errorf("guest: assemble ntdll: %w", err)
 	}
-	k.ntdllFrames, k.ntdllSize = writeToFrames(phys, ntdllCode)
 	// Deterministic registration order.
 	names := make([]string, 0, len(ntdllExports))
 	for name := range ntdllExports {
@@ -369,11 +383,11 @@ func (k *Kernel) buildKernelRegions() error {
 	for _, name := range names {
 		off, ok := ntdll.LabelOffset(ntdllExports[name])
 		if !ok {
-			return fmt.Errorf("guest: ntdll export %q missing", name)
+			return nil, fmt.Errorf("guest: ntdll export %q missing", name)
 		}
 		va := NtdllBase + uint32(off)
-		k.apiAddr[peimg.HashName(name)] = va
-		k.apiNames[va] = name
+		img.apiAddr[peimg.HashName(name)] = va
+		img.apiNames[va] = name
 	}
 
 	// Export table: count, then (hash, addr) entries in stub order followed
@@ -383,18 +397,31 @@ func (k *Kernel) buildKernelRegions() error {
 	for i, api := range apis {
 		tbl.Word(peimg.HashName(api.Name))
 		tbl.Word(StubVA(i))
-		k.entryNames = append(k.entryNames, api.Name)
+		img.entryNames = append(img.entryNames, api.Name)
 	}
 	for _, name := range names {
 		tbl.Word(peimg.HashName(name))
-		tbl.Word(k.apiAddr[peimg.HashName(name)])
-		k.entryNames = append(k.entryNames, name)
+		tbl.Word(img.apiAddr[peimg.HashName(name)])
+		img.entryNames = append(img.entryNames, name)
 	}
-	tblBytes, err := tbl.Assemble(ExportTableBase)
+	if img.exportTable, err = tbl.Assemble(ExportTableBase); err != nil {
+		return nil, fmt.Errorf("guest: assemble export table: %w", err)
+	}
+	return img, nil
+}
+
+// buildKernelRegions copies the boot image into fresh frames: the stub
+// region, ntdll-mini, and the export table, shared by every address space.
+func (k *Kernel) buildKernelRegions() error {
+	img, err := sharedBootImage()
 	if err != nil {
-		return fmt.Errorf("guest: assemble export table: %w", err)
+		return err
 	}
-	k.exportFrames, k.exportSize = writeToFrames(phys, tblBytes)
+	phys := k.M.Phys()
+	k.stubFrames, k.stubSize = writeToFrames(phys, img.stubCode)
+	k.ntdllFrames, k.ntdllSize = writeToFrames(phys, img.ntdllCode)
+	k.exportFrames, k.exportSize = writeToFrames(phys, img.exportTable)
+	k.apiAddr, k.apiNames, k.entryNames = img.apiAddr, img.apiNames, img.entryNames
 	return nil
 }
 
@@ -405,9 +432,9 @@ func writeToFrames(phys *mem.Phys, data []byte) ([]uint32, uint32) {
 		n = 1
 	}
 	frames := phys.AllocFrames(n)
-	for i, b := range data {
-		f, _ := phys.Frame(frames[i/mem.PageSize])
-		f[i%mem.PageSize] = b
+	for i, fr := range frames {
+		f, _ := phys.Frame(fr)
+		copy(f[:], data[i*mem.PageSize:])
 	}
 	return frames, uint32(len(data))
 }

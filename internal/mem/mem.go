@@ -13,6 +13,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 const (
@@ -128,10 +129,33 @@ func NewPhys() *Phys {
 	return &Phys{}
 }
 
-// AllocFrame allocates a zeroed frame and returns its index.
+// framePool recycles the frames of released machines across the process,
+// so a service running one guest after another reuses the previous guest's
+// memory instead of allocating (and collecting) every frame anew.
+var framePool sync.Pool
+
+// AllocFrame allocates a zeroed frame and returns its index. The frame comes
+// from a released Phys when one is pooled, cleared before reuse.
 func (p *Phys) AllocFrame() uint32 {
-	p.frames = append(p.frames, new([PageSize]byte))
+	f, _ := framePool.Get().(*[PageSize]byte)
+	if f == nil {
+		f = new([PageSize]byte)
+	} else {
+		*f = [PageSize]byte{}
+	}
+	p.frames = append(p.frames, f)
 	return uint32(len(p.frames) - 1)
+}
+
+// Release hands every frame back to the process-wide pool for reuse by
+// later allocations and empties p: afterwards every frame index is out of
+// range. The caller transfers ownership of the frames' bytes, so nothing
+// may still hold a frame obtained through Frame.
+func (p *Phys) Release() {
+	for _, f := range p.frames {
+		framePool.Put(f)
+	}
+	p.frames = nil
 }
 
 // AllocFrames allocates n zeroed frames and returns their indices.

@@ -225,3 +225,27 @@ func TestReadBytesWriteBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocFrameZeroedAfterRelease: frames recycled from a released Phys
+// must come back zeroed, keeping AllocFrame's contract.
+func TestAllocFrameZeroedAfterRelease(t *testing.T) {
+	const n = 64
+	old := NewPhys()
+	for _, idx := range old.AllocFrames(n) {
+		f, _ := old.Frame(idx)
+		for i := range f {
+			f[i] = 0xCC
+		}
+	}
+	old.Release()
+	if _, err := old.Frame(0); err != ErrNoFrame {
+		t.Fatalf("frame read after Release: err = %v, want ErrNoFrame", err)
+	}
+	p := NewPhys()
+	for _, idx := range p.AllocFrames(n) {
+		f, _ := p.Frame(idx)
+		if *f != ([PageSize]byte{}) {
+			t.Fatalf("frame %d reused without zeroing", idx)
+		}
+	}
+}

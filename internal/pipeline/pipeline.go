@@ -5,8 +5,8 @@
 // worker), result deduplication and caching behind the deterministic spec
 // hash (record/replay is byte-exact, so equal hashes imply equal results),
 // and a metrics surface rendered by both cmd/farosd's HTTP endpoints and
-// the CLI. internal/experiments submits its corpus sweeps through the same
-// pool, which is what gives farosbench parallel execution.
+// the CLI. internal/experiments runs its corpus sweeps through the same
+// DefaultRunner, fanned out in parallel.
 //
 // Job lifecycle: Submit returns a per-waiter handle. Identical concurrent
 // submissions coalesce onto one underlying run, but each waiter cancels
@@ -109,7 +109,11 @@ type Finding struct {
 	RiskRule string `json:"risk_rule,omitempty"`
 }
 
-// Result is the cacheable outcome of a completed job.
+// Result is the cacheable outcome of a completed job: a summary that owns
+// no guest state. Once it is built and scored, the run's kernel frames,
+// block pages and shadow pages go back to the process-wide pools
+// (scenario.Result.Release), so the cache and retention ring hold only
+// these summaries, never a guest.
 type Result struct {
 	Hash         string        `json:"hash,omitempty"`
 	Scenario     string        `json:"scenario"`
@@ -133,10 +137,6 @@ type Result struct {
 	// Prov is the run's merged provenance graph (the union of every
 	// finding's graph); set when the run flagged anything.
 	Prov *provgraph.Graph `json:"prov,omitempty"`
-
-	// Raw is the full scenario result for in-process consumers (the
-	// experiment sweeps); it is never serialized.
-	Raw *scenario.Result `json:"-"`
 }
 
 // run is one underlying execution, shared by every waiter whose submission
@@ -209,7 +209,9 @@ type retainedJob struct {
 
 // Runner executes one request; the default runs the scenario engine.
 // Tests inject blocking runners to exercise queue and cancellation
-// behavior deterministically.
+// behavior deterministically. The pool owns every result a Runner returns
+// and releases its guest memory once the job's summary is built, so a
+// Runner must return a fresh result per call.
 type Runner func(ctx context.Context, req Request) (*scenario.Result, error)
 
 // Config tunes a Pool. The zero value is serviceable.
@@ -376,7 +378,7 @@ func New(cfg Config) (*Pool, error) {
 		cfg.JobRetentionAge = 15 * time.Minute
 	}
 	if cfg.Runner == nil {
-		cfg.Runner = scenarioRunner(cfg.Traces)
+		cfg.Runner = DefaultRunner(cfg.Traces)
 	}
 	p := &Pool{
 		cfg:       cfg,
@@ -397,13 +399,16 @@ func New(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// scenarioRunner builds the default Runner over an optional trace store.
-// ModeTrace loads the encoded trace by digest and replays it analysis-only
-// (FAROS attached, no live guest execution); the replay path re-verifies
-// the trace's identity digests, so a store entry recorded against a
-// different binary fails typed (*trace.MismatchError) instead of
-// diverging silently.
-func scenarioRunner(traces *trace.Store) Runner {
+// DefaultRunner builds the Runner a pool uses unless Config.Runner
+// overrides it, over an optional trace store; it is the one place a
+// request's Mode picks its scenario entry point. ModeDetect runs
+// scenario.DetectContext and ModeLive a live pass with FAROS under the
+// request's config. ModeTrace loads the encoded trace by digest and
+// replays it analysis-only (FAROS attached, no live guest execution); the
+// replay path re-verifies the trace's identity digests, so a store entry
+// recorded against a different binary fails typed (*trace.MismatchError)
+// instead of diverging silently.
+func DefaultRunner(traces *trace.Store) Runner {
 	return func(ctx context.Context, req Request) (*scenario.Result, error) {
 		switch req.Mode {
 		case ModeLive:
@@ -919,6 +924,11 @@ func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist
 		}
 	}
 	r.waiters = nil
+	if res != nil {
+		// Every read of the guest state is done (buildResult, scoreResult,
+		// addEngine above): hand its memory to the pools for the next job.
+		res.Release()
+	}
 	return persist
 }
 
@@ -992,7 +1002,6 @@ func buildResult(r *run, res *scenario.Result) *Result {
 		Mode:         r.req.Mode,
 		Instructions: res.Summary.Instructions,
 		WallTime:     res.WallTime,
-		Raw:          res,
 	}
 	if res.Err != nil {
 		out.Degraded = res.Err.Error()
@@ -1016,9 +1025,7 @@ func buildResult(r *run, res *scenario.Result) *Result {
 }
 
 // retainLocked moves a terminal job into the retention ring; p.mu must be
-// held. The retained view drops Raw so the ring holds renderable
-// summaries, not full scenario state — in-process consumers read Raw
-// through their waiter handle (Wait), not through View.
+// held.
 func (p *Pool) retainLocked(job *Job) {
 	if p.cfg.JobRetention < 0 {
 		return
@@ -1026,11 +1033,6 @@ func (p *Pool) retainLocked(job *Job) {
 	now := time.Now()
 	p.sweepRetainedLocked(now)
 	rj := &retainedJob{view: p.viewLocked(job)}
-	if rj.view.Result != nil && rj.view.Result.Raw != nil {
-		stripped := *rj.view.Result
-		stripped.Raw = nil
-		rj.view.Result = &stripped
-	}
 	if p.cfg.JobRetentionAge > 0 {
 		rj.expires = now.Add(p.cfg.JobRetentionAge)
 	}
@@ -1196,7 +1198,10 @@ func (p *Pool) Wait(ctx context.Context, job *Job) (JobView, error) {
 
 // RunAll submits every request and waits for all of them, preserving
 // order. The first job error (or submit error) is returned after every
-// submitted job has settled, so a failure never leaves work running.
+// submitted job has settled, so a failure never leaves work running. The
+// results are summaries: the guests behind them are already released, so
+// callers that need the full scenario.Result (kernel, engine state) run
+// DefaultRunner themselves.
 func (p *Pool) RunAll(ctx context.Context, reqs []Request) ([]*Result, error) {
 	jobs := make([]*Job, len(reqs))
 	var firstErr error

@@ -154,7 +154,6 @@ func TestFindingsBitIdenticalWithTriageDisabled(t *testing.T) {
 	}
 	clone.WallTime, plain.WallTime = 0, 0 // wall time is not deterministic
 	clone.Hash, plain.Hash = "", ""       // cache keys differ by design (policy hash)
-	clone.Raw, plain.Raw = nil, nil
 	if !reflect.DeepEqual(&clone, plain) {
 		t.Fatalf("findings differ with triage enabled:\nscored: %+v\nplain:  %+v", clone, plain)
 	}

@@ -12,6 +12,7 @@ import (
 // and OSI process list. findings_corpus.txt pins FAROS; this golden pins
 // what the event sandbox, the snapshot scan and introspection report, so a
 // rewrite of how they gather their inputs must leave it byte-identical.
+// Runs are released in turn, as in TestFindingsCorpusGolden.
 // Regenerate deliberately with
 //
 //	go test ./internal/scenario -run TestBaselineReportsGolden -update-golden
@@ -32,6 +33,7 @@ func TestBaselineReportsGolden(t *testing.T) {
 		for _, pi := range res.OSI.Processes() {
 			fmt.Fprintf(&sb, "pid=%d cr3=%#x parent=%d name=%s state=%s\n", pi.PID, pi.CR3, pi.Parent, pi.Name, pi.State)
 		}
+		res.Release()
 	}
 	checkGolden(t, filepath.Join("testdata", "baselines_corpus.txt"), sb.String())
 }

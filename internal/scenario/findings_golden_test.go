@@ -50,7 +50,9 @@ func renderFindings(sb *strings.Builder, label string, res *Result) {
 // TestFindingsCorpusGolden pins every finding over the whole corpus under
 // the default policy (through Detect, the service's detect path) and under
 // StrictExecCheck (a live FAROS run). Engine optimizations must leave it
-// byte-identical. Regenerate deliberately with
+// byte-identical. Each run is released before the next, as farosd does, so
+// every run after the first executes on recycled guest memory. Regenerate
+// deliberately with
 //
 //	go test ./internal/scenario -run TestFindingsCorpusGolden -update-golden
 func TestFindingsCorpusGolden(t *testing.T) {
@@ -69,6 +71,8 @@ func TestFindingsCorpusGolden(t *testing.T) {
 			t.Fatalf("%s: strict: %v", spec.Name, err)
 		}
 		renderFindings(&sb, spec.Name+" strict", strict)
+		res.Release()
+		strict.Release()
 	}
 	checkGolden(t, filepath.Join("testdata", "findings_corpus.txt"), sb.String())
 }

@@ -85,7 +85,10 @@ type Result struct {
 	OSI     *osi.Tracker
 
 	// Kernel is the finished guest, kept for post-run inspection (shadow
-	// queries, VAD walks, filesystem state).
+	// queries, VAD walks, filesystem state). The Result owns the kernel's
+	// guest memory until Release hands it to the process-wide pools; after
+	// that Kernel and Faros are nil, and reports built from them earlier
+	// (findings, provenance graphs, baseline reports) stay valid.
 	Kernel *guest.Kernel
 
 	// Faults counts the faults injected during the run (zero without a
@@ -96,6 +99,24 @@ type Result struct {
 	// recovered plugin panic, or a replay divergence. The rest of the
 	// Result is the partial report gathered up to that point.
 	Err error
+}
+
+// Release hands the run's guest memory back to the process-wide pools, so
+// the next run reuses it instead of allocating afresh: the kernel's
+// physical frames and predecoded block pages, and the FAROS store's shadow
+// pages. It then nils Kernel and Faros, so a read after release panics
+// instead of seeing another run's recycled bytes. Call it once every read
+// of the guest state is done; the summary fields, Cuckoo, Malfind and OSI
+// stay usable.
+func (r *Result) Release() {
+	if r.Kernel != nil {
+		r.Kernel.M.Release()
+		r.Kernel = nil
+	}
+	if r.Faros != nil {
+		r.Faros.T.Release()
+		r.Faros = nil
+	}
 }
 
 // Flagged reports whether FAROS flagged the run (false when FAROS was not

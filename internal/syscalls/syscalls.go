@@ -1,7 +1,6 @@
 // Package syscalls is the syscall-tracing plugin, the analog of PANDA's
 // syscalls2 in the paper's architecture (Figure 3). It records every
-// syscall with its arguments and return value; the Cuckoo baseline builds
-// its behaviour report from this trace.
+// syscall with its arguments and return value.
 package syscalls
 
 import (

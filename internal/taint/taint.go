@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // TagType identifies the kind of system activity a tag records.
@@ -517,10 +518,10 @@ func (s *Store) FrameUntainted(frame uint64) bool {
 
 // LivePtr returns a pointer to the frame's live-taint counter, or nil when
 // the frame has no shadow page yet. The pointer stays valid for the page's
-// lifetime (pages are never freed or moved), so an engine can cache it and
-// answer "is this page untainted" with a single load — no epochs, no
-// revalidation. A nil result is only stable until the next page allocation;
-// gate cached nils on PageAllocs.
+// lifetime (pages are never freed or moved until Release), so an engine can
+// cache it and answer "is this page untainted" with a single load — no
+// epochs, no revalidation. A nil result is only stable until the next page
+// allocation; gate cached nils on PageAllocs.
 func (s *Store) LivePtr(frame uint64) *int32 {
 	p := s.page(frame)
 	if p == nil {
@@ -530,8 +531,8 @@ func (s *Store) LivePtr(frame uint64) *int32 {
 }
 
 // PageIDs returns the frame's shadow bytes as a slice, or nil when the
-// frame has no shadow page yet. Shadow pages are never freed, so the slice
-// stays valid for the store's lifetime. READ-ONLY for callers: all writes
+// frame has no shadow page yet. Shadow pages are never freed until Release,
+// so the slice stays valid until then. READ-ONLY for callers: all writes
 // must go through MemSet/MemSetRange, which keep the live counter and
 // stats coherent.
 func (s *Store) PageIDs(frame uint64) []ProvID {
@@ -547,13 +548,23 @@ func (s *Store) PageIDs(frame uint64) []ProvID {
 // new shadow page can have appeared under them.
 func (s *Store) PageAllocs() uint32 { return s.pageAllocs }
 
-// ensurePage returns the shadow page for a frame, allocating it on first
-// taint.
+// shadowPool recycles the shadow pages of released stores across the
+// process, the taint-side counterpart of the guest frame pool.
+var shadowPool sync.Pool
+
+// ensurePage returns the shadow page for a frame, allocating it (from a
+// released store's pages when one is pooled, cleared before reuse) on
+// first taint.
 func (s *Store) ensurePage(frame uint64) *shadowPage {
 	if page := s.page(frame); page != nil {
 		return page
 	}
-	page := new(shadowPage)
+	page, _ := shadowPool.Get().(*shadowPage)
+	if page == nil {
+		page = new(shadowPage)
+	} else {
+		*page = shadowPage{}
+	}
 	s.pageAllocs++
 	if frame < maxDenseFrame {
 		for uint64(len(s.shadow)) <= frame {
@@ -567,6 +578,21 @@ func (s *Store) ensurePage(frame uint64) *shadowPage {
 		s.shadowHi[frame] = page
 	}
 	return page
+}
+
+// Release hands every shadow page back to the process-wide pool for reuse
+// by later stores and drops them from s, ending the store's use: pointers
+// and slices from LivePtr and PageIDs must not be read afterwards.
+func (s *Store) Release() {
+	for _, page := range s.shadow {
+		if page != nil {
+			shadowPool.Put(page)
+		}
+	}
+	for _, page := range s.shadowHi {
+		shadowPool.Put(page)
+	}
+	s.shadow, s.shadowHi = nil, nil
 }
 
 // setInPage writes one shadow byte through a resolved page, maintaining the

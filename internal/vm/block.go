@@ -21,6 +21,7 @@ package vm
 
 import (
 	"encoding/binary"
+	"sync"
 
 	"faros/internal/isa"
 	"faros/internal/mem"
@@ -88,6 +89,21 @@ type BlockStats struct {
 // instruction slot like the icache.
 type blockPage struct {
 	blocks [icacheSlots]*Block
+}
+
+// blockPagePool recycles the block pages of released machines across the
+// process (see Machine.Release).
+var blockPagePool sync.Pool
+
+// newBlockPage returns an empty block page, reusing a pooled one (cleared)
+// when available.
+func newBlockPage() *blockPage {
+	bp, _ := blockPagePool.Get().(*blockPage)
+	if bp == nil {
+		return new(blockPage)
+	}
+	*bp = blockPage{}
+	return bp
 }
 
 // blockTLB is a one-entry TLB for block lookup: the current code page's
@@ -207,7 +223,7 @@ func (m *Machine) lookupBlock(pc uint32) *Block {
 		}
 		bp := m.blocks[frame]
 		if bp == nil {
-			bp = &blockPage{}
+			bp = newBlockPage()
 			m.blocks[frame] = bp
 		}
 		t.gen, t.vpn, t.frame, t.page = m.space.Gen(), pc>>mem.PageShift, frame, bp

@@ -231,6 +231,22 @@ func (m *Machine) InvalidateFrame(frame uint32) {
 // Phys returns the machine's physical memory.
 func (m *Machine) Phys() *mem.Phys { return m.phys }
 
+// Release hands the machine's guest memory back to the process-wide pools
+// for reuse by later machines: its predecoded block pages and, through
+// Phys.Release, every physical frame. It ends the machine's use; nothing
+// may run on it or read its memory afterwards.
+func (m *Machine) Release() {
+	for _, bp := range m.blocks {
+		if bp != nil {
+			blockPagePool.Put(bp)
+		}
+	}
+	m.blocks, m.icache = nil, nil
+	m.fetchTLB.vpn, m.btlb.vpn = invalidVPN, invalidVPN
+	m.fetchTLB.page, m.btlb.page = nil, nil
+	m.phys.Release()
+}
+
 // SetSpace switches the active address space (the CR3 load of a context
 // switch). The kernel saves/restores CPU state around it.
 func (m *Machine) SetSpace(s *mem.Space) {
