@@ -89,6 +89,7 @@ type BlockStats struct {
 // instruction slot like the icache.
 type blockPage struct {
 	blocks [icacheSlots]*Block
+	built  bool // some slot is filled
 }
 
 // blockPagePool recycles the block pages of released machines across the
@@ -233,6 +234,7 @@ func (m *Machine) lookupBlock(pc uint32) *Block {
 	if b == nil {
 		b = m.buildBlock(t.frame, pc%mem.PageSize)
 		t.page.blocks[slot] = b
+		t.page.built = true
 	} else if b != unbuildable {
 		m.bstats.Hits++
 	}

@@ -216,10 +216,11 @@ func (m *Machine) InvalidateFrame(frame uint32) {
 	if m.fetchTLB.frame == frame {
 		m.fetchTLB.vpn = invalidVPN
 	}
-	// Drop cached blocks. The epoch bumps only when the frame actually had
-	// a block page, so data-page stores never bail running blocks.
-	if int(frame) < len(m.blocks) && m.blocks[frame] != nil {
-		m.blocks[frame] = nil
+	// Drop cached blocks, clearing the frame's block page in place for the
+	// next build. The epoch bumps only when the page held a block, so
+	// data-page stores never bail running blocks.
+	if int(frame) < len(m.blocks) && m.blocks[frame] != nil && m.blocks[frame].built {
+		*m.blocks[frame] = blockPage{}
 		m.blockEpoch++
 		m.bstats.Invalidated++
 	}
