@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"faros"
 	"faros/internal/core"
 	"faros/internal/experiments"
 	"faros/internal/pipeline"
@@ -157,6 +158,33 @@ func BenchmarkGuestExecutionFAROS(b *testing.B) {
 		instrs = res.Summary.Instructions
 	}
 	b.ReportMetric(float64(instrs), "guest-instrs/op")
+}
+
+// BenchmarkDetectSmallCorpus measures a small job's fixed cost: one op is
+// a detect (record, FAROS and baseline replay) plus Release over every
+// registry scenario except process_hollowing, the one large job, so boot,
+// image loading and the byte-moving hooks dominate rather than guest
+// loops. Reports ns, bytes and allocations per corpus pass.
+func BenchmarkDetectSmallCorpus(b *testing.B) {
+	var specs []faros.Spec
+	for _, name := range faros.ScenarioNames() {
+		if name != "process_hollowing" {
+			spec, _ := faros.Scenario(name)
+			specs = append(specs, spec)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, spec := range specs {
+			res, err := scenario.DetectContext(context.Background(), spec, nil)
+			if err != nil {
+				b.Fatalf("%s: %v", spec.Name, err)
+			}
+			res.Release()
+		}
+	}
+	b.ReportMetric(float64(len(specs)), "jobs/op")
 }
 
 // BenchmarkPipelineThroughput pushes N small scenarios through analysis

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"faros/internal/guest"
 	"faros/internal/samples"
 	"faros/internal/taint"
 )
@@ -11,7 +12,18 @@ import (
 // runSpec executes a sample scenario on a fresh kernel with the config.
 func runSpec(t *testing.T, spec samples.Spec, cfg Config) *FAROS {
 	t.Helper()
+	_, f := runSpecHooked(t, spec, cfg)
+	return f
+}
+
+// runSpecHooked is runSpec with hooks run against the kernel after FAROS
+// attaches and before any process starts; it also returns the kernel.
+func runSpecHooked(t *testing.T, spec samples.Spec, cfg Config, hooks ...func(*guest.Kernel, *FAROS)) (*guest.Kernel, *FAROS) {
+	t.Helper()
 	k, f := newKernelWithFAROS(t, cfg)
+	for _, hook := range hooks {
+		hook(k, f)
+	}
 	for name, data := range samples.SeedFiles() {
 		k.FS.Install(name, data)
 	}
@@ -36,7 +48,7 @@ func runSpec(t *testing.T, spec samples.Spec, cfg Config) *FAROS {
 	if _, err := k.Run(budget); err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return k, f
 }
 
 func TestResolvedAPINamesInFindings(t *testing.T) {

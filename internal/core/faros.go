@@ -885,6 +885,12 @@ func (f *FAROS) checkPolicy(m *vm.Machine, pc uint32, in isa.Instruction, addr u
 }
 
 // --- TaintBridge implementation (tag insertion at system activity) ---
+//
+// The hooks that move bytes stamp them a run at a time: the source bytes
+// are split into runs of equal provenance, each run pays one Prepend per
+// tag, and its shadow is written a page at a time. Every skipped call
+// would have been a memo hit on the same inputs, so the interned lists and
+// their IDs match a byte-at-a-time reference exactly.
 
 // PacketIn implements guest.TaintBridge: netflow tag insertion at the NIC.
 func (f *FAROS) PacketIn(flow gnet.Flow, data []byte) []uint32 {
@@ -902,17 +908,53 @@ func (f *FAROS) PacketIn(flow gnet.Flow, data []byte) []uint32 {
 	return out
 }
 
+// runEnd returns the end of the run of equal ids starting at i, within
+// [i, n). Indices at or past len(ids) read as untainted and form one run,
+// so a nil slice is a single untainted run.
+func runEnd[T ~uint32](ids []T, i, n int) int {
+	if i >= len(ids) {
+		return n
+	}
+	j := i + 1
+	for j < n && j < len(ids) && ids[j] == ids[i] {
+		j++
+	}
+	return j
+}
+
+// idAt reads ids[i], or untainted past the slice's end.
+func idAt[T ~uint32](ids []T, i int) taint.ProvID {
+	if i < len(ids) {
+		return taint.ProvID(ids[i])
+	}
+	return 0
+}
+
+// pageIDs returns the shadow of [va, va+n), which must lie within one
+// page, or nil when the page is unmapped or has no shadow page (wholly
+// untainted). The slice aliases the store's shadow page: read it before
+// writing to the same frame.
+func (f *FAROS) pageIDs(s *mem.Space, va uint32, n int) []taint.ProvID {
+	pa, ok := f.pagePA(s, va, tlbLoad)
+	if !ok {
+		return nil
+	}
+	ids := f.T.PageIDs(pa >> mem.PageShift)
+	if ids == nil {
+		return nil
+	}
+	off := int(pa % mem.PageSize)
+	return ids[off : off+n]
+}
+
 // RecvToUser implements guest.TaintBridge: received bytes land in a process
 // buffer carrying their netflow provenance plus the receiving process tag.
 func (f *FAROS) RecvToUser(p *guest.Process, dstVA uint32, data []byte, prov []uint32) {
 	pt := f.procTag(p)
-	for i := range data {
-		id := taint.ProvID(0)
-		if i < len(prov) {
-			id = taint.ProvID(prov[i])
-		}
-		id = f.stampProc(id, pt)
-		f.memSetRange(p.Space, dstVA+uint32(i), 1, id)
+	for i := 0; i < len(data); {
+		j := runEnd(prov, i, len(data))
+		f.memSetRange(p.Space, dstVA+uint32(i), j-i, f.stampProc(idAt(prov, i), pt))
+		i = j
 	}
 }
 
@@ -920,15 +962,15 @@ func (f *FAROS) RecvToUser(p *guest.Process, dstVA uint32, data []byte, prov []u
 func (f *FAROS) FileRead(p *guest.Process, file *gfs.File, fileOff int, dstVA uint32, n int) {
 	ft := f.T.InternFile(file.Name, file.Version)
 	pt := f.procTag(p)
-	shadow := file.Shadow()
-	for i := 0; i < n; i++ {
-		var id taint.ProvID
-		if fileOff+i < len(shadow) {
-			id = taint.ProvID(shadow[fileOff+i])
-		}
-		id = f.T.Prepend(id, ft)
-		id = f.stampProc(id, pt)
-		f.memSetRange(p.Space, dstVA+uint32(i), 1, id)
+	var shadow []uint32
+	if s := file.Shadow(); fileOff < len(s) {
+		shadow = s[fileOff:]
+	}
+	for i := 0; i < n; {
+		j := runEnd(shadow, i, n)
+		id := f.stampProc(f.T.Prepend(idAt(shadow, i), ft), pt)
+		f.memSetRange(p.Space, dstVA+uint32(i), j-i, id)
+		i = j
 	}
 }
 
@@ -942,10 +984,19 @@ func (f *FAROS) SectionLoaded(p *guest.Process, file *gfs.File, fileOff int, dst
 func (f *FAROS) FileWrite(p *guest.Process, file *gfs.File, fileOff int, srcVA uint32, n int) {
 	ft := f.T.InternFile(file.Name, file.Version)
 	shadow := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		id := f.memGetRange(p.Space, srcVA+uint32(i), 1)
-		id = f.T.Prepend(id, ft)
-		shadow[i] = uint32(id)
+	for done := 0; done < n; {
+		va := srcVA + uint32(done)
+		chunk := min(mem.PageSize-int(va%mem.PageSize), n-done)
+		ids := f.pageIDs(p.Space, va, chunk)
+		for i := 0; i < chunk; {
+			j := runEnd(ids, i, chunk)
+			id := uint32(f.T.Prepend(idAt(ids, i), ft))
+			for k := done + i; k < done+j; k++ {
+				shadow[k] = id
+			}
+			i = j
+		}
+		done += chunk
 	}
 	if err := file.SetShadowAt(fileOff, shadow); err != nil {
 		// The kernel already wrote the bytes; a shadow mismatch is an
@@ -957,16 +1008,43 @@ func (f *FAROS) FileWrite(p *guest.Process, file *gfs.File, fileOff int, srcVA u
 // CopyUserToUser implements guest.TaintBridge: kernel-mediated cross-space
 // copies stamp both the calling and destination process tags — this is how
 // inject_client.exe → notepad.exe chains appear in provenance lists.
+//
+// Each byte takes its source provenance after the bytes before it were
+// written, as a forward byte copy would. A chunk whose source and
+// destination lie in different frames cannot see its own writes, so it is
+// stamped per run; one that shares a frame (an overlapping copy within a
+// process, or a shared mapping) goes byte by byte.
 func (f *FAROS) CopyUserToUser(caller, dst *guest.Process, dstVA uint32, src *guest.Process, srcVA uint32, n int) {
 	callerTag := f.procTag(caller)
 	dstTag := f.procTag(dst)
-	for i := 0; i < n; i++ {
-		id := f.memGetRange(src.Space, srcVA+uint32(i), 1)
+	stamp := func(id taint.ProvID) taint.ProvID {
 		id = f.stampProc(id, callerTag)
 		if dst != caller {
 			id = f.stampProc(id, dstTag)
 		}
-		f.memSetRange(dst.Space, dstVA+uint32(i), 1, id)
+		return id
+	}
+	for n > 0 {
+		chunk := min(mem.PageSize-int(srcVA%mem.PageSize), mem.PageSize-int(dstVA%mem.PageSize), n)
+		srcPA, srcOK := f.pagePA(src.Space, srcVA, tlbLoad)
+		dstPA, dstOK := f.pagePA(dst.Space, dstVA, tlbStore)
+		if srcOK && dstOK && srcPA>>mem.PageShift == dstPA>>mem.PageShift {
+			for i := 0; i < chunk; i++ {
+				f.T.MemSetRange(dstPA+uint64(i), 1, stamp(f.T.MemGet(srcPA+uint64(i))))
+			}
+		} else {
+			ids := f.pageIDs(src.Space, srcVA, chunk)
+			for i := 0; i < chunk; {
+				j := runEnd(ids, i, chunk)
+				if id := stamp(idAt(ids, i)); dstOK {
+					f.T.MemSetRange(dstPA+uint64(i), j-i, id)
+				}
+				i = j
+			}
+		}
+		srcVA += uint32(chunk)
+		dstVA += uint32(chunk)
+		n -= chunk
 	}
 }
 

@@ -13,6 +13,10 @@ import (
 // the no-op bridge, which is how the "replay without FAROS" half of the
 // performance table executes.
 //
+// The data hooks receive whole ranges (a receive buffer, a file extent, a
+// copy's source and destination), never single bytes, so the engine can
+// stamp a run of equal provenance at a time and translate once per page.
+//
 // All provenance values crossing this interface are opaque uint32 ProvIDs
 // owned by the DIFT engine; the kernel only ferries them alongside bytes
 // (socket receive buffers, file shadows).

@@ -1,7 +1,8 @@
 // Package gfs is the WinMini in-memory filesystem.
 //
 // Files carry, besides their content, a parallel per-byte provenance shadow
-// (opaque taint ProvIDs managed by the FAROS bridge) and an access version.
+// (opaque taint ProvIDs managed by the FAROS bridge, allocated on first
+// taint, so untainted files carry none) and an access version.
 // The shadow is what makes taint survive a round trip through the
 // filesystem — the paper's Figure 4 lifecycle (netflow → process → file →
 // another process) depends on it. The version feeds the file tag's
@@ -20,8 +21,11 @@ type File struct {
 	// version field).
 	Version uint32
 
-	data   []byte
-	shadow []uint32 // per-byte taint ProvID, parallel to data
+	data []byte
+	// shadow is the per-byte taint ProvID, parallel to data but only as
+	// long as the last tainted byte ever stored: it is allocated on first
+	// taint, and bytes past its end are untainted.
+	shadow []uint32
 }
 
 // Size returns the file length in bytes.
@@ -30,16 +34,33 @@ func (f *File) Size() int { return len(f.data) }
 // Bytes returns the file content. The returned slice must not be modified.
 func (f *File) Bytes() []byte { return f.data }
 
-// Shadow returns the per-byte provenance shadow, parallel to Bytes.
+// Shadow returns the per-byte provenance shadow, parallel to Bytes but
+// possibly shorter: bytes past its end are untainted. The returned slice
+// must not be modified.
 func (f *File) Shadow() []uint32 { return f.shadow }
 
 // grow extends the file to hold at least n bytes.
 func (f *File) grow(n int) {
-	if n <= len(f.data) {
+	if n > len(f.data) {
+		f.data = append(f.data, make([]byte, n-len(f.data))...)
+	}
+}
+
+// setShadow stores ids as the shadow of bytes [off, off+len(ids)). The
+// shadow grows only as far as the last nonzero id, so untainted bytes past
+// its end stay unmaterialized.
+func (f *File) setShadow(off int, ids []uint32) {
+	n := len(ids)
+	for n > 0 && off+n > len(f.shadow) && ids[n-1] == 0 {
+		n--
+	}
+	if n == 0 {
 		return
 	}
-	f.data = append(f.data, make([]byte, n-len(f.data))...)
-	f.shadow = append(f.shadow, make([]uint32, n-len(f.shadow))...)
+	if off+n > len(f.shadow) {
+		f.shadow = append(f.shadow, make([]uint32, off+n-len(f.shadow))...)
+	}
+	copy(f.shadow[off:], ids[:n])
 }
 
 // WriteAt writes data (and its provenance shadow, which may be nil for
@@ -54,16 +75,15 @@ func (f *File) WriteAt(off int, data []byte, shadow []uint32) error {
 	f.grow(off + len(data))
 	copy(f.data[off:], data)
 	if shadow != nil {
-		copy(f.shadow[off:], shadow)
-	} else {
-		for i := range data {
-			f.shadow[off+i] = 0
-		}
+		f.setShadow(off, shadow)
+	} else if off < len(f.shadow) {
+		clear(f.shadow[off:min(off+len(data), len(f.shadow))])
 	}
 	return nil
 }
 
-// ReadAt reads up to n bytes from off, returning the bytes and their shadow.
+// ReadAt reads up to n bytes from off, returning the bytes and their
+// shadow (one id per returned byte).
 func (f *File) ReadAt(off, n int) ([]byte, []uint32) {
 	if off < 0 || off >= len(f.data) || n <= 0 {
 		return nil, nil
@@ -75,7 +95,9 @@ func (f *File) ReadAt(off, n int) ([]byte, []uint32) {
 	data := make([]byte, end-off)
 	shadow := make([]uint32, end-off)
 	copy(data, f.data[off:end])
-	copy(shadow, f.shadow[off:end])
+	if off < len(f.shadow) {
+		copy(shadow, f.shadow[off:min(end, len(f.shadow))])
+	}
 	return data, shadow
 }
 
@@ -85,7 +107,7 @@ func (f *File) SetShadowAt(off int, shadow []uint32) error {
 	if off < 0 || off+len(shadow) > len(f.data) {
 		return fmt.Errorf("gfs: shadow range [%d,%d) outside file of %d bytes", off, off+len(shadow), len(f.data))
 	}
-	copy(f.shadow[off:], shadow)
+	f.setShadow(off, shadow)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package gfs
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -114,5 +115,152 @@ func TestDeleteAndList(t *testing.T) {
 	}
 	if fs.Journal[len(fs.Journal)-1] != "delete b.exe" {
 		t.Errorf("journal = %v", fs.Journal)
+	}
+}
+
+// shadowOf reads a file's whole shadow through ReadAt, which pads the
+// unmaterialized tail with untainted ids.
+func shadowOf(f *File) []uint32 {
+	_, shadow := f.ReadAt(0, f.Size())
+	return shadow
+}
+
+func TestShadowAllocatedOnFirstTaint(t *testing.T) {
+	fs := New()
+	f := fs.Install("prog.exe", make([]byte, 4096))
+	if f.Shadow() != nil {
+		t.Errorf("Install allocated a %d-id shadow", len(f.Shadow()))
+	}
+	if err := f.WriteAt(4000, make([]byte, 200), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteAt(10, []byte{1, 2}, []uint32{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetShadowAt(0, make([]uint32, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if f.Shadow() != nil {
+		t.Errorf("untainted writes allocated a %d-id shadow", len(f.Shadow()))
+	}
+	if got := shadowOf(f); len(got) != 4200 || got[4199] != 0 {
+		t.Errorf("untainted shadow read back as %d ids", len(got))
+	}
+	// A tainted store materializes the shadow up to its last tainted byte.
+	if err := f.SetShadowAt(8, []uint32{0, 5, 6, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Shadow(); len(got) != 11 || got[9] != 5 || got[10] != 6 {
+		t.Errorf("shadow after tainted store = %v", got)
+	}
+}
+
+func TestReadAtPastMaterializedShadow(t *testing.T) {
+	f := &File{}
+	if err := f.WriteAt(0, []byte{1, 2, 3, 4, 5, 6}, []uint32{7, 8, 0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Shadow()) != 2 {
+		t.Fatalf("materialized %d ids, want 2", len(f.Shadow()))
+	}
+	data, shadow := f.ReadAt(1, 4)
+	if len(data) != 4 || len(shadow) != 4 || shadow[0] != 8 || shadow[1] != 0 || shadow[3] != 0 {
+		t.Errorf("ReadAt(1, 4) = %v, %v", data, shadow)
+	}
+	data, shadow = f.ReadAt(3, 10)
+	if len(data) != 3 || len(shadow) != 3 || shadow[0]|shadow[1]|shadow[2] != 0 {
+		t.Errorf("ReadAt(3, 10) = %v, %v", data, shadow)
+	}
+}
+
+func TestUntaintedWriteClearsTaintedRange(t *testing.T) {
+	for _, shadow := range [][]uint32{nil, {0, 0, 0}} {
+		f := &File{}
+		if err := f.WriteAt(0, make([]byte, 6), []uint32{1, 2, 3, 4, 5, 6}); err != nil {
+			t.Fatal(err)
+		}
+		// The write runs past the file's end: the part inside the
+		// materialized shadow is cleared, the rest stays unmaterialized.
+		if err := f.WriteAt(4, make([]byte, 3), shadow); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := shadowOf(f), []uint32{1, 2, 3, 4, 0, 0, 0}; !slices.Equal(got, want) {
+			t.Errorf("shadow %v: after untainted write = %v, want %v", shadow, got, want)
+		}
+		if len(f.Shadow()) > 6 {
+			t.Errorf("shadow %v: untainted write grew the shadow to %d ids", shadow, len(f.Shadow()))
+		}
+	}
+}
+
+func TestTaintedWritePastEnd(t *testing.T) {
+	f := &File{}
+	if err := f.WriteAt(0, make([]byte, 4), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteAt(10, []byte{1, 2}, []uint32{9, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if f.Size() != 12 {
+		t.Fatalf("size = %d, want 12", f.Size())
+	}
+	want := make([]uint32, 12)
+	want[10] = 9
+	if got := shadowOf(f); !slices.Equal(got, want) {
+		t.Errorf("shadow = %v, want %v", got, want)
+	}
+}
+
+func TestSetShadowAtBounds(t *testing.T) {
+	f := &File{}
+	if err := f.WriteAt(0, make([]byte, 4), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		off int
+		ids []uint32
+	}{
+		{-1, []uint32{1}},
+		{3, []uint32{1, 2}},
+		{5, nil},
+		{0, []uint32{1, 2, 3, 4, 5}},
+	} {
+		if err := f.SetShadowAt(tc.off, tc.ids); err == nil {
+			t.Errorf("SetShadowAt(%d, %d ids) on a 4-byte file accepted", tc.off, len(tc.ids))
+		}
+	}
+	if f.Shadow() != nil {
+		t.Errorf("rejected stores materialized %d ids", len(f.Shadow()))
+	}
+	if err := f.SetShadowAt(2, []uint32{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if got := shadowOf(f); !slices.Equal(got, []uint32{0, 0, 3, 4}) {
+		t.Errorf("shadow = %v", got)
+	}
+}
+
+func TestTruncateDropsShadow(t *testing.T) {
+	fs := New()
+	f := fs.Create("log.txt")
+	if err := f.WriteAt(0, make([]byte, 3), []uint32{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	fs.Create("log.txt") // truncates
+	if f.Size() != 0 || len(f.Shadow()) != 0 {
+		t.Fatalf("after truncate: size %d, %d shadow ids", f.Size(), len(f.Shadow()))
+	}
+	// Regrowing the file must not resurrect the old shadow.
+	if err := f.WriteAt(0, make([]byte, 3), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := shadowOf(f); !slices.Equal(got, []uint32{0, 0, 0}) {
+		t.Errorf("shadow after regrow = %v", got)
+	}
+	if err := f.WriteAt(1, []byte{1}, []uint32{7}); err != nil {
+		t.Fatal(err)
+	}
+	if got := shadowOf(f); !slices.Equal(got, []uint32{0, 7, 0}) {
+		t.Errorf("shadow after tainted regrow = %v", got)
 	}
 }

@@ -633,39 +633,44 @@ func (k *Kernel) exitProcess(p *Process, code uint32) {
 // --- kernel memory helpers (privileged: ignore page permissions) ---
 
 // kernelWriteBytes writes into a space regardless of page write permission,
-// as ring-0 copies do (the loader writes r-x text sections this way).
+// as ring-0 copies do (the loader writes r-x text sections this way). It
+// copies a page at a time; a fault names the first unmapped byte, with
+// every byte before it already written.
 func kernelWriteBytes(s *mem.Space, va uint32, data []byte) error {
 	phys := s.Phys()
-	for i, b := range data {
-		a := va + uint32(i)
-		frame, ok := s.FrameOf(a)
+	for len(data) > 0 {
+		frame, ok := s.FrameOf(va)
 		if !ok {
-			return &mem.Fault{VA: a, Kind: mem.AccessWrite, Why: "page not mapped (kernel copy)"}
+			return &mem.Fault{VA: va, Kind: mem.AccessWrite, Why: "page not mapped (kernel copy)"}
 		}
 		f, err := phys.Frame(frame)
 		if err != nil {
 			return err
 		}
-		f[a%mem.PageSize] = b
+		n := copy(f[va%mem.PageSize:], data)
+		data = data[n:]
+		va += uint32(n)
 	}
 	return nil
 }
 
-// kernelReadBytes reads from a space regardless of page permissions.
+// kernelReadBytes reads from a space regardless of page permissions, a
+// page at a time.
 func kernelReadBytes(s *mem.Space, va uint32, n int) ([]byte, error) {
 	phys := s.Phys()
 	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		a := va + uint32(i)
-		frame, ok := s.FrameOf(a)
+	for done := 0; done < n; {
+		frame, ok := s.FrameOf(va)
 		if !ok {
-			return nil, &mem.Fault{VA: a, Kind: mem.AccessRead, Why: "page not mapped (kernel copy)"}
+			return nil, &mem.Fault{VA: va, Kind: mem.AccessRead, Why: "page not mapped (kernel copy)"}
 		}
 		f, err := phys.Frame(frame)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = f[a%mem.PageSize]
+		c := copy(out[done:], f[va%mem.PageSize:])
+		done += c
+		va += uint32(c)
 	}
 	return out, nil
 }
