@@ -220,6 +220,20 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheHitByName measures the result-server path in-process: a
+// by-name POST /analyze that the result cache answers, through
+// pipeline.NewHandler and httptest, with no network in between. One op is
+// one request; its allocations are what TestScenarioLookupAllocationBound
+// bounds.
+func BenchmarkCacheHitByName(b *testing.B) {
+	post := cacheHitByName(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		post()
+	}
+}
+
 // BenchmarkTaintMap measures the post-run taint-map walk on the benchmark
 // workload. The walk now consults the shadow store's per-frame live
 // counters to skip untainted pages whole; before that fix it probed every

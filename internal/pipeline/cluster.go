@@ -3,8 +3,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-
-	"faros/internal/samples"
 )
 
 // ForwardedHeader is the hop-loop guard: a node forwarding a request to
@@ -92,9 +90,5 @@ func ShardKey(req Request) string {
 	if req.Mode == ModeTrace {
 		return req.TraceDigest
 	}
-	h, err := samples.SpecHash(req.Spec)
-	if err != nil {
-		return ""
-	}
-	return h
+	return req.specID()
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"faros/internal/core"
@@ -25,7 +26,11 @@ import (
 // registry instead of importing it.
 type ServerConfig struct {
 	// Resolve maps a scenario name to its spec (nil disables submission
-	// by name).
+	// by name). A name must resolve to the same spec for the handler's
+	// lifetime: the handler hashes each name's spec once and reuses that
+	// hash for the cache key and the shard owner. faros.Scenario, a
+	// lookup into the read-only registry built once per process, meets
+	// this.
 	Resolve func(name string) (samples.Spec, bool)
 	// Names lists the scenario namespace for GET /scenarios.
 	Names func() []string
@@ -114,8 +119,21 @@ func errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// resolveSpec materializes the request's scenario selection.
-func (sc ServerConfig) resolveSpec(req AnalyzeRequest) (samples.Spec, error) {
+// specResolver materializes a request's scenario selection and hashes
+// the spec once, so the cache key, the shard key and a trace's identity
+// check all read one samples.SpecHash. Named scenarios are hashed once
+// per handler: Resolve returns the same spec for a name every time, so
+// the memo holds at most one entry per name the namespace accepts.
+type specResolver struct {
+	cfg   ServerConfig
+	mu    sync.Mutex
+	named map[string]string // scenario name → SpecHash of its spec
+}
+
+// resolve returns the selected spec and its content hash. The hash is ""
+// when the spec has no wire encoding; such requests run uncached, as
+// cacheKey and ShardKey would have it.
+func (sr *specResolver) resolve(req AnalyzeRequest) (samples.Spec, string, error) {
 	selected := 0
 	for _, on := range []bool{req.Scenario != "", req.ScenarioFile != nil, len(req.Spec) > 0} {
 		if on {
@@ -123,37 +141,50 @@ func (sc ServerConfig) resolveSpec(req AnalyzeRequest) (samples.Spec, error) {
 		}
 	}
 	if selected != 1 {
-		return samples.Spec{}, &httpError{http.StatusBadRequest,
+		return samples.Spec{}, "", &httpError{http.StatusBadRequest,
 			"exactly one of scenario, scenario_file, spec must be set"}
 	}
+	var spec samples.Spec
+	var err error
 	switch {
 	case req.Scenario != "":
-		if sc.Resolve == nil {
-			return samples.Spec{}, &httpError{http.StatusBadRequest, "named scenarios are not enabled"}
-		}
-		spec, ok := sc.Resolve(req.Scenario)
-		if !ok {
-			return samples.Spec{}, &httpError{http.StatusNotFound,
-				fmt.Sprintf("unknown scenario %q (GET /scenarios lists the namespace)", req.Scenario)}
-		}
-		return spec, nil
+		return sr.resolveName(req.Scenario)
 	case req.ScenarioFile != nil:
 		if req.ScenarioFile.PayloadASM != "" {
-			return samples.Spec{}, &httpError{http.StatusBadRequest,
+			return samples.Spec{}, "", &httpError{http.StatusBadRequest,
 				"payload_asm names a server-side file; submit payload_hex over HTTP"}
 		}
-		spec, err := samples.BuildScenario(*req.ScenarioFile, "")
-		if err != nil {
-			return samples.Spec{}, &httpError{http.StatusBadRequest, err.Error()}
-		}
-		return spec, nil
+		spec, err = samples.BuildScenario(*req.ScenarioFile, "")
 	default:
-		spec, err := samples.UnmarshalSpec(req.Spec)
-		if err != nil {
-			return samples.Spec{}, &httpError{http.StatusBadRequest, err.Error()}
-		}
-		return spec, nil
+		spec, err = samples.UnmarshalSpec(req.Spec)
 	}
+	if err != nil {
+		return samples.Spec{}, "", &httpError{http.StatusBadRequest, err.Error()}
+	}
+	hash, _ := samples.SpecHash(spec)
+	return spec, hash, nil
+}
+
+// resolveName looks a scenario up by name and hashes its spec on the
+// name's first request only.
+func (sr *specResolver) resolveName(name string) (samples.Spec, string, error) {
+	if sr.cfg.Resolve == nil {
+		return samples.Spec{}, "", &httpError{http.StatusBadRequest, "named scenarios are not enabled"}
+	}
+	spec, ok := sr.cfg.Resolve(name)
+	if !ok {
+		return samples.Spec{}, "", &httpError{http.StatusNotFound,
+			fmt.Sprintf("unknown scenario %q (GET /scenarios lists the namespace)", name)}
+	}
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	hash, ok := sr.named[name]
+	if !ok {
+		if hash, _ = samples.SpecHash(spec); hash != "" {
+			sr.named[name] = hash
+		}
+	}
+	return spec, hash, nil
 }
 
 // maxTraceUpload bounds a POST /traces body. Encoded traces are a few
@@ -166,7 +197,7 @@ const maxTraceUpload = 256 << 20
 // (typed 409 otherwise), and — when the client also names a spec — the
 // trace's spec hash must match that spec (409 again). Returns the trace's
 // embedded spec, which the job carries for display.
-func resolveTrace(p *Pool, sc ServerConfig, req AnalyzeRequest) (samples.Spec, error) {
+func resolveTrace(p *Pool, specs *specResolver, req AnalyzeRequest) (samples.Spec, error) {
 	traces := p.Traces()
 	if traces == nil {
 		return samples.Spec{}, &httpError{http.StatusBadRequest, "trace analysis is not enabled (farosd has no trace store)"}
@@ -185,12 +216,12 @@ func resolveTrace(p *Pool, sc ServerConfig, req AnalyzeRequest) (samples.Spec, e
 		return samples.Spec{}, err
 	}
 	if req.Scenario != "" || req.ScenarioFile != nil || len(req.Spec) > 0 {
-		want, err := sc.resolveSpec(req)
+		want, wantHash, err := specs.resolve(req)
 		if err != nil {
 			return samples.Spec{}, err
 		}
-		wantHash, err := samples.SpecHash(want)
-		if err != nil {
+		if wantHash == "" {
+			_, err := samples.SpecHash(want) // unhashable: report why
 			return samples.Spec{}, &httpError{http.StatusBadRequest, err.Error()}
 		}
 		if wantHash != info.SpecHash {
@@ -232,6 +263,7 @@ func resolveTrace(p *Pool, sc ServerConfig, req AnalyzeRequest) (samples.Spec, e
 // of letting the queue grow without bound.
 func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 	mux := http.NewServeMux()
+	specs := &specResolver{cfg: cfg, named: make(map[string]string)}
 	var adm *admission
 	if cfg.Admission != nil {
 		adm = newAdmission(*cfg.Admission)
@@ -352,7 +384,7 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			if forwardAnalyze(w, r, req, preq, forwardedFrom) {
 				return
 			}
-			spec, err := resolveTrace(p, cfg, req)
+			spec, err := resolveTrace(p, specs, req)
 			if err != nil {
 				writeErr(w, err)
 				return
@@ -372,12 +404,12 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 				writeErr(w, &httpError{http.StatusBadRequest, fmt.Sprintf("unknown mode %q", req.Mode)})
 				return
 			}
-			spec, err := cfg.resolveSpec(req)
+			spec, hash, err := specs.resolve(req)
 			if err != nil {
 				writeErr(w, err)
 				return
 			}
-			preq.Spec = spec
+			preq.Spec, preq.specHash = spec, hash
 			if forwardAnalyze(w, r, req, preq, forwardedFrom) {
 				return
 			}

@@ -77,6 +77,23 @@ type Request struct {
 	Timeout time.Duration
 	// NoCache skips both cache lookup and insertion for this job.
 	NoCache bool
+
+	// specHash is samples.SpecHash(Spec) when the HTTP layer has already
+	// computed it; "" means derive it from Spec.
+	specHash string
+}
+
+// specID returns the spec's content hash: the carried one when set,
+// otherwise samples.SpecHash. "" means the spec has no wire encoding.
+func (req Request) specID() string {
+	if req.specHash != "" {
+		return req.specHash
+	}
+	h, err := samples.SpecHash(req.Spec)
+	if err != nil {
+		return ""
+	}
+	return h
 }
 
 // State is a job's lifecycle position.
@@ -450,32 +467,38 @@ func cacheKey(req Request, policyHash string) string {
 	}
 	var id string
 	if mode == ModeTrace {
-		if req.TraceDigest == "" {
-			return ""
-		}
 		id = req.TraceDigest
 	} else {
-		specHash, err := samples.SpecHash(req.Spec)
+		id = req.specID()
+	}
+	if id == "" {
+		return ""
+	}
+	cfgJSON := detectConfigJSON
+	if mode != ModeDetect {
+		b, err := json.Marshal(req.Config)
 		if err != nil {
 			return ""
 		}
-		id = specHash
+		cfgJSON = string(b)
 	}
-	cfg := req.Config
-	if mode == ModeDetect {
-		cfg = core.Config{}
-	}
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		return ""
-	}
-	material := id + "|" + string(mode) + "|" + string(cfgJSON)
+	material := id + "|" + string(mode) + "|" + cfgJSON
 	if policyHash != "" {
 		material += "|" + policyHash
 	}
 	sum := sha256.Sum256([]byte(material))
 	return hex.EncodeToString(sum[:])
 }
+
+// detectConfigJSON is the config component of every ModeDetect key: the
+// zero core.Config, encoded once.
+var detectConfigJSON = func() string {
+	b, err := json.Marshal(core.Config{})
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}()
 
 // policyHash returns the active triage policy's content identity ("" when
 // triage is disabled) — the cache-key component.

@@ -21,6 +21,9 @@ var sinkSpec faros.Spec
 // going back to rebuilding the namespace, which costs ~15k allocations per
 // resolve. A lookup through a Scenarios() copy costs ~140, which the
 // cache-hit bound alone would miss; the zero bound on Scenario catches it.
+// The byte bound keeps the spec hash off the cache-hit path: re-encoding
+// and hashing njrat's spec on every request would add ~14 KB to the
+// ~14 KB a hit allocates.
 func TestScenarioLookupAllocationBound(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		sinkSpec, _ = faros.Scenario("njrat")
@@ -28,30 +31,54 @@ func TestScenarioLookupAllocationBound(t *testing.T) {
 		t.Errorf("Scenario(\"njrat\") allocates %.0f times, want 0", n)
 	}
 
-	p, err := pipeline.New(pipeline.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	h := pipeline.NewHandler(p, pipeline.ServerConfig{Resolve: faros.Scenario})
-	const body = `{"scenario":"njrat","wait":true}`
-	post := func() *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/analyze", strings.NewReader(body)))
-		return rec
-	}
-	if rec := post(); rec.Code != http.StatusOK {
-		t.Fatalf("priming POST /analyze = %d: %s", rec.Code, rec.Body)
-	}
-	if rec := post(); !strings.Contains(rec.Body.String(), `"cache_hit":true`) {
-		t.Fatalf("second POST /analyze is not a cache hit: %s", rec.Body)
-	}
+	post := cacheHitByName(t)
 	const maxAllocs = 500
 	n := testing.AllocsPerRun(50, func() { post() })
 	t.Logf("cache-hit POST /analyze by name: %.0f allocations", n)
 	if n > maxAllocs {
 		t.Errorf("cache-hit POST /analyze by name allocates %.0f times, want <= %d", n, maxAllocs)
 	}
+	if raceEnabled {
+		t.Log("no byte bound under -race: sync.Pool drops a random quarter of puts")
+		return
+	}
+	const maxBytes = 20_000
+	bytes := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			post()
+		}
+	}).AllocedBytesPerOp()
+	t.Logf("cache-hit POST /analyze by name: %d bytes allocated", bytes)
+	if bytes > maxBytes {
+		t.Errorf("cache-hit POST /analyze by name allocates %d bytes, want <= %d", bytes, maxBytes)
+	}
+}
+
+// cacheHitByName serves njrat by name through pipeline.NewHandler once, so
+// that every call of the returned post is a cache hit, and checks that the
+// second request hits.
+func cacheHitByName(tb testing.TB) (post func() *httptest.ResponseRecorder) {
+	tb.Helper()
+	p, err := pipeline.New(pipeline.Config{Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(p.Close)
+	h := pipeline.NewHandler(p, pipeline.ServerConfig{Resolve: faros.Scenario})
+	const body = `{"scenario":"njrat","wait":true}`
+	post = func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/analyze", strings.NewReader(body)))
+		return rec
+	}
+	if rec := post(); rec.Code != http.StatusOK {
+		tb.Fatalf("priming POST /analyze = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := post(); !strings.Contains(rec.Body.String(), `"cache_hit":true`) {
+		tb.Fatalf("second POST /analyze is not a cache hit: %s", rec.Body)
+	}
+	return post
 }
 
 // TestSharedRegistrySafety runs every registry spec twice at once over the
