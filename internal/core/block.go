@@ -1,16 +1,18 @@
 // The fused block executor: FAROS's side of the VM's block dispatch.
 //
-// BeforeInstr remains the per-instruction reference semantics; ExecBlock is
-// the same dataflow compiled into one loop over a predecoded micro-op
-// stream, so a block costs one interface call instead of one per
-// instruction, and the per-instruction op×mode re-derivation disappears.
-// Three observations make it fast while staying bit-identical:
+// ExecBlock is the engine's only dispatcher: the Table I dataflow compiled
+// into one loop over a predecoded micro-op stream, so a block costs one
+// interface call instead of one per instruction, and the per-instruction
+// op×mode re-derivation disappears. The per-instruction form of the same
+// semantics lives on as a test-only reference (refstep_test.go), which the
+// differential tests run under vm.Machine.UseReferenceStep. Three
+// observations make the executor fast while staying bit-identical:
 //
 //   - The taint side of every micro-op is known at lowering time (Table I),
 //     so each case applies arch effect and shadow effect together — the
-//     effective address is computed once, the memory helpers shared with
-//     the reference path (taintLoadAt, taintStoreAt, ...) keep the two
-//     dispatchers propagating through identical code.
+//     effective address is computed once, and the memory helpers
+//     (taintLoadAt, taintStoreAt, ...) are shared with the reference, so
+//     both propagate through identical code.
 //   - A clean register bank plus clean touched pages makes every taint
 //     effect a provable no-op. Blocks that touch no data memory then run on
 //     the VM's plain executor outright; blocks that do touch memory run in
@@ -22,7 +24,7 @@
 //     loop syncs the counter right before each instruction's shadow effect;
 //     everything else (EIP, the retire count) batches to block exit.
 //
-// Faults replicate Step's contract exactly: the reference path runs the
+// Faults replicate Step's contract exactly: the reference runs the
 // observer — shadow effects included — before the architectural access
 // faults, so the fused cases apply the taint effect first, count the
 // faulting instruction as observed, leave EIP on it, and return the same
@@ -44,14 +46,15 @@ var _ vm.BlockPlugin = (*FAROS)(nil)
 // ExecBlock implements vm.BlockPlugin: execute predecoded blocks with the
 // engine's taint effects fused into the dispatch loop, chaining from block
 // to block until the budget runs out, a trap or fault surfaces, or the next
-// PC has no cached block — one interface call per chain, not per block.
-func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm.Trap, error, bool) {
+// PC has no cached block that fits — one interface call per chain, not per
+// block.
+func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm.Trap, error) {
 	var total uint64
 	if f.bank == nil {
-		// No process context: the reference observer only counts
-		// instructions, so whole chains run on the plain executor. The bank
-		// only changes in lifecycle hooks, which fire outside the dispatch
-		// loop — never mid-chain.
+		// No process context: the engine only counts instructions, so
+		// whole chains run on the plain executor. The bank only changes in
+		// lifecycle hooks, which fire outside the dispatch loop — never
+		// mid-chain.
 		for {
 			n, trap, err := m.ExecBlockPlain(b)
 			f.stats.Instructions += n
@@ -61,10 +64,10 @@ func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm
 			total += n
 			budget -= n
 			if trap != vm.TrapNone || err != nil || budget == 0 {
-				return total, trap, err, true
+				return total, trap, err
 			}
 			if b = m.LookupBlock(m.CPU.EIP); b == nil || uint64(b.NInstr) > budget {
-				return total, vm.TrapNone, nil, true
+				return total, vm.TrapNone, nil
 			}
 		}
 	}
@@ -120,7 +123,7 @@ func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm
 		total += n
 		budget -= n
 		if trap != vm.TrapNone || err != nil || budget == 0 {
-			return total, trap, err, true
+			return total, trap, err
 		}
 		if e := m.BlockEpoch(); e != epoch {
 			epoch, cpc[0], cpc[1] = e, 1, 1
@@ -135,11 +138,11 @@ func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm
 			b = cbk[1]
 		default:
 			if b = m.LookupBlock(pc); b == nil {
-				return total, vm.TrapNone, nil, true
+				return total, vm.TrapNone, nil
 			}
 		}
 		if uint64(b.NInstr) > budget {
-			return total, vm.TrapNone, nil, true
+			return total, vm.TrapNone, nil
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // dynamic information flow tracking engine and its in-memory-injection
 // detection policy.
 //
-// FAROS attaches to a WinMini kernel as both a VM instruction plugin and
+// FAROS attaches to a WinMini kernel as both the VM's block engine and
 // the kernel's taint bridge. It
 //
 //   - inserts tags at the paper's four sources: netflow tags on packet
@@ -265,8 +265,8 @@ type FAROS struct {
 
 var _ guest.TaintBridge = (*FAROS)(nil)
 
-// Attach installs FAROS on a kernel: it becomes the taint bridge, registers
-// the instruction hook, and tags the kernel export table region.
+// Attach installs FAROS on a kernel: it becomes the taint bridge and the
+// VM's block engine, and tags the kernel export table region.
 func Attach(k *guest.Kernel, cfg Config) *FAROS {
 	f := &FAROS{
 		T:           taint.NewStore(cfg.ListCap),
@@ -280,7 +280,7 @@ func Attach(k *guest.Kernel, cfg Config) *FAROS {
 	}
 	f.exportTag = f.T.ExportTableTag()
 	k.Bridge = f
-	k.M.OnInstrPlugin(f)
+	k.M.OnBlockPlugin(f)
 
 	// Tag insertion for the export table: taint the whole region in the
 	// shared physical frames so every process sees it.
@@ -470,101 +470,12 @@ func (f *FAROS) memSetRange(s *mem.Space, va uint32, n int, id taint.ProvID) {
 	}
 }
 
-// BeforeInstr mirrors the CPU's dataflow onto the shadow state (Table I)
-// and applies the detection policy on loads. It sees the pre-execution
-// register file, from which all effective addresses derive.
-func (f *FAROS) BeforeInstr(m *vm.Machine, pc uint32, in isa.Instruction) {
-	f.stats.Instructions++
-	if f.bank == nil {
-		return // no process context yet
-	}
-	bank := f.bank
-	space := m.Space()
-
-	if f.cfg.StrictExecCheck {
-		f.strictExecCheck(m, pc, in)
-	}
-
-	switch in.Op {
-	case isa.OpMov:
-		if in.Mode == isa.ModeRR {
-			bank[in.Dst&7] = bank[in.Src&7]
-		} else {
-			bank[in.Dst&7] = 0 // immediate: delete (Table I)
-		}
-
-	case isa.OpLd, isa.OpLdb:
-		// Effective address computed inline (the register file is the
-		// pre-execution state, same as vm.EffectiveAddr).
-		addr := m.CPU.Regs[in.Src&7] + in.Imm
-		if in.Mode == isa.ModeRX {
-			addr = m.CPU.Regs[in.Src&7] + m.CPU.Regs[in.Imm&7]
-		}
-		size := 4
-		if in.Op == isa.OpLdb {
-			size = 1
-		}
-		f.taintLoadAt(m, pc, in, addr, size)
-
-	case isa.OpSt, isa.OpStb:
-		addr := m.CPU.Regs[in.Dst&7] + in.Imm
-		if in.Mode == isa.ModeXR {
-			addr = m.CPU.Regs[in.Dst&7] + m.CPU.Regs[in.Imm&7]
-		}
-		size := 4
-		if in.Op == isa.OpStb {
-			size = 1
-		}
-		f.taintStoreAt(space, addr, size, bank[in.Src&7])
-
-	case isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpMul, isa.OpShl, isa.OpShr:
-		if in.Mode == isa.ModeRR {
-			// Union(0,0) is 0, already in place — skip the call.
-			if a, b := bank[in.Dst&7], bank[in.Src&7]; a|b != 0 {
-				bank[in.Dst&7] = f.T.Union(a, b)
-			}
-		}
-		// Immediate forms leave the destination's taint unchanged.
-
-	case isa.OpXor:
-		if in.Mode == isa.ModeRR {
-			if in.Dst == in.Src {
-				bank[in.Dst&7] = 0 // XOR r,r: delete (Table I)
-			} else if a, b := bank[in.Dst&7], bank[in.Src&7]; a|b != 0 {
-				bank[in.Dst&7] = f.T.Union(a, b)
-			}
-		}
-
-	case isa.OpNot, isa.OpCmp:
-		// NOT keeps taint; CMP writes only flags (control dependencies are
-		// deliberately not propagated — Section IV).
-
-	case isa.OpPush:
-		var id taint.ProvID
-		if in.Mode == isa.ModeRR {
-			id = bank[in.Dst&7]
-		}
-		f.taintStoreAt(space, m.CPU.Regs[isa.ESP]-4, 4, id)
-
-	case isa.OpPop:
-		f.taintPop(space, m.CPU.Regs[isa.ESP], uint8(in.Dst&7))
-
-	case isa.OpCall:
-		f.taintCall(space, m.CPU.Regs[isa.ESP]-4)
-
-	case isa.OpSyscall:
-		// Kernel return values are untainted; data-carrying results are
-		// tagged through the bridge instead.
-		bank[isa.EAX] = 0
-	}
-}
-
 // taintLoadAt mirrors a load's shadow dataflow (Table I) given its resolved
 // effective address, and applies the detection policy. The loaded bytes'
 // provenance is computed once and flows both into the destination register
 // and into the policy check — checkPolicy never recomputes the range. A
 // load from a known-untainted page skips the shadow walk entirely. Shared
-// by the per-instruction reference path and the fused block executor.
+// by the fused block executor and the test-only per-instruction reference.
 func (f *FAROS) taintLoadAt(m *vm.Machine, pc uint32, in isa.Instruction, addr uint32, size int) {
 	space := m.Space()
 	bank := f.bank
@@ -819,7 +730,7 @@ func (f *FAROS) strictExecCheck(m *vm.Machine, pc uint32, in isa.Instruction) {
 
 // checkPolicy applies the tag-confluence invariants to an export-table
 // read. targetProv is the raw provenance of the loaded bytes, computed once
-// by beforeInstr — crucially before any address-dependency union, so the
+// by the load's taint effect — crucially before any address-dependency union, so the
 // policy sees exactly what the memory carried. The caller has already
 // established that targetProv carries the export-table tag (the O(1)
 // summary-bit test), so this function only runs on actual export reads.

@@ -958,7 +958,7 @@ func (k *Kernel) injectGuestFault(p *Process) {
 	switch k.inj.GuestFault(p.Name) {
 	case faults.GuestFlip:
 		// 0xFF is not a valid opcode; the decode fails at fetch. kwrite also
-		// invalidates the icache so the corrupted byte is observed. A write
+		// drops the frame's cached blocks so the corrupted byte is observed. A write
 		// failure (EIP already unmapped) is fine: the fetch faults anyway.
 		_ = k.kwrite(p.Space, k.M.CPU.EIP, []byte{0xFF})
 	case faults.GuestProbe:
@@ -982,9 +982,9 @@ func (k *Kernel) runQuantum(p *Process, maxInstr uint64) {
 		steps = rem
 	}
 	for steps > 0 {
-		// Block dispatch: whole predecoded blocks when one fits the
-		// remaining budget, per-instruction steps otherwise — the
-		// preemption boundary never lands inside a block.
+		// RunBlock runs whole predecoded blocks while one fits the
+		// remaining budget and an uncached one-instruction block otherwise,
+		// so the quantum ends exactly on its last instruction.
 		n, trap, err := k.M.RunBlock(steps)
 		steps -= n
 		if err != nil {

@@ -81,8 +81,8 @@ func (k UopKind) TouchesMem() bool {
 	return false
 }
 
-// EvalALU evaluates a two-operand ALU operation. The VM's per-instruction
-// path and both block executors share it so the semantics cannot drift.
+// EvalALU evaluates a two-operand ALU operation. The VM's reference Step
+// and both block executors share it so the semantics cannot drift.
 func EvalALU(op Op, a, b uint32) uint32 {
 	switch op {
 	case OpAdd:
@@ -125,8 +125,8 @@ func CondTaken(op Op, z, s bool) bool {
 	return false
 }
 
-// lowerOne lowers a single decoded instruction to its micro-op.
-func lowerOne(in Instruction) Uop {
+// LowerOne lowers a single decoded instruction to its micro-op, unfused.
+func LowerOne(in Instruction) Uop {
 	switch in.Op {
 	case OpNop:
 		return Uop{Kind: UNop, N: 1}
@@ -275,7 +275,7 @@ func Lower(ins []Instruction) []Uop {
 				continue
 			}
 		}
-		uops = append(uops, lowerOne(in))
+		uops = append(uops, LowerOne(in))
 	}
 	return uops
 }

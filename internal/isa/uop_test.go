@@ -39,8 +39,8 @@ func TestLowerSingleInstructions(t *testing.T) {
 			Uop{Kind: UJcc, Op: OpJz, D: 0, Imm: 0x1000, N: 1}},
 	}
 	for _, tc := range cases {
-		if got := lowerOne(tc.in); got != tc.want {
-			t.Errorf("%s: lowerOne = %+v, want %+v", tc.name, got, tc.want)
+		if got := LowerOne(tc.in); got != tc.want {
+			t.Errorf("%s: LowerOne = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }

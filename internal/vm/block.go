@@ -1,21 +1,22 @@
-// Block dispatch: the interpreter's hot path. Guest code is predecoded
-// into cached basic blocks of micro-ops (internal/isa lowering, decode done
-// once), keyed by physical frame + offset so shared images (ntdll) are
-// lowered once system-wide. Dispatching a block costs one lookup and one
-// plugin call instead of a fetch, a decode, and an interface call per
-// instruction.
+// Block dispatch: the interpreter. Guest code is predecoded into cached
+// basic blocks of micro-ops (internal/isa lowering, decode done once),
+// keyed by physical frame + offset so shared images (ntdll) are lowered
+// once system-wide. Dispatching a block costs one lookup and one plugin
+// call instead of a fetch, a decode, and a callback per instruction.
+// Every PC runs through a block: where no cached block fits the remaining
+// budget, RunBlock runs the one instruction at EIP as an uncached block,
+// so the preemption boundary stays exact.
 //
-// Invalidation rides the signals that already feed the icache: every guest
-// store and kernel copy calls InvalidateFrame, which drops the frame's
-// blocks and bumps the block epoch. The executors snapshot the epoch and
-// compare it after every store micro-op, so self-modifying code stops the
-// current block at the mutating instruction and re-enters through a fresh
-// build — the same observable behavior as per-instruction stepping.
+// Invalidation: every guest store and kernel copy calls InvalidateFrame,
+// which drops the frame's blocks and bumps the block epoch. The executors
+// snapshot the epoch and compare it after every store micro-op, so
+// self-modifying code stops the current block at the mutating instruction
+// and re-enters through a fresh build — the same observable behavior as
+// per-instruction stepping.
 //
-// The per-instruction Step path is retained unchanged as the reference
-// interpreter: legacy hooks, non-block plugins, quantum tails shorter than
-// the next block, and SetBlockDispatch(false) all fall back to it, and the
-// differential tests hold the two bit-identical.
+// Step (vm.go) is the per-instruction reference interpreter. Production
+// never calls it; UseReferenceStep routes RunBlock through it for the
+// differential tests, which hold the two bit-identical.
 
 package vm
 
@@ -54,22 +55,18 @@ type Block struct {
 	Eff taint.BlockEffects
 }
 
-// BlockPlugin is the block-level upgrade of InstrPlugin. An engine that
-// implements it receives whole predecoded blocks and runs its analysis
-// fused into the dispatch loop instead of being called back per
+// BlockPlugin is an analysis engine that executes blocks with its
+// analysis fused into the dispatch loop instead of being called back per
 // instruction. ExecBlock executes the given block (which starts at the
 // current EIP) and may then chain into successor blocks via LookupBlock,
 // up to budget retired instructions in total — one plugin call per chain,
 // not per block. It returns the instructions retired plus the trap state
-// of the last one, exactly as a sequence of Steps would have; ok=false
-// declines the first block untouched, and the VM falls back to the
-// per-instruction reference path. Returning TrapNone with budget left
-// simply means the chain ended at a PC block dispatch cannot serve (or a
-// partial retire after self-modifying code); the VM re-enters at the new
-// EIP.
+// of the last one, exactly as a sequence of Steps would have. Returning
+// TrapNone with budget left simply means the chain ended at a PC with no
+// cached block that fits (or a partial retire after self-modifying code);
+// the VM re-enters at the new EIP.
 type BlockPlugin interface {
-	InstrPlugin
-	ExecBlock(m *Machine, b *Block, budget uint64) (retired uint64, trap Trap, err error, ok bool)
+	ExecBlock(m *Machine, b *Block, budget uint64) (retired uint64, trap Trap, err error)
 }
 
 // BlockStats counts block-cache activity.
@@ -86,9 +83,9 @@ type BlockStats struct {
 }
 
 // blockPage holds the cached blocks of one physical frame, indexed by
-// instruction slot like the icache.
+// instruction slot.
 type blockPage struct {
-	blocks [icacheSlots]*Block
+	blocks [pageSlots]*Block
 	built  bool // some slot is filled
 }
 
@@ -116,14 +113,22 @@ type blockTLB struct {
 	page  *blockPage
 }
 
-// unbuildable marks a slot whose first instruction does not decode; the
-// per-instruction path raises the architectural fault.
+// unbuildable marks a slot whose first instruction does not decode;
+// RunBlock's uncached fetch raises the architectural fault.
 var unbuildable = &Block{}
 
-// SetBlockDispatch enables or disables block dispatch (default enabled).
-// The differential tests disable it to drive the per-instruction reference
-// path.
-func (m *Machine) SetBlockDispatch(on bool) { m.blocksOff = !on }
+// UseReferenceStep is the reference seam. It switches RunBlock, for the
+// rest of the machine's life, to the per-instruction reference
+// interpreter: one uncached Step per call, with no block cache and no
+// block plugin, calling before (if non-nil) between each instruction's
+// fetch and its execution. Production never sets it; the differential
+// tests do, to hold block dispatch to Step.
+func (m *Machine) UseReferenceStep(before func(m *Machine, pc uint32, in isa.Instruction)) {
+	if before == nil {
+		before = func(*Machine, uint32, isa.Instruction) {}
+	}
+	m.refBefore = before
+}
 
 // BlockStats returns the block-cache counters.
 func (m *Machine) BlockStats() BlockStats { return m.bstats }
@@ -145,37 +150,32 @@ func (m *Machine) BlockEpoch() uint64 { return m.blockEpoch }
 func (m *Machine) AddFusedOps(n uint64) { m.bstats.FusedOps += n }
 
 // RunBlock executes up to budget instructions, chaining predecoded blocks
-// until the budget runs out, a trap or fault ends the run, or dispatch has
-// to fall back to per-instruction mode. Chaining is transparent to the
-// caller: a sequence of single-block calls would retire the same
-// instructions in the same order, the loop just keeps the dispatch state
-// hot instead of bouncing through the scheduler between every block. It
-// returns the instructions retired and the trap state of the last one.
-// When block dispatch cannot serve the current PC at all, it runs exactly
-// one per-instruction Step. budget must be at least 1.
+// until the budget runs out or a trap or fault ends the run. Chaining is
+// transparent to the caller: a sequence of single-block calls would retire
+// the same instructions in the same order, the loop just keeps the
+// dispatch state hot instead of bouncing through the scheduler between
+// every block. It returns the instructions retired and the trap state of
+// the last one. A fetch failure at EIP retires nothing and returns the
+// *FaultError Step would.
 func (m *Machine) RunBlock(budget uint64) (uint64, Trap, error) {
 	if budget == 0 {
 		return 0, TrapNone, nil
 	}
-	if m.blocksOff || m.legacyHooks || m.space == nil ||
-		(m.plugin != nil && m.blockPlugin == nil) {
-		return m.stepOnce()
+	if m.refBefore != nil {
+		trap, err := m.step(m.refBefore)
+		if err != nil {
+			return 0, trap, err
+		}
+		return 1, trap, nil
 	}
-	b := m.lookupBlock(m.CPU.EIP)
-	if b == nil || uint64(b.NInstr) > budget {
-		// No block here (unaligned PC, undecodable slot, unmapped page) or
-		// the preemption budget boundary lands inside the block: fall back
-		// to per-instruction mode.
-		return m.stepOnce()
+	b, err := m.entryBlock(budget)
+	if err != nil {
+		return 0, TrapFault, err
 	}
 	if bp := m.blockPlugin; bp != nil {
 		// The plugin chains internally; one call covers up to the whole
 		// budget.
-		n, trap, err, ok := bp.ExecBlock(m, b, budget)
-		if !ok {
-			return m.stepOnce()
-		}
-		return n, trap, err
+		return bp.ExecBlock(m, b, budget)
 	}
 	var total uint64
 	for {
@@ -191,23 +191,61 @@ func (m *Machine) RunBlock(budget uint64) (uint64, Trap, error) {
 	}
 }
 
+// entryBlock returns the block RunBlock starts with: the cached block at
+// EIP when it fits budget, otherwise the machine's uncached
+// one-instruction block, refilled for EIP. That serves every PC the block
+// cache cannot: a budget tail (the preemption boundary lands inside the
+// cached block, whose first instruction is decoded and, unless fused,
+// lowered already), an unaligned or page-straddling PC, and a slot with no
+// block (fetched here, so a failure is Step's *FaultError).
+func (m *Machine) entryBlock(budget uint64) (*Block, error) {
+	var b *Block
+	if m.space != nil {
+		b = m.lookupBlock(m.CPU.EIP)
+	}
+	if b != nil {
+		if uint64(b.NInstr) <= budget {
+			return b, nil
+		}
+		m.tailIns[0] = b.Ins[0]
+		if u := &b.Uops[0]; u.N == 1 {
+			m.tailUops[0] = *u
+		} else {
+			m.tailUops[0] = isa.LowerOne(b.Ins[0])
+		}
+	} else {
+		in, err := m.fetch(m.CPU.EIP)
+		if err != nil {
+			return nil, err
+		}
+		m.tailIns[0] = in
+		m.tailUops[0] = isa.LowerOne(in)
+	}
+	m.tail.EndTrap = endTrap(m.tailIns[0].Op)
+	m.tail.Eff = taint.SummarizeUops(m.tailUops[:])
+	return &m.tail, nil
+}
+
+// endTrap is the trap a block ending in op raises after it completes.
+func endTrap(op isa.Op) Trap {
+	switch op {
+	case isa.OpSyscall:
+		return TrapSyscall
+	case isa.OpHlt:
+		return TrapHalt
+	}
+	return TrapNone
+}
+
 // LookupBlock returns the cached block starting at pc, building it on
-// first sight; nil means block dispatch cannot serve that PC. Exported for
+// first sight; nil means no cached block serves that PC. Exported for
 // chaining block plugins.
 func (m *Machine) LookupBlock(pc uint32) *Block { return m.lookupBlock(pc) }
 
-// stepOnce adapts Step to RunBlock's retired-count contract.
-func (m *Machine) stepOnce() (uint64, Trap, error) {
-	trap, err := m.Step()
-	if err != nil {
-		return 0, trap, err
-	}
-	return 1, trap, nil
-}
-
 // lookupBlock returns the cached block starting at pc, building it on
-// first sight. nil means "no block: use Step" (unaligned, unmapped, or
-// undecodable entry).
+// first sight. nil means no cached block (unaligned, unmapped, or
+// undecodable entry); RunBlock serves such a PC with a one-instruction
+// block (entryBlock).
 func (m *Machine) lookupBlock(pc uint32) *Block {
 	if pc%isa.InstrSize != 0 {
 		return nil
@@ -250,11 +288,11 @@ func (m *Machine) buildBlock(frame, off uint32) *Block {
 	if err != nil {
 		return unbuildable
 	}
-	b := &Block{Frame: frame, Off: off, EndTrap: TrapNone}
+	b := &Block{Frame: frame, Off: off}
 	for o := off; o <= mem.PageSize-isa.InstrSize; o += isa.InstrSize {
 		in, err := isa.Decode(f[o : o+isa.InstrSize])
 		if err != nil {
-			break // the bad slot faults through the per-instruction path
+			break // the bad slot faults when a tail block fetches it
 		}
 		b.Ins = append(b.Ins, in)
 		// Conditional branches extend the block: the not-taken path falls
@@ -264,12 +302,7 @@ func (m *Machine) buildBlock(frame, off uint32) *Block {
 		// iteration instead of two. Unconditional transfers (and traps)
 		// still end the block.
 		if (in.Op.IsJump() && !in.Op.IsCondJump()) || in.Op == isa.OpSyscall || in.Op == isa.OpHlt {
-			switch in.Op {
-			case isa.OpSyscall:
-				b.EndTrap = TrapSyscall
-			case isa.OpHlt:
-				b.EndTrap = TrapHalt
-			}
+			b.EndTrap = endTrap(in.Op)
 			break
 		}
 	}
@@ -334,9 +367,9 @@ func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 			var v uint32
 			var err error
 			if u.Size == 4 {
-				v, _, err = m.rawRead32(addr)
+				v, _, err = m.DataRead32(addr)
 			} else {
-				v, _, err = m.rawRead8(addr)
+				v, _, err = m.DataRead8(addr)
 			}
 			if err != nil {
 				return m.blockFault(ii, pc, err)
@@ -349,9 +382,9 @@ func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 			}
 			var err error
 			if u.Size == 4 {
-				_, err = m.rawWrite32(addr, regs[u.A])
+				_, err = m.DataWrite32(addr, regs[u.A])
 			} else {
-				_, err = m.rawWrite8(addr, byte(regs[u.A]))
+				_, err = m.DataWrite8(addr, byte(regs[u.A]))
 			}
 			if err != nil {
 				return m.blockFault(ii, pc, err)
@@ -365,7 +398,7 @@ func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 				v = regs[u.A]
 			}
 			regs[isa.ESP] -= 4
-			if _, err := m.rawWrite32(regs[isa.ESP], v); err != nil {
+			if _, err := m.DataWrite32(regs[isa.ESP], v); err != nil {
 				regs[isa.ESP] += 4
 				return m.blockFault(ii, pc, err)
 			}
@@ -373,14 +406,14 @@ func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 				return m.blockCommit(ii+1, pc+isa.InstrSize, TrapNone, fusedIn(uops, ui+1))
 			}
 		case isa.UPop:
-			v, _, err := m.rawRead32(regs[isa.ESP])
+			v, _, err := m.DataRead32(regs[isa.ESP])
 			if err != nil {
 				return m.blockFault(ii, pc, err)
 			}
 			regs[isa.ESP] += 4
 			regs[u.A] = v
 		case isa.URet:
-			v, _, err := m.rawRead32(regs[isa.ESP])
+			v, _, err := m.DataRead32(regs[isa.ESP])
 			if err != nil {
 				return m.blockFault(ii, pc, err)
 			}
@@ -396,7 +429,7 @@ func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 			}
 		case isa.UCall:
 			regs[isa.ESP] -= 4
-			if _, err := m.rawWrite32(regs[isa.ESP], pc+isa.InstrSize); err != nil {
+			if _, err := m.DataWrite32(regs[isa.ESP], pc+isa.InstrSize); err != nil {
 				regs[isa.ESP] += 4
 				return m.blockFault(ii, pc, err)
 			}
@@ -418,13 +451,13 @@ func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 			regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
 			return m.blockCommit(ii+2, uopTarget2(u, pc), b.EndTrap, uint64(b.Fused))
 		case isa.UMemMoveB:
-			v, _, err := m.rawRead8(regs[u.A] + regs[u.B])
+			v, _, err := m.DataRead8(regs[u.A] + regs[u.B])
 			if err != nil {
 				return m.blockFault(ii, pc, err)
 			}
 			regs[u.Imm] = v
 			// The load retired; the store is the second instruction.
-			if _, err := m.rawWrite8(regs[u.C]+regs[u.D], byte(v)); err != nil {
+			if _, err := m.DataWrite8(regs[u.C]+regs[u.D], byte(v)); err != nil {
 				return m.blockFault(ii+1, pc+isa.InstrSize, err)
 			}
 			if m.blockEpoch != epoch {
@@ -496,12 +529,13 @@ func UopTarget(regs *[isa.NumRegs]uint32, u *isa.Uop, pc uint32) uint32 {
 // UopTarget2 resolves the branch target of a fused superinstruction.
 func UopTarget2(u *isa.Uop, pc uint32) uint32 { return uopTarget2(u, pc) }
 
-// --- raw data accessors (no hooks) ---
+// --- data accessors ---
 //
-// The block executors run only when no memory hooks are registered, so
-// these skip the hook loops; the Step helpers layer hooks on top.
+// Shared by Step, the plain block executor and the fused engine. Each
+// returns the translated physical address of the first byte; the stores
+// invalidate cached blocks over the written frames.
 
-func (m *Machine) rawRead32(va uint32) (uint32, mem.PhysAddr, error) {
+func (m *Machine) DataRead32(va uint32) (uint32, mem.PhysAddr, error) {
 	pa, ok := m.lookupPA(va, 0)
 	if !ok {
 		var err error
@@ -523,7 +557,7 @@ func (m *Machine) rawRead32(va uint32) (uint32, mem.PhysAddr, error) {
 	return v, pa, nil
 }
 
-func (m *Machine) rawRead8(va uint32) (uint32, mem.PhysAddr, error) {
+func (m *Machine) DataRead8(va uint32) (uint32, mem.PhysAddr, error) {
 	pa, ok := m.lookupPA(va, 0)
 	if !ok {
 		var err error
@@ -538,7 +572,7 @@ func (m *Machine) rawRead8(va uint32) (uint32, mem.PhysAddr, error) {
 	return uint32(b), pa, nil
 }
 
-func (m *Machine) rawWrite32(va, v uint32) (mem.PhysAddr, error) {
+func (m *Machine) DataWrite32(va, v uint32) (mem.PhysAddr, error) {
 	pa, ok := m.lookupPA(va, 1)
 	if !ok {
 		var err error
@@ -565,7 +599,7 @@ func (m *Machine) rawWrite32(va, v uint32) (mem.PhysAddr, error) {
 	return pa, nil
 }
 
-func (m *Machine) rawWrite8(va uint32, v byte) (mem.PhysAddr, error) {
+func (m *Machine) DataWrite8(va uint32, v byte) (mem.PhysAddr, error) {
 	pa, ok := m.lookupPA(va, 1)
 	if !ok {
 		var err error
@@ -578,24 +612,4 @@ func (m *Machine) rawWrite8(va uint32, v byte) (mem.PhysAddr, error) {
 	}
 	m.InvalidateFrame(pa.Frame())
 	return pa, nil
-}
-
-// DataRead32 loads a word from guest data memory without firing hooks,
-// returning the translated physical address. For the fused engine.
-func (m *Machine) DataRead32(va uint32) (uint32, mem.PhysAddr, error) { return m.rawRead32(va) }
-
-// DataRead8 loads a byte (zero-extended) without firing hooks.
-func (m *Machine) DataRead8(va uint32) (uint32, mem.PhysAddr, error) { return m.rawRead8(va) }
-
-// DataWrite32 stores a word without firing hooks, invalidating cached
-// decodes and blocks for the written frames.
-func (m *Machine) DataWrite32(va, v uint32) (mem.PhysAddr, error) { return m.rawWrite32(va, v) }
-
-// DataWrite8 stores a byte without firing hooks.
-func (m *Machine) DataWrite8(va uint32, v byte) (mem.PhysAddr, error) { return m.rawWrite8(va, v) }
-
-// DataPA translates a data access through the data TLB without touching
-// memory — the fused engine's pre-store cleanliness probe.
-func (m *Machine) DataPA(va uint32, kind mem.AccessKind) (mem.PhysAddr, error) {
-	return m.dataPA(va, kind)
 }

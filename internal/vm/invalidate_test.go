@@ -7,9 +7,9 @@ import (
 	"faros/internal/mem"
 )
 
-// TestSelfModifyingCode verifies the decoded-instruction cache invalidates
-// on guest stores: a program patches an upcoming instruction and must
-// execute the patched version, not the cached decode.
+// TestSelfModifyingCode verifies the block cache invalidates on guest
+// stores: a program patches an instruction it already ran (so its block is
+// cached) and must execute the patched version, not the cached block.
 func TestSelfModifyingCode(t *testing.T) {
 	b := isa.NewBlock()
 	// Run the target once so it is decoded and cached.
@@ -44,17 +44,21 @@ func TestSelfModifyingCode(t *testing.T) {
 	m.CPU.EIP = codeBase
 	m.CPU.Regs[isa.ESP] = stackTop
 
-	trap, _, err := m.Run(100)
+	trap, _, err := run(m, 100)
 	if err != nil || trap != TrapHalt {
 		t.Fatalf("trap=%v err=%v", trap, err)
 	}
 	if got := m.CPU.Regs[isa.EAX]; got != 42 {
-		t.Errorf("EAX = %d, want 42 (stale icache?)", got)
+		t.Errorf("EAX = %d, want 42 (stale block?)", got)
+	}
+	if st := m.BlockStats(); st.Built == 0 || st.Invalidated == 0 {
+		t.Errorf("patch did not go through the block cache: %+v", st)
 	}
 }
 
 // TestKernelWriteInvalidation mirrors cross-process injection: bytes
-// written behind the CPU's back via InvalidateFrame must decode fresh.
+// written behind the CPU's back and announced via InvalidateFrame must run
+// from a freshly built block, not the one cached by the first run.
 func TestKernelWriteInvalidation(t *testing.T) {
 	b := isa.NewBlock()
 	b.Label("probe").Movi(isa.EAX, 7).Hlt()
@@ -71,11 +75,15 @@ func TestKernelWriteInvalidation(t *testing.T) {
 	m := New(phys)
 	m.SetSpace(space)
 	m.CPU.EIP = codeBase
-	if trap, _, err := m.Run(10); err != nil || trap != TrapHalt {
+	if trap, _, err := run(m, 10); err != nil || trap != TrapHalt {
 		t.Fatalf("first run: %v %v", trap, err)
 	}
 	if m.CPU.Regs[isa.EAX] != 7 {
 		t.Fatal("first run wrong")
+	}
+	built := m.BlockStats().Built
+	if built == 0 {
+		t.Fatal("first run built no block")
 	}
 
 	// Privileged overwrite (like WriteProcessMemory), then invalidate.
@@ -83,16 +91,20 @@ func TestKernelWriteInvalidation(t *testing.T) {
 	copy(f[:], patched)
 	m.InvalidateFrame(frame)
 	m.CPU.EIP = codeBase
-	if trap, _, err := m.Run(10); err != nil || trap != TrapHalt {
+	if trap, _, err := run(m, 10); err != nil || trap != TrapHalt {
 		t.Fatalf("second run: %v %v", trap, err)
 	}
 	if got := m.CPU.Regs[isa.EAX]; got != 99 {
 		t.Errorf("EAX = %d, want 99 (kernel write not visible)", got)
 	}
+	if st := m.BlockStats(); st.Built != built+1 || st.Invalidated != 1 {
+		t.Errorf("second run did not rebuild the invalidated block: %+v", st)
+	}
 }
 
-// TestFetchRespectsProtectAfterCache verifies the TLB generation check:
-// removing exec permission must fault even for previously cached pages.
+// TestFetchRespectsProtectAfterCache verifies the block TLB's generation
+// check: removing exec permission must fault even for pages whose blocks
+// are cached.
 func TestFetchRespectsProtectAfterCache(t *testing.T) {
 	b := isa.NewBlock()
 	b.Label("top").Nop().Jmp("top")
@@ -109,13 +121,13 @@ func TestFetchRespectsProtectAfterCache(t *testing.T) {
 	m := New(phys)
 	m.SetSpace(space)
 	m.CPU.EIP = codeBase
-	if _, _, err := m.Run(10); err != nil {
+	if _, _, err := run(m, 10); err != nil {
 		t.Fatal(err)
 	}
 	if err := space.Protect(codeBase, 1, mem.PermRead); err != nil {
 		t.Fatal(err)
 	}
-	trap, _, err := m.Run(10)
+	trap, _, err := run(m, 10)
 	if trap != TrapFault || err == nil {
 		t.Errorf("exec after Protect: trap=%v err=%v", trap, err)
 	}

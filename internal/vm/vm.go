@@ -1,11 +1,14 @@
 // Package vm implements the whole-system virtual machine: a single
-// deterministic FAROS-32 CPU executing over paged virtual memory, with a
-// plugin callback bus modeled on PANDA's.
+// deterministic FAROS-32 CPU executing over paged virtual memory.
 //
-// Analysis plugins (the FAROS DIFT engine, the Cuckoo baseline, tracers)
-// register hooks that fire before/after every instruction and on every data
-// memory access. The CPU itself knows nothing about processes or syscalls;
-// it raises traps that the guest kernel interprets.
+// Guest code runs as predecoded micro-op blocks (block.go). An analysis
+// engine (the FAROS DIFT engine) attaches as a BlockPlugin and executes
+// each block with its taint effects compiled in, instead of being called
+// back per instruction and per memory access as a PANDA plugin would be.
+// Step is the per-instruction reference interpreter the block executors
+// are tested against; production dispatch never calls it. The CPU itself
+// knows nothing about processes or syscalls; it raises traps that the
+// guest kernel interprets.
 package vm
 
 import (
@@ -29,7 +32,7 @@ type CPU struct {
 	Flags Flags
 }
 
-// Trap is the reason Step returned control to the kernel.
+// Trap is the reason RunBlock (or Step) returned control to the kernel.
 type Trap uint8
 
 // Trap kinds.
@@ -59,24 +62,8 @@ func (t Trap) String() string {
 	return "trap?"
 }
 
-// InstrHook observes an instruction about to execute (or just executed).
-// Before-hooks see the pre-execution register state, which is what the DIFT
-// engine mirrors to compute effective addresses.
-type InstrHook func(m *Machine, pc uint32, in isa.Instruction)
-
-// InstrPlugin is the method form of a before-instruction hook. An analysis
-// engine that implements it and registers via OnInstrPlugin is dispatched
-// as a single interface call per instruction — no method-value thunk —
-// which is measurably cheaper at one call per executed instruction.
-type InstrPlugin interface {
-	BeforeInstr(m *Machine, pc uint32, in isa.Instruction)
-}
-
-// MemHook observes a data memory access. pa is the translated physical
-// address of the first byte; size is 1 or 4.
-type MemHook func(m *Machine, pc uint32, in isa.Instruction, va uint32, pa mem.PhysAddr, size int)
-
-// Machine is the whole system: physical memory, one CPU, and the plugin bus.
+// Machine is the whole system: physical memory, one CPU, the predecoded
+// block cache, and the attached block engine.
 type Machine struct {
 	// CPU is the live architectural state.
 	CPU CPU
@@ -87,54 +74,30 @@ type Machine struct {
 	phys  *mem.Phys
 	space *mem.Space
 
-	// icache caches decoded instructions per physical frame, indexed by
-	// frame number (frames are allocated densely from zero). Guest stores
-	// and kernel copies invalidate the written frames, so self-modifying
-	// payloads and JIT code caches decode fresh. A slice keeps the
-	// per-store invalidation at an indexed nil assignment instead of a map
-	// delete.
-	icache []*icachePage
-
-	// fetchTLB is a one-entry software TLB for sequential instruction
-	// fetch: it remembers the current code page's icache entry and is
-	// dropped on context switch, mapping change (space generation), or
-	// icache invalidation. vpn doubles as the valid bit (invalidVPN =
-	// invalid); the entry always belongs to the current space because
-	// SetSpace invalidates it, so the per-fetch check is just vpn + gen.
-	fetchTLB struct {
-		gen   uint64
-		vpn   uint32
-		frame uint32
-		page  *icachePage
-	}
-
 	// dtlb caches the last read and write data translations (indices 0/1).
 	dtlb [2]dataTLBEntry
 
-	// blocks caches predecoded micro-op blocks per physical frame (see
-	// block.go), invalidated alongside the icache. btlb is the one-entry
-	// lookup TLB; blockEpoch counts invalidations so running blocks can
-	// detect self-modifying code.
+	// blocks caches predecoded micro-op blocks per physical frame, indexed
+	// by frame number (frames are allocated densely from zero); see
+	// block.go. Guest stores and kernel copies invalidate the written
+	// frames. btlb is the one-entry lookup TLB; blockEpoch counts
+	// invalidations so running blocks can detect self-modifying code.
 	blocks     []*blockPage
 	btlb       blockTLB
 	blockEpoch uint64
 	bstats     BlockStats
-	// blocksOff disables block dispatch (RunBlock degenerates to Step).
-	blocksOff bool
-	// legacyHooks is set when any per-instruction/memory hook registers;
-	// block dispatch would skip those callbacks, so it turns itself off.
-	legacyHooks bool
+	// tail is the uncached one-instruction block RunBlock runs where no
+	// cached block fits (see entryBlock). Its Ins and Uops alias the two
+	// arrays below, so refilling it allocates nothing.
+	tail     Block
+	tailIns  [1]isa.Instruction
+	tailUops [1]isa.Uop
 
-	beforeInstr []InstrHook
-	// plugin is the interface-dispatched before-instruction observer (see
-	// InstrPlugin). It fires before the beforeInstr hooks.
-	plugin InstrPlugin
-	// blockPlugin is plugin's block-level upgrade when it implements
-	// BlockPlugin.
+	// blockPlugin is the attached analysis engine, if any.
 	blockPlugin BlockPlugin
-	afterInstr  []InstrHook
-	memRead     []MemHook
-	memWrite    []MemHook
+	// refBefore, when set, is the reference seam's observer (see
+	// UseReferenceStep).
+	refBefore func(m *Machine, pc uint32, in isa.Instruction)
 }
 
 // dataTLBEntry is one cached data translation.
@@ -157,8 +120,9 @@ func (m *Machine) lookupPA(va uint32, slot int) (mem.PhysAddr, bool) {
 	return 0, false
 }
 
-// dataPA translates a data access through the data TLB.
-func (m *Machine) dataPA(va uint32, kind mem.AccessKind) (mem.PhysAddr, error) {
+// DataPA translates a data access through the data TLB without touching
+// memory — the fused engine's pre-store cleanliness probe.
+func (m *Machine) DataPA(va uint32, kind mem.AccessKind) (mem.PhysAddr, error) {
 	slot := 0
 	if kind == mem.AccessWrite {
 		slot = 1
@@ -183,42 +147,29 @@ func (m *Machine) dataPAFill(va uint32, kind mem.AccessKind, t *dataTLBEntry) (m
 	return pa, nil
 }
 
-// icacheSlots is the number of 8-byte instruction slots per frame.
-const icacheSlots = mem.PageSize / isa.InstrSize
+// pageSlots is the number of 8-byte instruction slots per frame.
+const pageSlots = mem.PageSize / isa.InstrSize
 
-// invalidVPN marks the fetch TLB empty; no 32-bit address has this page
+// invalidVPN marks the block TLB empty; no 32-bit address has this page
 // number.
 const invalidVPN = ^uint32(0)
-
-// icachePage holds decoded instructions for one physical frame. state 0 is
-// unknown, 1 decoded, 2 undecodable.
-type icachePage struct {
-	instrs [icacheSlots]isa.Instruction
-	state  [icacheSlots]uint8
-}
 
 // New creates a machine over the given physical memory.
 func New(phys *mem.Phys) *Machine {
 	m := &Machine{phys: phys}
-	m.fetchTLB.vpn = invalidVPN
 	m.btlb.vpn = invalidVPN
+	m.tail = Block{Ins: m.tailIns[:], Uops: m.tailUops[:], NInstr: 1}
 	return m
 }
 
-// InvalidateFrame drops cached decodes for a physical frame. The kernel
+// InvalidateFrame drops cached blocks for a physical frame. The kernel
 // calls it after privileged copies (loader section writes, cross-process
 // injection) that bypass the CPU's store path; the CPU itself calls it on
 // every store, so it must stay cheap for frames with nothing cached.
 func (m *Machine) InvalidateFrame(frame uint32) {
-	if int(frame) < len(m.icache) {
-		m.icache[frame] = nil
-	}
-	if m.fetchTLB.frame == frame {
-		m.fetchTLB.vpn = invalidVPN
-	}
-	// Drop cached blocks, clearing the frame's block page in place for the
-	// next build. The epoch bumps only when the page held a block, so
-	// data-page stores never bail running blocks.
+	// Clear the frame's block page in place for the next build. The epoch
+	// bumps only when the page held a block, so data-page stores never bail
+	// running blocks.
 	if int(frame) < len(m.blocks) && m.blocks[frame] != nil && m.blocks[frame].built {
 		*m.blocks[frame] = blockPage{}
 		m.blockEpoch++
@@ -242,9 +193,8 @@ func (m *Machine) Release() {
 			blockPagePool.Put(bp)
 		}
 	}
-	m.blocks, m.icache = nil, nil
-	m.fetchTLB.vpn, m.btlb.vpn = invalidVPN, invalidVPN
-	m.fetchTLB.page, m.btlb.page = nil, nil
+	m.blocks = nil
+	m.btlb.vpn, m.btlb.page = invalidVPN, nil
 	m.phys.Release()
 }
 
@@ -252,7 +202,6 @@ func (m *Machine) Release() {
 // switch). The kernel saves/restores CPU state around it.
 func (m *Machine) SetSpace(s *mem.Space) {
 	if m.space != s {
-		m.fetchTLB.vpn = invalidVPN
 		m.btlb.vpn = invalidVPN
 	}
 	m.space = s
@@ -269,192 +218,55 @@ func (m *Machine) CR3() uint32 {
 	return m.space.CR3()
 }
 
-// OnBeforeInstr registers a hook that fires before each instruction
-// executes. Per-instruction hooks pin the machine to the per-instruction
-// dispatch path.
-func (m *Machine) OnBeforeInstr(h InstrHook) {
-	m.beforeInstr = append(m.beforeInstr, h)
-	m.legacyHooks = true
-}
-
-// OnInstrPlugin registers the interface-dispatched before-instruction
-// observer. Only one may be registered; it fires before any OnBeforeInstr
-// hooks. If the plugin also implements BlockPlugin, block dispatch routes
-// whole predecoded blocks through it instead.
-func (m *Machine) OnInstrPlugin(p InstrPlugin) {
-	if m.plugin != nil {
-		panic("vm: OnInstrPlugin called twice")
+// OnBlockPlugin attaches the analysis engine that executes every block
+// (see BlockPlugin). Only one may be attached.
+func (m *Machine) OnBlockPlugin(p BlockPlugin) {
+	if m.blockPlugin != nil {
+		panic("vm: OnBlockPlugin called twice")
 	}
-	m.plugin = p
-	if bp, ok := p.(BlockPlugin); ok {
-		m.blockPlugin = bp
+	m.blockPlugin = p
+}
+
+// fetch reads and decodes the instruction at pc with execute permission.
+// Nothing is cached: every call reads the current bytes, so the fault for
+// an undecodable slot reads the same however often it is fetched. A
+// failure is the *FaultError Step returns.
+func (m *Machine) fetch(pc uint32) (isa.Instruction, error) {
+	if m.space == nil {
+		return isa.Instruction{}, &FaultError{PC: pc, Err: fmt.Errorf("vm: no address space loaded")}
 	}
-}
-
-// OnAfterInstr registers a hook that fires after each retired instruction.
-func (m *Machine) OnAfterInstr(h InstrHook) {
-	m.afterInstr = append(m.afterInstr, h)
-	m.legacyHooks = true
-}
-
-// OnMemRead registers a hook observing data loads.
-func (m *Machine) OnMemRead(h MemHook) {
-	m.memRead = append(m.memRead, h)
-	m.legacyHooks = true
-}
-
-// OnMemWrite registers a hook observing data stores.
-func (m *Machine) OnMemWrite(h MemHook) {
-	m.memWrite = append(m.memWrite, h)
-	m.legacyHooks = true
-}
-
-// HookCount returns the number of registered hooks; the scenario harness
-// reports it so performance runs can document their instrumentation level.
-func (m *Machine) HookCount() int {
-	n := len(m.beforeInstr) + len(m.afterInstr) + len(m.memRead) + len(m.memWrite)
-	if m.plugin != nil {
-		n++
+	in, err := m.decodeAt(pc)
+	if err != nil {
+		return isa.Instruction{}, &FaultError{PC: pc, Err: fmt.Errorf("vm: fetch at 0x%08X: %w", pc, err)}
 	}
-	return n
+	return in, nil
 }
 
-// FetchInstr reads and decodes the instruction at va with execute
-// permission, going through the decoded-instruction cache when the fetch
-// does not straddle a page boundary.
-func (m *Machine) FetchInstr(va uint32) (isa.Instruction, error) {
-	// Fast path: same code page as the previous fetch, mappings unchanged.
-	if t := &m.fetchTLB; t.vpn == va>>mem.PageShift &&
-		t.gen == m.space.Gen() && va%isa.InstrSize == 0 {
-		slot := (va % mem.PageSize) / isa.InstrSize
-		if t.page.state[slot] == 1 {
-			return t.page.instrs[slot], nil
-		}
-	}
+// decodeAt is fetch's unwrapped body.
+func (m *Machine) decodeAt(va uint32) (isa.Instruction, error) {
 	pa, err := m.space.Translate(va, mem.AccessExec)
 	if err != nil {
 		return isa.Instruction{}, err
 	}
 	off := pa.Offset()
 	if off%isa.InstrSize != 0 || off > mem.PageSize-isa.InstrSize {
-		// Unaligned or page-straddling fetch: slow path, uncached.
+		// Unaligned or page-straddling fetch: read byte by byte, checking
+		// execute permission on both pages.
 		buf, err := m.space.ReadBytes(va, isa.InstrSize, mem.AccessExec)
 		if err != nil {
 			return isa.Instruction{}, err
 		}
 		return isa.Decode(buf)
 	}
-	frame := pa.Frame()
-	var page *icachePage
-	if int(frame) < len(m.icache) {
-		page = m.icache[frame]
-	}
-	if page == nil {
-		page = &icachePage{}
-		for int(frame) >= len(m.icache) {
-			m.icache = append(m.icache, nil)
-		}
-		m.icache[frame] = page
-	}
-	m.fetchTLB.gen = m.space.Gen()
-	m.fetchTLB.vpn = va >> mem.PageShift
-	m.fetchTLB.frame = frame
-	m.fetchTLB.page = page
-	slot := off / isa.InstrSize
-	switch page.state[slot] {
-	case 1:
-		return page.instrs[slot], nil
-	case 2:
-		return isa.Instruction{}, fmt.Errorf("vm: invalid instruction at 0x%08X", va)
-	}
-	f, err := m.phys.Frame(frame)
+	f, err := m.phys.Frame(pa.Frame())
 	if err != nil {
 		return isa.Instruction{}, err
 	}
-	in, err := isa.Decode(f[off : off+isa.InstrSize])
-	if err != nil {
-		page.state[slot] = 2
-		return isa.Instruction{}, err
-	}
-	page.instrs[slot] = in
-	page.state[slot] = 1
-	return in, nil
-}
-
-// read32 loads a word, firing mem-read hooks.
-func (m *Machine) read32(pc uint32, in isa.Instruction, va uint32) (uint32, error) {
-	v, pa, err := m.rawRead32(va)
-	if err != nil {
-		return 0, err
-	}
-	for _, h := range m.memRead {
-		h(m, pc, in, va, pa, 4)
-	}
-	return v, nil
-}
-
-// read8 loads a byte, firing mem-read hooks.
-func (m *Machine) read8(pc uint32, in isa.Instruction, va uint32) (uint32, error) {
-	v, pa, err := m.rawRead8(va)
-	if err != nil {
-		return 0, err
-	}
-	for _, h := range m.memRead {
-		h(m, pc, in, va, pa, 1)
-	}
-	return v, nil
-}
-
-// write32 stores a word, firing mem-write hooks and invalidating cached
-// decodes for the written frames.
-func (m *Machine) write32(pc uint32, in isa.Instruction, va uint32, v uint32) error {
-	pa, err := m.rawWrite32(va, v)
-	if err != nil {
-		return err
-	}
-	for _, h := range m.memWrite {
-		h(m, pc, in, va, pa, 4)
-	}
-	return nil
-}
-
-// write8 stores a byte, firing mem-write hooks.
-func (m *Machine) write8(pc uint32, in isa.Instruction, va uint32, v byte) error {
-	pa, err := m.rawWrite8(va, v)
-	if err != nil {
-		return err
-	}
-	for _, h := range m.memWrite {
-		h(m, pc, in, va, pa, 1)
-	}
-	return nil
-}
-
-// EffectiveAddr computes the data address an instruction touches given the
-// current register file. It returns ok=false for instructions without a
-// memory operand. The DIFT engine uses it on the pre-execution state.
-func EffectiveAddr(cpu *CPU, in isa.Instruction) (addr uint32, ok bool) {
-	switch in.Op {
-	case isa.OpLd, isa.OpLdb:
-		if in.Mode == isa.ModeRM {
-			return cpu.Regs[in.Src] + in.Imm, true
-		}
-		return cpu.Regs[in.Src] + cpu.Regs[in.IndexReg()], true
-	case isa.OpSt, isa.OpStb:
-		if in.Mode == isa.ModeMR {
-			return cpu.Regs[in.Dst] + in.Imm, true
-		}
-		return cpu.Regs[in.Dst] + cpu.Regs[in.IndexReg()], true
-	case isa.OpPush, isa.OpCall:
-		return cpu.Regs[isa.ESP] - 4, true
-	case isa.OpPop, isa.OpRet:
-		return cpu.Regs[isa.ESP], true
-	}
-	return 0, false
+	return isa.Decode(f[off : off+isa.InstrSize])
 }
 
 // FaultError is the typed error carried by every TrapFault return from
-// Step. It records the faulting PC so kernels can build structured guest
+// RunBlock and Step. It records the faulting PC so kernels can build structured guest
 // exceptions instead of treating the fault as an opaque run failure.
 type FaultError struct {
 	// PC is the address of the faulting instruction.
@@ -473,34 +285,25 @@ func fault(pc uint32, err error) (Trap, error) {
 	return TrapFault, &FaultError{PC: pc, Err: err}
 }
 
-// Step executes one instruction. On TrapFault the returned error is a
-// *FaultError describing the fault and EIP is unchanged; for all other
-// traps EIP has advanced.
-func (m *Machine) Step() (Trap, error) {
-	if m.space == nil {
-		return fault(m.CPU.EIP, fmt.Errorf("vm: no address space loaded"))
-	}
+// Step is the reference interpreter: it fetches, decodes and executes one
+// instruction, with no cache and no analysis attached. On TrapFault the
+// returned error is a *FaultError describing the fault and EIP is
+// unchanged; for all other traps EIP has advanced. Production dispatch
+// never calls it (RunBlock serves every PC through the block executors);
+// the tests hold the block executors to it, and RunBlock calls it only
+// under the reference seam (UseReferenceStep).
+func (m *Machine) Step() (Trap, error) { return m.step(nil) }
+
+// step is Step with an optional observer called between fetch and
+// execution, on the pre-execution register state.
+func (m *Machine) step(before func(m *Machine, pc uint32, in isa.Instruction)) (Trap, error) {
 	pc := m.CPU.EIP
-	// Fetch fast path, by hand: FetchInstr is beyond the inlining budget,
-	// and the call alone is measurable at one call per instruction. The
-	// condition mirrors FetchInstr's TLB hit exactly.
-	var in isa.Instruction
-	var err error
-	slot := pc % mem.PageSize / isa.InstrSize
-	if t := &m.fetchTLB; t.vpn == pc>>mem.PageShift && t.gen == m.space.Gen() &&
-		pc%isa.InstrSize == 0 && t.page.state[slot] == 1 {
-		in = t.page.instrs[slot]
-	} else {
-		in, err = m.FetchInstr(pc)
-		if err != nil {
-			return fault(pc, fmt.Errorf("vm: fetch at 0x%08X: %w", pc, err))
-		}
+	in, err := m.fetch(pc)
+	if err != nil {
+		return TrapFault, err
 	}
-	if p := m.plugin; p != nil {
-		p.BeforeInstr(m, pc, in)
-	}
-	for _, h := range m.beforeInstr {
-		h(m, pc, in)
+	if before != nil {
+		before(m, pc, in)
 	}
 
 	next := pc + isa.InstrSize
@@ -520,17 +323,17 @@ func (m *Machine) Step() (Trap, error) {
 			regs[in.Dst] = in.Imm
 		}
 	case isa.OpLd, isa.OpLdb:
-		// EffectiveAddr inlined; the &7 masks are free (Decode validated the
-		// registers) and let the compiler elide the bounds checks.
+		// The &7 masks are free (Decode validated the registers) and let the
+		// compiler elide the bounds checks.
 		addr := regs[in.Src&7] + in.Imm
 		if in.Mode == isa.ModeRX {
 			addr = regs[in.Src&7] + regs[in.Imm&7]
 		}
 		var v uint32
 		if in.Op == isa.OpLd {
-			v, err = m.read32(pc, in, addr)
+			v, _, err = m.DataRead32(addr)
 		} else {
-			v, err = m.read8(pc, in, addr)
+			v, _, err = m.DataRead8(addr)
 		}
 		if err != nil {
 			return fault(pc, err)
@@ -542,9 +345,9 @@ func (m *Machine) Step() (Trap, error) {
 			addr = regs[in.Dst&7] + regs[in.Imm&7]
 		}
 		if in.Op == isa.OpSt {
-			err = m.write32(pc, in, addr, regs[in.Src])
+			_, err = m.DataWrite32(addr, regs[in.Src])
 		} else {
-			err = m.write8(pc, in, addr, byte(regs[in.Src]))
+			_, err = m.DataWrite8(addr, byte(regs[in.Src]))
 		}
 		if err != nil {
 			return fault(pc, err)
@@ -554,7 +357,7 @@ func (m *Machine) Step() (Trap, error) {
 		if in.Mode == isa.ModeRR {
 			src = regs[in.Src]
 		}
-		regs[in.Dst] = alu(in.Op, regs[in.Dst], src)
+		regs[in.Dst] = isa.EvalALU(in.Op, regs[in.Dst], src)
 	case isa.OpNot:
 		regs[in.Dst] = ^regs[in.Dst]
 	case isa.OpCmp:
@@ -573,13 +376,13 @@ func (m *Machine) Step() (Trap, error) {
 		}
 	case isa.OpCall:
 		regs[isa.ESP] -= 4
-		if err := m.write32(pc, in, regs[isa.ESP], pc+isa.InstrSize); err != nil {
+		if _, err := m.DataWrite32(regs[isa.ESP], pc+isa.InstrSize); err != nil {
 			regs[isa.ESP] += 4
 			return fault(pc, err)
 		}
 		next = m.jumpTarget(pc, in)
 	case isa.OpRet:
-		v, err := m.read32(pc, in, regs[isa.ESP])
+		v, _, err := m.DataRead32(regs[isa.ESP])
 		if err != nil {
 			return fault(pc, err)
 		}
@@ -591,12 +394,12 @@ func (m *Machine) Step() (Trap, error) {
 			v = regs[in.Dst]
 		}
 		regs[isa.ESP] -= 4
-		if err := m.write32(pc, in, regs[isa.ESP], v); err != nil {
+		if _, err := m.DataWrite32(regs[isa.ESP], v); err != nil {
 			regs[isa.ESP] += 4
 			return fault(pc, err)
 		}
 	case isa.OpPop:
-		v, err := m.read32(pc, in, regs[isa.ESP])
+		v, _, err := m.DataRead32(regs[isa.ESP])
 		if err != nil {
 			return fault(pc, err)
 		}
@@ -608,15 +411,8 @@ func (m *Machine) Step() (Trap, error) {
 
 	m.CPU.EIP = next
 	m.InstrCount++
-	for _, h := range m.afterInstr {
-		h(m, pc, in)
-	}
 	return trap, nil
 }
-
-// alu evaluates a two-operand ALU operation (shared with the block
-// executors via isa so the semantics cannot drift).
-func alu(op isa.Op, a, b uint32) uint32 { return isa.EvalALU(op, a, b) }
 
 // jumpTarget resolves the destination of a jump/call.
 func (m *Machine) jumpTarget(pc uint32, in isa.Instruction) uint32 {
@@ -634,21 +430,4 @@ func (m *Machine) jumpTarget(pc uint32, in isa.Instruction) uint32 {
 // condTaken evaluates a conditional branch against the flags.
 func (m *Machine) condTaken(op isa.Op) bool {
 	return isa.CondTaken(op, m.CPU.Flags.Z, m.CPU.Flags.S)
-}
-
-// Run executes up to maxSteps instructions or until a non-none trap.
-// It returns the trap and the number of instructions retired.
-func (m *Machine) Run(maxSteps uint64) (Trap, uint64, error) {
-	var n uint64
-	for n < maxSteps {
-		trap, err := m.Step()
-		if err != nil {
-			return trap, n, err
-		}
-		n++
-		if trap != TrapNone {
-			return trap, n, nil
-		}
-	}
-	return TrapNone, n, nil
 }

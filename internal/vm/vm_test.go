@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -17,21 +18,27 @@ const (
 
 // newTestMachine maps code at codeBase, 4 pages of data at dataBase, and a
 // stack page, then loads the assembled block.
-func newTestMachine(t *testing.T, b *isa.Block) *Machine {
+func newTestMachine(t testing.TB, b *isa.Block) *Machine {
+	return newTestMachineAt(t, b, codeBase)
+}
+
+// newTestMachineAt is newTestMachine with the code assembled at, and EIP
+// starting from, origin (on or after codeBase, before dataBase).
+func newTestMachineAt(t testing.TB, b *isa.Block, origin uint32) *Machine {
 	t.Helper()
 	phys := mem.NewPhys()
 	space := mem.NewSpace(phys, 0xC0DE)
-	code, err := b.Assemble(codeBase)
+	code, err := b.Assemble(origin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	codePages := mem.PagesSpanned(codeBase, uint32(len(code)))
+	codePages := mem.PagesSpanned(codeBase, origin-codeBase+uint32(len(code)))
 	if err := space.Map(codeBase, codePages, mem.PermRX); err != nil {
 		t.Fatal(err)
 	}
 	// Write through a temporary RW view: code pages are r-x.
 	for i, by := range code {
-		pa, err := space.Translate(codeBase+uint32(i), mem.AccessRead)
+		pa, err := space.Translate(origin+uint32(i), mem.AccessRead)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,14 +54,28 @@ func newTestMachine(t *testing.T, b *isa.Block) *Machine {
 	}
 	m := New(phys)
 	m.SetSpace(space)
-	m.CPU.EIP = codeBase
+	m.CPU.EIP = origin
 	m.CPU.Regs[isa.ESP] = stackTop
 	return m
 }
 
+// run drives m through RunBlock, the kernel's dispatch entry, until a trap
+// other than TrapNone, a fault, or maxSteps retired instructions.
+func run(m *Machine, maxSteps uint64) (Trap, uint64, error) {
+	var n uint64
+	for n < maxSteps {
+		k, trap, err := m.RunBlock(maxSteps - n)
+		n += k
+		if err != nil || trap != TrapNone {
+			return trap, n, err
+		}
+	}
+	return TrapNone, n, nil
+}
+
 func runToHalt(t *testing.T, m *Machine, maxSteps uint64) {
 	t.Helper()
-	trap, _, err := m.Run(maxSteps)
+	trap, _, err := run(m, maxSteps)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -280,7 +301,7 @@ func TestSyscallTrap(t *testing.T) {
 	b := isa.NewBlock()
 	b.Movi(isa.EAX, 42).Syscall().Movi(isa.EBX, 1).Hlt()
 	m := newTestMachine(t, b)
-	trap, _, err := m.Run(10)
+	trap, _, err := run(m, 10)
 	if err != nil || trap != TrapSyscall {
 		t.Fatalf("trap = %v, err %v", trap, err)
 	}
@@ -288,7 +309,7 @@ func TestSyscallTrap(t *testing.T) {
 		t.Error("syscall number lost")
 	}
 	// Kernel would handle it; resuming continues after the SYSCALL.
-	trap, _, err = m.Run(10)
+	trap, _, err = run(m, 10)
 	if err != nil || trap != TrapHalt {
 		t.Fatalf("resume trap = %v, err %v", trap, err)
 	}
@@ -304,7 +325,7 @@ func TestFaultOnWriteToCode(t *testing.T) {
 	b.St(isa.EBX, 0, isa.EAX) // code is r-x
 	b.Hlt()
 	m := newTestMachine(t, b)
-	trap, _, err := m.Run(10)
+	trap, _, err := run(m, 10)
 	if trap != TrapFault || err == nil {
 		t.Fatalf("trap = %v, err = %v", trap, err)
 	}
@@ -321,7 +342,7 @@ func TestFaultOnExecData(t *testing.T) {
 	b := isa.NewBlock()
 	b.Movi(isa.EBX, dataBase).JmpReg(isa.EBX)
 	m := newTestMachine(t, b)
-	trap, _, err := m.Run(10)
+	trap, _, err := run(m, 10)
 	if trap != TrapFault || err == nil {
 		t.Fatalf("jump to rw- data: trap=%v err=%v", trap, err)
 	}
@@ -331,70 +352,9 @@ func TestFaultOnUnmapped(t *testing.T) {
 	b := isa.NewBlock()
 	b.Movi(isa.EBX, 0x66660000).Ld(isa.EAX, isa.EBX, 0)
 	m := newTestMachine(t, b)
-	trap, _, err := m.Run(10)
+	trap, _, err := run(m, 10)
 	if trap != TrapFault || err == nil {
 		t.Fatalf("unmapped load: trap=%v err=%v", trap, err)
-	}
-}
-
-func TestHooksFire(t *testing.T) {
-	b := isa.NewBlock()
-	b.Movi(isa.EBX, dataBase)
-	b.Movi(isa.EAX, 5)
-	b.St(isa.EBX, 0, isa.EAX)
-	b.Ld(isa.ECX, isa.EBX, 0)
-	b.Hlt()
-	m := newTestMachine(t, b)
-	var before, after, reads, writes int
-	var writePA mem.PhysAddr
-	m.OnBeforeInstr(func(_ *Machine, _ uint32, _ isa.Instruction) { before++ })
-	m.OnAfterInstr(func(_ *Machine, _ uint32, _ isa.Instruction) { after++ })
-	m.OnMemRead(func(_ *Machine, _ uint32, _ isa.Instruction, _ uint32, _ mem.PhysAddr, _ int) { reads++ })
-	m.OnMemWrite(func(_ *Machine, _ uint32, in isa.Instruction, va uint32, pa mem.PhysAddr, size int) {
-		writes++
-		writePA = pa
-		if va != dataBase || size != 4 || in.Op != isa.OpSt {
-			t.Errorf("write hook: va=%#x size=%d op=%v", va, size, in.Op)
-		}
-	})
-	runToHalt(t, m, 10)
-	if before != 5 || after != 5 {
-		t.Errorf("instr hooks: before=%d after=%d", before, after)
-	}
-	if reads != 1 || writes != 1 {
-		t.Errorf("mem hooks: reads=%d writes=%d", reads, writes)
-	}
-	wantPA, _ := m.Space().Translate(dataBase, mem.AccessRead)
-	if writePA != wantPA {
-		t.Errorf("write pa = %#x, want %#x", writePA, wantPA)
-	}
-	if m.HookCount() != 4 {
-		t.Errorf("HookCount = %d", m.HookCount())
-	}
-}
-
-func TestEffectiveAddr(t *testing.T) {
-	cpu := &CPU{}
-	cpu.Regs[isa.EBX] = 0x1000
-	cpu.Regs[isa.ECX] = 0x20
-	cpu.Regs[isa.ESP] = 0x8000
-	tests := []struct {
-		in   isa.Instruction
-		want uint32
-		ok   bool
-	}{
-		{isa.Instruction{Op: isa.OpLd, Mode: isa.ModeRM, Dst: isa.EAX, Src: isa.EBX, Imm: 8}, 0x1008, true},
-		{isa.Instruction{Op: isa.OpLd, Mode: isa.ModeRX, Dst: isa.EAX, Src: isa.EBX, Imm: uint32(isa.ECX)}, 0x1020, true},
-		{isa.Instruction{Op: isa.OpSt, Mode: isa.ModeMR, Dst: isa.EBX, Src: isa.EAX, Imm: 4}, 0x1004, true},
-		{isa.Instruction{Op: isa.OpPush, Mode: isa.ModeRR, Dst: isa.EAX}, 0x7FFC, true},
-		{isa.Instruction{Op: isa.OpPop, Mode: isa.ModeRR, Dst: isa.EAX}, 0x8000, true},
-		{isa.Instruction{Op: isa.OpMov, Mode: isa.ModeRR, Dst: isa.EAX, Src: isa.EBX}, 0, false},
-	}
-	for _, tc := range tests {
-		got, ok := EffectiveAddr(cpu, tc.in)
-		if got != tc.want || ok != tc.ok {
-			t.Errorf("EffectiveAddr(%v) = %#x,%v want %#x,%v", tc.in, got, ok, tc.want, tc.ok)
-		}
 	}
 }
 
@@ -425,12 +385,44 @@ func TestDeterminism(t *testing.T) {
 		return m
 	}
 	m1, m2 := build(), build()
-	t1, n1, err1 := m1.Run(100000)
-	t2, n2, err2 := m2.Run(100000)
+	t1, n1, err1 := run(m1, 100000)
+	t2, n2, err2 := run(m2, 100000)
 	if t1 != t2 || n1 != n2 || (err1 == nil) != (err2 == nil) {
 		t.Fatalf("divergence: %v/%d vs %v/%d", t1, n1, t2, n2)
 	}
 	if m1.CPU != m2.CPU {
 		t.Errorf("CPU state diverged: %+v vs %+v", m1.CPU, m2.CPU)
+	}
+}
+
+// TestUndecodableFaultTextStable: fetching the same undecodable slot twice
+// must fault with the same error text both times. The text reaches
+// GuestException.Reason and the guest console, so it may not depend on
+// whether some earlier fetch already saw the slot.
+func TestUndecodableFaultTextStable(t *testing.T) {
+	m := newTestMachine(t, isa.NewBlock().Nop().Hlt())
+	pa, err := m.Space().Translate(codeBase, mem.AccessRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Phys().WriteByteAt(pa, 0xFF); err != nil { // not an opcode
+		t.Fatal(err)
+	}
+	m.InvalidateFrame(pa.Frame())
+	var texts [2]string
+	for i := range texts {
+		m.CPU.EIP = codeBase
+		n, trap, err := m.RunBlock(10)
+		var fe *FaultError
+		if !errors.As(err, &fe) || trap != TrapFault || n != 0 || fe.PC != codeBase {
+			t.Fatalf("fetch %d: retired %d, trap %v, err %v; want a fault at %#x", i+1, n, trap, err, codeBase)
+		}
+		texts[i] = err.Error()
+	}
+	if texts[0] != texts[1] {
+		t.Errorf("fault text changed on the second fetch:\nfirst:  %s\nsecond: %s", texts[0], texts[1])
+	}
+	if !strings.Contains(texts[0], "invalid opcode") {
+		t.Errorf("fault text %q does not name the decode error", texts[0])
 	}
 }
