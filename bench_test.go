@@ -58,7 +58,7 @@ func BenchmarkTable3JIT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		flagged := 0
 		for _, spec := range samples.JITWorkloads() {
-			res, err := scenario.RunLive(spec, scenario.Plugins{Faros: &core.Config{}})
+			res, err := scenario.RunLiveContext(context.Background(), spec, scenario.Plugins{Faros: &core.Config{}}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func BenchmarkTable4Corpus(b *testing.B) {
 	specs := append(samples.MalwareCorpus(), samples.BenignPrograms()...)
 	for i := 0; i < b.N; i++ {
 		for _, spec := range specs {
-			res, err := scenario.RunLive(spec, scenario.Plugins{Faros: &core.Config{}})
+			res, err := scenario.RunLiveContext(context.Background(), spec, scenario.Plugins{Faros: &core.Config{}}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -98,9 +98,9 @@ func BenchmarkTable5Perf(b *testing.B) {
 	for _, w := range samples.PerfWorkloads() {
 		w := w
 		b.Run(w.Display, func(b *testing.B) {
-			var last scenario.PerfRow
+			var last experiments.PerfRow
 			for i := 0; i < b.N; i++ {
-				row, err := scenario.MeasurePerf(w)
+				row, err := experiments.MeasurePerf(w)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -135,7 +135,7 @@ func BenchmarkGuestExecutionPlain(b *testing.B) {
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		res, err := scenario.RunLive(spec, scenario.Plugins{})
+		res, err := scenario.RunLiveContext(context.Background(), spec, scenario.Plugins{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func BenchmarkGuestExecutionFAROS(b *testing.B) {
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		res, err := scenario.RunLive(spec, scenario.Plugins{Faros: &core.Config{}})
+		res, err := scenario.RunLiveContext(context.Background(), spec, scenario.Plugins{Faros: &core.Config{}}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,10 +161,11 @@ func BenchmarkGuestExecutionFAROS(b *testing.B) {
 }
 
 // BenchmarkDetectSmallCorpus measures a small job's fixed cost: one op is
-// a detect (record, FAROS and baseline replay) plus Release over every
-// registry scenario except process_hollowing, the one large job, so boot,
-// image loading and the byte-moving hooks dominate rather than guest
-// loops. Reports ns, bytes and allocations per corpus pass.
+// a live analyst-workflow pass (FAROS plus the Cuckoo, malfind and OSI
+// baselines) plus Release over every registry scenario except
+// process_hollowing, the one large job, so boot, image loading and the
+// byte-moving hooks dominate rather than guest loops. Reports ns, bytes
+// and allocations per corpus pass.
 func BenchmarkDetectSmallCorpus(b *testing.B) {
 	var specs []faros.Spec
 	for _, name := range faros.ScenarioNames() {
@@ -177,7 +178,7 @@ func BenchmarkDetectSmallCorpus(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, spec := range specs {
-			res, err := scenario.DetectContext(context.Background(), spec, nil)
+			res, err := scenario.RunLiveContext(context.Background(), spec, scenario.DetectPlugins(), nil)
 			if err != nil {
 				b.Fatalf("%s: %v", spec.Name, err)
 			}
@@ -241,7 +242,7 @@ func BenchmarkCacheHitByName(b *testing.B) {
 // evidence for the page-skip win (compare by reverting the TaintMap body).
 func BenchmarkTaintMap(b *testing.B) {
 	spec := samples.PerfWorkloads()[2].Spec // Bozok, medium
-	res, err := scenario.RunLive(spec, scenario.Plugins{Faros: &core.Config{}})
+	res, err := scenario.RunLiveContext(context.Background(), spec, scenario.Plugins{Faros: &core.Config{}}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,8 @@ import (
 // ExampleAnalyze runs the paper's headline attack through the full
 // record-and-replay workflow and reports the verdict.
 func ExampleAnalyze() {
-	res, err := faros.Analyze(faros.Scenarios()["reflective_dll_inject"])
+	spec, _ := faros.Scenario("reflective_dll_inject")
+	res, err := faros.Analyze(spec)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -29,7 +30,7 @@ func ExampleAnalyze() {
 // ExampleAnalyzeWith shows a policy ablation: disabling the rule that
 // catches local-payload hollowing makes FAROS miss it.
 func ExampleAnalyzeWith() {
-	spec := faros.Scenarios()["process_hollowing"]
+	spec, _ := faros.Scenario("process_hollowing")
 	normal, _ := faros.AnalyzeWith(spec, faros.Config{})
 	ablated, _ := faros.AnalyzeWith(spec, faros.Config{DisableForeignCodeRule: true})
 	fmt.Println("default policy flags hollowing:", normal.Flagged())

@@ -7,10 +7,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
-	"faros/internal/core"
 	"faros/internal/samples"
 	"faros/internal/scenario"
 )
@@ -27,7 +27,7 @@ func run() error {
 
 	// Step 1: record the malware detonation (no analysis attached; this is
 	// the cheap pass an analyst runs alongside other work).
-	log, rec, err := scenario.Record(spec)
+	log, rec, err := scenario.RecordContext(context.Background(), spec, nil)
 	if err != nil {
 		return err
 	}
@@ -40,12 +40,7 @@ func run() error {
 
 	// Step 2: replay with every tool attached. The replay is bit-identical
 	// to the recording, so the tools see the same execution.
-	res, err := scenario.Replay(spec, log, scenario.Plugins{
-		Faros:   &core.Config{},
-		Cuckoo:  true,
-		Malfind: true,
-		OSI:     true,
-	})
+	res, err := scenario.ReplayContext(context.Background(), spec, log, scenario.DetectPlugins(), nil)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -26,7 +27,7 @@ func main() {
 }
 
 func inspect(w samples.IndirectWorkload, cfg core.Config) (outputTainted bool, totalTainted int, err error) {
-	res, err := scenario.RunLive(w.Spec, scenario.Plugins{Faros: &cfg})
+	res, err := scenario.RunLiveContext(context.Background(), w.Spec, scenario.Plugins{Faros: &cfg}, nil)
 	if err != nil {
 		return false, 0, err
 	}
@@ -66,7 +67,7 @@ func run() error {
 	fmt.Println("\nWhy it matters: the attack detection does not depend on winning this")
 	fmt.Println("trade-off. A JIT-like workload under the default policy:")
 	leaky := samples.JITWorkload(1, "equilibrium", true, true)
-	res, err := scenario.RunLive(leaky, scenario.Plugins{Faros: &core.Config{}})
+	res, err := scenario.RunLiveContext(context.Background(), leaky, scenario.Plugins{Faros: &core.Config{}}, nil)
 	if err != nil {
 		return err
 	}

@@ -12,9 +12,13 @@ import (
 )
 
 func main() {
-	spec := faros.Scenarios()["reflective_dll_inject"]
+	spec, ok := faros.Scenario("reflective_dll_inject")
+	if !ok {
+		fmt.Fprintln(os.Stderr, "quickstart: no reflective_dll_inject scenario")
+		os.Exit(1)
+	}
 
-	fmt.Println("recording the attack and replaying with FAROS attached...")
+	fmt.Println("running the attack with FAROS attached...")
 	res, err := faros.Analyze(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "analyze:", err)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -103,7 +104,7 @@ func run() error {
 	}
 	spec.AutoStart = []string{"taskmgr.exe", "loader.exe"}
 
-	res, err := scenario.RunLive(spec, scenario.Plugins{Faros: &core.Config{}})
+	res, err := scenario.RunLiveContext(context.Background(), spec, scenario.Plugins{Faros: &core.Config{}}, nil)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,9 @@
 // The package is a facade over the engine's layers:
 //
 //   - internal/isa, internal/mem, internal/vm — the FAROS-32 CPU and the
-//     whole-system virtual machine with PANDA-style plugin hooks;
+//     whole-system virtual machine, which runs guest code as cached
+//     micro-op blocks that an attached engine executes with its taint
+//     effects compiled in;
 //   - internal/guest (+gfs, gnet) — WinMini, the Windows-like guest OS:
 //     processes, Nt syscalls, loader, kernel export table, files, sockets;
 //   - internal/record — deterministic record & replay;
@@ -17,12 +19,14 @@
 //
 // The quickest path from zero to a detection:
 //
-//	res, err := faros.Analyze(faros.Scenarios()["reflective_dll_inject"])
+//	spec, _ := faros.Scenario("reflective_dll_inject")
+//	res, err := faros.Analyze(spec)
 //	if err != nil { ... }
 //	fmt.Print(res.Faros.Report())
 package faros
 
 import (
+	"context"
 	"maps"
 	"slices"
 	"sync"
@@ -60,13 +64,13 @@ const (
 // replay of a fresh recording; record and replay (scenario.RecordContext,
 // scenario.ReplayContext) are for recordings that are kept and reused.
 func Analyze(spec Spec) (*Result, error) {
-	return scenario.Detect(spec)
+	return scenario.RunLiveContext(context.Background(), spec, scenario.DetectPlugins(), nil)
 }
 
 // AnalyzeWith runs a single live pass with only the FAROS engine attached,
 // under a custom engine configuration.
 func AnalyzeWith(spec Spec, cfg Config) (*Result, error) {
-	return scenario.RunLive(spec, scenario.Plugins{Faros: &cfg})
+	return scenario.RunLiveContext(context.Background(), spec, scenario.Plugins{Faros: &cfg}, nil)
 }
 
 // registry builds the built-in scenario namespace once: the specs by name

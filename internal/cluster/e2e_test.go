@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -231,7 +232,7 @@ func TestClusterTraceFlow(t *testing.T) {
 	}
 
 	spec := faros.Scenarios()["reflective_dll_inject"]
-	log, _, err := scenario.Record(spec)
+	log, _, err := scenario.RecordContext(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

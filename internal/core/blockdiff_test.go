@@ -68,17 +68,17 @@ func TestBlockDispatchReplayDifferential(t *testing.T) {
 	corpus := append(samples.Attacks(), samples.BenignPrograms()...)
 	for _, spec := range corpus {
 		t.Run(spec.Name, func(t *testing.T) {
-			log, _, err := scenario.Record(spec)
+			log, _, err := scenario.RecordContext(context.Background(), spec, nil)
 			if err != nil {
 				t.Fatalf("record: %v", err)
 			}
 			plugins := scenario.Plugins{Faros: &core.Config{}}
-			blocks, err := scenario.Replay(spec, log, plugins)
+			blocks, err := scenario.ReplayContext(context.Background(), spec, log, plugins, nil)
 			if err != nil {
 				t.Fatalf("replay (blocks): %v", err)
 			}
 			plugins.Extra = []func(*guest.Kernel){core.UseRefStep}
-			ref, err := scenario.Replay(spec, log, plugins)
+			ref, err := scenario.ReplayContext(context.Background(), spec, log, plugins, nil)
 			if err != nil {
 				t.Fatalf("replay (ref): %v", err)
 			}
@@ -147,17 +147,17 @@ func TestBlockDispatchDifferentialTails(t *testing.T) {
 			for _, cfg := range configs {
 				for _, spec := range corpus {
 					name := fmt.Sprintf("%+v/%s", cfg, spec.Name)
-					blocks, err := scenario.RunLive(spec, scenario.Plugins{
+					blocks, err := scenario.RunLiveContext(context.Background(), spec, scenario.Plugins{
 						Faros: &cfg,
 						Extra: []func(*guest.Kernel){setQuantum},
-					})
+					}, nil)
 					if err != nil {
 						t.Fatalf("%s: live (blocks): %v", name, err)
 					}
-					ref, err := scenario.RunLive(spec, scenario.Plugins{
+					ref, err := scenario.RunLiveContext(context.Background(), spec, scenario.Plugins{
 						Faros: &cfg,
 						Extra: []func(*guest.Kernel){setQuantum, core.UseRefStep},
-					})
+					}, nil)
 					if err != nil {
 						t.Fatalf("%s: live (ref): %v", name, err)
 					}

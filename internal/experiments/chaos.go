@@ -143,21 +143,17 @@ func chaosReport() (string, error) {
 	return sb.String(), nil
 }
 
-// detectChaos is scenario.DetectContext, but failing loudly on divergence so
-// the table's "bit-exact" column is honest. It also returns the record
-// pass's fault stats: network faults fire only live (replay preloads the
-// logged wire stream), so the replay result alone would undercount.
+// detectChaos runs the analyst workflow (scenario.DetectPlugins) as record
+// then replay, failing loudly on divergence so the table's "bit-exact"
+// column is honest. It also returns the record pass's fault stats: network
+// faults fire only live (replay preloads the logged wire stream), so the
+// replay result alone would undercount.
 func detectChaos(spec samples.Spec, plan *faults.Plan) (*scenario.Result, faults.Stats, error) {
 	log, recRes, err := scenario.RecordContext(context.Background(), spec, plan)
 	if err != nil {
 		return nil, faults.Stats{}, err
 	}
-	res, err := scenario.ReplayContext(context.Background(), spec, log, scenario.Plugins{
-		Faros:   &core.Config{},
-		Cuckoo:  true,
-		Malfind: true,
-		OSI:     true,
-	}, plan)
+	res, err := scenario.ReplayContext(context.Background(), spec, log, scenario.DetectPlugins(), plan)
 	if err != nil {
 		return nil, faults.Stats{}, err
 	}

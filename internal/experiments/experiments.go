@@ -2,16 +2,16 @@
 // evaluation (§VI) plus the ablations called out in DESIGN.md. Each
 // experiment returns its rendered output; cmd/farosbench prints them and
 // the root bench_test.go wraps them in testing.B benchmarks. The corpus
-// sweeps submit their scenarios through a shared pipeline pool (see
-// pool.go), so they run one scenario per core instead of serially.
+// sweeps fan their live runs out over the cores (see pool.go) instead of
+// running them serially.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"faros/internal/core"
-	"faros/internal/pipeline"
 	"faros/internal/provgraph"
 	"faros/internal/report"
 	"faros/internal/samples"
@@ -61,7 +61,7 @@ func TableII() (string, error) {
 // tableIIWithGraph renders Table II and also returns the run's merged
 // provenance graph (the structured source the text is a view over).
 func tableIIWithGraph() (string, *provgraph.Graph, error) {
-	res, err := scenario.Detect(samples.ReflectiveDLLInject())
+	res, err := scenario.RunLiveContext(context.Background(), samples.ReflectiveDLLInject(), scenario.DetectPlugins(), nil)
 	if err != nil {
 		return "", nil, err
 	}
@@ -100,7 +100,7 @@ func figureWithGraph(n int) (string, *provgraph.Graph, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	res, err := scenario.Detect(spec)
+	res, err := scenario.RunLiveContext(context.Background(), spec, scenario.DetectPlugins(), nil)
 	if err != nil {
 		return "", nil, err
 	}
@@ -217,7 +217,7 @@ func TableV() (string, error) {
 	var total float64
 	rows := 0
 	for _, w := range samples.PerfWorkloads() {
-		row, err := scenario.MeasurePerf(w)
+		row, err := MeasurePerf(w)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", w.Display, err)
 		}
@@ -275,7 +275,7 @@ func IndirectFlows() (string, error) {
 	t := report.New("Figs 1-2 — indirect flows under the FAROS policy",
 		"Workload", "Policy", "Output tainted", "Tainted bytes total")
 	runOne := func(w samples.IndirectWorkload, cfg core.Config, policy string) error {
-		res, err := scenario.RunLive(w.Spec, scenario.Plugins{Faros: &cfg})
+		res, err := scenario.RunLiveContext(context.Background(), w.Spec, scenario.Plugins{Faros: &cfg}, nil)
 		if err != nil {
 			return err
 		}
@@ -320,7 +320,7 @@ func AblateAddrDeps() (string, error) {
 		{"addr-deps on", core.Config{PropagateAddrDeps: true}},
 	} {
 		w := samples.OvertaintWorkload()
-		res, err := scenario.RunLive(w.Spec, scenario.Plugins{Faros: &cfg.c})
+		res, err := scenario.RunLiveContext(context.Background(), w.Spec, scenario.Plugins{Faros: &cfg.c}, nil)
 		if err != nil {
 			return "", err
 		}
@@ -351,12 +351,12 @@ func AblateProcTag() (string, error) {
 		{"default", core.Config{}},
 		{"proc tags off", core.Config{NoProcessTags: true}},
 	} {
-		h, err := scenario.RunLive(samples.ProcessHollowing(), scenario.Plugins{Faros: &cfg.c})
+		h, err := scenario.RunLiveContext(context.Background(), samples.ProcessHollowing(), scenario.Plugins{Faros: &cfg.c}, nil)
 		if err != nil {
 			return "", err
 		}
 		cfg2 := cfg.c
-		r, err := scenario.RunLive(samples.ReflectiveDLLInject(), scenario.Plugins{Faros: &cfg2})
+		r, err := scenario.RunLiveContext(context.Background(), samples.ReflectiveDLLInject(), scenario.Plugins{Faros: &cfg2}, nil)
 		if err != nil {
 			return "", err
 		}
@@ -371,15 +371,11 @@ func AblateListCap() (string, error) {
 	t := report.New("Ablation — provenance list cap",
 		"Cap", "Flagged", "Lists interned", "Lists truncated")
 	caps := []int{2, 4, 8, 16, 32}
-	reqs := make([]pipeline.Request, len(caps))
+	runs := make([]sweepRun, len(caps))
 	for i, capSize := range caps {
-		reqs[i] = pipeline.Request{
-			Spec:   samples.ReflectiveDLLInject(),
-			Mode:   pipeline.ModeLive,
-			Config: core.Config{ListCap: capSize},
-		}
+		runs[i] = sweepRun{samples.ReflectiveDLLInject(), scenario.Plugins{Faros: &core.Config{ListCap: capSize}}}
 	}
-	results, err := runAll(reqs)
+	results, err := runAll(runs)
 	if err != nil {
 		return "", err
 	}
@@ -407,14 +403,13 @@ func Evasion() (string, error) {
 		{samples.EvasionHardcodedStubs(), "hardcoded API stub addresses", "no tagged read; strict mode flags tainted code executing"},
 		{samples.EvasionBitLaundering(), "bit-by-bit taint laundering", "control-dependency copy strips tags (acknowledged limit)"},
 	}
-	reqs := make([]pipeline.Request, 0, 2*len(rows))
+	runs := make([]sweepRun, 0, 2*len(rows))
 	for _, r := range rows {
-		reqs = append(reqs,
-			pipeline.Request{Spec: r.spec, Mode: pipeline.ModeLive},
-			pipeline.Request{Spec: r.spec, Mode: pipeline.ModeLive,
-				Config: core.Config{StrictExecCheck: true}})
+		runs = append(runs,
+			sweepRun{r.spec, scenario.Plugins{Faros: &core.Config{}}},
+			sweepRun{r.spec, scenario.Plugins{Faros: &core.Config{StrictExecCheck: true}}})
 	}
-	results, err := runAll(reqs)
+	results, err := runAll(runs)
 	if err != nil {
 		return "", err
 	}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"faros/internal/samples"
 )
 
 func TestNamesCoverEveryTableAndFigure(t *testing.T) {
@@ -137,6 +139,22 @@ func TestTableIVExperiment(t *testing.T) {
 	}
 	if !strings.Contains(out, "total                  104      0") {
 		t.Errorf("table IV totals wrong:\n%s", out)
+	}
+}
+
+func TestPerfMeasurementShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("perf measurement in short mode")
+	}
+	row, err := MeasurePerf(samples.PerfWorkloads()[4]) // Pandora (smallest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Slowdown <= 1.0 {
+		t.Errorf("FAROS replay not slower than plain replay: %+v", row)
+	}
+	if row.Instructions == 0 || row.RecordedBytes == 0 {
+		t.Errorf("row = %+v", row)
 	}
 }
 

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"faros/internal/core"
 	"faros/internal/samples"
@@ -76,9 +78,9 @@ type perfSnapshot struct {
 	} `json:"block"`
 }
 
-// perfRepeats matches scenario.MeasurePerf: fastest of three, since noise
-// only ever adds time.
-const perfRepeats = 3
+// guestExecRepeats is how many times each guest-execution pass is timed:
+// fastest of three, since noise only ever adds time.
+const guestExecRepeats = 3
 
 // Perf measures the guest-execution benchmark workload live (plain and
 // with FAROS), sweeps Table V, and renders the combined snapshot as JSON.
@@ -87,8 +89,8 @@ func Perf() (string, error) {
 	bestRun := func(plugins scenario.Plugins) (int64, *scenario.Result, error) {
 		var best int64
 		var last *scenario.Result
-		for i := 0; i < perfRepeats; i++ {
-			res, err := scenario.RunLive(w.Spec, plugins)
+		for i := 0; i < guestExecRepeats; i++ {
+			res, err := scenario.RunLiveContext(context.Background(), w.Spec, plugins, nil)
 			if err != nil {
 				return 0, nil, err
 			}
@@ -152,10 +154,76 @@ func Perf() (string, error) {
 	return string(out) + "\n", nil
 }
 
+// PerfRow is one Table V measurement.
+type PerfRow struct {
+	Application   string
+	ReplayPlain   time.Duration
+	ReplayFAROS   time.Duration
+	Slowdown      float64
+	Instructions  uint64
+	RecordedBytes int
+}
+
+// perfRepeats is how many times each replay is timed; the fastest run is
+// reported (standard microbenchmark practice — noise only ever adds time).
+const perfRepeats = 7
+
+// MeasurePerf records a workload once, then replays it repeatedly without
+// any plugin and with FAROS, timing both (the Table V methodology; each
+// configuration reports its fastest of perfRepeats runs). The two
+// configurations are interleaved — plain, FAROS, plain, FAROS, ... — so a
+// machine-speed drift mid-measurement inflates both numerators alike
+// instead of skewing the ratio.
+func MeasurePerf(w samples.PerfWorkload) (PerfRow, error) {
+	log, _, err := scenario.RecordContext(context.Background(), w.Spec, nil)
+	if err != nil {
+		return PerfRow{}, err
+	}
+	one := func(plugins scenario.Plugins) (time.Duration, uint64, error) {
+		res, err := scenario.ReplayContext(context.Background(), w.Spec, log, plugins, nil)
+		if err != nil {
+			return 0, 0, err
+		}
+		return res.WallTime, res.Summary.Instructions, nil
+	}
+	var plainT, farosT time.Duration
+	var instrs uint64
+	for i := 0; i < perfRepeats; i++ {
+		pT, n, err := one(scenario.Plugins{})
+		if err != nil {
+			return PerfRow{}, err
+		}
+		fT, _, err := one(scenario.Plugins{Faros: &core.Config{}})
+		if err != nil {
+			return PerfRow{}, err
+		}
+		instrs = n
+		if plainT == 0 || pT < plainT {
+			plainT = pT
+		}
+		if farosT == 0 || fT < farosT {
+			farosT = fT
+		}
+	}
+	row := PerfRow{
+		Application:  w.Display,
+		ReplayPlain:  plainT,
+		ReplayFAROS:  farosT,
+		Instructions: instrs,
+	}
+	if plainT > 0 {
+		row.Slowdown = float64(farosT) / float64(plainT)
+	}
+	if raw, _, err := scenario.EncodeTrace(w.Spec, log); err == nil {
+		row.RecordedBytes = len(raw)
+	}
+	return row, nil
+}
+
 // measureRow times one workload's replay without and with FAROS
-// (scenario.MeasurePerf) as a snapshot row.
+// (MeasurePerf) as a snapshot row.
 func measureRow(w samples.PerfWorkload) (perfTableVRow, error) {
-	row, err := scenario.MeasurePerf(w)
+	row, err := MeasurePerf(w)
 	if err != nil {
 		return perfTableVRow{}, fmt.Errorf("%s: %w", w.Display, err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -56,7 +57,7 @@ func TracePerf() (string, error) {
 		plugins := scenario.Plugins{Faros: &core.Config{}}
 
 		// The recording that seeds the trace (and the replay bound).
-		log, rec, err := scenario.Record(spec)
+		log, rec, err := scenario.RecordContext(context.Background(), spec, nil)
 		if err != nil {
 			return "", fmt.Errorf("%s: record: %w", pw.Display, err)
 		}
@@ -85,14 +86,14 @@ func TracePerf() (string, error) {
 		var liveNS, replayNS int64
 		for i := 0; i < tracePerfRepeats; i++ {
 			start := time.Now()
-			if _, err := scenario.RunLive(spec, plugins); err != nil {
+			if _, err := scenario.RunLiveContext(context.Background(), spec, plugins, nil); err != nil {
 				return "", fmt.Errorf("%s: live: %w", pw.Display, err)
 			}
 			if ns := time.Since(start).Nanoseconds(); liveNS == 0 || ns < liveNS {
 				liveNS = ns
 			}
 			start = time.Now()
-			if _, err := scenario.ReplayTrace(data, plugins); err != nil {
+			if _, err := scenario.ReplayTraceContext(context.Background(), data, plugins); err != nil {
 				return "", fmt.Errorf("%s: replay: %w", pw.Display, err)
 			}
 			if ns := time.Since(start).Nanoseconds(); replayNS == 0 || ns < replayNS {

@@ -5,8 +5,10 @@
 // worker), result deduplication and caching behind the deterministic spec
 // hash (record/replay is byte-exact, so equal hashes imply equal results),
 // and a metrics surface rendered by both cmd/farosd's HTTP endpoints and
-// the CLI. internal/experiments runs its corpus sweeps through the same
-// DefaultRunner, fanned out in parallel.
+// the CLI. A job runs FAROS only: its Result carries FAROS's verdict,
+// findings and provenance, so the Cuckoo, malfind and OSI baselines stay
+// with internal/experiments, which runs its sweeps through
+// scenario.RunLiveContext directly.
 //
 // Job lifecycle: Submit returns a per-waiter handle. Identical concurrent
 // submissions coalesce onto one underlying run, but each waiter cancels
@@ -42,13 +44,13 @@ import (
 type Mode string
 
 const (
-	// ModeDetect is the paper's analyst workflow: one live pass with
-	// FAROS, the Cuckoo baseline, the malfind scan, and OSI attached
-	// (scenario.Detect). The job keeps no recording, so it runs no
-	// separate record pass; its report equals record-then-replay's.
+	// ModeDetect is the paper's analyst workflow: one live pass with the
+	// FAROS engine under the paper's default policy. The job keeps no
+	// recording, so it runs no separate record pass; its report equals
+	// record-then-replay's.
 	ModeDetect Mode = "detect"
-	// ModeLive is a single live pass with only the FAROS engine attached,
-	// under the request's engine config (the path the corpus sweeps use).
+	// ModeLive is a single live pass with the FAROS engine under the
+	// request's engine config.
 	ModeLive Mode = "live"
 	// ModeTrace is analysis-only replay: the job loads a stored trace by
 	// digest, verifies its identity digests, and replays it with the FAROS
@@ -67,9 +69,9 @@ type Request struct {
 	// job's cache identity is the digest itself (the trace embeds its
 	// spec), composed with the engine config. Ignored in other modes.
 	TraceDigest string
-	// Config is the engine configuration for ModeLive and ModeTrace
-	// (ModeDetect always uses the paper's default policy, like
-	// scenario.Detect).
+	// Config is the engine configuration for ModeLive and ModeTrace.
+	// ModeDetect ignores it and always runs the paper's default policy
+	// (the zero config).
 	Config core.Config
 	// Timeout bounds the job's wall time (0 = the pool default). On
 	// expiry the guest is preempted cooperatively and the job fails with
@@ -395,7 +397,7 @@ func New(cfg Config) (*Pool, error) {
 		cfg.JobRetentionAge = 15 * time.Minute
 	}
 	if cfg.Runner == nil {
-		cfg.Runner = DefaultRunner(cfg.Traces)
+		cfg.Runner = defaultRunner(cfg.Traces)
 	}
 	p := &Pool{
 		cfg:       cfg,
@@ -416,22 +418,20 @@ func New(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// DefaultRunner builds the Runner a pool uses unless Config.Runner
+// defaultRunner builds the Runner a pool uses unless Config.Runner
 // overrides it, over an optional trace store; it is the one place a
-// request's Mode picks its scenario entry point. ModeDetect runs
-// scenario.DetectContext and ModeLive a live pass with FAROS under the
-// request's config. ModeTrace loads the encoded trace by digest and
-// replays it analysis-only (FAROS attached, no live guest execution); the
-// replay path re-verifies the trace's identity digests, so a store entry
-// recorded against a different binary fails typed (*trace.MismatchError)
-// instead of diverging silently.
-func DefaultRunner(traces *trace.Store) Runner {
+// request's Mode picks its scenario entry point. Every mode attaches the
+// FAROS engine only, since buildResult reads nothing else. ModeDetect and
+// ModeLive are one live pass, under the zero config and the request's
+// config respectively. ModeTrace loads the encoded trace by digest and
+// replays it analysis-only (no live guest execution); the replay path
+// re-verifies the trace's identity digests, so a store entry recorded
+// against a different binary fails typed (*trace.MismatchError) instead of
+// diverging silently.
+func defaultRunner(traces *trace.Store) Runner {
 	return func(ctx context.Context, req Request) (*scenario.Result, error) {
-		switch req.Mode {
-		case ModeLive:
-			cfg := req.Config
-			return scenario.RunLiveContext(ctx, req.Spec, scenario.Plugins{Faros: &cfg}, nil)
-		case ModeTrace:
+		cfg := req.Config
+		if req.Mode == ModeTrace {
 			if traces == nil {
 				return nil, errors.New("pipeline: no trace store configured")
 			}
@@ -439,10 +439,12 @@ func DefaultRunner(traces *trace.Store) Runner {
 			if !ok {
 				return nil, fmt.Errorf("pipeline: trace %s is no longer stored (expired or quarantined)", req.TraceDigest)
 			}
-			cfg := req.Config
 			return scenario.ReplayTraceContext(ctx, data, scenario.Plugins{Faros: &cfg})
 		}
-		return scenario.DetectContext(ctx, req.Spec, nil)
+		if req.Mode != ModeLive {
+			cfg = core.Config{} // ModeDetect: the paper's default policy
+		}
+		return scenario.RunLiveContext(ctx, req.Spec, scenario.Plugins{Faros: &cfg}, nil)
 	}
 }
 
@@ -1223,8 +1225,8 @@ func (p *Pool) Wait(ctx context.Context, job *Job) (JobView, error) {
 // order. The first job error (or submit error) is returned after every
 // submitted job has settled, so a failure never leaves work running. The
 // results are summaries: the guests behind them are already released, so
-// callers that need the full scenario.Result (kernel, engine state) run
-// DefaultRunner themselves.
+// callers that need the full scenario.Result (kernel, engine state,
+// baseline reports) call the scenario entry points themselves.
 func (p *Pool) RunAll(ctx context.Context, reqs []Request) ([]*Result, error) {
 	jobs := make([]*Job, len(reqs))
 	var firstErr error

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -22,7 +23,7 @@ func TestBaselineReportsGolden(t *testing.T) {
 	}
 	var sb strings.Builder
 	for _, spec := range corpusSpecs() {
-		res, err := Detect(spec)
+		res, err := RunLiveContext(context.Background(), spec, DetectPlugins(), nil)
 		if err != nil {
 			t.Fatalf("%s: detect: %v", spec.Name, err)
 		}

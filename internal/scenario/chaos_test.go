@@ -26,7 +26,7 @@ func testChaosPlan() *faults.Plan {
 // run to a partial Result instead of tearing down the caller.
 func TestPluginPanicRecoveredIntoResult(t *testing.T) {
 	spec := samples.ReflectiveDLLInject()
-	res, err := RunLive(spec, Plugins{
+	res, err := RunLiveContext(context.Background(), spec, Plugins{
 		Extra: []func(*guest.Kernel){
 			func(k *guest.Kernel) {
 				// Explode once the injected payload has popped its message
@@ -38,7 +38,7 @@ func TestPluginPanicRecoveredIntoResult(t *testing.T) {
 				})
 			},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("panic escaped as hard error: %v", err)
 	}
@@ -54,12 +54,12 @@ func TestPluginPanicRecoveredIntoResult(t *testing.T) {
 // *record.DivergenceError rather than a silent desync.
 func TestReplayDivergenceTyped(t *testing.T) {
 	spec := samples.ReflectiveDLLInject()
-	log, _, err := Record(spec)
+	log, _, err := RecordContext(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Sanity: the intact log replays cleanly.
-	res, err := Replay(spec, log, Plugins{})
+	res, err := ReplayContext(context.Background(), spec, log, Plugins{}, nil)
 	if err != nil || res.Err != nil {
 		t.Fatalf("clean replay failed: %v / %v", err, res.Err)
 	}
@@ -67,7 +67,7 @@ func TestReplayDivergenceTyped(t *testing.T) {
 	// Tamper: claim the guest retired more instructions than it will.
 	bad := *log
 	bad.FinalInstr = log.FinalInstr + 12345
-	res, err = Replay(spec, &bad, Plugins{})
+	res, err = ReplayContext(context.Background(), spec, &bad, Plugins{}, nil)
 	var div *record.DivergenceError
 	if !errors.As(err, &div) {
 		t.Fatalf("err = %v, want DivergenceError", err)
@@ -85,7 +85,7 @@ func TestReplayDivergenceTyped(t *testing.T) {
 			break
 		}
 	}
-	if _, err = Replay(spec, &bad2, Plugins{}); !errors.As(err, &div) {
+	if _, err = ReplayContext(context.Background(), spec, &bad2, Plugins{}, nil); !errors.As(err, &div) {
 		t.Fatalf("unknown-flow tamper not detected: %v", err)
 	}
 }
@@ -95,7 +95,7 @@ func TestReplayDivergenceTyped(t *testing.T) {
 // complete without degrading.
 func TestChaosDetectStillFlags(t *testing.T) {
 	plan := testChaosPlan()
-	res, err := DetectContext(context.Background(), samples.ReflectiveDLLInject(), plan)
+	res, err := RunLiveContext(context.Background(), samples.ReflectiveDLLInject(), DetectPlugins(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

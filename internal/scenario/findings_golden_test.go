@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -48,8 +49,9 @@ func renderFindings(sb *strings.Builder, label string, res *Result) {
 }
 
 // TestFindingsCorpusGolden pins every finding over the whole corpus under
-// the default policy (through Detect, the service's detect path) and under
-// StrictExecCheck (a live FAROS run). Engine optimizations must leave it
+// the default policy (a live DetectPlugins run; farosd's FAROS-only detect
+// jobs report the same, see pipeline's TestDetectRunnerMatchesDetectPlugins)
+// and under StrictExecCheck (a live FAROS run). Engine optimizations must leave it
 // byte-identical. Each run is released before the next, as farosd does, so
 // every run after the first executes on recycled guest memory. Regenerate
 // deliberately with
@@ -61,12 +63,12 @@ func TestFindingsCorpusGolden(t *testing.T) {
 	}
 	var sb strings.Builder
 	for _, spec := range corpusSpecs() {
-		res, err := Detect(spec)
+		res, err := RunLiveContext(context.Background(), spec, DetectPlugins(), nil)
 		if err != nil {
 			t.Fatalf("%s: detect: %v", spec.Name, err)
 		}
 		renderFindings(&sb, spec.Name+" default", res)
-		strict, err := RunLive(spec, Plugins{Faros: &core.Config{StrictExecCheck: true}})
+		strict, err := RunLiveContext(context.Background(), spec, Plugins{Faros: &core.Config{StrictExecCheck: true}}, nil)
 		if err != nil {
 			t.Fatalf("%s: strict: %v", spec.Name, err)
 		}

@@ -11,21 +11,22 @@ import (
 	"faros/internal/samples"
 )
 
-// Detect is one live pass; record-then-replay with the same plugins is
-// the paper's two-pass workflow. The guest is deterministic and the
-// recorder is plugin-independent, so the two must produce the same report
-// field for field. These tests hold the one-pass path to that oracle.
+// The analyst workflow (DetectPlugins) runs as one live pass;
+// record-then-replay with the same plugins is the paper's two-pass
+// workflow. The guest is deterministic and the recorder is
+// plugin-independent, so the two must produce the same report field for
+// field. These tests hold the one-pass path to that oracle.
 
-// twoPassDetect is the record-then-replay form of Detect. It also returns
-// the recording pass's Result, whose fault counts include the network
-// draws the replay never re-fires.
+// twoPassDetect is the record-then-replay form of a live DetectPlugins
+// run. It also returns the recording pass's Result, whose fault counts
+// include the network draws the replay never re-fires.
 func twoPassDetect(t *testing.T, spec samples.Spec, plan *faults.Plan) (replayed, recorded *Result) {
 	t.Helper()
 	log, rec, err := RecordContext(context.Background(), spec, plan)
 	if err != nil {
 		t.Fatalf("%s: record: %v", spec.Name, err)
 	}
-	res, err := ReplayContext(context.Background(), spec, log, detectPlugins(), plan)
+	res, err := ReplayContext(context.Background(), spec, log, DetectPlugins(), plan)
 	if err != nil {
 		t.Fatalf("%s: replay: %v", spec.Name, err)
 	}
@@ -86,7 +87,7 @@ func TestDetectOnePassMatchesRecordReplay(t *testing.T) {
 	same := 0
 	for _, spec := range specs {
 		if t.Run(spec.Name, func(t *testing.T) {
-			one, err := Detect(spec)
+			one, err := RunLiveContext(context.Background(), spec, DetectPlugins(), nil)
 			if err != nil {
 				t.Fatalf("detect: %v", err)
 			}
@@ -106,7 +107,7 @@ func TestDetectOnePassMatchesRecordReplay(t *testing.T) {
 func TestDetectOnePassMatchesRecordReplayUnderChaos(t *testing.T) {
 	for _, spec := range samples.Attacks() {
 		plan := testChaosPlan()
-		one, err := DetectContext(context.Background(), spec, plan)
+		one, err := RunLiveContext(context.Background(), spec, DetectPlugins(), plan)
 		if err != nil {
 			t.Fatalf("%s: detect: %v", spec.Name, err)
 		}
@@ -133,13 +134,13 @@ func TestFAROSReplayAllocationBound(t *testing.T) {
 		t.Skip("replays every attack repeatedly")
 	}
 	for _, spec := range samples.Attacks() {
-		log, _, err := Record(spec)
+		log, _, err := RecordContext(context.Background(), spec, nil)
 		if err != nil {
 			t.Fatalf("%s: record: %v", spec.Name, err)
 		}
 		replayAllocs := func(plugins Plugins) float64 {
 			return testing.AllocsPerRun(2, func() {
-				if _, err := Replay(spec, log, plugins); err != nil {
+				if _, err := ReplayContext(context.Background(), spec, log, plugins, nil); err != nil {
 					t.Fatalf("%s: replay: %v", spec.Name, err)
 				}
 			})

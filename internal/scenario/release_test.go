@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestDetectReleaseBytesBound holds DetectContext + Release, with warm
+// TestDetectReleaseBytesBound holds a DetectPlugins run + Release, with warm
 // pools, under a per-spec allocated-bytes bound: once Release recycles the
 // guest memory of the jobs before it, a job allocates little beyond its
 // own summary. Without recycling jit_rpad_com allocates ~209 KB and
@@ -30,7 +30,7 @@ func TestDetectReleaseBytesBound(t *testing.T) {
 			continue
 		}
 		detect := func() {
-			res, err := DetectContext(context.Background(), spec, nil)
+			res, err := RunLiveContext(context.Background(), spec, DetectPlugins(), nil)
 			if err != nil {
 				t.Fatalf("%s: %v", spec.Name, err)
 			}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -90,12 +91,12 @@ func TestReplayDeterminismProperty(t *testing.T) {
 		ep := fuzzEndpoint{delays: delaysRaw, sizes: sizesRaw}
 		spec := fuzzSpec(ep)
 
-		log, rec, err := Record(spec)
+		log, rec, err := RecordContext(context.Background(), spec, nil)
 		if err != nil {
 			t.Logf("record: %v", err)
 			return false
 		}
-		rep, err := Replay(spec, log, Plugins{Faros: &core.Config{}})
+		rep, err := ReplayContext(context.Background(), spec, log, Plugins{Faros: &core.Config{}}, nil)
 		if err != nil {
 			t.Logf("replay: %v", err)
 			return false

@@ -2,8 +2,10 @@
 // kernel, installs a sample Spec's programs and seed files, wires scripted
 // endpoints and device events, and runs it with a chosen set of analysis
 // plugins (the FAROS engine, the Cuckoo baseline, the malfind snapshot
-// scan) — live, or as the paper's record-then-replay workflow where a
-// recording is reused.
+// scan). A run is a mode plus a Plugins set: live (RunLiveContext),
+// recorded (RecordContext, RecordTrace), or the paper's replay of a kept
+// recording (ReplayContext, ReplayTraceContext). This package is the one
+// place a run is assembled.
 package scenario
 
 import (
@@ -258,18 +260,13 @@ func run(ctx context.Context, k *guest.Kernel, spec samples.Spec, plugins Plugin
 	return res, nil
 }
 
-// Record performs the live recording pass (no analysis plugins, like
-// running PANDA in record mode) and returns the log.
-func Record(spec samples.Spec) (*record.Log, *Result, error) {
-	return RecordContext(context.Background(), spec, nil)
-}
-
-// RecordContext is Record under a fault plan, honoring a context. The
-// injector disturbs the live run (lossy wire, flaky syscalls) and the
-// recorder logs the post-fault event stream, so the log replays without
-// re-drawing network faults. The kernel checks the context every few
-// thousand guest instructions and a deadline surfaces as a
-// *DeadlineError.
+// RecordContext performs the live recording pass (no analysis plugins,
+// like running PANDA in record mode) under a fault plan, honoring a
+// context, and returns the log. The injector disturbs the live run (lossy
+// wire, flaky syscalls) and the recorder logs the post-fault event stream,
+// so the log replays without re-drawing network faults. The kernel checks
+// the context every few thousand guest instructions and a deadline
+// surfaces as a *DeadlineError.
 func RecordContext(ctx context.Context, spec samples.Spec, plan *faults.Plan) (*record.Log, *Result, error) {
 	rec := record.NewRecorder(spec.Name)
 	k, err := setup(spec, mode{recorder: rec})
@@ -284,18 +281,14 @@ func RecordContext(ctx context.Context, spec samples.Spec, plan *faults.Plan) (*
 	return rec.Finish(res.Summary.Instructions), res, nil
 }
 
-// Replay re-executes a recorded run with the given plugins attached.
-func Replay(spec samples.Spec, log *record.Log, plugins Plugins) (*Result, error) {
-	return ReplayContext(context.Background(), spec, log, plugins, nil)
-}
-
-// ReplayContext is Replay under the fault plan the recording ran with,
-// honoring a context deadline/cancellation. The plan must match: syscall
-// and guest fault draws happen identically in both passes (the
-// instruction stream depends on them), while network draws never re-fire
-// in replay because endpoints are disabled. After the run it verifies the
-// replay actually reproduced the recording and returns a
-// *record.DivergenceError (also stored in Result.Err) if not.
+// ReplayContext re-executes a recorded run with the given plugins
+// attached, under the fault plan the recording ran with, honoring a
+// context deadline/cancellation. The plan must match: syscall and guest
+// fault draws happen identically in both passes (the instruction stream
+// depends on them), while network draws never re-fire in replay because
+// endpoints are disabled. After the run it verifies the replay actually
+// reproduced the recording and returns a *record.DivergenceError (also
+// stored in Result.Err) if not.
 func ReplayContext(ctx context.Context, spec samples.Spec, log *record.Log, plugins Plugins, plan *faults.Plan) (*Result, error) {
 	k, err := setup(spec, mode{replayLog: log})
 	if err != nil {
@@ -325,15 +318,13 @@ func ReplayContext(ctx context.Context, spec samples.Spec, log *record.Log, plug
 	return res, nil
 }
 
-// RunLive executes the scenario once, live, with plugins attached. The
-// guest is deterministic, so detection results match the record+replay
-// path.
-func RunLive(spec samples.Spec, plugins Plugins) (*Result, error) {
-	return RunLiveContext(context.Background(), spec, plugins, nil)
-}
-
-// RunLiveContext is RunLive under a fault plan, honoring a context
-// deadline/cancellation.
+// RunLiveContext executes the scenario once, live, with plugins attached,
+// under a fault plan, honoring a context deadline/cancellation. The guest
+// is deterministic and the recorder is independent of the plugins, so the
+// report equals analyzing a replay of a fresh recording; record and replay
+// are for recordings that are reused (traces, Table V). Result.Faults
+// counts every fault the plan injected, network draws included — the same
+// counts a recording pass reports.
 func RunLiveContext(ctx context.Context, spec samples.Spec, plugins Plugins, plan *faults.Plan) (*Result, error) {
 	k, err := setup(spec, mode{})
 	if err != nil {
@@ -343,92 +334,9 @@ func RunLiveContext(ctx context.Context, spec samples.Spec, plugins Plugins, pla
 	return run(ctx, k, spec, plugins)
 }
 
-// detectPlugins is the analyst workflow's plugin set: the FAROS engine
-// under the paper's policy, the Cuckoo baseline, the malfind scan, and OSI.
-func detectPlugins() Plugins {
+// DetectPlugins is the analyst workflow of §V.C: the FAROS engine under the
+// paper's policy, with the Cuckoo baseline, the malfind scan, and OSI
+// attached alongside it for comparison.
+func DetectPlugins() Plugins {
 	return Plugins{Faros: &core.Config{}, Cuckoo: true, Malfind: true, OSI: true}
-}
-
-// Detect is the analyst workflow of §V.C: run the scenario with FAROS, the
-// Cuckoo baseline, the malfind scan, and OSI attached. It is one live pass:
-// the guest is deterministic and the recorder is independent of the
-// plugins, so analyzing a replay of a fresh recording yields the same
-// report. Record and replay are for recordings that are reused (traces,
-// Table V).
-func Detect(spec samples.Spec) (*Result, error) {
-	return DetectContext(context.Background(), spec, nil)
-}
-
-// DetectContext is Detect under a fault plan, honoring a context: exceeding
-// the deadline returns a typed *DeadlineError instead of running to the
-// instruction budget. Result.Faults counts every fault the plan injected,
-// network draws included — the same counts a recording pass reports.
-func DetectContext(ctx context.Context, spec samples.Spec, plan *faults.Plan) (*Result, error) {
-	return RunLiveContext(ctx, spec, detectPlugins(), plan)
-}
-
-// PerfRow is one Table V measurement.
-type PerfRow struct {
-	Application   string
-	ReplayPlain   time.Duration
-	ReplayFAROS   time.Duration
-	Slowdown      float64
-	Instructions  uint64
-	RecordedBytes int
-}
-
-// perfRepeats is how many times each replay is timed; the fastest run is
-// reported (standard microbenchmark practice — noise only ever adds time).
-const perfRepeats = 7
-
-// MeasurePerf records a workload once, then replays it repeatedly without
-// any plugin and with FAROS, timing both (the Table V methodology; each
-// configuration reports its fastest of perfRepeats runs). The two
-// configurations are interleaved — plain, FAROS, plain, FAROS, ... — so a
-// machine-speed drift mid-measurement inflates both numerators alike
-// instead of skewing the ratio.
-func MeasurePerf(w samples.PerfWorkload) (PerfRow, error) {
-	log, _, err := Record(w.Spec)
-	if err != nil {
-		return PerfRow{}, err
-	}
-	one := func(plugins Plugins) (time.Duration, uint64, error) {
-		res, err := Replay(w.Spec, log, plugins)
-		if err != nil {
-			return 0, 0, err
-		}
-		return res.WallTime, res.Summary.Instructions, nil
-	}
-	var plainT, farosT time.Duration
-	var instrs uint64
-	for i := 0; i < perfRepeats; i++ {
-		pT, n, err := one(Plugins{})
-		if err != nil {
-			return PerfRow{}, err
-		}
-		fT, _, err := one(Plugins{Faros: &core.Config{}})
-		if err != nil {
-			return PerfRow{}, err
-		}
-		instrs = n
-		if plainT == 0 || pT < plainT {
-			plainT = pT
-		}
-		if farosT == 0 || fT < farosT {
-			farosT = fT
-		}
-	}
-	row := PerfRow{
-		Application:  w.Display,
-		ReplayPlain:  plainT,
-		ReplayFAROS:  farosT,
-		Instructions: instrs,
-	}
-	if plainT > 0 {
-		row.Slowdown = float64(farosT) / float64(plainT)
-	}
-	if raw, _, err := EncodeTrace(w.Spec, log); err == nil {
-		row.RecordedBytes = len(raw)
-	}
-	return row, nil
 }

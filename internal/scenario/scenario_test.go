@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestAllSixAttacksFlagged(t *testing.T) {
 	for _, spec := range samples.Attacks() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			res, err := Detect(spec)
+			res, err := RunLiveContext(context.Background(), spec, DetectPlugins(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -30,7 +31,7 @@ func TestAllSixAttacksFlagged(t *testing.T) {
 }
 
 func TestReflectiveDLLProvenanceChain(t *testing.T) {
-	res, err := Detect(samples.ReflectiveDLLInject())
+	res, err := RunLiveContext(context.Background(), samples.ReflectiveDLLInject(), DetectPlugins(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestReflectiveDLLProvenanceChain(t *testing.T) {
 }
 
 func TestHollowingKeyloggerWorksAndIsFlagged(t *testing.T) {
-	res, err := Detect(samples.ProcessHollowing())
+	res, err := RunLiveContext(context.Background(), samples.ProcessHollowing(), DetectPlugins(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestHollowingKeyloggerWorksAndIsFlagged(t *testing.T) {
 }
 
 func TestRATShellsExecuteInVictim(t *testing.T) {
-	res, err := Detect(samples.DarkComet())
+	res, err := RunLiveContext(context.Background(), samples.DarkComet(), DetectPlugins(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +116,15 @@ func TestRATShellsExecuteInVictim(t *testing.T) {
 
 func TestRecordReplayDetectionStable(t *testing.T) {
 	spec := samples.ReverseTCPDNS()
-	log, _, err := Record(spec)
+	log, _, err := RecordContext(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Replay(spec, log, Plugins{Faros: &core.Config{}})
+	r1, err := ReplayContext(context.Background(), spec, log, Plugins{Faros: &core.Config{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Replay(spec, log, Plugins{Faros: &core.Config{}})
+	r2, err := ReplayContext(context.Background(), spec, log, Plugins{Faros: &core.Config{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestRecordReplayDetectionStable(t *testing.T) {
 		t.Errorf("finding counts diverged: %d vs %d", len(r1.Faros.Findings()), len(r2.Faros.Findings()))
 	}
 	// Live detection equals replay detection (determinism).
-	live, err := RunLive(spec, Plugins{Faros: &core.Config{}})
+	live, err := RunLiveContext(context.Background(), spec, Plugins{Faros: &core.Config{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestJITFalsePositiveRate(t *testing.T) {
 	flagged := 0
 	var flaggedNames []string
 	for _, spec := range samples.JITWorkloads() {
-		res, err := RunLive(spec, Plugins{Faros: &core.Config{}})
+		res, err := RunLiveContext(context.Background(), spec, Plugins{Faros: &core.Config{}}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -176,7 +177,7 @@ func TestJITFalsePositiveRate(t *testing.T) {
 
 func TestBenignCorpusZeroFalsePositives(t *testing.T) {
 	for _, spec := range samples.BenignPrograms() {
-		res, err := RunLive(spec, Plugins{Faros: &core.Config{}})
+		res, err := RunLiveContext(context.Background(), spec, Plugins{Faros: &core.Config{}}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -192,7 +193,7 @@ func TestMalwareCorpusSampling(t *testing.T) {
 	corpus := samples.MalwareCorpus()
 	for i := 0; i < len(corpus); i += 5 {
 		spec := corpus[i]
-		res, err := RunLive(spec, Plugins{Faros: &core.Config{}})
+		res, err := RunLiveContext(context.Background(), spec, Plugins{Faros: &core.Config{}}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -205,7 +206,7 @@ func TestMalwareCorpusSampling(t *testing.T) {
 func TestCuckooComparison(t *testing.T) {
 	// §VI.B: the event baseline sees the API surface but has no provenance;
 	// malfind finds persistent payloads but misses transient ones.
-	persistent, err := Detect(samples.ReflectiveDLLInject())
+	persistent, err := RunLiveContext(context.Background(), samples.ReflectiveDLLInject(), DetectPlugins(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestCuckooComparison(t *testing.T) {
 		t.Error("baselines claim provenance")
 	}
 
-	transient, err := Detect(samples.TransientReflective())
+	transient, err := RunLiveContext(context.Background(), samples.TransientReflective(), DetectPlugins(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,21 +229,5 @@ func TestCuckooComparison(t *testing.T) {
 	}
 	if transient.Malfind.Flagged() {
 		t.Errorf("malfind found the self-erased payload: %+v", transient.Malfind.Hits)
-	}
-}
-
-func TestPerfMeasurementShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf measurement in short mode")
-	}
-	row, err := MeasurePerf(samples.PerfWorkloads()[4]) // Pandora (smallest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Slowdown <= 1.0 {
-		t.Errorf("FAROS replay not slower than plain replay: %+v", row)
-	}
-	if row.Instructions == 0 || row.RecordedBytes == 0 {
-		t.Errorf("row = %+v", row)
 	}
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,7 +40,7 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(spec)
+	res, err := RunLiveContext(context.Background(), spec, DetectPlugins(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,15 @@ import (
 
 // Trace-level workflow: the record-once/analyze-many split. RecordTrace
 // captures a live run into the self-contained wire format (spec embedded,
-// identity digests in the header); ReplayTrace re-runs the DIFT analysis
-// from the encoded bytes alone, verifying first that this binary's
-// memory image matches the one the trace was recorded against.
+// identity digests in the header); ReplayTraceContext re-runs the DIFT
+// analysis from the encoded bytes alone, verifying first that this
+// binary's memory image matches the one the trace was recorded against.
 
-// TraceMeta builds the trace header for a spec: canonical spec wire form,
+// traceMeta builds the trace header for a spec: canonical spec wire form,
 // its hash, and the memory-image digest this binary would boot the spec
 // with. It fails for specs without a wire encoding (out-of-tree
 // endpoints), which are not recordable as portable traces.
-func TraceMeta(spec samples.Spec) (trace.Meta, error) {
+func traceMeta(spec samples.Spec) (trace.Meta, error) {
 	wire, err := samples.MarshalSpec(spec)
 	if err != nil {
 		return trace.Meta{}, fmt.Errorf("scenario %s: not traceable: %w", spec.Name, err)
@@ -36,7 +36,7 @@ func TraceMeta(spec samples.Spec) (trace.Meta, error) {
 // EncodeTrace serializes a recorded log as a trace for the spec it was
 // recorded from, returning the encoded bytes and their content digest.
 func EncodeTrace(spec samples.Spec, log *record.Log) ([]byte, string, error) {
-	meta, err := TraceMeta(spec)
+	meta, err := traceMeta(spec)
 	if err != nil {
 		return nil, "", err
 	}
@@ -46,7 +46,7 @@ func EncodeTrace(spec samples.Spec, log *record.Log) ([]byte, string, error) {
 // RecordTrace records the scenario live (no analysis plugins) and returns
 // the encoded trace, its digest, and the recording pass's Result.
 func RecordTrace(ctx context.Context, spec samples.Spec, plan *faults.Plan) ([]byte, string, *Result, error) {
-	meta, err := TraceMeta(spec)
+	meta, err := traceMeta(spec)
 	if err != nil {
 		return nil, "", nil, err
 	}
@@ -76,11 +76,6 @@ func VerifyTraceMeta(meta trace.Meta) (samples.Spec, error) {
 		return samples.Spec{}, &trace.MismatchError{Field: "memory-image digest", Want: meta.MemImage, Got: img}
 	}
 	return spec, nil
-}
-
-// ReplayTrace is ReplayTraceContext with a background context.
-func ReplayTrace(data []byte, plugins Plugins) (*Result, error) {
-	return ReplayTraceContext(context.Background(), data, plugins)
 }
 
 // ReplayTraceContext decodes a trace, verifies its identity digests

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestTraceReplayMatchesLiveCorpus(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			log, _, err := Record(spec)
+			log, _, err := RecordContext(context.Background(), spec, nil)
 			if err != nil {
 				t.Fatalf("record: %v", err)
 			}
@@ -36,11 +37,11 @@ func TestTraceReplayMatchesLiveCorpus(t *testing.T) {
 				t.Fatalf("digest %s != content digest", digest)
 			}
 			plugins := Plugins{Faros: &core.Config{}}
-			live, err := Replay(spec, log, plugins)
+			live, err := ReplayContext(context.Background(), spec, log, plugins, nil)
 			if err != nil {
 				t.Fatalf("live replay: %v", err)
 			}
-			fromTrace, err := ReplayTrace(data, plugins)
+			fromTrace, err := ReplayTraceContext(context.Background(), data, plugins)
 			if err != nil {
 				t.Fatalf("trace replay: %v", err)
 			}
@@ -67,7 +68,7 @@ func TestTraceReplayMatchesLiveCorpus(t *testing.T) {
 // verifiable trace whose replay flags the attack.
 func TestRecordTraceWorkflow(t *testing.T) {
 	spec := samples.ReflectiveDLLInject()
-	data, digest, rec, err := RecordTrace(t.Context(), spec, nil)
+	data, digest, rec, err := RecordTrace(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestRecordTraceWorkflow(t *testing.T) {
 	if meta.Scenario != spec.Name || meta.FinalInstr != rec.Summary.Instructions {
 		t.Fatalf("meta: %+v", meta)
 	}
-	res, err := ReplayTrace(data, Plugins{Faros: &core.Config{}})
+	res, err := ReplayTraceContext(context.Background(), data, Plugins{Faros: &core.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +96,11 @@ func TestRecordTraceWorkflow(t *testing.T) {
 // silent divergence.
 func TestReplayTraceMemImageMismatch(t *testing.T) {
 	spec := samples.ReflectiveDLLInject()
-	log, _, err := Record(spec)
+	log, _, err := RecordContext(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := TraceMeta(spec)
+	meta, err := traceMeta(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestReplayTraceMemImageMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mm *trace.MismatchError
-	if _, err := ReplayTrace(data, Plugins{Faros: &core.Config{}}); !errors.As(err, &mm) {
+	if _, err := ReplayTraceContext(context.Background(), data, Plugins{Faros: &core.Config{}}); !errors.As(err, &mm) {
 		t.Fatalf("err = %v, want *trace.MismatchError", err)
 	}
 	if mm.Field != "memory-image digest" {
@@ -121,7 +122,7 @@ func TestReplayTraceMemImageMismatch(t *testing.T) {
 // the replay entry point too.
 func TestReplayTraceCorrupt(t *testing.T) {
 	spec := samples.ReflectiveDLLInject()
-	log, _, err := Record(spec)
+	log, _, err := RecordContext(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestReplayTraceCorrupt(t *testing.T) {
 	}
 	data[len(data)-1] ^= 0x01
 	var ce *trace.CorruptError
-	if _, err := ReplayTrace(data, Plugins{Faros: &core.Config{}}); !errors.As(err, &ce) {
+	if _, err := ReplayTraceContext(context.Background(), data, Plugins{Faros: &core.Config{}}); !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *trace.CorruptError", err)
 	}
 }

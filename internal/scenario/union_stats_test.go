@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 
 	"faros/internal/core"
@@ -15,7 +16,7 @@ import (
 // returned before the counter).
 func TestUnionStatsOnChurnWorkload(t *testing.T) {
 	spec := samples.PerfWorkloads()[0].Spec
-	res, err := RunLive(spec, Plugins{Faros: &core.Config{}})
+	res, err := RunLiveContext(context.Background(), spec, Plugins{Faros: &core.Config{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

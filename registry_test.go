@@ -115,9 +115,9 @@ func TestSharedRegistrySafety(t *testing.T) {
 				pair.Add(1)
 				go func() {
 					defer pair.Done()
-					res, err := scenario.DetectContext(context.Background(), spec, nil)
+					res, err := scenario.RunLiveContext(context.Background(), spec, scenario.DetectPlugins(), nil)
 					if err != nil {
-						t.Errorf("DetectContext(%s): %v", spec.Name, err)
+						t.Errorf("detect %s: %v", spec.Name, err)
 					} else if res.Flagged() != spec.ExpectFlag {
 						t.Errorf("%s: flagged = %v, want %v", spec.Name, res.Flagged(), spec.ExpectFlag)
 					}
