@@ -206,13 +206,21 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 				reqs[i] = pipeline.Request{Spec: spec, Mode: pipeline.ModeLive, NoCache: true}
 			}
 			b.ResetTimer()
+			jobs := make([]*pipeline.Job, len(reqs))
 			for i := 0; i < b.N; i++ {
-				results, err := p.RunAll(context.Background(), reqs)
-				if err != nil {
-					b.Fatal(err)
+				for j, req := range reqs {
+					if jobs[j], err = p.Submit(req); err != nil {
+						b.Fatalf("%s: %v", req.Spec.Name, err)
+					}
 				}
-				if len(results) != len(specs) {
-					b.Fatalf("got %d results, want %d", len(results), len(specs))
+				for _, job := range jobs {
+					view, err := p.Wait(context.Background(), job)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if view.Error != "" {
+						b.Fatalf("%s: %s", view.Scenario, view.Error)
+					}
 				}
 			}
 			b.StopTimer()

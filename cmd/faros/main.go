@@ -94,6 +94,9 @@ func run() int {
 	triagePolicy := flag.String("triage-policy", "", "risk-score findings: 'default' for the built-in policy, or a policy JSON file path (empty = off)")
 	server := flag.String("server", "", "farosd base URL: run the analysis remotely instead of in-process")
 	flag.Parse()
+	if *recordOut == "" {
+		*recordOut = *save
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -136,7 +139,7 @@ func run() int {
 			strict:    *strict,
 			addrDeps:  *addrDeps,
 			timeout:   *timeout,
-			recordOut: firstNonEmpty(*recordOut, *save),
+			recordOut: *recordOut,
 		}, opts)
 	}
 
@@ -176,11 +179,7 @@ func run() int {
 	}
 	fmt.Printf("recorded %d events over %d instructions (%v wall)\n",
 		len(log.Events), rec.Summary.Instructions, rec.WallTime)
-	out := *recordOut
-	if out == "" {
-		out = *save
-	}
-	if out != "" {
+	if out := *recordOut; out != "" {
 		raw, digest, err := scenario.EncodeTrace(spec, log)
 		if err == nil {
 			err = os.WriteFile(out, raw, 0o644)

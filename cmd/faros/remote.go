@@ -28,13 +28,6 @@ type remoteArgs struct {
 	recordOut string
 }
 
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
-}
-
 // runRemote is the -server path: the same analyst workflow, executed by a
 // farosd (or fleet) instead of in-process. Scenarios submit by name,
 // -file specs upload in the canonical wire form (payload_asm assembles

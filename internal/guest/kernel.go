@@ -493,17 +493,6 @@ func (k *Kernel) Processes() []*Process {
 // Current returns the process whose context is loaded, if any.
 func (k *Kernel) Current() *Process { return k.cur }
 
-// FindProcessByName returns the first live process with the given name.
-func (k *Kernel) FindProcessByName(name string) (*Process, bool) {
-	for _, pid := range k.order {
-		p := k.procs[pid]
-		if p.Name == name && p.State != StateDead {
-			return p, true
-		}
-	}
-	return nil, false
-}
-
 // newSpace creates a process address space with the shared kernel regions
 // mapped: export table (r--), stubs and ntdll (r-x).
 func (k *Kernel) newSpace() (*mem.Space, error) {

@@ -2,7 +2,6 @@ package guest
 
 import (
 	"fmt"
-	"sort"
 
 	"faros/internal/mem"
 	"faros/internal/peimg"
@@ -186,16 +185,6 @@ func (p *Process) CloseHandle(v uint32) bool {
 	}
 	delete(p.handles, v)
 	return true
-}
-
-// HandleValues returns handle values in sorted order (determinism).
-func (p *Process) HandleValues() []uint32 {
-	out := make([]uint32, 0, len(p.handles))
-	for v := range p.handles {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // AddVAD records a region.

@@ -165,6 +165,43 @@ func (sr *specResolver) resolve(req AnalyzeRequest) (samples.Spec, string, error
 	return spec, hash, nil
 }
 
+// request translates a POST /analyze body into a pool Request. A trace
+// selector implies ModeTrace and carries only its digest: the trace is
+// resolved after routing, since the owning node may hold a trace this one
+// never ingested. Spec selectors resolve and hash their spec here, before
+// routing, since the shard key is the spec hash.
+func (sr *specResolver) request(req AnalyzeRequest) (Request, error) {
+	preq := Request{
+		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
+		NoCache: req.NoCache,
+	}
+	if req.Config != nil {
+		preq.Config = *req.Config
+	}
+	if req.Trace != "" {
+		if req.Mode != "" && req.Mode != string(ModeTrace) {
+			return Request{}, &httpError{http.StatusBadRequest,
+				fmt.Sprintf("a trace selector implies mode %q, not %q", ModeTrace, req.Mode)}
+		}
+		preq.Mode, preq.TraceDigest = ModeTrace, req.Trace
+		return preq, nil
+	}
+	switch req.Mode {
+	case "", string(ModeDetect):
+		preq.Mode = ModeDetect
+	case string(ModeLive):
+		preq.Mode = ModeLive
+	case string(ModeTrace):
+		return Request{}, &httpError{http.StatusBadRequest,
+			`mode "trace" needs a trace digest selector (POST /traces to upload one)`}
+	default:
+		return Request{}, &httpError{http.StatusBadRequest, fmt.Sprintf("unknown mode %q", req.Mode)}
+	}
+	var err error
+	preq.Spec, preq.specHash, err = sr.resolve(req)
+	return preq, err
+}
+
 // resolveName looks a scenario up by name and hashes its spec on the
 // name's first request only.
 func (sr *specResolver) resolveName(name string) (samples.Spec, string, error) {
@@ -364,53 +401,19 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			writeErr(w, &httpError{http.StatusBadRequest, "body: " + err.Error()})
 			return
 		}
-		preq := Request{
-			Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-			NoCache: req.NoCache,
+		preq, err := specs.request(req)
+		if err != nil {
+			writeErr(w, err)
+			return
 		}
-		if req.Config != nil {
-			preq.Config = *req.Config
+		if forwardAnalyze(w, r, req, preq, forwardedFrom) {
+			return
 		}
-		if req.Trace != "" {
-			if req.Mode != "" && req.Mode != string(ModeTrace) {
-				writeErr(w, &httpError{http.StatusBadRequest,
-					fmt.Sprintf("a trace selector implies mode %q, not %q", ModeTrace, req.Mode)})
-				return
-			}
-			preq.Mode = ModeTrace
-			preq.TraceDigest = req.Trace
-			// Routing happens before local validation: the owner holds
+		if preq.Mode == ModeTrace {
+			// Routing happened before local validation: the owner holds
 			// the replicated trace even when this node never ingested it.
-			if forwardAnalyze(w, r, req, preq, forwardedFrom) {
-				return
-			}
-			spec, err := resolveTrace(p, specs, req)
-			if err != nil {
+			if preq.Spec, err = resolveTrace(p, specs, req); err != nil {
 				writeErr(w, err)
-				return
-			}
-			preq.Spec = spec
-		} else {
-			switch req.Mode {
-			case "", string(ModeDetect):
-				preq.Mode = ModeDetect
-			case string(ModeLive):
-				preq.Mode = ModeLive
-			case string(ModeTrace):
-				writeErr(w, &httpError{http.StatusBadRequest,
-					`mode "trace" needs a trace digest selector (POST /traces to upload one)`})
-				return
-			default:
-				writeErr(w, &httpError{http.StatusBadRequest, fmt.Sprintf("unknown mode %q", req.Mode)})
-				return
-			}
-			spec, hash, err := specs.resolve(req)
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			preq.Spec, preq.specHash = spec, hash
-			if forwardAnalyze(w, r, req, preq, forwardedFrom) {
 				return
 			}
 		}
@@ -430,7 +433,6 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			}
 			job = cached
 		} else {
-			var err error
 			job, err = p.Submit(preq)
 			retryAfter := time.Second
 			if adm != nil {

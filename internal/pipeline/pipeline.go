@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,16 +170,6 @@ type run struct {
 	canceled bool // last waiter detached; drop on pop, abort if running
 	started  time.Time
 	cancel   context.CancelFunc
-}
-
-// detach removes one waiter; p.mu must be held.
-func (r *run) detach(job *Job) {
-	for i, w := range r.waiters {
-		if w == job {
-			r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
-			return
-		}
-	}
 }
 
 // Job is one submission's waiter handle. Coalesced submissions share a run
@@ -517,14 +508,7 @@ func (p *Pool) policyHash() string {
 // queued/running — each waiter still gets its own Job, so Cancel detaches
 // only that waiter. Returns ErrQueueFull/ErrClosed otherwise.
 func (p *Pool) Submit(req Request) (*Job, error) {
-	if req.Mode == "" {
-		req.Mode = ModeDetect
-	}
-	key := ""
-	if !req.NoCache {
-		key = cacheKey(req, p.policyHash())
-	}
-
+	req, key := p.keyed(req)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -532,8 +516,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 	}
 	if key != "" {
 		if res, ok := p.lookupCacheLocked(key); ok {
-			p.stats.CacheHits++
-			return p.cacheHitJobLocked(req, key, res), nil
+			return p.cacheHitJobLocked(req, key, res, true), nil
 		}
 		if r, ok := p.inflight[key]; ok && !r.canceled {
 			job := p.newJobLocked(req, key)
@@ -550,7 +533,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 			return job, nil
 		}
 		if res, ok := p.storeLookupLocked(key); ok {
-			return p.cacheHitJobLocked(req, key, res), nil
+			return p.cacheHitJobLocked(req, key, res, false), nil
 		}
 	}
 	if p.draining {
@@ -578,6 +561,18 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 	return job, nil
 }
 
+// keyed fills in a request's default mode and derives its cache key: ""
+// when the request opts out of caching or has no content identity.
+func (p *Pool) keyed(req Request) (Request, string) {
+	if req.Mode == "" {
+		req.Mode = ModeDetect
+	}
+	if req.NoCache {
+		return req, ""
+	}
+	return req, cacheKey(req, p.policyHash())
+}
+
 // newJobLocked allocates a waiter handle; p.mu must be held. The caller
 // registers it in p.jobs (active) or the retention ring (terminal).
 func (p *Pool) newJobLocked(req Request, key string) *Job {
@@ -592,8 +587,12 @@ func (p *Pool) newJobLocked(req Request, key string) *Job {
 }
 
 // cacheHitJobLocked builds an already-settled waiter handle around a
-// cached (or store-served) result; p.mu must be held.
-func (p *Pool) cacheHitJobLocked(req Request, key string, res *Result) *Job {
+// cached (memory) or store-served result; only a memory hit counts as a
+// cache hit. p.mu must be held.
+func (p *Pool) cacheHitJobLocked(req Request, key string, res *Result, memory bool) *Job {
+	if memory {
+		p.stats.CacheHits++
+	}
 	job := p.newJobLocked(req, key)
 	job.state = StateDone
 	job.cacheHit = true
@@ -607,11 +606,11 @@ func (p *Pool) cacheHitJobLocked(req Request, key string, res *Result) *Job {
 }
 
 // storeLookupLocked reads through the persistent store on a memory-cache
-// miss. A hit is promoted into the memory cache (under the configured TTL)
-// so subsequent lookups skip the disk; p.mu must be held. The store itself
-// counts hits/misses and quarantines entries that fail verification.
+// miss. A hit is promoted into the memory cache so subsequent lookups skip
+// the disk; p.mu must be held. The store itself counts hits/misses and
+// quarantines entries that fail verification.
 func (p *Pool) storeLookupLocked(key string) (*Result, bool) {
-	if p.cfg.Store == nil || p.cfg.CacheCap < 0 {
+	if p.cfg.Store == nil || p.cacheOff() {
 		return nil, false
 	}
 	payload, ok := p.cfg.Store.Get(key)
@@ -624,12 +623,19 @@ func (p *Pool) storeLookupLocked(key string) (*Result, bool) {
 		// written by an incompatible version), not corruption; ignore it.
 		return nil, false
 	}
-	var exp time.Time
-	if p.cfg.CacheTTL > 0 {
-		exp = time.Now().Add(p.cfg.CacheTTL)
-	}
-	p.storeLocked(key, &res, exp)
+	p.storeLocked(key, &res)
 	return &res, true
+}
+
+// tieredLocked reads a result by cache key from the memory cache, then
+// the persistent store; memory reports which tier answered. p.mu must be
+// held.
+func (p *Pool) tieredLocked(key string) (res *Result, memory, ok bool) {
+	if res, ok := p.lookupCacheLocked(key); ok {
+		return res, true, true
+	}
+	res, ok = p.storeLookupLocked(key)
+	return res, false, ok
 }
 
 // CachedJob serves a request from the memory cache or the persistent
@@ -638,13 +644,7 @@ func (p *Pool) storeLookupLocked(key string) (*Result, bool) {
 // is the lookup it degrades to. ok=false when the result is not already
 // available.
 func (p *Pool) CachedJob(req Request) (*Job, bool) {
-	if req.Mode == "" {
-		req.Mode = ModeDetect
-	}
-	if req.NoCache {
-		return nil, false
-	}
-	key := cacheKey(req, p.policyHash())
+	req, key := p.keyed(req)
 	if key == "" {
 		return nil, false
 	}
@@ -653,14 +653,11 @@ func (p *Pool) CachedJob(req Request) (*Job, bool) {
 	if p.closed {
 		return nil, false
 	}
-	if res, ok := p.lookupCacheLocked(key); ok {
-		p.stats.CacheHits++
-		return p.cacheHitJobLocked(req, key, res), true
+	res, memory, ok := p.tieredLocked(key)
+	if !ok {
+		return nil, false
 	}
-	if res, ok := p.storeLookupLocked(key); ok {
-		return p.cacheHitJobLocked(req, key, res), true
-	}
-	return nil, false
+	return p.cacheHitJobLocked(req, key, res, memory), true
 }
 
 // QueueSaturation returns the queued fraction of the queue's capacity
@@ -709,25 +706,20 @@ func (p *Pool) Backfill(res *Result) bool {
 		return false
 	}
 	p.mu.Lock()
-	if p.closed || p.cfg.CacheCap < 0 {
+	if p.closed {
 		p.mu.Unlock()
 		return false
 	}
-	if _, ok := p.lookupCacheLocked(res.Hash); ok {
-		p.mu.Unlock()
-		return false
+	_, cached := p.lookupCacheLocked(res.Hash)
+	took := !cached && p.storeLocked(res.Hash, res)
+	if took {
+		p.stats.Cluster.Backfills++
 	}
-	var exp time.Time
-	if p.cfg.CacheTTL > 0 {
-		exp = time.Now().Add(p.cfg.CacheTTL)
-	}
-	p.storeLocked(res.Hash, res, exp)
-	p.stats.Cluster.Backfills++
 	p.mu.Unlock()
-	if p.cfg.Store != nil {
+	if took {
 		p.persist(res)
 	}
-	return true
+	return took
 }
 
 // emit publishes one lifecycle event to the live stream and, when it is
@@ -858,11 +850,14 @@ func (p *Pool) runJob(r *run) {
 	}
 }
 
-// persist writes a clean result through to the persistent store (outside
-// the pool mutex — it is a disk write). Store failures are non-fatal: the
-// result is already in the memory cache and served; the store records the
-// error for the readiness surface.
+// persist writes a clean result through to the persistent store, when one
+// is configured (outside the pool mutex — it is a disk write). Store
+// failures are non-fatal: the result is already in the memory cache and
+// served; the store records the error for the readiness surface.
 func (p *Pool) persist(res *Result) {
+	if p.cfg.Store == nil {
+		return
+	}
 	payload, err := json.Marshal(res)
 	if err != nil {
 		return
@@ -876,9 +871,7 @@ func (p *Pool) persist(res *Result) {
 // through to the persistent store by the caller (outside the lock).
 func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist *Result) {
 	r.cancel = nil
-	if r.key != "" && p.inflight[r.key] == r {
-		delete(p.inflight, r.key)
-	}
+	p.dropInflightLocked(r)
 	now := time.Now()
 	wall := now.Sub(r.started)
 	if r.started.IsZero() {
@@ -899,25 +892,8 @@ func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist
 			p.stats.addEngine(res.Faros.Stats())
 		}
 		p.stats.observeLatency(wall)
-		if r.key != "" && p.cfg.CacheCap >= 0 {
-			switch {
-			case result.Degraded == "":
-				var exp time.Time
-				if p.cfg.CacheTTL > 0 {
-					exp = now.Add(p.cfg.CacheTTL)
-				}
-				p.storeLocked(r.key, result, exp)
-				if p.cfg.Store != nil {
-					persist = result
-				}
-			case p.cfg.DegradedTTL > 0:
-				p.storeLocked(r.key, result, now.Add(p.cfg.DegradedTTL))
-			default:
-				// A degraded result is a partial failure, not a
-				// deterministic outcome — serving it from cache would
-				// poison every future identical submission.
-				p.stats.CacheSkippedDegraded++
-			}
+		if r.key != "" && p.storeLocked(r.key, result) && result.Degraded == "" {
+			persist = result
 		}
 		for _, w := range r.waiters {
 			if result.Degraded != "" {
@@ -1108,26 +1084,51 @@ func (p *Pool) lookupCacheLocked(key string) (*Result, bool) {
 	return e.res, true
 }
 
-// storeLocked inserts into the cache, evicting from the front of the
-// eviction list (insertion order, or LRU when CacheLRU touches entries on
-// lookup) while over capacity; p.mu must be held.
-func (p *Pool) storeLocked(key string, res *Result, expires time.Time) {
+// storeLocked inserts into the cache and reports whether it did. It is
+// the one place that picks an entry's lifetime: CacheTTL for a clean
+// result, DegradedTTL for a degraded one (0 = never cache it: a partial
+// failure is not a deterministic outcome, and serving it would poison
+// every future identical submission), with 0 TTL meaning no age limit.
+// Nothing is cached while caching is off. Inserting evicts from the front
+// of the eviction list (insertion order, or LRU when CacheLRU touches
+// entries on lookup) while over capacity; p.mu must be held.
+func (p *Pool) storeLocked(key string, res *Result) bool {
+	if p.cacheOff() {
+		return false
+	}
+	ttl := p.cfg.CacheTTL
+	if res.Degraded != "" {
+		if p.cfg.DegradedTTL == 0 {
+			p.stats.CacheSkippedDegraded++
+			return false
+		}
+		ttl = p.cfg.DegradedTTL
+	}
+	var expires time.Time
+	if ttl > 0 {
+		expires = time.Now().Add(ttl)
+	}
 	if e, ok := p.cache[key]; ok {
 		e.res = res
 		e.expires = expires
 		p.cacheList.MoveToBack(e.elem)
-		return
+		return true
 	}
 	e := &cacheEntry{key: key, res: res, expires: expires}
 	e.elem = p.cacheList.PushBack(e)
 	p.cache[key] = e
-	for p.cfg.CacheCap > 0 && len(p.cache) > p.cfg.CacheCap {
+	for len(p.cache) > p.cfg.CacheCap {
 		front := p.cacheList.Front()
 		victim := front.Value.(*cacheEntry)
 		p.cacheList.Remove(front)
 		delete(p.cache, victim.key)
 	}
+	return true
 }
+
+// cacheOff reports whether caching is disabled (CacheCap < 0): no memory
+// entries, and no store reads or writes.
+func (p *Pool) cacheOff() bool { return p.cfg.CacheCap < 0 }
 
 // Cancel detaches one waiter: the handle settles as canceled immediately,
 // while coalesced peers on the same run keep waiting unharmed. The
@@ -1141,23 +1142,35 @@ func (p *Pool) Cancel(id string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	job, ok := p.jobs[id]
-	if !ok {
-		return false
+	if ok {
+		p.detachLocked(job, time.Now())
 	}
+	return ok
+}
+
+// detachLocked settles one active waiter as canceled and, when it was its
+// run's last waiter, aborts the run: a queued run is dropped when a worker
+// pops it, a running one has its context canceled. p.mu must be held.
+func (p *Pool) detachLocked(job *Job, now time.Time) {
 	r := job.run
-	r.detach(job)
-	p.settleLocked(job, StateCanceled, nil, context.Canceled, time.Now())
+	r.waiters = slices.DeleteFunc(r.waiters, func(w *Job) bool { return w == job })
+	p.settleLocked(job, StateCanceled, nil, context.Canceled, now)
 	p.stats.JobsCanceled++
 	if len(r.waiters) == 0 {
 		r.canceled = true
-		if r.key != "" && p.inflight[r.key] == r {
-			delete(p.inflight, r.key)
-		}
+		p.dropInflightLocked(r)
 		if r.cancel != nil {
 			r.cancel()
 		}
 	}
-	return true
+}
+
+// dropInflightLocked removes a run from the dedup index, so the next
+// identical submission starts a fresh run; p.mu must be held.
+func (p *Pool) dropInflightLocked(r *run) {
+	if p.inflight[r.key] == r {
+		delete(p.inflight, r.key)
+	}
 }
 
 // View snapshots a job for rendering: active jobs live, settled jobs from
@@ -1202,10 +1215,8 @@ func (p *Pool) viewLocked(job *Job) JobView {
 func (p *Pool) ResultByHash(hash string) (*Result, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if res, ok := p.lookupCacheLocked(hash); ok {
-		return res, true
-	}
-	return p.storeLookupLocked(hash)
+	res, _, ok := p.tieredLocked(hash)
+	return res, ok
 }
 
 // Wait blocks until the job finishes or ctx expires, then returns its
@@ -1219,51 +1230,6 @@ func (p *Pool) Wait(ctx context.Context, job *Job) (JobView, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.viewLocked(job), nil
-}
-
-// RunAll submits every request and waits for all of them, preserving
-// order. The first job error (or submit error) is returned after every
-// submitted job has settled, so a failure never leaves work running. The
-// results are summaries: the guests behind them are already released, so
-// callers that need the full scenario.Result (kernel, engine state,
-// baseline reports) call the scenario entry points themselves.
-func (p *Pool) RunAll(ctx context.Context, reqs []Request) ([]*Result, error) {
-	jobs := make([]*Job, len(reqs))
-	var firstErr error
-	for i, req := range reqs {
-		job, err := p.Submit(req)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", req.Spec.Name, err)
-			}
-			continue
-		}
-		jobs[i] = job
-	}
-	results := make([]*Result, len(reqs))
-	for i, job := range jobs {
-		if job == nil {
-			continue
-		}
-		view, err := p.Wait(ctx, job)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if view.Error != "" {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %s", view.Scenario, view.Error)
-			}
-			continue
-		}
-		results[i] = view.Result
-	}
-	if firstErr != nil {
-		return results, firstErr
-	}
-	return results, nil
 }
 
 // Stats snapshots the pool's counters and fills in its gauges.
@@ -1329,19 +1295,7 @@ func (p *Pool) Close() {
 	p.closed = true
 	now := time.Now()
 	for _, job := range p.jobs {
-		r := job.run
-		r.detach(job)
-		p.settleLocked(job, StateCanceled, nil, context.Canceled, now)
-		p.stats.JobsCanceled++
-		if len(r.waiters) == 0 {
-			r.canceled = true
-			if r.key != "" && p.inflight[r.key] == r {
-				delete(p.inflight, r.key)
-			}
-			if r.cancel != nil {
-				r.cancel()
-			}
-		}
+		p.detachLocked(job, now)
 	}
 	close(p.queue)
 	p.mu.Unlock()

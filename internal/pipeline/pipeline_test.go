@@ -274,41 +274,6 @@ func TestPoolDeadlineRealGuest(t *testing.T) {
 	}
 }
 
-// TestRunAllPreservesOrder: RunAll returns results positionally even
-// though execution is concurrent and out of order.
-func TestRunAllPreservesOrder(t *testing.T) {
-	p := mustNew(t, Config{Workers: 4})
-	defer p.Close()
-
-	specs := []samples.Spec{
-		samples.Figure1Workload().Spec,
-		samples.Figure2Workload().Spec,
-		samples.ReflectiveDLLInject(),
-	}
-	reqs := make([]Request, len(specs))
-	for i, spec := range specs {
-		reqs[i] = Request{Spec: spec, Mode: ModeLive}
-	}
-	results, err := p.RunAll(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res == nil {
-			t.Fatalf("results[%d] is nil", i)
-		}
-		if res.Scenario != specs[i].Name {
-			t.Errorf("results[%d] = %s, want %s", i, res.Scenario, specs[i].Name)
-		}
-		if res.Instructions == 0 {
-			t.Errorf("results[%d] retired no instructions", i)
-		}
-	}
-	if !results[2].Flagged {
-		t.Error("reflective injection not flagged through the pool")
-	}
-}
-
 // TestPoolClose: Close drains, cancels running work, and rejects new
 // submissions.
 func TestPoolClose(t *testing.T) {

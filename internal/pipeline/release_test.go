@@ -29,6 +29,33 @@ func corpusRequests() []Request {
 	return reqs
 }
 
+// waitAll submits every request, then waits for each in order and
+// returns their results; a rejected submission or a failed job fails the
+// test.
+func waitAll(t *testing.T, p *Pool, reqs []Request) []*Result {
+	t.Helper()
+	jobs := make([]*Job, len(reqs))
+	for i, req := range reqs {
+		job, err := p.Submit(req)
+		if err != nil {
+			t.Fatalf("%s: %v", req.Spec.Name, err)
+		}
+		jobs[i] = job
+	}
+	results := make([]*Result, len(reqs))
+	for i, job := range jobs {
+		view, err := p.Wait(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.Error != "" {
+			t.Fatalf("%s: %s", view.Scenario, view.Error)
+		}
+		results[i] = view.Result
+	}
+	return results
+}
+
 // TestReleasedRunsDoNotAlias: a finished job's guest memory goes back to
 // the pools while its summary stays in the cache, so nothing in a cached
 // Result (findings, provenance graphs) may point into that memory. Cache
@@ -45,13 +72,11 @@ func TestReleasedRunsDoNotAlias(t *testing.T) {
 	defer p.Close()
 	ctx := context.Background()
 	reqs := corpusRequests()
-	results, err := p.RunAll(ctx, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := waitAll(t, p, reqs)
 	before := make([][]byte, len(results))
 	flagged := 0
 	for i, res := range results {
+		var err error
 		if before[i], err = json.Marshal(res); err != nil {
 			t.Fatal(err)
 		}
@@ -68,10 +93,7 @@ func TestReleasedRunsDoNotAlias(t *testing.T) {
 		req.NoCache = true
 		churn[i] = req
 	}
-	rerun, err := p.RunAll(ctx, churn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rerun := waitAll(t, p, churn)
 
 	for i, req := range reqs {
 		job, ok := p.CachedJob(req)

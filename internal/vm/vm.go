@@ -120,19 +120,6 @@ func (m *Machine) lookupPA(va uint32, slot int) (mem.PhysAddr, bool) {
 	return 0, false
 }
 
-// DataPA translates a data access through the data TLB without touching
-// memory — the fused engine's pre-store cleanliness probe.
-func (m *Machine) DataPA(va uint32, kind mem.AccessKind) (mem.PhysAddr, error) {
-	slot := 0
-	if kind == mem.AccessWrite {
-		slot = 1
-	}
-	if pa, ok := m.lookupPA(va, slot); ok {
-		return pa, nil
-	}
-	return m.dataPAFill(va, kind, &m.dtlb[slot])
-}
-
 // dataPAFill is the data-TLB miss path: translate and refill the entry.
 func (m *Machine) dataPAFill(va uint32, kind mem.AccessKind, t *dataTLBEntry) (mem.PhysAddr, error) {
 	pa, err := m.space.Translate(va, kind)
