@@ -1,6 +1,6 @@
 // Command farosbench regenerates the paper's evaluation: every table and
 // figure of §VI plus the ablations documented in DESIGN.md. The corpus
-// sweeps run through the shared analysis pool, one scenario per core.
+// sweeps run scenario.RunLiveContext in parallel, one scenario per core.
 //
 // Usage:
 //

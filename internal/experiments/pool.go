@@ -25,8 +25,8 @@ type sweepRun struct {
 // one live pass (scenario.RunLiveContext). The sweeps read the full
 // scenario.Result (engine stats, kernel state, baseline reports), so they
 // keep the guests a pipeline pool would release. Results keep the runs'
-// order; like Pool.RunAll, the first error is returned only after every
-// run has settled.
+// order, and the first error is returned only after every run has
+// settled.
 func runAll(runs []sweepRun) ([]*scenario.Result, error) {
 	results := make([]*scenario.Result, len(runs))
 	errs := make([]error, len(runs))

@@ -160,16 +160,17 @@ type Result struct {
 }
 
 // run is one underlying execution, shared by every waiter whose submission
-// coalesced onto it. All fields are guarded by the pool's mutex.
+// coalesced onto it. A run whose last waiter detached has no waiters: it
+// has left the dedup index, and a worker drops it on pop. All fields are
+// guarded by the pool's mutex.
 type run struct {
 	key     string
 	req     Request
 	waiters []*Job
 
-	running  bool
-	canceled bool // last waiter detached; drop on pop, abort if running
-	started  time.Time
-	cancel   context.CancelFunc
+	running bool
+	started time.Time
+	cancel  context.CancelFunc
 }
 
 // Job is one submission's waiter handle. Coalesced submissions share a run
@@ -518,7 +519,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 		if res, ok := p.lookupCacheLocked(key); ok {
 			return p.cacheHitJobLocked(req, key, res, true), nil
 		}
-		if r, ok := p.inflight[key]; ok && !r.canceled {
+		if r, ok := p.inflight[key]; ok {
 			job := p.newJobLocked(req, key)
 			job.run = r
 			r.waiters = append(r.waiters, job)
@@ -806,7 +807,7 @@ func (p *Pool) worker() {
 // runJob executes one run end to end.
 func (p *Pool) runJob(r *run) {
 	p.mu.Lock()
-	if r.canceled || len(r.waiters) == 0 {
+	if len(r.waiters) == 0 {
 		// Every waiter detached while the run sat in the queue; it was
 		// already removed from inflight, so just drop it.
 		p.mu.Unlock()
@@ -1084,14 +1085,13 @@ func (p *Pool) lookupCacheLocked(key string) (*Result, bool) {
 	return e.res, true
 }
 
-// storeLocked inserts into the cache and reports whether it did. It is
-// the one place that picks an entry's lifetime: CacheTTL for a clean
-// result, DegradedTTL for a degraded one (0 = never cache it: a partial
-// failure is not a deterministic outcome, and serving it would poison
-// every future identical submission), with 0 TTL meaning no age limit.
-// Nothing is cached while caching is off. Inserting evicts from the front
-// of the eviction list (insertion order, or LRU when CacheLRU touches
-// entries on lookup) while over capacity; p.mu must be held.
+// storeLocked is the one cache insert; it reports whether it cached res.
+// It picks the entry's lifetime: CacheTTL for a clean result (0 = no age
+// limit), DegradedTTL for a degraded one, whose default 0 skips it — a
+// partial failure is not a deterministic outcome, and serving it would
+// poison every identical submission. While over capacity it evicts from
+// the front of the eviction list (insertion order, or LRU when CacheLRU
+// touches entries on lookup). p.mu must be held.
 func (p *Pool) storeLocked(key string, res *Result) bool {
 	if p.cacheOff() {
 		return false
@@ -1143,7 +1143,7 @@ func (p *Pool) Cancel(id string) bool {
 	defer p.mu.Unlock()
 	job, ok := p.jobs[id]
 	if ok {
-		p.detachLocked(job, time.Now())
+		p.detachLocked(job)
 	}
 	return ok
 }
@@ -1151,13 +1151,12 @@ func (p *Pool) Cancel(id string) bool {
 // detachLocked settles one active waiter as canceled and, when it was its
 // run's last waiter, aborts the run: a queued run is dropped when a worker
 // pops it, a running one has its context canceled. p.mu must be held.
-func (p *Pool) detachLocked(job *Job, now time.Time) {
+func (p *Pool) detachLocked(job *Job) {
 	r := job.run
 	r.waiters = slices.DeleteFunc(r.waiters, func(w *Job) bool { return w == job })
-	p.settleLocked(job, StateCanceled, nil, context.Canceled, now)
+	p.settleLocked(job, StateCanceled, nil, context.Canceled, time.Now())
 	p.stats.JobsCanceled++
 	if len(r.waiters) == 0 {
-		r.canceled = true
 		p.dropInflightLocked(r)
 		if r.cancel != nil {
 			r.cancel()
@@ -1293,9 +1292,8 @@ func (p *Pool) Close() {
 		return
 	}
 	p.closed = true
-	now := time.Now()
 	for _, job := range p.jobs {
-		p.detachLocked(job, now)
+		p.detachLocked(job)
 	}
 	close(p.queue)
 	p.mu.Unlock()
