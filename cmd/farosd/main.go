@@ -8,7 +8,7 @@
 //
 //	farosd                         # listen on :7373, GOMAXPROCS workers
 //	farosd -addr :9000 -workers 8 -timeout 30s -cache 1024
-//	farosd -retention 4096 -retention-age 1h -cache-ttl 30m -cache-lru -degraded-ttl 10s
+//	farosd -retention 4096 -retention-age 1h -cache-ttl 30m -degraded-ttl 10s
 //	farosd -store-dir /var/lib/faros -store-max-bytes 1073741824 -store-ttl 168h
 //	farosd -rate-limit 50 -rate-burst 100 -shed-threshold 0.8
 //	farosd -trace-dir /var/lib/faros/traces -trace-max-bytes 4294967296
@@ -121,7 +121,6 @@ func run() int {
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-job deadline (negative disables)")
 	cache := flag.Int("cache", 0, "result cache capacity (0 = default 512, negative disables)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "result cache entry TTL (0 = entries never age out)")
-	cacheLRU := flag.Bool("cache-lru", false, "evict cache entries least-recently-used instead of FIFO")
 	degradedTTL := flag.Duration("degraded-ttl", 0, "cache degraded (partial-failure) results for this long (0 = never cache them)")
 	retention := flag.Int("retention", 0, "terminal jobs kept for GET /jobs/{id} (0 = default 1024, negative disables)")
 	retentionAge := flag.Duration("retention-age", 0, "max age of retained terminal jobs (0 = default 15m, negative = no age limit)")
@@ -138,7 +137,6 @@ func run() int {
 	shedThreshold := flag.Float64("shed-threshold", 0, "queue saturation fraction at which new work sheds with 429 (0 = default 0.9, negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight jobs at shutdown")
 	nodeID := flag.String("node-id", "", "this node's cluster ID (required with -peers / -peers-file)")
-	advertise := flag.String("advertise", "", "base URL peers reach this node at (informational; a shared peers file may already carry it)")
 	peersFlag := flag.String("peers", "", "comma-separated peer list: id=http://host:port,...")
 	peersFile := flag.String("peers-file", "", "static peer file: JSON object of node-id to base-URL for the whole fleet")
 	probeInterval := flag.Duration("probe-interval", 0, "peer health-probe cadence (0 = default 2s)")
@@ -227,7 +225,6 @@ func run() int {
 		JobTimeout:      *timeout,
 		CacheCap:        *cache,
 		CacheTTL:        *cacheTTL,
-		CacheLRU:        *cacheLRU,
 		DegradedTTL:     *degradedTTL,
 		JobRetention:    *retention,
 		JobRetentionAge: *retentionAge,
@@ -250,12 +247,8 @@ func run() int {
 	if clus != nil {
 		clus.Start()
 		defer clus.Close()
-		self := *advertise
-		if self == "" {
-			self = peers[*nodeID]
-		}
 		fmt.Printf("farosd: cluster node %q at %s: %d peers, %d-point ring\n",
-			*nodeID, self, len(clus.Registry().Status()), clus.Ring().Points())
+			*nodeID, peers[*nodeID], len(clus.Registry().Status()), clus.Ring().Points())
 	}
 	handler := pipeline.NewHandler(pool, pipeline.ServerConfig{
 		Resolve:   faros.Scenario,

@@ -38,9 +38,10 @@ func (c tierCounters) minus(o tierCounters) tierCounters {
 // against each place a key's result can be: the memory cache, the
 // persistent store only (a restarted pool), an in-flight run, nowhere, an
 // expired memory entry still held by the store, and a pool with caching
-// disabled over a store an earlier pool filled. Only a memory hit through
-// Submit or CachedJob counts as a cache hit; ResultByHash counts none of
-// its own, and a disabled cache never reads the store.
+// disabled over a store an earlier pool filled. A hit from either tier
+// through Submit or CachedJob counts as a cache hit; ResultByHash counts
+// none of its own, Backfill writes nothing a tier already holds, and a
+// disabled cache never reads the store.
 func TestTierCounters(t *testing.T) {
 	req := Request{Spec: samples.Spinner(1000), Mode: ModeLive}
 	key := cacheKey(req, "")
@@ -135,18 +136,18 @@ func TestTierCounters(t *testing.T) {
 	table := map[string]map[string]want{
 		"Submit": {
 			"memory":   {true, tierCounters{CacheHits: 1}},
-			"store":    {true, tierCounters{StoreHits: 1}},
+			"store":    {true, tierCounters{CacheHits: 1, StoreHits: 1}},
 			"inflight": {false, tierCounters{Coalesced: 1}},
 			"miss":     {false, tierCounters{CacheMisses: 1}},
-			"expired":  {true, tierCounters{Expired: 1, StoreHits: 1}},
+			"expired":  {true, tierCounters{CacheHits: 1, Expired: 1, StoreHits: 1}},
 			"disabled": {false, tierCounters{CacheMisses: 1}},
 		},
 		"CachedJob": {
 			"memory":   {true, tierCounters{CacheHits: 1}},
-			"store":    {true, tierCounters{StoreHits: 1}},
+			"store":    {true, tierCounters{CacheHits: 1, StoreHits: 1}},
 			"inflight": {false, tierCounters{}},
 			"miss":     {false, tierCounters{}},
-			"expired":  {true, tierCounters{Expired: 1, StoreHits: 1}},
+			"expired":  {true, tierCounters{CacheHits: 1, Expired: 1, StoreHits: 1}},
 			"disabled": {false, tierCounters{}},
 		},
 		"ResultByHash": {
@@ -159,10 +160,10 @@ func TestTierCounters(t *testing.T) {
 		},
 		"Backfill": {
 			"memory":   {false, tierCounters{}},
-			"store":    {true, tierCounters{Backfills: 1}},
+			"store":    {false, tierCounters{StoreHits: 1}},
 			"inflight": {true, tierCounters{Backfills: 1}},
 			"miss":     {true, tierCounters{Backfills: 1}},
-			"expired":  {true, tierCounters{Expired: 1, Backfills: 1}},
+			"expired":  {false, tierCounters{Expired: 1, StoreHits: 1}},
 			"disabled": {false, tierCounters{}},
 		},
 	}

@@ -388,7 +388,7 @@ var metricTable = []metricDef{
 	{"faros_trace_bytes_total", "Encoded bytes of ingested traces.", counter, always, func(s *Stats) uint64 { return s.Trace.Bytes }, nil},
 	{"faros_trace_replays_total", "Analysis-only replays executed from stored traces.", counter, always, func(s *Stats) uint64 { return s.Trace.Replays }, nil},
 	{"faros_trace_digest_mismatch_total", "Trace submissions rejected on spec-hash or memory-image digest mismatch.", counter, always, func(s *Stats) uint64 { return s.Trace.DigestMismatch }, nil},
-	{"faros_cache_hits_total", "Submissions served from the result cache.", counter, always, func(s *Stats) uint64 { return s.CacheHits }, nil},
+	{"faros_cache_hits_total", "Submissions served from the result cache or store.", counter, always, func(s *Stats) uint64 { return s.CacheHits }, nil},
 	{"faros_cache_misses_total", "Cacheable submissions that missed the cache.", counter, always, func(s *Stats) uint64 { return s.CacheMisses }, nil},
 	{"faros_cache_expired_total", "Cache entries dropped at lookup because their TTL passed.", counter, always, func(s *Stats) uint64 { return s.CacheExpired }, nil},
 	{"faros_cache_skipped_degraded_total", "Degraded results the cache policy refused to insert.", counter, always, func(s *Stats) uint64 { return s.CacheSkippedDegraded }, nil},

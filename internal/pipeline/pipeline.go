@@ -236,14 +236,12 @@ type Config struct {
 	// disables).
 	JobTimeout time.Duration
 	// CacheCap bounds the result cache entry count (default 512;
-	// negative disables caching).
+	// negative disables caching). Past it the least-recently-used entry
+	// is evicted.
 	CacheCap int
 	// CacheTTL expires cache entries this long after insertion
 	// (default 0 = entries never age out).
 	CacheTTL time.Duration
-	// CacheLRU switches cache eviction from insertion order (FIFO) to
-	// least-recently-used.
-	CacheLRU bool
 	// DegradedTTL controls caching of degraded results (recovered plugin
 	// panic, replay divergence). 0 (the default) never caches them —
 	// every identical re-submission re-runs and gets a fresh chance at a
@@ -341,7 +339,10 @@ type cacheEntry struct {
 }
 
 // Pool is the analysis service: a job queue drained by a bounded set of
-// worker goroutines, fronted by a result cache.
+// worker goroutines, fronted by two result tiers, an LRU memory cache over
+// an optional persistent store. Every read by cache key goes through
+// tieredLocked, and every submission either tier answers counts as one
+// cache hit.
 type Pool struct {
 	cfg    Config
 	queue  chan *run
@@ -352,7 +353,7 @@ type Pool struct {
 	jobs      map[string]*Job        // active (queued/running) waiter handles
 	inflight  map[string]*run        // cache key → queued/running run (dedup)
 	cache     map[string]*cacheEntry // cache key → completed result
-	cacheList *list.List             // eviction order: front is next victim
+	cacheList *list.List             // least recently used at the front
 	retained  map[string]*retainedJob
 	retOrder  []string // retained job IDs, oldest first
 	closed    bool
@@ -504,10 +505,11 @@ func (p *Pool) policyHash() string {
 }
 
 // Submit enqueues a request and returns this submission's waiter handle.
-// Identical requests (same cache key) are served from the cache when
-// already completed, or coalesced onto the in-flight run when
-// queued/running — each waiter still gets its own Job, so Cancel detaches
-// only that waiter. Returns ErrQueueFull/ErrClosed otherwise.
+// Identical requests (same cache key) are served from the memory cache or
+// the persistent store when already completed, or coalesced onto the
+// in-flight run when queued/running — each waiter still gets its own Job,
+// so Cancel detaches only that waiter. Returns ErrQueueFull/ErrClosed
+// otherwise.
 func (p *Pool) Submit(req Request) (*Job, error) {
 	req, key := p.keyed(req)
 	p.mu.Lock()
@@ -516,8 +518,8 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 		return nil, ErrClosed
 	}
 	if key != "" {
-		if res, ok := p.lookupCacheLocked(key); ok {
-			return p.cacheHitJobLocked(req, key, res, true), nil
+		if res, ok := p.tieredLocked(key); ok {
+			return p.cacheHitJobLocked(req, key, res), nil
 		}
 		if r, ok := p.inflight[key]; ok {
 			job := p.newJobLocked(req, key)
@@ -532,9 +534,6 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 			p.emit(triage.Event{Type: triage.EventCoalesced, Job: job.ID,
 				Scenario: job.Scenario, Hash: job.Hash})
 			return job, nil
-		}
-		if res, ok := p.storeLookupLocked(key); ok {
-			return p.cacheHitJobLocked(req, key, res, false), nil
 		}
 	}
 	if p.draining {
@@ -588,12 +587,10 @@ func (p *Pool) newJobLocked(req Request, key string) *Job {
 }
 
 // cacheHitJobLocked builds an already-settled waiter handle around a
-// cached (memory) or store-served result; only a memory hit counts as a
-// cache hit. p.mu must be held.
-func (p *Pool) cacheHitJobLocked(req Request, key string, res *Result, memory bool) *Job {
-	if memory {
-		p.stats.CacheHits++
-	}
+// result either tier answered, and counts it as a cache hit. p.mu must be
+// held.
+func (p *Pool) cacheHitJobLocked(req Request, key string, res *Result) *Job {
+	p.stats.CacheHits++
 	job := p.newJobLocked(req, key)
 	job.state = StateDone
 	job.cacheHit = true
@@ -606,11 +603,15 @@ func (p *Pool) cacheHitJobLocked(req Request, key string, res *Result, memory bo
 	return job
 }
 
-// storeLookupLocked reads through the persistent store on a memory-cache
-// miss. A hit is promoted into the memory cache so subsequent lookups skip
-// the disk; p.mu must be held. The store itself counts hits/misses and
-// quarantines entries that fail verification.
-func (p *Pool) storeLookupLocked(key string) (*Result, bool) {
+// tieredLocked is the one read of a result by cache key: the memory
+// cache, then the persistent store. A store hit is promoted into the
+// memory cache so later lookups skip the disk. The store counts its own
+// hits and misses and quarantines entries that fail verification; a
+// disabled cache reads neither tier. p.mu must be held.
+func (p *Pool) tieredLocked(key string) (*Result, bool) {
+	if res, ok := p.lookupCacheLocked(key); ok {
+		return res, true
+	}
 	if p.cfg.Store == nil || p.cacheOff() {
 		return nil, false
 	}
@@ -628,17 +629,6 @@ func (p *Pool) storeLookupLocked(key string) (*Result, bool) {
 	return &res, true
 }
 
-// tieredLocked reads a result by cache key from the memory cache, then
-// the persistent store; memory reports which tier answered. p.mu must be
-// held.
-func (p *Pool) tieredLocked(key string) (res *Result, memory, ok bool) {
-	if res, ok := p.lookupCacheLocked(key); ok {
-		return res, true, true
-	}
-	res, ok = p.storeLookupLocked(key)
-	return res, false, ok
-}
-
 // CachedJob serves a request from the memory cache or the persistent
 // store without creating any new work — the overload path: when the queue
 // is saturated the HTTP layer degrades to cached-only service, and this
@@ -654,11 +644,11 @@ func (p *Pool) CachedJob(req Request) (*Job, bool) {
 	if p.closed {
 		return nil, false
 	}
-	res, memory, ok := p.tieredLocked(key)
+	res, ok := p.tieredLocked(key)
 	if !ok {
 		return nil, false
 	}
-	return p.cacheHitJobLocked(req, key, res, memory), true
+	return p.cacheHitJobLocked(req, key, res), true
 }
 
 // QueueSaturation returns the queued fraction of the queue's capacity
@@ -701,7 +691,9 @@ func (p *Pool) NodeID() string { return p.cfg.NodeID }
 // submission or result read is answered locally instead of re-crossing
 // the cluster. Results are deterministic and content-addressed, so a
 // peer's copy is bit-identical to what a local run would produce.
-// Degraded, hashless, and already-cached results are skipped (false).
+// Degraded and hashless results are skipped (false), and so is a key
+// either tier already holds: a stored entry is promoted into memory, not
+// written again.
 func (p *Pool) Backfill(res *Result) bool {
 	if res == nil || res.Hash == "" || res.Degraded != "" {
 		return false
@@ -711,8 +703,8 @@ func (p *Pool) Backfill(res *Result) bool {
 		p.mu.Unlock()
 		return false
 	}
-	_, cached := p.lookupCacheLocked(res.Hash)
-	took := !cached && p.storeLocked(res.Hash, res)
+	_, held := p.tieredLocked(res.Hash)
+	took := !held && p.storeLocked(res.Hash, res)
 	if took {
 		p.stats.Cluster.Backfills++
 	}
@@ -1067,7 +1059,8 @@ func (p *Pool) sweepRetainedLocked(now time.Time) {
 }
 
 // lookupCacheLocked returns a live cache entry, expiring it if its TTL
-// passed and touching it under LRU eviction; p.mu must be held.
+// passed and otherwise moving it to the back of the eviction list; p.mu
+// must be held.
 func (p *Pool) lookupCacheLocked(key string) (*Result, bool) {
 	e, ok := p.cache[key]
 	if !ok {
@@ -1079,9 +1072,7 @@ func (p *Pool) lookupCacheLocked(key string) (*Result, bool) {
 		p.stats.CacheExpired++
 		return nil, false
 	}
-	if p.cfg.CacheLRU {
-		p.cacheList.MoveToBack(e.elem)
-	}
+	p.cacheList.MoveToBack(e.elem)
 	return e.res, true
 }
 
@@ -1090,8 +1081,8 @@ func (p *Pool) lookupCacheLocked(key string) (*Result, bool) {
 // limit), DegradedTTL for a degraded one, whose default 0 skips it — a
 // partial failure is not a deterministic outcome, and serving it would
 // poison every identical submission. While over capacity it evicts from
-// the front of the eviction list (insertion order, or LRU when CacheLRU
-// touches entries on lookup). p.mu must be held.
+// the front of the eviction list, the least-recently-used entry. p.mu must
+// be held.
 func (p *Pool) storeLocked(key string, res *Result) bool {
 	if p.cacheOff() {
 		return false
@@ -1214,8 +1205,7 @@ func (p *Pool) viewLocked(job *Job) JobView {
 func (p *Pool) ResultByHash(hash string) (*Result, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	res, _, ok := p.tieredLocked(hash)
-	return res, ok
+	return p.tieredLocked(hash)
 }
 
 // Wait blocks until the job finishes or ctx expires, then returns its

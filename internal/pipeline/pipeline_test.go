@@ -707,12 +707,12 @@ func TestCacheTTL(t *testing.T) {
 	}
 }
 
-// TestCacheLRU: under CacheLRU a lookup refreshes an entry's position, so
-// the least-recently-used entry is evicted instead of the oldest-inserted.
+// TestCacheLRU: a lookup refreshes an entry's position, so the
+// least-recently-used entry is evicted instead of the oldest-inserted.
 func TestCacheLRU(t *testing.T) {
 	release := make(chan struct{})
 	close(release)
-	p := mustNew(t, Config{Workers: 1, CacheCap: 2, CacheLRU: true, Runner: blockingRunner(release)})
+	p := mustNew(t, Config{Workers: 1, CacheCap: 2, Runner: blockingRunner(release)})
 	defer p.Close()
 
 	specs := make([]samples.Spec, 3)

@@ -123,6 +123,65 @@ func TestResultByHashReadsThroughStore(t *testing.T) {
 	}
 }
 
+// writeCountingFS is the real filesystem with a count of the calls an
+// atomic store write makes: one CreateTemp and one Rename per Put.
+type writeCountingFS struct {
+	store.OSFS
+	creates, renames atomic.Int64
+}
+
+func (f *writeCountingFS) CreateTemp(dir, pattern string) (store.File, error) {
+	f.creates.Add(1)
+	return f.OSFS.CreateTemp(dir, pattern)
+}
+
+func (f *writeCountingFS) Rename(oldpath, newpath string) error {
+	f.renames.Add(1)
+	return f.OSFS.Rename(oldpath, newpath)
+}
+
+// TestBackfillStoredKeyWritesNothing: after a restart, a peer answer the
+// local store already holds is promoted into memory, not written again.
+// A backfill of an unstored key is the control: it writes once.
+func TestBackfillStoredKeyWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	var runs atomic.Int64
+	req := Request{Spec: samples.Spinner(1000), Mode: ModeLive}
+	p1 := mustNew(t, Config{Workers: 1, Store: openStore(t, dir), Runner: countingRunner(&runs)})
+	job, err := p1.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := waitState(t, p1, job, StateDone).Result
+	p1.Close()
+
+	fsys := &writeCountingFS{}
+	st, err := store.Open(store.Config{Dir: dir, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2 := mustNew(t, Config{Workers: 1, Store: st, Runner: countingRunner(&runs)})
+	defer p2.Close()
+	if p2.Backfill(stored) {
+		t.Error("Backfill took a key the store already holds")
+	}
+	if c, r := fsys.creates.Load(), fsys.renames.Load(); c != 0 || r != 0 {
+		t.Errorf("Backfill of a stored key: %d CreateTemp, %d Rename; want 0, 0", c, r)
+	}
+	if _, ok := p2.CachedJob(req); !ok {
+		t.Error("stored key not served after Backfill")
+	}
+
+	unstored := *stored
+	unstored.Hash = cacheKey(Request{Spec: samples.Spinner(2000), Mode: ModeLive}, "")
+	if !p2.Backfill(&unstored) {
+		t.Fatal("Backfill refused an unstored key")
+	}
+	if c, r := fsys.creates.Load(), fsys.renames.Load(); c != 1 || r != 1 {
+		t.Errorf("Backfill of an unstored key: %d CreateTemp, %d Rename; want 1, 1", c, r)
+	}
+}
+
 // TestDegradedResultsNeverPersist: PR 4's cache policy extends to disk —
 // a degraded (partial-failure) result must not survive a restart.
 func TestDegradedResultsNeverPersist(t *testing.T) {
