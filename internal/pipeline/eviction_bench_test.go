@@ -16,9 +16,7 @@ import (
 // four times the cache's capacity, through a stub runner, and reports the
 // share of submissions the cache answered and the median Submit latency.
 // A miss waits for its run to settle before the next submission, so every
-// repeated key is a hit or a miss, never a coalesce. The same stream chose
-// LRU over insertion-order eviction: hit ratio 0.828-0.830 against
-// 0.791-0.793 over seeds 1-3, at equal median latency.
+// repeated key is a hit or a miss, never a coalesce.
 func BenchmarkCacheEviction(b *testing.B) {
 	const (
 		capacity = 512

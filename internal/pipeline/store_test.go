@@ -145,9 +145,8 @@ func (f *writeCountingFS) Rename(oldpath, newpath string) error {
 // A backfill of an unstored key is the control: it writes once.
 func TestBackfillStoredKeyWritesNothing(t *testing.T) {
 	dir := t.TempDir()
-	var runs atomic.Int64
 	req := Request{Spec: samples.Spinner(1000), Mode: ModeLive}
-	p1 := mustNew(t, Config{Workers: 1, Store: openStore(t, dir), Runner: countingRunner(&runs)})
+	p1 := mustNew(t, Config{Workers: 1, Store: openStore(t, dir), Runner: blockingRunner(closedChan())})
 	job, err := p1.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +159,7 @@ func TestBackfillStoredKeyWritesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := mustNew(t, Config{Workers: 1, Store: st, Runner: countingRunner(&runs)})
+	p2 := mustNew(t, Config{Workers: 1, Store: st, Runner: blockingRunner(closedChan())})
 	defer p2.Close()
 	if p2.Backfill(stored) {
 		t.Error("Backfill took a key the store already holds")
