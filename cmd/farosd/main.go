@@ -247,8 +247,12 @@ func run() int {
 	if clus != nil {
 		clus.Start()
 		defer clus.Close()
+		self := peers[*nodeID]
+		if self == "" {
+			self = *addr
+		}
 		fmt.Printf("farosd: cluster node %q at %s: %d peers, %d-point ring\n",
-			*nodeID, peers[*nodeID], len(clus.Registry().Status()), clus.Ring().Points())
+			*nodeID, self, len(clus.Registry().Status()), clus.Ring().Points())
 	}
 	handler := pipeline.NewHandler(pool, pipeline.ServerConfig{
 		Resolve:   faros.Scenario,

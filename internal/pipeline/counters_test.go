@@ -190,3 +190,29 @@ func closedChan() chan struct{} {
 	close(c)
 	return c
 }
+
+// TestCoalescedSubmitSkipsStore pins Submit's order: the in-flight index
+// answers before either result tier, so a coalesced submission never asks
+// the store (whose lock a concurrent Put holds through its fsync).
+func TestCoalescedSubmitSkipsStore(t *testing.T) {
+	req := Request{Spec: samples.Spinner(1000), Mode: ModeLive}
+	release := make(chan struct{})
+	defer close(release)
+	p := mustNew(t, Config{Workers: 1, Store: openStore(t, t.TempDir()), Runner: blockingRunner(release)})
+	defer p.Close()
+	if _, err := p.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Stats().Store
+	if _, err := p.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	after := p.Stats().Store
+	if after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("coalesced Submit read the store: hits %d→%d, misses %d→%d",
+			before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+	if got := p.Stats().JobsCoalesced; got != 1 {
+		t.Errorf("JobsCoalesced = %d, want 1", got)
+	}
+}

@@ -505,9 +505,10 @@ func (p *Pool) policyHash() string {
 }
 
 // Submit enqueues a request and returns this submission's waiter handle.
-// Identical requests (same cache key) are served from the memory cache or
-// the persistent store when already completed, or coalesced onto the
-// in-flight run when queued/running — each waiter still gets its own Job,
+// Identical requests (same cache key) are coalesced onto the in-flight run
+// when queued/running — checked first, so a coalesced submission never
+// waits on the store's lock — or served from the memory cache or the
+// persistent store when already completed. Each waiter gets its own Job,
 // so Cancel detaches only that waiter. Returns ErrQueueFull/ErrClosed
 // otherwise.
 func (p *Pool) Submit(req Request) (*Job, error) {
@@ -518,9 +519,6 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 		return nil, ErrClosed
 	}
 	if key != "" {
-		if res, ok := p.tieredLocked(key); ok {
-			return p.cacheHitJobLocked(req, key, res), nil
-		}
 		if r, ok := p.inflight[key]; ok {
 			job := p.newJobLocked(req, key)
 			job.run = r
@@ -534,6 +532,9 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 			p.emit(triage.Event{Type: triage.EventCoalesced, Job: job.ID,
 				Scenario: job.Scenario, Hash: job.Hash})
 			return job, nil
+		}
+		if res, ok := p.tieredLocked(key); ok {
+			return p.cacheHitJobLocked(req, key, res), nil
 		}
 	}
 	if p.draining {
