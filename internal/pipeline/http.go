@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,8 +54,9 @@ type AnalyzeRequest struct {
 	// the samples.ScenarioFile format. payload_hex only: payload_asm
 	// names a server-side file and is rejected over HTTP.
 	ScenarioFile *samples.ScenarioFile `json:"scenario_file,omitempty"`
-	// Spec is a full serialized spec in the canonical wire form
-	// (samples.MarshalSpec).
+	// Spec is a full serialized spec (samples.UnmarshalSpec reads it).
+	// samples.MarshalSpec's bytes, sent unmodified in a compact body, are
+	// parsed and hashed in one pass.
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Trace selects a stored trace by digest for analysis-only replay
 	// (mode "trace", the implied default when set).
@@ -71,6 +73,125 @@ type AnalyzeRequest struct {
 	Wait bool `json:"wait,omitempty"`
 	// NoCache bypasses the result cache for this job.
 	NoCache bool `json:"no_cache,omitempty"`
+}
+
+// maxAnalyzeBody bounds a POST /analyze body. The largest built-in spec's
+// wire form is under 6 KB; programs travel as hex, two bytes per byte, so
+// the bound leaves room for about 2 MB of user program code while
+// stopping a client from making farosd buffer a body of any size.
+const maxAnalyzeBody = 4 << 20
+
+// decodedSpec is a spec selector read in the body's one pass: the spec
+// and its SpecHash, taken from its canonical wire bytes.
+type decodedSpec struct {
+	spec samples.Spec
+	hash string
+}
+
+// decodeAnalyze reads a POST /analyze body: in one pass when it is in the
+// compact form parseCanonicalAnalyze recognises, otherwise through
+// decodeAnalyzeReference.
+func decodeAnalyze(body []byte) (AnalyzeRequest, *decodedSpec, error) {
+	if req, pre, ok := parseCanonicalAnalyze(body); ok {
+		return req, pre, nil
+	}
+	return decodeAnalyzeReference(body)
+}
+
+// decodeAnalyzeReference decodes any body encoding/json accepts. It
+// leaves the spec selector raw, for specResolver to parse and hash, and
+// every rejection of a body comes from here or from there.
+func decodeAnalyzeReference(body []byte) (AnalyzeRequest, *decodedSpec, error) {
+	var req AnalyzeRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return AnalyzeRequest{}, nil, &httpError{http.StatusBadRequest, "body: " + err.Error()}
+	}
+	return req, nil, nil
+}
+
+// parseCanonicalAnalyze recognises the compact body json.Marshal writes
+// for an AnalyzeRequest whose members are among scenario, spec, trace,
+// mode, timeout_ms, wait and no_cache, in struct order, with a spec that
+// samples.ParseCanonicalSpec recognises. req.Spec is a subslice of body.
+// ok is false for any other input, whitespace and trailing bytes
+// included; nothing is rejected here.
+func parseCanonicalAnalyze(body []byte) (req AnalyzeRequest, pre *decodedSpec, ok bool) {
+	if len(body) < 2 || body[0] != '{' || body[len(body)-1] != '}' {
+		return AnalyzeRequest{}, nil, false
+	}
+	b := body[1 : len(body)-1] // the members
+	sep := false
+	// member consumes the next member's key (with its colon) if it is key.
+	member := func(key string) bool {
+		rest := b
+		if sep {
+			if len(rest) == 0 || rest[0] != ',' {
+				return false
+			}
+			rest = rest[1:]
+		}
+		rest, found := bytes.CutPrefix(rest, []byte(key))
+		if found {
+			b, sep = rest, true
+		}
+		return found
+	}
+	// str consumes a string json.Unmarshal reads verbatim.
+	str := func() (string, bool) {
+		if len(b) == 0 || b[0] != '"' {
+			return "", false
+		}
+		for i := 1; i < len(b); i++ {
+			if c := b[i]; c == '"' {
+				v := string(b[1:i])
+				b = b[i+1:]
+				return v, v != "" // an empty member is not omitted: not canonical
+			} else if c < 0x20 || c >= 0x7f || c == '\\' {
+				return "", false
+			}
+		}
+		return "", false
+	}
+	if member(`"scenario":`) {
+		if req.Scenario, ok = str(); !ok {
+			return AnalyzeRequest{}, nil, false
+		}
+	}
+	if member(`"spec":`) {
+		spec, hash, n, ok := samples.ParseCanonicalSpec(b)
+		if !ok {
+			return AnalyzeRequest{}, nil, false
+		}
+		req.Spec, b = json.RawMessage(b[:n:n]), b[n:]
+		pre = &decodedSpec{spec: spec, hash: hash}
+	}
+	if member(`"trace":`) {
+		if req.Trace, ok = str(); !ok {
+			return AnalyzeRequest{}, nil, false
+		}
+	}
+	if member(`"mode":`) {
+		if req.Mode, ok = str(); !ok {
+			return AnalyzeRequest{}, nil, false
+		}
+	}
+	if member(`"timeout_ms":`) {
+		n := 0
+		for n < len(b) && '0' <= b[n] && b[n] <= '9' {
+			n++
+		}
+		v, err := strconv.ParseInt(string(b[:n]), 10, 64)
+		if err != nil || b[0] == '0' { // zero is omitted, and no leading zeros
+			return AnalyzeRequest{}, nil, false
+		}
+		req.TimeoutMS, b = v, b[n:]
+	}
+	req.Wait = member(`"wait":true`)
+	req.NoCache = member(`"no_cache":true`)
+	if len(b) != 0 {
+		return AnalyzeRequest{}, nil, false
+	}
+	return req, pre, true
 }
 
 type httpError struct {
@@ -132,8 +253,9 @@ type specResolver struct {
 
 // resolve returns the selected spec and its content hash. The hash is ""
 // when the spec has no wire encoding; such requests run uncached, as
-// cacheKey and ShardKey would have it.
-func (sr *specResolver) resolve(req AnalyzeRequest) (samples.Spec, string, error) {
+// cacheKey and ShardKey would have it. pre, when set, is req.Spec already
+// parsed and hashed.
+func (sr *specResolver) resolve(req AnalyzeRequest, pre *decodedSpec) (samples.Spec, string, error) {
 	selected := 0
 	for _, on := range []bool{req.Scenario != "", req.ScenarioFile != nil, len(req.Spec) > 0} {
 		if on {
@@ -155,6 +277,8 @@ func (sr *specResolver) resolve(req AnalyzeRequest) (samples.Spec, string, error
 				"payload_asm names a server-side file; submit payload_hex over HTTP"}
 		}
 		spec, err = samples.BuildScenario(*req.ScenarioFile, "")
+	case pre != nil:
+		return pre.spec, pre.hash, nil
 	default:
 		spec, err = samples.UnmarshalSpec(req.Spec)
 	}
@@ -170,7 +294,7 @@ func (sr *specResolver) resolve(req AnalyzeRequest) (samples.Spec, string, error
 // resolved after routing, since the owning node may hold a trace this one
 // never ingested. Spec selectors resolve and hash their spec here, before
 // routing, since the shard key is the spec hash.
-func (sr *specResolver) request(req AnalyzeRequest) (Request, error) {
+func (sr *specResolver) request(req AnalyzeRequest, pre *decodedSpec) (Request, error) {
 	preq := Request{
 		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
 		NoCache: req.NoCache,
@@ -198,7 +322,7 @@ func (sr *specResolver) request(req AnalyzeRequest) (Request, error) {
 		return Request{}, &httpError{http.StatusBadRequest, fmt.Sprintf("unknown mode %q", req.Mode)}
 	}
 	var err error
-	preq.Spec, preq.specHash, err = sr.resolve(req)
+	preq.Spec, preq.specHash, err = sr.resolve(req, pre)
 	return preq, err
 }
 
@@ -234,7 +358,7 @@ const maxTraceUpload = 256 << 20
 // (typed 409 otherwise), and — when the client also names a spec — the
 // trace's spec hash must match that spec (409 again). Returns the trace's
 // embedded spec, which the job carries for display.
-func resolveTrace(p *Pool, specs *specResolver, req AnalyzeRequest) (samples.Spec, error) {
+func resolveTrace(p *Pool, specs *specResolver, req AnalyzeRequest, pre *decodedSpec) (samples.Spec, error) {
 	traces := p.Traces()
 	if traces == nil {
 		return samples.Spec{}, &httpError{http.StatusBadRequest, "trace analysis is not enabled (farosd has no trace store)"}
@@ -253,7 +377,7 @@ func resolveTrace(p *Pool, specs *specResolver, req AnalyzeRequest) (samples.Spe
 		return samples.Spec{}, err
 	}
 	if req.Scenario != "" || req.ScenarioFile != nil || len(req.Spec) > 0 {
-		want, wantHash, err := specs.resolve(req)
+		want, wantHash, err := specs.resolve(req, pre)
 		if err != nil {
 			return samples.Spec{}, err
 		}
@@ -299,6 +423,13 @@ func resolveTrace(p *Pool, specs *specResolver, req AnalyzeRequest) (samples.Spe
 // served — overload degrades farosd to a read-only result server instead
 // of letting the queue grow without bound.
 func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
+	return newHandler(p, cfg, decodeAnalyze)
+}
+
+// newHandler is NewHandler with the POST /analyze body decoder as a
+// parameter, so tests can serve the same requests through
+// decodeAnalyzeReference and compare.
+func newHandler(p *Pool, cfg ServerConfig, decode func([]byte) (AnalyzeRequest, *decodedSpec, error)) http.Handler {
 	mux := http.NewServeMux()
 	specs := &specResolver{cfg: cfg, named: make(map[string]string)}
 	var adm *admission
@@ -396,12 +527,23 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 				return
 			}
 		}
-		var req AnalyzeRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAnalyzeBody))
+		if err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeErr(w, &httpError{http.StatusRequestEntityTooLarge,
+					fmt.Sprintf("body: larger than %d bytes", maxAnalyzeBody)})
+				return
+			}
 			writeErr(w, &httpError{http.StatusBadRequest, "body: " + err.Error()})
 			return
 		}
-		preq, err := specs.request(req)
+		req, pre, err := decode(body)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		preq, err := specs.request(req, pre)
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -412,7 +554,7 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 		if preq.Mode == ModeTrace {
 			// Routing happened before local validation: the owner holds
 			// the replicated trace even when this node never ingested it.
-			if preq.Spec, err = resolveTrace(p, specs, req); err != nil {
+			if preq.Spec, err = resolveTrace(p, specs, req, pre); err != nil {
 				writeErr(w, err)
 				return
 			}

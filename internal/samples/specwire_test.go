@@ -2,7 +2,12 @@ package samples
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"testing"
+
+	"faros/internal/guest/gnet"
+	"faros/internal/record"
 )
 
 // corpusSpecs enumerates every built-in corpus entry (the same set the
@@ -147,4 +152,141 @@ func TestSpecHashGolden(t *testing.T) {
 			t.Errorf("%s: hash = %s, want %s (if the sample changed intentionally, update the golden)", name, got, want)
 		}
 	}
+}
+
+// checkCanonical is the ParseCanonicalSpec oracle: whatever it accepts,
+// UnmarshalSpec must accept too, with an equal Spec, and SpecHash of that
+// Spec must be the hash ParseCanonicalSpec took from the bytes.
+func checkCanonical(t *testing.T, data []byte) (n int, ok bool) {
+	t.Helper()
+	spec, hash, n, ok := ParseCanonicalSpec(data)
+	if !ok {
+		return 0, false
+	}
+	if n <= 0 || n > len(data) {
+		t.Fatalf("%q: accepted length %d", data, n)
+	}
+	ref, err := UnmarshalSpec(data[:n])
+	if err != nil {
+		t.Fatalf("%q: accepted, UnmarshalSpec rejects it: %v", data[:n], err)
+	}
+	if !reflect.DeepEqual(spec, ref) {
+		t.Fatalf("%q: parsed %+v, UnmarshalSpec %+v", data[:n], spec, ref)
+	}
+	if want, err := SpecHash(ref); err != nil || hash != want {
+		t.Fatalf("%q: hash %s, SpecHash %s (%v)", data[:n], hash, want, err)
+	}
+	return n, true
+}
+
+// everyField is a spec that sets every wire member, each endpoint script
+// kind with and without its parameters, and the numeric extremes.
+func everyField() Spec {
+	return Spec{
+		Name:      "every_field",
+		Programs:  []Program{{Path: "a.exe", Bytes: []byte{0x4d, 0x5a, 0xff}}, {Path: "empty.exe"}},
+		AutoStart: []string{"a.exe", ""},
+		Endpoints: []EndpointSpec{
+			{Addr: gnet.Addr{IP: "10.0.0.1"}, Endpoint: oneShot{delay: 7, payload: []byte{1, 2}}},
+			{Addr: gnet.Addr{IP: "10.0.0.2", Port: 65535}, Endpoint: oneShot{}},
+			{Addr: gnet.Addr{IP: "10.0.0.3", Port: 1}, Endpoint: sink{}},
+			{Addr: gnet.Addr{IP: "10.0.0.4", Port: 2}, Endpoint: chatterbox{banner: []byte("hi"), reply: []byte{0}, delay: math.MaxUint64}},
+			{Addr: gnet.Addr{IP: "10.0.0.5", Port: 3}, Endpoint: chatterbox{reply: []byte("r")}},
+			{Addr: gnet.Addr{IP: "10.0.0.6", Port: 4}, Endpoint: shellC2{}},
+			{Addr: gnet.Addr{IP: "10.0.0.7", Port: 5}, Endpoint: corpusC2{}},
+		},
+		Events: []record.Event{
+			{},
+			{At: math.MaxUint64, Kind: math.MaxUint8, Flow: math.MaxUint32, Data: []byte("x"), Seq: 1, Sum: math.MaxUint32},
+		},
+		MaxInstr:   1,
+		ExpectRule: "rule ~!@#$%^*()_+`-={}|[]:;',.?/",
+		ExpectFlag: true,
+	}
+}
+
+// TestParseCanonicalSpecAcceptsMarshalSpec: every corpus wire form, and
+// one that sets every member, is recognised whole, and the recogniser
+// stops at the wire form's end when bytes follow it.
+func TestParseCanonicalSpecAcceptsMarshalSpec(t *testing.T) {
+	for _, spec := range append(corpusSpecs(), everyField()) {
+		wire, err := MarshalSpec(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		for _, data := range [][]byte{wire, append(append([]byte{}, wire...), `,"wait":true}`...)} {
+			if n, ok := checkCanonical(t, data); !ok || n != len(wire) {
+				t.Fatalf("%s: accepted %t, length %d, want the %d-byte wire form", spec.Name, ok, n, len(wire))
+			}
+		}
+	}
+}
+
+// TestParseCanonicalSpecDefers: encodings MarshalSpec never writes are
+// left to UnmarshalSpec, valid JSON or not.
+func TestParseCanonicalSpecDefers(t *testing.T) {
+	ep := func(script string) string {
+		return `{"name":"x","endpoints":[{"ip":"1.2.3.4","port":1,"script":{"kind":` + script + `}}]}`
+	}
+	ev := func(event string) string { return `{"name":"x","events":[{"at":1,"kind":2` + event + `}]}` }
+	for _, raw := range []string{
+		` {"name":"x"}`,
+		`{"name": "x"}`,
+		`{"name":""}`,
+		`{"name":"a\u0062"}`,
+		`{"name":"a<b"}`,
+		`{"name":"a>b"}`,
+		`{"name":"a&b"}`,
+		`{"name":"é"}`,
+		`{"name":"x","name":"x"}`,
+		`{"NAME":"x"}`,
+		`{"name":"x","unknown":1}`,
+		`{"name":"x"`,
+		`{"name":"x","max_instr":0}`,
+		`{"name":"x","max_instr":05}`,
+		`{"name":"x","max_instr":18446744073709551616}`,
+		`{"name":"x","max_instr":1e3}`,
+		`{"name":"x","max_instr":-1}`,
+		`{"name":"x","max_instr":5,"programs":[{"path":"a","code":""}]}`,
+		`{"name":"x","programs":[]}`,
+		`{"name":"x","programs":null}`,
+		`{"name":"x","programs":[{"path":"a","code":"0A"}]}`,
+		`{"name":"x","programs":[{"path":"a","code":"0"}]}`,
+		`{"name":"x","programs":[{"code":"","path":"a"}]}`,
+		`{"name":"x","autostart":[]}`,
+		`{"name":"x","expect_rule":""}`,
+		`{"name":"x","expect_flag":false}`,
+		ep(`"sink","delay":5`),
+		ep(`"oneshot","delay":0`),
+		ep(`"oneshot","payload":""`),
+		ep(`"oneshot","banner":"ab"`),
+		ep(`"chatterbox","reply":"ab","banner":"cd"`),
+		ep(`"mystery"`),
+		`{"name":"x","endpoints":[{"ip":"1.2.3.4","port":65536,"script":{"kind":"sink"}}]}`,
+		`{"name":"x","events":[{"at":01,"kind":2}]}`,
+		ev(`,"flow":0`),
+		ev(`,"data":""`),
+		ev(`,"seq":4294967296`),
+		ev(`,"sum":1,"seq":1`),
+	} {
+		if _, _, _, ok := ParseCanonicalSpec([]byte(raw)); ok {
+			t.Errorf("%s: accepted", raw)
+		}
+	}
+	if _, ok := checkCanonical(t, []byte(`{"name":"x"}`)); !ok {
+		t.Error(`{"name":"x"}: not accepted`)
+	}
+}
+
+// FuzzSpecWire holds ParseCanonicalSpec to UnmarshalSpec and SpecHash on
+// arbitrary bytes, starting from the corpus wire forms.
+func FuzzSpecWire(f *testing.F) {
+	for _, spec := range append(corpusSpecs(), everyField()) {
+		wire, err := MarshalSpec(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkCanonical(t, data) })
 }
