@@ -46,54 +46,12 @@ func specBody(wire []byte) []byte {
 	return []byte(`{"spec":` + string(wire) + `,"wait":true}`)
 }
 
-// TestCanonicalBodiesTakeOnePass: every registry wire form sent
-// unmodified is read in one pass, as is the body a cluster node forwards
-// (json.Marshal of the AnalyzeRequest), and the pass yields the reference
-// decoder's request, spec and hash.
-func TestCanonicalBodiesTakeOnePass(t *testing.T) {
-	for _, wire := range wireForms(t) {
-		fwd, err := json.Marshal(AnalyzeRequest{Scenario: "x", Spec: wire, Mode: "live", TimeoutMS: 1500, Wait: true, NoCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, body := range [][]byte{specBody(wire), fwd} {
-			req, pre, ok := parseCanonicalAnalyze(body)
-			if !ok || pre == nil {
-				t.Fatalf("not read in one pass: %.80s...", body)
-			}
-			checkAgainstReference(t, body, req, pre)
-		}
-	}
-}
-
-// checkAgainstReference is the one-pass oracle: the reference decoder
-// must accept the body with an equal request, and UnmarshalSpec and
-// SpecHash must give the spec and hash the pass took from its bytes.
-func checkAgainstReference(t *testing.T, body []byte, req AnalyzeRequest, pre *decodedSpec) {
-	t.Helper()
-	ref, _, err := decodeAnalyzeReference(body)
-	if err != nil {
-		t.Fatalf("one pass accepted %q, reference rejects it: %v", body, err)
-	}
-	if !reflect.DeepEqual(req, ref) {
-		t.Fatalf("one pass read %q as %+v, reference as %+v", body, req, ref)
-	}
-	if (pre != nil) != (len(req.Spec) > 0) {
-		t.Fatalf("one pass of %q: spec %q but decoded spec %v", body, req.Spec, pre)
-	}
-	if pre == nil {
-		return
-	}
-	spec, err := samples.UnmarshalSpec(ref.Spec)
-	if err != nil {
-		t.Fatalf("one pass accepted spec %q, UnmarshalSpec rejects it: %v", ref.Spec, err)
-	}
-	if !reflect.DeepEqual(pre.spec, spec) {
-		t.Fatalf("one pass of %q: spec %+v, UnmarshalSpec %+v", ref.Spec, pre.spec, spec)
-	}
-	if hash, _ := samples.SpecHash(spec); hash != pre.hash {
-		t.Fatalf("one pass of %q: hash %s, SpecHash %s", ref.Spec, pre.hash, hash)
-	}
+// forwardedBody is the body a cluster node forwards: json.Marshal of the
+// request, here with every member the one-pass reading knows but
+// scenario and trace.
+func forwardedBody(wire []byte) []byte {
+	body, _ := json.Marshal(AnalyzeRequest{Spec: wire, Mode: "live", TimeoutMS: 1500, Wait: true, NoCache: true})
+	return body
 }
 
 // replaceFirst replaces the first match of the member prefix key and the
@@ -134,6 +92,7 @@ func variants(wire []byte) map[string][]byte {
 	name := `{"name":"`
 	out := map[string][]byte{
 		"canonical":           specBody(wire),
+		"forwarded":           forwardedBody(wire),
 		"envelope whitespace": []byte(`{ "spec": ` + w + `, "wait": true }`),
 		"spec whitespace":     specBody(indented.Bytes()),
 		"envelope reordered":  []byte(`{"wait":true,"spec":` + w + `}`),
@@ -214,15 +173,15 @@ func TestAnalyzeIngestMatchesReference(t *testing.T) {
 		for name, body := range variants(wire) {
 			if _, _, ok := parseCanonicalAnalyze(body); ok {
 				one++
-				if name != "canonical" && name != "scenario and spec" {
+				if name != "canonical" && name != "forwarded" && name != "scenario and spec" {
 					t.Errorf("%s variant of %.40s was read in one pass", name, wire)
 				}
 			}
 			check(name, body)
 		}
 	}
-	if one != 2*139 {
-		t.Errorf("%d bodies read in one pass, want the 139 canonical submissions and their scenario+spec twins", one)
+	if one != 3*139 {
+		t.Errorf("%d bodies read in one pass, want each of the 139 canonical submissions as sent, as forwarded and with a scenario too", one)
 	}
 }
 
@@ -256,17 +215,45 @@ func TestAnalyzeBodyLimit(t *testing.T) {
 	}
 }
 
-// FuzzAnalyzeBody: whenever a body is read in one pass, the reference
-// path accepts it too and reads the same request, spec and hash.
+// FuzzAnalyzeBody is the one-pass oracle: whenever a body is read in one
+// pass, the reference decoder accepts it with an equal request, and
+// UnmarshalSpec and SpecHash give the spec and hash the pass took from
+// its bytes. The seeds are the registry submissions as sent and as
+// forwarded.
 func FuzzAnalyzeBody(f *testing.F) {
 	for _, wire := range wireForms(f) {
 		f.Add(specBody(wire))
+		f.Add(forwardedBody(wire))
 	}
 	f.Add([]byte(`{"scenario":"njrat","trace":"ab","mode":"detect","timeout_ms":250,"wait":true,"no_cache":true}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if req, pre, ok := parseCanonicalAnalyze(body); ok {
-			checkAgainstReference(t, body, req, pre)
+		req, pre, ok := parseCanonicalAnalyze(body)
+		if !ok {
+			return
+		}
+		ref, _, err := decodeAnalyzeReference(body)
+		if err != nil {
+			t.Fatalf("one pass accepted %q, reference rejects it: %v", body, err)
+		}
+		if !reflect.DeepEqual(req, ref) {
+			t.Fatalf("one pass read %q as %+v, reference as %+v", body, req, ref)
+		}
+		if (pre != nil) != (len(req.Spec) > 0) {
+			t.Fatalf("one pass of %q: spec %q but decoded spec %v", body, req.Spec, pre)
+		}
+		if pre == nil {
+			return
+		}
+		spec, err := samples.UnmarshalSpec(ref.Spec)
+		if err != nil {
+			t.Fatalf("one pass accepted spec %q, UnmarshalSpec rejects it: %v", ref.Spec, err)
+		}
+		if !reflect.DeepEqual(pre.spec, spec) {
+			t.Fatalf("one pass of %q: spec %+v, UnmarshalSpec %+v", ref.Spec, pre.spec, spec)
+		}
+		if hash, _ := samples.SpecHash(spec); hash != pre.hash {
+			t.Fatalf("one pass of %q: hash %s, SpecHash %s", ref.Spec, pre.hash, hash)
 		}
 	})
 }
