@@ -167,6 +167,19 @@ func BenchmarkGuestExecutionFAROS(b *testing.B) {
 // byte-moving hooks dominate rather than guest loops. Reports ns, bytes
 // and allocations per corpus pass.
 func BenchmarkDetectSmallCorpus(b *testing.B) {
+	benchSmallCorpus(b, scenario.DetectPlugins)
+}
+
+// BenchmarkDetectSmallCorpusFAROS runs the same corpus loop with FAROS
+// alone, the job farosd runs: the baselines' scans do not dilute the cost
+// of booting, decoding and taint tracking.
+func BenchmarkDetectSmallCorpusFAROS(b *testing.B) {
+	benchSmallCorpus(b, func() scenario.Plugins { return scenario.Plugins{Faros: &core.Config{}} })
+}
+
+// benchSmallCorpus runs every registry scenario but process_hollowing
+// live with plugins() attached, releasing each run, once per op.
+func benchSmallCorpus(b *testing.B, plugins func() scenario.Plugins) {
 	var specs []faros.Spec
 	for _, name := range faros.ScenarioNames() {
 		if name != "process_hollowing" {
@@ -178,7 +191,7 @@ func BenchmarkDetectSmallCorpus(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, spec := range specs {
-			res, err := scenario.RunLiveContext(context.Background(), spec, scenario.DetectPlugins(), nil)
+			res, err := scenario.RunLiveContext(context.Background(), spec, plugins(), nil)
 			if err != nil {
 				b.Fatalf("%s: %v", spec.Name, err)
 			}

@@ -98,12 +98,14 @@ func decodeAnalyze(body []byte) (AnalyzeRequest, *decodedSpec, error) {
 	return decodeAnalyzeReference(body)
 }
 
-// decodeAnalyzeReference decodes any body encoding/json accepts. It
-// leaves the spec selector raw, for specResolver to parse and hash, and
-// every rejection of a body comes from here or from there.
+// decodeAnalyzeReference decodes any body json.Unmarshal accepts: one
+// JSON value with nothing but whitespace around it, so trailing bytes are
+// a 400, not ignored. It leaves the spec selector raw, for specResolver to
+// parse and hash, and every rejection of a body comes from here or from
+// there.
 func decodeAnalyzeReference(body []byte) (AnalyzeRequest, *decodedSpec, error) {
 	var req AnalyzeRequest
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		return AnalyzeRequest{}, nil, &httpError{http.StatusBadRequest, "body: " + err.Error()}
 	}
 	return req, nil, nil

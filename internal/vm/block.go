@@ -1,18 +1,24 @@
-// Block dispatch: the interpreter. Guest code is predecoded into cached
-// basic blocks of micro-ops (internal/isa lowering, decode done once),
-// keyed by physical frame + offset so shared images (ntdll) are lowered
-// once system-wide. Dispatching a block costs one lookup and one plugin
-// call instead of a fetch, a decode, and a callback per instruction.
-// Every PC runs through a block: where no cached block fits the remaining
-// budget, RunBlock runs the one instruction at EIP as an uncached block,
-// so the preemption boundary stays exact.
+// Block dispatch: the interpreter. Guest code is predecoded into basic
+// blocks of micro-ops (internal/isa lowering) and cached per machine by
+// physical frame and instruction slot. Dispatching a block costs one
+// lookup and one plugin call instead of a fetch, a decode, and a callback
+// per instruction. Every PC runs through a block: where no cached block
+// fits the remaining budget, RunBlock runs the one instruction at EIP as
+// an uncached block, so the preemption boundary stays exact.
+//
+// Decode once per process: a block depends only on the bytes it spans, so
+// every machine looks those bytes up in one bounded, process-wide table of
+// immutable blocks (blockTable) and decodes only on a miss. Machines
+// running the same code, at any address in any frame, share one block.
 //
 // Invalidation: every guest store and kernel copy calls InvalidateFrame,
-// which drops the frame's blocks and bumps the block epoch. The executors
-// snapshot the epoch and compare it after every store micro-op, so
-// self-modifying code stops the current block at the mutating instruction
-// and re-enters through a fresh build — the same observable behavior as
-// per-instruction stepping.
+// which drops the frame's block pointers from this machine's cache and
+// bumps the block epoch; it never writes a block, so shared blocks stay
+// valid for every other machine, and rewritten bytes are a different key.
+// The executors snapshot the epoch and compare it after every store
+// micro-op, so self-modifying code stops the current block at the
+// mutating instruction and re-enters through a fresh build — the same
+// observable behavior as per-instruction stepping.
 //
 // Step (vm.go) is the per-instruction reference interpreter. Production
 // never calls it; UseReferenceStep routes RunBlock through it for the
@@ -23,6 +29,7 @@ package vm
 import (
 	"encoding/binary"
 	"sync"
+	"unsafe"
 
 	"faros/internal/isa"
 	"faros/internal/mem"
@@ -33,12 +40,10 @@ import (
 // target (or fall-through page entry) to the next control transfer,
 // syscall, halt, undecodable slot, or page end — whichever comes first.
 // Blocks never span pages, so one frame invalidation drops every block
-// built over the mutated bytes.
+// built over the mutated bytes. A Block is immutable once built and may be
+// shared by every machine in the process: nothing in it depends on where
+// its bytes sit.
 type Block struct {
-	// Frame and Off key the block: physical frame and byte offset of the
-	// first instruction.
-	Frame uint32
-	Off   uint32
 	// Ins are the decoded architectural instructions, in order. The engine
 	// needs the originals for disassembly in findings.
 	Ins []isa.Instruction
@@ -71,7 +76,8 @@ type BlockPlugin interface {
 
 // BlockStats counts block-cache activity.
 type BlockStats struct {
-	// Built counts blocks decoded and lowered.
+	// Built counts blocks attached to this machine's cache, whether
+	// decoded for it or found in the process-wide table.
 	Built uint64 `json:"built"`
 	// Hits counts dispatches served from the cache.
 	Hits uint64 `json:"hits"`
@@ -133,11 +139,11 @@ func (m *Machine) UseReferenceStep(before func(m *Machine, pc uint32, in isa.Ins
 // BlockStats returns the block-cache counters.
 func (m *Machine) BlockStats() BlockStats { return m.bstats }
 
-// BlocksBuilt returns the monotone count of blocks ever built. Engines
-// caching "this frame has no blocks" use it as the staleness signal: an
-// unchanged count means no block was built anywhere since, so a frame
-// proven block-free (by invalidating it) is still block-free and stores to
-// it can skip InvalidateFrame.
+// BlocksBuilt returns the monotone count of blocks ever attached to this
+// machine's cache. Engines caching "this frame has no blocks" use it as
+// the staleness signal: an unchanged count means no block was attached
+// anywhere since, so a frame proven block-free (by invalidating it) is
+// still block-free and stores to it can skip InvalidateFrame.
 func (m *Machine) BlocksBuilt() uint64 { return m.bstats.Built }
 
 // BlockEpoch counts block invalidations. Block executors snapshot it and
@@ -282,26 +288,60 @@ func (m *Machine) lookupBlock(pc uint32) *Block {
 	return b
 }
 
-// buildBlock decodes and lowers the basic block starting at (frame, off).
+// buildBlock returns the block starting at (frame, off) for this machine's
+// cache: the shared block for the bytes it spans, decoded on a miss.
 func (m *Machine) buildBlock(frame, off uint32) *Block {
 	f, err := m.phys.Frame(frame)
 	if err != nil {
 		return unbuildable
 	}
-	b := &Block{Frame: frame, Off: off}
-	for o := off; o <= mem.PageSize-isa.InstrSize; o += isa.InstrSize {
-		in, err := isa.Decode(f[o : o+isa.InstrSize])
+	b := m.blockTab.lookup(blockKey(f, off))
+	if b != unbuildable {
+		m.bstats.Built++
+	}
+	return b
+}
+
+// endsBlock reports whether an instruction with opcode op ends a block.
+// Conditional branches do not: the not-taken path falls through to the
+// next instruction on the same page, so lowering continues and a taken
+// branch becomes a mid-block side exit. Loops whose body follows the exit
+// test then execute one block per iteration instead of two.
+// Unconditional transfers and traps end the block.
+func endsBlock(op isa.Op) bool {
+	return (op.IsJump() && !op.IsCondJump()) || op == isa.OpSyscall || op == isa.OpHlt
+}
+
+// blockKey returns the bytes the block at off in frame f can depend on:
+// from off through the first slot whose opcode ends a block, or to the
+// page end. Only opcode bytes are scanned, so the key may run past an
+// undecodable slot that cuts the block short; decoding stops there
+// either way, so equal keys always decode to equal blocks.
+func blockKey(f *[mem.PageSize]byte, off uint32) []byte {
+	end := off
+	for end < mem.PageSize {
+		op := isa.Op(f[end])
+		end += isa.InstrSize
+		if endsBlock(op) {
+			break
+		}
+	}
+	return f[off:end]
+}
+
+// decodeBlock decodes and lowers the block a key spans: its instructions
+// up to the first terminator or undecodable slot (which faults when a tail
+// block fetches it). A key whose first slot does not decode yields
+// unbuildable.
+func decodeBlock(key []byte) *Block {
+	b := &Block{Ins: make([]isa.Instruction, 0, len(key)/isa.InstrSize)}
+	for o := 0; o < len(key); o += isa.InstrSize {
+		in, err := isa.Decode(key[o : o+isa.InstrSize])
 		if err != nil {
-			break // the bad slot faults when a tail block fetches it
+			break
 		}
 		b.Ins = append(b.Ins, in)
-		// Conditional branches extend the block: the not-taken path falls
-		// through to the next instruction on the same page, so lowering
-		// continues and a taken branch becomes a mid-block side exit. Loops
-		// whose body follows the exit test then execute one block per
-		// iteration instead of two. Unconditional transfers (and traps)
-		// still end the block.
-		if (in.Op.IsJump() && !in.Op.IsCondJump()) || in.Op == isa.OpSyscall || in.Op == isa.OpHlt {
+		if endsBlock(in.Op) {
 			b.EndTrap = endTrap(in.Op)
 			break
 		}
@@ -317,8 +357,61 @@ func (m *Machine) buildBlock(frame, off uint32) *Block {
 			b.Fused++
 		}
 	}
-	m.bstats.Built++
 	return b
+}
+
+// sharedBlockBytes bounds a block table by the accounted size of what it
+// holds (blockBytes). The 133 registry scenarios decode to ~780 blocks
+// and ~310 KB; the rest serves by-spec jobs, which can submit arbitrary
+// code. A full table stops growing, and misses are decoded into private
+// blocks that live only in the machine's own cache.
+const sharedBlockBytes = 1 << 20
+
+// blockTable maps the bytes a block spans (blockKey) to the immutable
+// block they decode to. It is safe for concurrent use.
+type blockTable struct {
+	mu    sync.Mutex
+	m     map[string]*Block
+	bytes int // blockBytes of every entry
+}
+
+// sharedBlocks is the process-wide table every machine looks blocks up in.
+var sharedBlocks blockTable
+
+// lookup returns the block key decodes to: the table's entry, or a fresh
+// decode that the table keeps while it is under its bound.
+func (t *blockTable) lookup(key []byte) *Block {
+	t.mu.Lock()
+	b := t.m[string(key)]
+	t.mu.Unlock()
+	if b != nil {
+		return b
+	}
+	b = decodeBlock(key)
+	if b == unbuildable {
+		return b
+	}
+	size := blockBytes(key, b)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if old := t.m[string(key)]; old != nil {
+		return old // another machine decoded the same bytes first
+	}
+	if t.bytes+size <= sharedBlockBytes {
+		if t.m == nil {
+			t.m = make(map[string]*Block)
+		}
+		t.m[string(key)] = b
+		t.bytes += size
+	}
+	return b
+}
+
+// blockBytes is the memory a table entry accounts for: its key and the
+// block with its instruction and micro-op arrays.
+func blockBytes(key []byte, b *Block) int {
+	return len(key) + int(unsafe.Sizeof(*b)) +
+		cap(b.Ins)*int(unsafe.Sizeof(isa.Instruction{})) + cap(b.Uops)*int(unsafe.Sizeof(isa.Uop{}))
 }
 
 // ExecBlockPlain executes a whole block with no analysis attached — the

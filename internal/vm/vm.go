@@ -83,6 +83,7 @@ type Machine struct {
 	// frames. btlb is the one-entry lookup TLB; blockEpoch counts
 	// invalidations so running blocks can detect self-modifying code.
 	blocks     []*blockPage
+	blockTab   *blockTable // where buildBlock finds decoded blocks
 	btlb       blockTLB
 	blockEpoch uint64
 	bstats     BlockStats
@@ -143,7 +144,7 @@ const invalidVPN = ^uint32(0)
 
 // New creates a machine over the given physical memory.
 func New(phys *mem.Phys) *Machine {
-	m := &Machine{phys: phys}
+	m := &Machine{phys: phys, blockTab: &sharedBlocks}
 	m.btlb.vpn = invalidVPN
 	m.tail = Block{Ins: m.tailIns[:], Uops: m.tailUops[:], NInstr: 1}
 	return m
