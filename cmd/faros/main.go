@@ -7,7 +7,7 @@
 //	faros -list                          # list scenarios
 //	faros -scenario reflective_dll_inject
 //	faros -scenario process_hollowing -cuckoo -malfind
-//	faros -scenario darkcomet -record-out run.ftrc -json report.json
+//	faros -scenario darkcomet -record-out run.ftrc -json result.json
 //	faros -trace run.ftrc                # replay-analyze a recorded trace
 //	faros -file my_attack.json           # bring-your-own-shellcode scenario
 //	faros -scenario evasion_hardcoded_stubs -strict
@@ -24,6 +24,11 @@
 // renders the returned merged graph. -cuckoo and -malfind need the
 // in-process baseline plugins and are ignored remotely.
 //
+// Either way, -json writes farosd's result document (pipeline.Result,
+// scored under -triage-policy when one is given) and -dot the first
+// finding's provenance graph in the provgraph DOT encoding, so the two
+// paths write the same files for the same analysis.
+//
 // A trace file (-record-out) is the versioned internal/trace wire format:
 // self-contained (the spec rides in the header), verified end-to-end by
 // checksums, and accepted by farosd's POST /traces for replay analysis
@@ -35,6 +40,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -42,6 +48,8 @@ import (
 
 	"faros"
 	"faros/internal/core"
+	"faros/internal/pipeline"
+	"faros/internal/provgraph"
 	"faros/internal/record"
 	"faros/internal/samples"
 	"faros/internal/scenario"
@@ -84,19 +92,15 @@ func run() int {
 	withCuckoo := flag.Bool("cuckoo", false, "also print the Cuckoo-style report")
 	withMalfind := flag.Bool("malfind", false, "also print the malfind snapshot report")
 	recordOut := flag.String("record-out", "", "capture the recording to this file (trace wire format, uploadable to farosd /traces)")
-	save := flag.String("save", "", "alias for -record-out")
 	addrDeps := flag.Bool("addr-deps", false, "propagate address dependencies (overtainting ablation)")
 	strict := flag.Bool("strict", false, "enable the StrictExecCheck policy extension")
-	jsonOut := flag.String("json", "", "write the findings as JSON to this file")
+	jsonOut := flag.String("json", "", "write the analysis result (farosd's result document) as JSON to this file")
 	dotOut := flag.String("dot", "", "write the first finding's provenance graph (Graphviz) to this file")
 	provFormat := flag.String("prov-format", "text", "render the merged provenance graph: text (default, paper-style chains only), json, or dot")
 	timeout := flag.Duration("timeout", 0, "abort the analysis after this wall time (0 = no limit)")
 	triagePolicy := flag.String("triage-policy", "", "risk-score findings: 'default' for the built-in policy, or a policy JSON file path (empty = off)")
 	server := flag.String("server", "", "farosd base URL: run the analysis remotely instead of in-process")
 	flag.Parse()
-	if *recordOut == "" {
-		*recordOut = *save
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -105,8 +109,9 @@ func run() int {
 		defer cancel()
 	}
 
+	cfg := core.Config{PropagateAddrDeps: *addrDeps, StrictExecCheck: *strict}
 	plugins := scenario.Plugins{
-		Faros:   &core.Config{PropagateAddrDeps: *addrDeps, StrictExecCheck: *strict},
+		Faros:   &cfg,
 		Cuckoo:  *withCuckoo,
 		Malfind: *withMalfind,
 		OSI:     true,
@@ -117,7 +122,7 @@ func run() int {
 	}
 	switch *triagePolicy {
 	case "":
-		// scoring off; output identical to pre-triage versions
+		// scoring off: the result carries no risk fields
 	case "default":
 		opts.policy = triage.Default()
 	default:
@@ -136,8 +141,7 @@ func run() int {
 			file:      *file,
 			traceIn:   *traceIn,
 			list:      *list,
-			strict:    *strict,
-			addrDeps:  *addrDeps,
+			cfg:       cfg,
 			timeout:   *timeout,
 			recordOut: *recordOut,
 		}, opts)
@@ -197,7 +201,17 @@ func run() int {
 		printRunErr("replay", err)
 		return 1
 	}
-	return report(res, opts)
+	return report(res, analysisMode(cfg), opts)
+}
+
+// analysisMode is the farosd mode of a run that is not a trace replay, on
+// either path: ModeDetect always runs the paper's default policy, so
+// non-default engine knobs need ModeLive.
+func analysisMode(cfg core.Config) pipeline.Mode {
+	if cfg != (core.Config{}) {
+		return pipeline.ModeLive
+	}
+	return pipeline.ModeDetect
 }
 
 // runFromTrace is the -trace path: decode, verify, and replay-analyze a
@@ -220,7 +234,7 @@ func runFromTrace(ctx context.Context, path string, plugins scenario.Plugins, op
 		printRunErr("trace replay", err)
 		return 1
 	}
-	return report(res, opts)
+	return report(res, pipeline.ModeTrace, opts)
 }
 
 // printRunErr renders a failure with a hint when the error type admits one.
@@ -243,64 +257,21 @@ func printRunErr(stage string, err error) {
 	}
 }
 
-// report prints the analysis outputs shared by the live and trace paths.
-func report(res *scenario.Result, opts reportOpts) int {
+// report prints the paper-style analysis of an in-process run, shared by
+// the live and trace paths: the FAROS report with addresses and
+// disassembly, Table II, the taint counters and the baselines. It then
+// summarizes the run as farosd would under mode and hands that Result to
+// writeResult.
+func report(res *scenario.Result, mode pipeline.Mode, opts reportOpts) int {
 	fmt.Printf("replay finished: %d instructions (%v wall)\n\n", res.Summary.Instructions, res.WallTime)
 	fmt.Print(res.Faros.Report())
 	if res.Flagged() {
 		fmt.Println()
 		fmt.Print(res.Faros.TableII())
 	}
-	// -triage-policy scores each finding against the policy's graph-shape
-	// rules; the scores are a pure view over the provenance graphs, so the
-	// findings above are unchanged by this section's presence.
-	if opts.policy != nil {
-		findings := res.Faros.Findings()
-		scores := make([]triage.Score, 0, len(findings))
-		fmt.Printf("\ntriage (policy %s, %.12s):\n", opts.policy.Name, opts.policy.Hash())
-		for _, f := range findings {
-			a := opts.policy.ScoreFinding(f.Rule, f.Prov)
-			scores = append(scores, a.Score)
-			fmt.Printf("  [%-6s] %s %s/%d (rule %s)\n", a.Score, f.Rule, f.ProcName, f.PID, a.Rule)
-		}
-		fmt.Printf("overall risk: %s\n", triage.Aggregate(scores...))
-	}
-	// -prov-format text keeps the output exactly as before (the report and
-	// Table II already render the chains); json/dot additionally print the
-	// merged provenance graph for downstream tooling.
-	if opts.provFormat != "text" {
-		body, err := res.ProvGraph().Encode(opts.provFormat)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faros: %v\n", err)
-			return 1
-		}
-		fmt.Println()
-		fmt.Print(body)
-	}
 	st := res.Faros.Stats()
 	fmt.Printf("\ntaint stats: %d tainted bytes, %d lists, %d export-table reads checked\n",
 		st.Taint.TaintedBytes, st.Taint.ListsInterned, st.ExportReads)
-
-	if opts.jsonOut != "" {
-		raw, err := res.Faros.JSON()
-		if err == nil {
-			err = os.WriteFile(opts.jsonOut, raw, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faros: json: %v\n", err)
-			return 1
-		}
-		fmt.Printf("JSON report written to %s\n", opts.jsonOut)
-	}
-	if opts.dotOut != "" && res.Flagged() {
-		dot := res.Faros.DOT(res.Faros.Findings()[0])
-		if err := os.WriteFile(opts.dotOut, []byte(dot), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "faros: dot: %v\n", err)
-			return 1
-		}
-		fmt.Printf("provenance graph written to %s\n", opts.dotOut)
-	}
-
 	if opts.withCuckoo && res.Cuckoo != nil {
 		fmt.Println()
 		fmt.Print(res.Cuckoo.String())
@@ -308,6 +279,55 @@ func report(res *scenario.Result, opts reportOpts) int {
 	if opts.withMalfind && res.Malfind != nil {
 		fmt.Println()
 		fmt.Print(res.Malfind.String())
+	}
+	return writeResult(pipeline.BuildResult(res, res.Name, mode), opts)
+}
+
+// writeResult is the machine-readable tail of both paths, over farosd's
+// Result: -triage-policy scores it (re-scoring a remote result
+// client-side, so an analyst can try a candidate policy against a fleet's
+// results without redeploying it) and prints the scores, -prov-format
+// renders the merged provenance graph, -json writes the indented Result
+// and -dot the first finding's graph.
+func writeResult(res *pipeline.Result, opts reportOpts) int {
+	if opts.policy != nil {
+		pipeline.ScoreResult(res, opts.policy)
+		fmt.Printf("\ntriage (policy %s, %.12s):\n", opts.policy.Name, opts.policy.Hash())
+		for _, f := range res.Findings {
+			fmt.Printf("  [%-6s] %s %s/%d (rule %s)\n", f.Risk, f.Rule, f.Process, f.PID, f.RiskRule)
+		}
+		fmt.Printf("overall risk: %s\n", res.Risk)
+	}
+	if opts.provFormat != "text" {
+		g := res.Prov
+		if g == nil {
+			g = provgraph.Merge()
+		}
+		body, err := g.Encode(opts.provFormat)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "faros: %v\n", err)
+			return 1
+		}
+		fmt.Println()
+		fmt.Print(body)
+	}
+	if opts.jsonOut != "" {
+		raw, err := json.MarshalIndent(res, "", "  ")
+		if err == nil {
+			err = os.WriteFile(opts.jsonOut, raw, 0o644)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "faros: json: %v\n", err)
+			return 1
+		}
+		fmt.Printf("JSON result written to %s\n", opts.jsonOut)
+	}
+	if opts.dotOut != "" && len(res.Findings) > 0 && res.Findings[0].Prov != nil {
+		if err := os.WriteFile(opts.dotOut, []byte(res.Findings[0].Prov.DOT()), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "faros: dot: %v\n", err)
+			return 1
+		}
+		fmt.Printf("provenance graph written to %s\n", opts.dotOut)
 	}
 	return 0
 }

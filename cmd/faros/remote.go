@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -10,9 +9,7 @@ import (
 	"faros/internal/core"
 	"faros/internal/pipeline"
 	"faros/internal/pipeline/client"
-	"faros/internal/provgraph"
 	"faros/internal/samples"
-	"faros/internal/triage"
 )
 
 // remoteArgs is the -server slice of the flag set: what to run and where.
@@ -22,8 +19,7 @@ type remoteArgs struct {
 	file      string
 	traceIn   string
 	list      bool
-	strict    bool
-	addrDeps  bool
+	cfg       core.Config
 	timeout   time.Duration
 	recordOut string
 }
@@ -62,11 +58,8 @@ func runRemote(ctx context.Context, args remoteArgs, opts reportOpts) int {
 	if args.timeout > 0 {
 		req.TimeoutMS = args.timeout.Milliseconds()
 	}
-	if args.strict || args.addrDeps {
-		req.Config = &core.Config{
-			StrictExecCheck:   args.strict,
-			PropagateAddrDeps: args.addrDeps,
-		}
+	if args.cfg != (core.Config{}) {
+		req.Config = &args.cfg
 	}
 	switch {
 	case args.traceIn != "":
@@ -105,12 +98,7 @@ func runRemote(ctx context.Context, args remoteArgs, opts reportOpts) int {
 		return 1
 	}
 	if req.Trace == "" {
-		req.Mode = "detect"
-		if req.Config != nil {
-			// Non-default engine knobs need mode "live": detect always
-			// runs the paper's default policy.
-			req.Mode = "live"
-		}
+		req.Mode = string(analysisMode(args.cfg))
 	}
 
 	fmt.Printf("submitting to %s...\n", args.base)
@@ -122,9 +110,8 @@ func runRemote(ctx context.Context, args remoteArgs, opts reportOpts) int {
 	return reportRemote(view, opts)
 }
 
-// reportRemote renders a remote job view with the same sections as the
-// in-process report: findings, optional client-side triage re-scoring,
-// and the merged provenance graph in the requested format.
+// reportRemote prints a remote job view's summary and findings, with the
+// risk farosd stamped on them, and hands its Result to writeResult.
 func reportRemote(view *pipeline.JobView, opts reportOpts) int {
 	res := view.Result
 	if view.State != pipeline.StateDone || res == nil {
@@ -160,54 +147,5 @@ func reportRemote(view *pipeline.JobView, opts reportOpts) int {
 	if res.Risk != "" {
 		fmt.Printf("server overall risk: %s (policy %.12s)\n", res.Risk, res.RiskPolicy)
 	}
-	// -triage-policy re-scores client-side over the returned provenance
-	// graphs — an analyst can try a candidate policy against a fleet's
-	// results without redeploying it.
-	if opts.policy != nil {
-		scores := make([]triage.Score, 0, len(res.Findings))
-		fmt.Printf("\ntriage (policy %s, %.12s):\n", opts.policy.Name, opts.policy.Hash())
-		for _, f := range res.Findings {
-			a := opts.policy.ScoreFinding(f.Rule, f.Prov)
-			scores = append(scores, a.Score)
-			fmt.Printf("  [%-6s] %s %s/%d (rule %s)\n", a.Score, f.Rule, f.Process, f.PID, a.Rule)
-		}
-		fmt.Printf("overall risk: %s\n", triage.Aggregate(scores...))
-	}
-	if opts.provFormat != "text" {
-		g := res.Prov
-		if g == nil {
-			g = provgraph.Merge()
-		}
-		body, err := g.Encode(opts.provFormat)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faros: %v\n", err)
-			return 1
-		}
-		fmt.Println()
-		fmt.Print(body)
-	}
-	if opts.jsonOut != "" {
-		raw, err := json.MarshalIndent(res, "", "  ")
-		if err == nil {
-			err = os.WriteFile(opts.jsonOut, raw, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faros: json: %v\n", err)
-			return 1
-		}
-		fmt.Printf("JSON result written to %s\n", opts.jsonOut)
-	}
-	if opts.dotOut != "" && len(res.Findings) > 0 && res.Findings[0].Prov != nil {
-		dot, err := res.Findings[0].Prov.Encode("dot")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faros: dot: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(opts.dotOut, []byte(dot), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "faros: dot: %v\n", err)
-			return 1
-		}
-		fmt.Printf("provenance graph written to %s\n", opts.dotOut)
-	}
-	return 0
+	return writeResult(res, opts)
 }

@@ -91,7 +91,8 @@ type Finding struct {
 	// Prov is the finding's provenance graph, built once at flag time: the
 	// instruction-bytes chain (role "instr") and, for rules with a target
 	// read, the loaded bytes' chain (role "target"). Every renderer —
-	// RenderFinding, TableII, JSON/DOT encoders, the farosd endpoint — is a
+	// RenderFinding, TableII, provgraph's JSON/DOT encoders, and
+	// pipeline.Result as farosd serves it and faros -json writes it — is a
 	// view over this graph.
 	Prov *provgraph.Graph
 }

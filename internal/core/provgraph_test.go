@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"faros/internal/peimg"
 	"faros/internal/provgraph"
+	"faros/internal/samples"
 	"faros/internal/taint"
 )
 
@@ -157,5 +159,133 @@ func TestProvGraphEmptyRun(t *testing.T) {
 	var zero taint.ProvID
 	if got := f.provText(nil, provgraph.RoleInstr, zero); got != "<untainted>" {
 		t.Fatalf("fallback untainted render: %q", got)
+	}
+}
+
+// The tests below hold the engine's findings to what leaves the process:
+// each finding's provenance graph, through provgraph's JSON and DOT
+// encoders (the paper's §V.C output file and Figures 7–10).
+
+// TestJSONExport: the reflective-injection finding's graph survives a JSON
+// round trip, and its chains carry the paper's story: the instruction
+// bytes arrived over the attacker's netflow and ended in notepad.exe, and
+// the bytes they read are export-table tagged.
+func TestJSONExport(t *testing.T) {
+	f := runSpec(t, samples.ReflectiveDLLInject(), Config{})
+	if !f.Flagged() {
+		t.Fatal("not flagged")
+	}
+	fd := f.Findings()[0]
+	if fd.Rule != RuleNetflowExport || fd.ProcName != "notepad.exe" {
+		t.Errorf("finding = %s in %s", fd.Rule, fd.ProcName)
+	}
+	raw, err := fd.Prov.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := provgraph.FromJSON(raw)
+	if err != nil {
+		t.Fatalf("export does not decode: %v", err)
+	}
+	if !reflect.DeepEqual(back, fd.Prov) {
+		t.Fatalf("JSON round trip changed the graph:\n%s", raw)
+	}
+	chain := func(role string) []provgraph.Node {
+		for _, c := range back.Chains {
+			if c.Role == role {
+				nodes := make([]provgraph.Node, len(c.Nodes))
+				for i, ni := range c.Nodes {
+					nodes[i] = back.Nodes[ni]
+				}
+				return nodes
+			}
+		}
+		t.Fatalf("no %s chain:\n%s", role, raw)
+		return nil
+	}
+	// Chronological order: the netflow comes first.
+	instr := chain(provgraph.RoleInstr)
+	if len(instr) < 3 || instr[0].Kind != provgraph.KindNetflow || instr[0].Netflow == nil {
+		t.Fatalf("instr chain = %+v", instr)
+	}
+	if instr[0].Netflow.SrcIP != "169.254.26.161" {
+		t.Errorf("netflow = %+v", instr[0].Netflow)
+	}
+	if last := instr[len(instr)-1]; last.Kind != provgraph.KindProcess || last.Process == nil || last.Process.Name != "notepad.exe" {
+		t.Errorf("last instr node = %+v", last)
+	}
+	if target := chain(provgraph.RoleTarget); len(target) == 0 || target[0].Kind != provgraph.KindExportTable {
+		t.Errorf("target chain = %+v", target)
+	}
+}
+
+// TestJSONExportCleanRun: a benign run flags nothing and its whole-run
+// graph encodes as the canonical empty graph.
+func TestJSONExportCleanRun(t *testing.T) {
+	f := runSpec(t, samples.BenignPrograms()[9], Config{}) // calculator
+	if f.Flagged() || len(f.Findings()) != 0 {
+		t.Fatalf("clean run flagged: %d findings", len(f.Findings()))
+	}
+	raw, err := f.ProvGraph().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := provgraph.FromJSON(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.NodeCount() != 0 || back.EdgeCount() != 0 || len(back.Chains) != 0 {
+		t.Errorf("clean run graph = %s", raw)
+	}
+}
+
+// TestDOTExport: the finding's graph renders as a Graphviz digraph naming
+// the netflow, both processes and the export table.
+func TestDOTExport(t *testing.T) {
+	f := runSpec(t, samples.ReflectiveDLLInject(), Config{})
+	if !f.Flagged() {
+		t.Fatal("not flagged")
+	}
+	dot := f.Findings()[0].Prov.DOT()
+	for _, want := range []string{
+		"digraph provgraph",
+		"rankdir=LR",
+		"NetFlow",
+		"inject_client.exe",
+		"notepad.exe",
+		"shape=cylinder", // the export table
+		"->",
+	} {
+		if !strings.Contains(dot, want) {
+			t.Errorf("DOT missing %q:\n%s", want, dot)
+		}
+	}
+	if strings.Count(dot, "{") != strings.Count(dot, "}") {
+		t.Error("unbalanced DOT braces")
+	}
+}
+
+// TestDOTExportExecRule: a StrictExecCheck finding flags execution, not a
+// read, so its graph has no target chain and no export-table node, and
+// its DOT rendering draws no export table.
+func TestDOTExportExecRule(t *testing.T) {
+	f := runSpec(t, samples.EvasionHardcodedStubs(), Config{StrictExecCheck: true})
+	if !f.Flagged() {
+		t.Fatal("not flagged")
+	}
+	fd := f.Findings()[0]
+	if fd.Rule != RuleForeignCodeExec {
+		t.Fatalf("rule = %s, want %s", fd.Rule, RuleForeignCodeExec)
+	}
+	if ts := fd.Prov.ChainText(provgraph.RoleTarget); len(ts) != 0 {
+		t.Errorf("exec-rule graph has a target chain: %q", ts)
+	}
+	for _, n := range fd.Prov.Nodes {
+		if n.Kind == provgraph.KindExportTable {
+			t.Errorf("exec-rule graph has an export-table node: %+v", n)
+		}
+	}
+	if dot := fd.Prov.DOT(); strings.Contains(dot, "cylinder") {
+		t.Errorf("exec-rule DOT draws the export table:\n%s", dot)
 	}
 }

@@ -405,7 +405,7 @@ var metricTable = []metricDef{
 	{"faros_provgraph_build_total", "Provenance graphs built by completed FAROS jobs.", counter, always, func(s *Stats) uint64 { return s.Prov.Builds }, nil},
 	{"faros_provgraph_nodes_total", "Nodes across built provenance graphs.", counter, always, func(s *Stats) uint64 { return s.Prov.Nodes }, nil},
 	{"faros_provgraph_edges_total", "Edges across built provenance graphs.", counter, always, func(s *Stats) uint64 { return s.Prov.Edges }, nil},
-	{"faros_block_built_total", "Guest code blocks predecoded into micro-op streams.", counter, always, func(s *Stats) uint64 { return s.Block.Built }, nil},
+	{"faros_block_built_total", "Guest code blocks attached to a machine's block cache, shared or privately decoded.", counter, always, func(s *Stats) uint64 { return s.Block.Built }, nil},
 	{"faros_block_hits_total", "Block executions served from the block cache.", counter, always, func(s *Stats) uint64 { return s.Block.Hits }, nil},
 	{"faros_block_invalidated_total", "Cached blocks invalidated by self-modifying-code writes.", counter, always, func(s *Stats) uint64 { return s.Block.Invalidated }, nil},
 	{"faros_block_fused_ops_total", "Superinstructions retired by the block executors.", counter, always, func(s *Stats) uint64 { return s.Block.FusedOps }, nil},

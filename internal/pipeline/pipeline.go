@@ -414,7 +414,7 @@ func New(cfg Config) (*Pool, error) {
 // defaultRunner builds the Runner a pool uses unless Config.Runner
 // overrides it, over an optional trace store; it is the one place a
 // request's Mode picks its scenario entry point. Every mode attaches the
-// FAROS engine only, since buildResult reads nothing else. ModeDetect and
+// FAROS engine only, since BuildResult reads nothing else. ModeDetect and
 // ModeLive are one live pass, under the zero config and the request's
 // config respectively. ModeTrace loads the encoded trace by digest and
 // replays it analysis-only (no live guest execution); the replay path
@@ -875,12 +875,19 @@ func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist
 	var de *scenario.DeadlineError
 	switch {
 	case err == nil:
-		result := buildResult(r, res)
-		p.scoreResult(result)
+		result := BuildResult(res, r.req.Spec.Name, r.req.Mode)
+		result.Hash = r.key
+		ScoreResult(result, p.cfg.Triage)
 		p.stats.JobsDone += uint64(len(r.waiters))
 		p.stats.Instructions += result.Instructions
 		for _, f := range result.Findings {
 			p.stats.FindingsByRule[f.Rule]++
+			if f.Risk != "" {
+				p.stats.FindingsByRisk[f.Risk]++
+			}
+		}
+		if result.Risk != "" {
+			p.stats.ResultsByRisk[result.Risk]++
 		}
 		if res != nil && res.Faros != nil {
 			p.stats.addEngine(res.Faros.Stats())
@@ -920,7 +927,7 @@ func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist
 	}
 	r.waiters = nil
 	if res != nil {
-		// Every read of the guest state is done (buildResult, scoreResult,
+		// Every read of the guest state is done (BuildResult, ScoreResult,
 		// addEngine above): hand its memory to the pools for the next job.
 		res.Release()
 	}
@@ -959,42 +966,15 @@ func (p *Pool) settleLocked(job *Job, state State, res *Result, err error, now t
 	p.emit(ev)
 }
 
-// scoreResult applies the active triage policy to a freshly built result:
-// each finding gets the first-match-wins score over its provenance graph,
-// and the result carries the aggregate (maximum; "low" for a clean run)
-// plus the policy's content hash. A no-op with triage disabled, keeping
-// the result bit-identical to the pre-triage encoding. Scoring happens
-// here — after buildResult, before caching — so it applies equally to
-// detect, live, and trace-replay jobs, and cached copies carry scores
-// consistent with the policy hash in their cache key.
-func (p *Pool) scoreResult(result *Result) {
-	pol := p.cfg.Triage
-	if pol == nil {
-		return
-	}
-	var scores []triage.Score
-	for i := range result.Findings {
-		f := &result.Findings[i]
-		a := pol.ScoreFinding(f.Rule, f.Prov)
-		f.Risk = a.Score.String()
-		f.RiskRule = a.Rule
-		scores = append(scores, a.Score)
-	}
-	agg := triage.Aggregate(scores...)
-	result.Risk = agg.String()
-	result.RiskPolicy = pol.Hash()
-	for _, s := range scores {
-		p.stats.FindingsByRisk[s.String()]++
-	}
-	p.stats.ResultsByRisk[agg.String()]++
-}
-
-// buildResult summarizes a scenario result for the service surface.
-func buildResult(r *run, res *scenario.Result) *Result {
+// BuildResult summarizes a scenario result as the one machine-readable
+// form of an analysis: farosd's job results, stored entries and the faros
+// CLI's -json file. It reads the run's FAROS engine, so call it before
+// res.Release. The result has no Hash and no triage fields; the caller
+// sets the former and ScoreResult the latter.
+func BuildResult(res *scenario.Result, name string, mode Mode) *Result {
 	out := &Result{
-		Hash:         r.key,
-		Scenario:     r.req.Spec.Name,
-		Mode:         r.req.Mode,
+		Scenario:     name,
+		Mode:         mode,
 		Instructions: res.Summary.Instructions,
 		WallTime:     res.WallTime,
 	}
@@ -1017,6 +997,30 @@ func buildResult(r *run, res *scenario.Result) *Result {
 		}
 	}
 	return out
+}
+
+// ScoreResult stamps a result with pol's verdict: each finding gets the
+// first-match-wins score over its provenance graph, and the result carries
+// the aggregate (maximum; "low" for a clean run) plus the policy's content
+// hash. Stamps from an earlier policy are overwritten. A nil policy leaves
+// the result untouched, bit-identical to the pre-triage encoding. The pool
+// scores after BuildResult and before caching, so detect, live and
+// trace-replay jobs are scored alike and cached copies carry scores
+// consistent with the policy hash in their cache key.
+func ScoreResult(result *Result, pol *triage.Policy) {
+	if pol == nil {
+		return
+	}
+	var scores []triage.Score
+	for i := range result.Findings {
+		f := &result.Findings[i]
+		a := pol.ScoreFinding(f.Rule, f.Prov)
+		f.Risk = a.Score.String()
+		f.RiskRule = a.Rule
+		scores = append(scores, a.Score)
+	}
+	result.Risk = triage.Aggregate(scores...).String()
+	result.RiskPolicy = pol.Hash()
 }
 
 // retainLocked moves a terminal job into the retention ring; p.mu must be

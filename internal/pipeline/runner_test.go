@@ -12,12 +12,13 @@ import (
 	"faros/internal/scenario"
 )
 
-// resultJSON is a job's Result as farosd serves it, built by buildResult
+// resultJSON is a job's Result as farosd serves it, built by BuildResult
 // under the job's key, with the wall clock zeroed (the one field two runs
 // of the same work may disagree on).
 func resultJSON(t *testing.T, req Request, res *scenario.Result) []byte {
 	t.Helper()
-	out := buildResult(&run{key: cacheKey(req, ""), req: req}, res)
+	out := BuildResult(res, req.Spec.Name, req.Mode)
+	out.Hash = cacheKey(req, "")
 	res.Release()
 	out.WallTime = 0
 	b, err := json.Marshal(out)

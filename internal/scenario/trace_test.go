@@ -1,9 +1,9 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"faros/internal/core"
@@ -13,8 +13,9 @@ import (
 
 // TestTraceReplayMatchesLiveCorpus is the fidelity property behind the
 // replay farm: for every attack and benign sample, analyzing the encoded
-// trace must produce bit-identical findings to replaying the in-memory
-// log directly — the wire format adds nothing and loses nothing.
+// trace must produce identical findings and engine counters to replaying
+// the in-memory log directly — the wire format adds nothing and loses
+// nothing.
 func TestTraceReplayMatchesLiveCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus")
@@ -49,16 +50,13 @@ func TestTraceReplayMatchesLiveCorpus(t *testing.T) {
 				t.Fatalf("instructions: live %d, trace %d",
 					live.Summary.Instructions, fromTrace.Summary.Instructions)
 			}
-			liveJSON, err := live.Faros.JSON()
-			if err != nil {
-				t.Fatal(err)
+			// Findings whole: rule, addresses, disassembly, provenance ids
+			// and graphs.
+			if !reflect.DeepEqual(live.Findings(), fromTrace.Findings()) {
+				t.Errorf("findings diverge:\nlive:  %+v\ntrace: %+v", live.Findings(), fromTrace.Findings())
 			}
-			traceJSON, err := fromTrace.Faros.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(liveJSON, traceJSON) {
-				t.Errorf("findings diverge:\nlive:  %s\ntrace: %s", liveJSON, traceJSON)
+			if s1, s2 := live.Faros.Stats(), fromTrace.Faros.Stats(); s1 != s2 {
+				t.Errorf("engine stats diverge:\nlive:  %+v\ntrace: %+v", s1, s2)
 			}
 		})
 	}
