@@ -129,18 +129,26 @@ func TestBlockDispatchDifferentialUnderFaults(t *testing.T) {
 }
 
 // TestBlockDispatchDifferentialTails shrinks the scheduler quantum until
-// most block entries land on a budget tail, where RunBlock runs uncached
-// one-instruction blocks, and diffs the block engine against the reference
-// under every engine configuration that changes what the executor does.
+// most block entries land on a budget tail, where the executors run a
+// block prefix or an uncached one-instruction block, and diffs the block
+// engine against the reference under every engine configuration that
+// changes what the executor does. The production quantum (256) and the two
+// smallest Table V applications, whose copy loops run in place for most of
+// every quantum, cover loop-dominated code.
 func TestBlockDispatchDifferentialTails(t *testing.T) {
 	corpus := append(samples.Attacks(), samples.BenignPrograms()...)
+	for _, w := range samples.PerfWorkloads() {
+		if w.Display == "Bozok" || w.Display == "Pandora" {
+			corpus = append(corpus, w.Spec)
+		}
+	}
 	configs := []core.Config{
 		{},
 		{StrictExecCheck: true},
 		{PropagateAddrDeps: true},
 		{NoProcessTags: true},
 	}
-	for _, quantum := range []uint64{1, 3, 7, 61} {
+	for _, quantum := range []uint64{1, 3, 7, 61, 256} {
 		t.Run(fmt.Sprintf("q%d", quantum), func(t *testing.T) {
 			t.Parallel()
 			setQuantum := func(k *guest.Kernel) { k.Quantum = quantum }

@@ -116,9 +116,10 @@ type ProvStats struct {
 // cache plus the engine's taint-no-op fast path.
 type BlockStats struct {
 	vm.BlockStats
-	// UntaintedFastBlocks counts block executions that ran start to finish
+	// UntaintedFastBlocks counts block dispatches that ran start to finish
 	// on the taint-no-op dispatch loop (clean register bank, every touched
-	// page clean) without a single propagation call.
+	// page clean) without a single propagation call. A self-looping
+	// block's in-place passes are one dispatch.
 	UntaintedFastBlocks uint64 `json:"untainted_fast_blocks"`
 }
 

@@ -972,8 +972,8 @@ func (k *Kernel) runQuantum(p *Process, maxInstr uint64) {
 	}
 	for steps > 0 {
 		// RunBlock runs whole predecoded blocks while one fits the
-		// remaining budget and an uncached one-instruction block otherwise,
-		// so the quantum ends exactly on its last instruction.
+		// remaining budget and a block prefix otherwise, so the quantum
+		// ends exactly on its last instruction.
 		n, trap, err := k.M.RunBlock(steps)
 		steps -= n
 		if err != nil {

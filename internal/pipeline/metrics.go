@@ -12,6 +12,7 @@ import (
 
 	"faros/internal/core"
 	"faros/internal/store"
+	"faros/internal/vm"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds. Guest runs
@@ -134,6 +135,9 @@ type Stats struct {
 	Taint          core.TaintStats   `json:"taint"`
 	Prov           core.ProvStats    `json:"prov"`
 	Block          core.BlockStats   `json:"block"`
+	// BlockTable gauges the process-wide table of decoded guest blocks
+	// every job's machine shares.
+	BlockTable vm.BlockTableStats `json:"block_table"`
 
 	LatencyCount   uint64          `json:"latency_count"`
 	LatencySum     time.Duration   `json:"latency_sum_ns"`
@@ -273,6 +277,9 @@ func (s Stats) String() string {
 		fmt.Fprintf(&sb, "blocks: %d built, %d hits (%.0f%% hit rate), %d invalidated, %d fused ops, %d untainted fast blocks\n",
 			b.Built, b.Hits, 100*rate(b.Hits, b.Built+b.Hits), b.Invalidated, b.FusedOps, b.UntaintedFastBlocks)
 	}
+	if t := s.BlockTable; t.Entries > 0 {
+		fmt.Fprintf(&sb, "block table: %d shared blocks (%d bytes), %d decoded privately\n", t.Entries, t.Bytes, t.Private)
+	}
 	if len(s.FindingsByRule) > 0 {
 		sb.WriteString("findings:")
 		for _, rule := range sortedKeys(s.FindingsByRule) {
@@ -410,6 +417,9 @@ var metricTable = []metricDef{
 	{"faros_block_invalidated_total", "Cached blocks invalidated by self-modifying-code writes.", counter, always, func(s *Stats) uint64 { return s.Block.Invalidated }, nil},
 	{"faros_block_fused_ops_total", "Superinstructions retired by the block executors.", counter, always, func(s *Stats) uint64 { return s.Block.FusedOps }, nil},
 	{"faros_block_untainted_fast_blocks_total", "Block executions that took the untainted fast loop.", counter, always, func(s *Stats) uint64 { return s.Block.UntaintedFastBlocks }, nil},
+	{"faros_block_table_entries", "Decoded guest blocks held in the process-wide shared block table.", gauge, always, func(s *Stats) uint64 { return uint64(s.BlockTable.Entries) }, nil},
+	{"faros_block_table_bytes", "Accounted bytes held in the shared block table.", gauge, always, func(s *Stats) uint64 { return uint64(s.BlockTable.Bytes) }, nil},
+	{"faros_block_table_private_total", "Blocks decoded privately because the shared block table was full.", counter, always, func(s *Stats) uint64 { return s.BlockTable.Private }, nil},
 	{"faros_findings_total", "Findings reported by completed jobs, by rule.", counter, always, nil, func(s *Stats) []series {
 		var out []series
 		for _, rule := range sortedKeys(s.FindingsByRule) {

@@ -72,6 +72,7 @@ func fullStats() Stats {
 			ShadowWrites: 59, RangeFastSkips: 60, TaintedBytes: 62, TaintedPages: 63}, InstrProvHits: 61},
 		Prov:         core.ProvStats{Builds: 64, Nodes: 65, Edges: 66},
 		Block:        core.BlockStats{BlockStats: vm.BlockStats{Built: 67, Hits: 68, Invalidated: 69, FusedOps: 70}, UntaintedFastBlocks: 71},
+		BlockTable:   vm.BlockTableStats{Entries: 88, Bytes: 89, Private: 90},
 		LatencyCount: 72,
 		LatencySum:   73*time.Second + 250*time.Millisecond,
 	}
@@ -83,14 +84,17 @@ func fullStats() Stats {
 }
 
 // zeroStats is the snapshot of a fresh single-node pool with no store,
-// trace store, triage or cluster and no traffic.
+// trace store, triage or cluster and no traffic. The block table is
+// process-wide, and jobs other tests ran fill it, so it is zeroed here.
 func zeroStats(t *testing.T) Stats {
 	p, err := New(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	return p.Stats()
+	s := p.Stats()
+	s.BlockTable = vm.BlockTableStats{}
+	return s
 }
 
 // TestStatsGolden pins the three renderings of Stats — the /metrics

@@ -39,6 +39,7 @@ import (
 	"faros/internal/store"
 	"faros/internal/trace"
 	"faros/internal/triage"
+	"faros/internal/vm"
 )
 
 // Mode selects the analysis workflow a job runs.
@@ -1267,6 +1268,7 @@ func (p *Pool) Stats() Stats {
 	}
 	s.EventsPublished, s.EventsDropped, s.EventSubscribers = p.hub.Stats()
 	s.LedgerJobs, s.LedgerEvicted = p.ledger.Stats()
+	s.BlockTable = vm.SharedBlockStats()
 	return s
 }
 

@@ -2,9 +2,20 @@
 // blocks of micro-ops (internal/isa lowering) and cached per machine by
 // physical frame and instruction slot. Dispatching a block costs one
 // lookup and one plugin call instead of a fetch, a decode, and a callback
-// per instruction. Every PC runs through a block: where no cached block
-// fits the remaining budget, RunBlock runs the one instruction at EIP as
-// an uncached block, so the preemption boundary stays exact.
+// per instruction. Every PC runs through a block. A budget that ends
+// inside a cached block runs the block's longest whole-uop prefix that
+// fits (Block.Run), so the preemption boundary stays exact; RunBlock runs
+// the one instruction at EIP as an uncached block only where a budget of
+// one splits the fused pair a block starts with, and at unaligned,
+// page-straddling or undecodable PCs.
+//
+// Loops stay in the executor: when a pass ends on a back edge (JMP,
+// ALU+JMP, taken Jcc or CMP+Jcc) to the block's own first instruction and
+// the budget fits another whole pass, the executor starts that pass in
+// place instead of returning to the chain loop's lookup. Retire and
+// fused-op counts stay in locals and commit once on exit, so faults and
+// self-modifying-code exits report every instruction retired across
+// passes.
 //
 // Decode once per process: a block depends only on the bytes it spans, so
 // every machine looks those bytes up in one bounded, process-wide table of
@@ -79,7 +90,8 @@ type BlockStats struct {
 	// Built counts blocks attached to this machine's cache, whether
 	// decoded for it or found in the process-wide table.
 	Built uint64 `json:"built"`
-	// Hits counts dispatches served from the cache.
+	// Hits counts dispatches served from the cache. A self-looping
+	// block's in-place passes are one dispatch.
 	Hits uint64 `json:"hits"`
 	// Invalidated counts frames whose cached blocks were dropped.
 	Invalidated uint64 `json:"invalidated"`
@@ -185,51 +197,75 @@ func (m *Machine) RunBlock(budget uint64) (uint64, Trap, error) {
 	}
 	var total uint64
 	for {
-		n, trap, err := m.execBlockPlain(b)
+		n, trap, err := m.execBlockPlain(b, budget)
 		total += n
 		budget -= n
 		if trap != TrapNone || err != nil || budget == 0 {
 			return total, trap, err
 		}
-		if b = m.lookupBlock(m.CPU.EIP); b == nil || uint64(b.NInstr) > budget {
+		if b = m.lookupBlock(m.CPU.EIP); b == nil || !b.Enters(budget) {
 			return total, TrapNone, nil
 		}
 	}
 }
 
 // entryBlock returns the block RunBlock starts with: the cached block at
-// EIP when it fits budget, otherwise the machine's uncached
-// one-instruction block, refilled for EIP. That serves every PC the block
-// cache cannot: a budget tail (the preemption boundary lands inside the
-// cached block, whose first instruction is decoded and, unless fused,
-// lowered already), an unaligned or page-straddling PC, and a slot with no
-// block (fetched here, so a failure is Step's *FaultError).
+// EIP when a run within budget enters it (see Block.Enters), otherwise the
+// machine's uncached one-instruction block, refilled for EIP. That serves
+// every PC the block cache cannot: a budget of one instruction that splits
+// the fused pair the cached block starts with, an unaligned or
+// page-straddling PC, and a slot with no block (fetched here, so a failure
+// is Step's *FaultError).
 func (m *Machine) entryBlock(budget uint64) (*Block, error) {
 	var b *Block
 	if m.space != nil {
 		b = m.lookupBlock(m.CPU.EIP)
 	}
 	if b != nil {
-		if uint64(b.NInstr) <= budget {
+		if b.Enters(budget) {
 			return b, nil
 		}
 		m.tailIns[0] = b.Ins[0]
-		if u := &b.Uops[0]; u.N == 1 {
-			m.tailUops[0] = *u
-		} else {
-			m.tailUops[0] = isa.LowerOne(b.Ins[0])
-		}
 	} else {
 		in, err := m.fetch(m.CPU.EIP)
 		if err != nil {
 			return nil, err
 		}
 		m.tailIns[0] = in
-		m.tailUops[0] = isa.LowerOne(in)
 	}
+	m.tailUops[0] = isa.LowerOne(m.tailIns[0])
 	m.tail.EndTrap = endTrap(m.tailIns[0].Op)
 	m.tail.Eff = taint.SummarizeUops(m.tailUops[:])
 	return &m.tail, nil
+}
+
+// Enters reports whether a run of b within budget (at least one
+// instruction) retires anything: false only when the budget is one
+// instruction and b starts with a fused pair.
+func (b *Block) Enters(budget uint64) bool { return uint64(b.Uops[0].N) <= budget }
+
+// Run returns what one executor call on b may do within budget retired
+// instructions: the micro-ops of a pass (the whole block when it fits,
+// otherwise its longest whole-uop prefix that does, which ends through the
+// page-end-cut commit) and the retire limit that decides whether a back
+// edge to b's own start iterates in place (budget, capped so the
+// executors' uint32 retire counters cannot wrap).
+func (b *Block) Run(budget uint64) ([]isa.Uop, uint32) {
+	const maxRun = 1 << 30
+	if budget > maxRun {
+		budget = maxRun
+	}
+	uops := b.Uops
+	if uint64(b.NInstr) > budget {
+		var n uint64
+		for i := range uops {
+			if n += uint64(uops[i].N); n > budget {
+				uops = uops[:i]
+				break
+			}
+		}
+	}
+	return uops, uint32(budget)
 }
 
 // endTrap is the trap a block ending in op raises after it completes.
@@ -370,9 +406,31 @@ const sharedBlockBytes = 1 << 20
 // blockTable maps the bytes a block spans (blockKey) to the immutable
 // block they decode to. It is safe for concurrent use.
 type blockTable struct {
-	mu    sync.Mutex
-	m     map[string]*Block
-	bytes int // blockBytes of every entry
+	mu      sync.Mutex
+	m       map[string]*Block
+	bytes   int    // blockBytes of every entry
+	private uint64 // decodes not kept because the table was full
+}
+
+// BlockTableStats describes the process-wide block table.
+type BlockTableStats struct {
+	// Entries and Bytes are the blocks it holds and their accounted size
+	// (bounded by sharedBlockBytes).
+	Entries int `json:"entries"`
+	Bytes   int `json:"bytes"`
+	// Private counts blocks decoded while it was full: they live only in
+	// the decoding machine's own cache.
+	Private uint64 `json:"private"`
+}
+
+// SharedBlockStats reports the process-wide block table every machine
+// looks blocks up in.
+func SharedBlockStats() BlockTableStats { return sharedBlocks.stats() }
+
+func (t *blockTable) stats() BlockTableStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return BlockTableStats{Entries: len(t.m), Bytes: t.bytes, Private: t.private}
 }
 
 // sharedBlocks is the process-wide table every machine looks blocks up in.
@@ -403,6 +461,8 @@ func (t *blockTable) lookup(key []byte) *Block {
 		}
 		t.m[string(key)] = b
 		t.bytes += size
+	} else {
+		t.private++
 	}
 	return b
 }
@@ -414,153 +474,196 @@ func blockBytes(key []byte, b *Block) int {
 		cap(b.Ins)*int(unsafe.Sizeof(isa.Instruction{})) + cap(b.Uops)*int(unsafe.Sizeof(isa.Uop{}))
 }
 
-// ExecBlockPlain executes a whole block with no analysis attached — the
-// taint-no-op dispatch loop. An attached engine also routes through it for
-// blocks it has proven effect-free. Semantics match a Step sequence
+// ExecBlockPlain executes the block at EIP with no analysis attached — the
+// taint-no-op dispatch loop — retiring at most budget instructions (see
+// Block.Run). A back edge to the block's own start iterates in place while
+// the budget fits another pass. An attached engine also routes through it
+// for blocks it has proven effect-free. Semantics match a Step sequence
 // exactly: same register/flag/memory effects, same fault PCs and error
 // values, same instruction counting.
-func (m *Machine) ExecBlockPlain(b *Block) (uint64, Trap, error) {
-	return m.execBlockPlain(b)
+func (m *Machine) ExecBlockPlain(b *Block, budget uint64) (uint64, Trap, error) {
+	return m.execBlockPlain(b, budget)
 }
 
-func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
+func (m *Machine) execBlockPlain(b *Block, budget uint64) (uint64, Trap, error) {
 	regs := &m.CPU.Regs
-	base := m.CPU.EIP
+	start := m.CPU.EIP
 	epoch := m.blockEpoch
-	uops := b.Uops
-	var ii uint32 // architectural instructions retired so far
-	for ui := range uops {
-		u := &uops[ui]
-		pc := base + ii*isa.InstrSize
-		switch u.Kind {
-		case isa.UNop:
-		case isa.UMovRR:
-			regs[u.A] = regs[u.B]
-		case isa.UMovRI:
-			regs[u.A] = u.Imm
-		case isa.UAluRR:
-			regs[u.A] = isa.EvalALU(u.Op, regs[u.A], regs[u.B])
-		case isa.UAluRI:
-			regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
-		case isa.UXorClear:
-			regs[u.A] = 0
-		case isa.UNot:
-			regs[u.A] = ^regs[u.A]
-		case isa.UCmpRR:
-			a, v := regs[u.A], regs[u.B]
-			m.CPU.Flags.Z, m.CPU.Flags.S = a == v, int32(a) < int32(v)
-		case isa.UCmpRI:
-			a := regs[u.A]
-			m.CPU.Flags.Z, m.CPU.Flags.S = a == u.Imm, int32(a) < int32(u.Imm)
-		case isa.ULoad:
-			addr := regs[u.B] + u.Imm
-			if u.C != isa.NoIdx {
-				addr = regs[u.B] + regs[u.C]
-			}
-			var v uint32
-			var err error
-			if u.Size == 4 {
-				v, _, err = m.DataRead32(addr)
-			} else {
-				v, _, err = m.DataRead8(addr)
-			}
-			if err != nil {
-				return m.blockFault(ii, pc, err)
-			}
-			regs[u.A] = v
-		case isa.UStore:
-			addr := regs[u.B] + u.Imm
-			if u.C != isa.NoIdx {
-				addr = regs[u.B] + regs[u.C]
-			}
-			var err error
-			if u.Size == 4 {
-				_, err = m.DataWrite32(addr, regs[u.A])
-			} else {
-				_, err = m.DataWrite8(addr, byte(regs[u.A]))
-			}
-			if err != nil {
-				return m.blockFault(ii, pc, err)
-			}
-			if m.blockEpoch != epoch {
-				return m.blockCommit(ii+1, pc+isa.InstrSize, TrapNone, fusedIn(uops, ui+1))
-			}
-		case isa.UPush:
-			v := u.Imm
-			if u.D == 0 {
-				v = regs[u.A]
-			}
-			regs[isa.ESP] -= 4
-			if _, err := m.DataWrite32(regs[isa.ESP], v); err != nil {
+	uops, limit := b.Run(budget)
+	var ii uint32    // architectural instructions retired so far, over every pass
+	var fused uint64 // superinstructions retired by earlier passes
+iterate:
+	for {
+		// Instruction ii of this call sits at base + ii*InstrSize: each pass
+		// starts at start, so base backs off by the earlier passes.
+		base := start - ii*isa.InstrSize
+		for ui := range uops {
+			u := &uops[ui]
+			pc := base + ii*isa.InstrSize
+			switch u.Kind {
+			case isa.UNop:
+			case isa.UMovRR:
+				regs[u.A] = regs[u.B]
+			case isa.UMovRI:
+				regs[u.A] = u.Imm
+			case isa.UAluRR:
+				regs[u.A] = isa.EvalALU(u.Op, regs[u.A], regs[u.B])
+			case isa.UAluRI:
+				regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
+			case isa.UXorClear:
+				regs[u.A] = 0
+			case isa.UNot:
+				regs[u.A] = ^regs[u.A]
+			case isa.UCmpRR:
+				a, v := regs[u.A], regs[u.B]
+				m.CPU.Flags.Z, m.CPU.Flags.S = a == v, int32(a) < int32(v)
+			case isa.UCmpRI:
+				a := regs[u.A]
+				m.CPU.Flags.Z, m.CPU.Flags.S = a == u.Imm, int32(a) < int32(u.Imm)
+			case isa.ULoad:
+				addr := regs[u.B] + u.Imm
+				if u.C != isa.NoIdx {
+					addr = regs[u.B] + regs[u.C]
+				}
+				var v uint32
+				var err error
+				if u.Size == 4 {
+					v, _, err = m.DataRead32(addr)
+				} else {
+					v, _, err = m.DataRead8(addr)
+				}
+				if err != nil {
+					return m.blockFault(ii, pc, err)
+				}
+				regs[u.A] = v
+			case isa.UStore:
+				addr := regs[u.B] + u.Imm
+				if u.C != isa.NoIdx {
+					addr = regs[u.B] + regs[u.C]
+				}
+				var err error
+				if u.Size == 4 {
+					_, err = m.DataWrite32(addr, regs[u.A])
+				} else {
+					_, err = m.DataWrite8(addr, byte(regs[u.A]))
+				}
+				if err != nil {
+					return m.blockFault(ii, pc, err)
+				}
+				if m.blockEpoch != epoch {
+					return m.blockCommit(ii+1, pc+isa.InstrSize, TrapNone, fused+fusedIn(uops, ui+1))
+				}
+			case isa.UPush:
+				v := u.Imm
+				if u.D == 0 {
+					v = regs[u.A]
+				}
+				regs[isa.ESP] -= 4
+				if _, err := m.DataWrite32(regs[isa.ESP], v); err != nil {
+					regs[isa.ESP] += 4
+					return m.blockFault(ii, pc, err)
+				}
+				if m.blockEpoch != epoch {
+					return m.blockCommit(ii+1, pc+isa.InstrSize, TrapNone, fused+fusedIn(uops, ui+1))
+				}
+			case isa.UPop:
+				v, _, err := m.DataRead32(regs[isa.ESP])
+				if err != nil {
+					return m.blockFault(ii, pc, err)
+				}
 				regs[isa.ESP] += 4
-				return m.blockFault(ii, pc, err)
-			}
-			if m.blockEpoch != epoch {
-				return m.blockCommit(ii+1, pc+isa.InstrSize, TrapNone, fusedIn(uops, ui+1))
-			}
-		case isa.UPop:
-			v, _, err := m.DataRead32(regs[isa.ESP])
-			if err != nil {
-				return m.blockFault(ii, pc, err)
-			}
-			regs[isa.ESP] += 4
-			regs[u.A] = v
-		case isa.URet:
-			v, _, err := m.DataRead32(regs[isa.ESP])
-			if err != nil {
-				return m.blockFault(ii, pc, err)
-			}
-			regs[isa.ESP] += 4
-			return m.blockCommit(ii+1, v, b.EndTrap, uint64(b.Fused))
-		case isa.UJmp:
-			return m.blockCommit(ii+1, uopTarget(regs, u, pc), b.EndTrap, uint64(b.Fused))
-		case isa.UJcc:
-			// Taken: side exit. Not taken: the block continues at the
-			// fall-through instruction, which is the next micro-op.
-			if isa.CondTaken(u.Op, m.CPU.Flags.Z, m.CPU.Flags.S) {
-				return m.blockCommit(ii+1, uopTarget(regs, u, pc), TrapNone, fusedIn(uops, ui+1))
-			}
-		case isa.UCall:
-			regs[isa.ESP] -= 4
-			if _, err := m.DataWrite32(regs[isa.ESP], pc+isa.InstrSize); err != nil {
+				regs[u.A] = v
+			case isa.URet:
+				v, _, err := m.DataRead32(regs[isa.ESP])
+				if err != nil {
+					return m.blockFault(ii, pc, err)
+				}
 				regs[isa.ESP] += 4
-				return m.blockFault(ii, pc, err)
+				return m.blockCommit(ii+1, v, b.EndTrap, fused+uint64(b.Fused))
+			case isa.UJmp:
+				next := uopTarget(regs, u, pc)
+				if b.Iterates(next, start, ii+1, limit) && m.blockEpoch == epoch {
+					ii, fused = ii+1, fused+uint64(b.Fused)
+					continue iterate
+				}
+				return m.blockCommit(ii+1, next, b.EndTrap, fused+uint64(b.Fused))
+			case isa.UJcc:
+				// Taken: side exit. Not taken: the block continues at the
+				// fall-through instruction, which is the next micro-op.
+				if isa.CondTaken(u.Op, m.CPU.Flags.Z, m.CPU.Flags.S) {
+					next := uopTarget(regs, u, pc)
+					if b.Iterates(next, start, ii+1, limit) && m.blockEpoch == epoch {
+						ii, fused = ii+1, fused+fusedIn(uops, ui+1)
+						continue iterate
+					}
+					return m.blockCommit(ii+1, next, TrapNone, fused+fusedIn(uops, ui+1))
+				}
+			case isa.UCall:
+				regs[isa.ESP] -= 4
+				if _, err := m.DataWrite32(regs[isa.ESP], pc+isa.InstrSize); err != nil {
+					regs[isa.ESP] += 4
+					return m.blockFault(ii, pc, err)
+				}
+				return m.blockCommit(ii+1, uopTarget(regs, u, pc), b.EndTrap, fused+uint64(b.Fused))
+			case isa.USyscall, isa.UHlt:
+				return m.blockCommit(ii+1, pc+isa.InstrSize, b.EndTrap, fused+uint64(b.Fused))
+			case isa.UCmpJccRR, isa.UCmpJccRI:
+				a := regs[u.A]
+				v := u.Imm
+				if u.Kind == isa.UCmpJccRR {
+					v = regs[u.B]
+				}
+				z, s := a == v, int32(a) < int32(v)
+				m.CPU.Flags.Z, m.CPU.Flags.S = z, s
+				if isa.CondTaken(u.Op, z, s) {
+					next := uopTarget2(u, pc)
+					if b.Iterates(next, start, ii+2, limit) && m.blockEpoch == epoch {
+						ii, fused = ii+2, fused+fusedIn(uops, ui+1)
+						continue iterate
+					}
+					return m.blockCommit(ii+2, next, TrapNone, fused+fusedIn(uops, ui+1))
+				}
+			case isa.UAluJmp:
+				regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
+				next := uopTarget2(u, pc)
+				if b.Iterates(next, start, ii+2, limit) && m.blockEpoch == epoch {
+					ii, fused = ii+2, fused+uint64(b.Fused)
+					continue iterate
+				}
+				return m.blockCommit(ii+2, next, b.EndTrap, fused+uint64(b.Fused))
+			case isa.UMemMoveB:
+				v, _, err := m.DataRead8(regs[u.A] + regs[u.B])
+				if err != nil {
+					return m.blockFault(ii, pc, err)
+				}
+				regs[u.Imm] = v
+				// The load retired; the store is the second instruction.
+				if _, err := m.DataWrite8(regs[u.C]+regs[u.D], byte(v)); err != nil {
+					return m.blockFault(ii+1, pc+isa.InstrSize, err)
+				}
+				if m.blockEpoch != epoch {
+					return m.blockCommit(ii+2, pc+2*isa.InstrSize, TrapNone, fused+fusedIn(uops, ui+1))
+				}
 			}
-			return m.blockCommit(ii+1, uopTarget(regs, u, pc), b.EndTrap, uint64(b.Fused))
-		case isa.USyscall, isa.UHlt:
-			return m.blockCommit(ii+1, pc+isa.InstrSize, b.EndTrap, uint64(b.Fused))
-		case isa.UCmpJccRR, isa.UCmpJccRI:
-			a := regs[u.A]
-			v := u.Imm
-			if u.Kind == isa.UCmpJccRR {
-				v = regs[u.B]
-			}
-			z, s := a == v, int32(a) < int32(v)
-			m.CPU.Flags.Z, m.CPU.Flags.S = z, s
-			if isa.CondTaken(u.Op, z, s) {
-				return m.blockCommit(ii+2, uopTarget2(u, pc), TrapNone, fusedIn(uops, ui+1))
-			}
-		case isa.UAluJmp:
-			regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
-			return m.blockCommit(ii+2, uopTarget2(u, pc), b.EndTrap, uint64(b.Fused))
-		case isa.UMemMoveB:
-			v, _, err := m.DataRead8(regs[u.A] + regs[u.B])
-			if err != nil {
-				return m.blockFault(ii, pc, err)
-			}
-			regs[u.Imm] = v
-			// The load retired; the store is the second instruction.
-			if _, err := m.DataWrite8(regs[u.C]+regs[u.D], byte(v)); err != nil {
-				return m.blockFault(ii+1, pc+isa.InstrSize, err)
-			}
-			if m.blockEpoch != epoch {
-				return m.blockCommit(ii+2, pc+2*isa.InstrSize, TrapNone, fusedIn(uops, ui+1))
-			}
+			ii += uint32(u.N)
 		}
-		ii += uint32(u.N)
+		// Page-end cut, or the end of a budget prefix: fall through to the
+		// next instruction.
+		if len(uops) < len(b.Uops) {
+			return m.blockCommit(ii, base+ii*isa.InstrSize, TrapNone, fused+fusedIn(uops, len(uops)))
+		}
+		return m.blockCommit(ii, base+ii*isa.InstrSize, TrapNone, fused+uint64(b.Fused))
 	}
-	// Page-end cut: fall through to the next page.
-	return m.blockCommit(ii, base+ii*isa.InstrSize, TrapNone, uint64(b.Fused))
+}
+
+// Iterates is the back-edge rule both block executors apply: a branch to
+// next, taken with retired instructions retired in this executor call,
+// starts another pass of b (which began at start) in place when it targets
+// b's own first instruction and limit (Block.Run) still fits a whole pass.
+// The executors also require the block epoch unmoved; a store that bumps
+// it has already ended the pass.
+func (b *Block) Iterates(next, start, retired, limit uint32) bool {
+	return next == start && retired+uint32(b.NInstr) <= limit
 }
 
 // blockCommit finalizes a (possibly partial) block execution.

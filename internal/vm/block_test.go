@@ -46,9 +46,16 @@ func newRWXMachine(t *testing.T, b *isa.Block) *Machine {
 // dispatch entry) until it halts, returning retired instructions.
 func runBlocksToHalt(t *testing.T, m *Machine, maxSteps uint64) uint64 {
 	t.Helper()
+	return runQuantaToHalt(t, m, maxSteps, maxSteps)
+}
+
+// runQuantaToHalt is runBlocksToHalt with at most quantum instructions per
+// RunBlock call, as the kernel's scheduler drives it.
+func runQuantaToHalt(t *testing.T, m *Machine, quantum, maxSteps uint64) uint64 {
+	t.Helper()
 	var total uint64
 	for total < maxSteps {
-		n, trap, err := m.RunBlock(maxSteps - total)
+		n, trap, err := m.RunBlock(min(quantum, maxSteps-total))
 		total += n
 		if err != nil {
 			t.Fatalf("run block: %v", err)
@@ -100,8 +107,10 @@ func copyLoop(n uint32) *isa.Block {
 // requires identical architectural outcomes — registers, memory, and the
 // exact retired-instruction count (the record/replay cursor).
 func TestBlockDispatchMatchesStep(t *testing.T) {
+	// The kernel's 256-instruction quantum: each loop runs passes in place
+	// within a quantum and is re-dispatched from the block cache after it.
 	mb := newTestMachine(t, copyLoop(64))
-	nb := runBlocksToHalt(t, mb, 100_000)
+	nb := runQuantaToHalt(t, mb, 256, 100_000)
 
 	ms := newTestMachine(t, copyLoop(64))
 	ms.UseReferenceStep(nil)
@@ -281,8 +290,10 @@ func TestRunBlockBudgetMatchesStep(t *testing.T) {
 }
 
 // BenchmarkRunBlockTails measures dispatch when every call is a budget
-// tail: RunBlock(1) over the copy loop, so each instruction runs as the
-// uncached one-instruction block. Reports ns per retired instruction.
+// tail: RunBlock(1) over the copy loop, so each instruction runs as a
+// one-instruction prefix of its cached block, or as the uncached
+// one-instruction block where the budget splits a fused pair. Reports ns
+// per retired instruction.
 func BenchmarkRunBlockTails(b *testing.B) {
 	var n uint64
 	for i := 0; i < b.N; i++ {

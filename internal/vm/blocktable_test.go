@@ -128,6 +128,10 @@ func TestBlockTableBound(t *testing.T) {
 	if tab.m[string(key)] != b {
 		t.Fatal("full table no longer shares the block it holds")
 	}
+	// The gauges report what it holds and the four pages past the bound.
+	if st := tab.stats(); st != (BlockTableStats{Entries: kept, Bytes: full, Private: 4}) {
+		t.Fatalf("table stats %+v, want %d entries, %d bytes, 4 private", st, kept, full)
+	}
 }
 
 // FuzzBuildBlock decodes the block at an arbitrary offset of an arbitrary

@@ -88,7 +88,7 @@ type Machine struct {
 	blockEpoch uint64
 	bstats     BlockStats
 	// tail is the uncached one-instruction block RunBlock runs where no
-	// cached block fits (see entryBlock). Its Ins and Uops alias the two
+	// cached block serves EIP within the budget (see entryBlock). Its Ins and Uops alias the two
 	// arrays below, so refilling it allocates nothing.
 	tail     Block
 	tailIns  [1]isa.Instruction
