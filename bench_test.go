@@ -112,6 +112,31 @@ func BenchmarkTable5Perf(b *testing.B) {
 	}
 }
 
+// BenchmarkTable5LiveFAROS runs the job farosd runs for each Table V
+// application: one live pass with FAROS alone, released afterwards. One op
+// covers all six applications. It reports the micro-ops the block
+// executors dispatched per 1,000 retired instructions, which is what
+// micro-op fusion lowers.
+func BenchmarkTable5LiveFAROS(b *testing.B) {
+	workloads := samples.PerfWorkloads()
+	b.ResetTimer()
+	var instrs, uops uint64
+	for i := 0; i < b.N; i++ {
+		instrs, uops = 0, 0
+		for _, w := range workloads {
+			res, err := scenario.RunLiveContext(context.Background(), w.Spec, scenario.Plugins{Faros: &core.Config{}}, nil)
+			if err != nil {
+				b.Fatalf("%s: %v", w.Display, err)
+			}
+			st := res.Faros.Stats()
+			instrs += st.Instructions
+			uops += st.Instructions - st.Block.FusedOps
+			res.Release()
+		}
+	}
+	b.ReportMetric(1000*float64(uops)/float64(instrs), "uops/kinstr")
+}
+
 // BenchmarkCuckooComparison reproduces the §VI.B tool comparison.
 func BenchmarkCuckooComparison(b *testing.B) { runExperiment(b, "cuckoo") }
 

@@ -138,18 +138,33 @@ func (f *FAROS) recheckBank() {
 }
 
 // again reports whether execFused runs the next pass of b in place at a
-// back edge vm.Block.Iterates accepts: the block epoch has not moved, and
-// the pass makes the decisions ExecBlock makes on every block entry. The
-// strict exec check needs nothing here: the entry recorded the same (CR3,
-// page) in its memo and nothing in execFused checks another page. The
-// throttled bank rescan runs as at entry, except that a RegOnly block
-// whose rescan is due returns to ExecBlock instead, which makes that entry
-// itself: a clean bank sends it to the plain executor.
-func (f *FAROS) again(m *vm.Machine, b *vm.Block, epoch uint64) bool {
-	if m.BlockEpoch() != epoch {
-		return false
+// back edge vm.Block.Iterates accepts with the block epoch unmoved (both
+// checked at the back edge): the pass makes the decisions ExecBlock makes
+// on every block entry. The strict exec check needs nothing here: the
+// entry recorded the same (CR3, page) in its memo and nothing in
+// execFused checks another page. The throttled bank rescan runs as at
+// entry (recheckBank), except that a RegOnly block whose rescan is due
+// returns to ExecBlock instead, which makes that entry itself: a clean
+// bank sends it to the plain executor. again is small enough to inline
+// into the back edges, so a pass calls out only when a rescan is due.
+func (f *FAROS) again(b *vm.Block) bool {
+	if !f.bankClean {
+		if f.bankRecheck++; f.bankRecheck&15 == 0 {
+			return f.rescanDue(b)
+		}
 	}
-	if !f.bankClean && b.Eff.RegOnly && !f.cfg.PropagateAddrDeps && (f.bankRecheck+1)&15 == 0 {
+	return true
+}
+
+// rescanDue is again's pass whose bank rescan is due. It takes back
+// again's count and leaves the rescan to recheckBank, here or, for a
+// RegOnly block, at ExecBlock's entry. Kept out of line so that again
+// inlines.
+//
+//go:noinline
+func (f *FAROS) rescanDue(b *vm.Block) bool {
+	f.bankRecheck--
+	if b.Eff.RegOnly && !f.cfg.PropagateAddrDeps {
 		return false
 	}
 	f.recheckBank()
@@ -167,7 +182,9 @@ func (f *FAROS) again(m *vm.Machine, b *vm.Block, epoch uint64) bool {
 // whether the bank stayed clean for the whole block (the
 // untainted_fast_blocks diagnostic); it flips off when a taint helper runs
 // and stays off for the passes after. Retire and fused-op counts stay in
-// locals across passes and commit once on exit.
+// locals across passes and commit once on exit; as in the plain executor,
+// a pass's folded instructions (vm.FusedIn) are added where it ends, not
+// per micro-op.
 func (f *FAROS) execFused(m *vm.Machine, b *vm.Block, fast bool, budget uint64) (uint64, vm.Trap, error) {
 	regs := &m.CPU.Regs
 	space := m.Space()
@@ -182,8 +199,8 @@ func (f *FAROS) execFused(m *vm.Machine, b *vm.Block, fast bool, budget uint64) 
 	// count is NOT hoistable: a store earlier in this very block can create
 	// a shadow page, so probes fetch it fresh.
 	spaceGen := space.Gen()
-	var ii uint32 // architectural instructions retired so far, over every pass
-	var fused uint64
+	var ii uint32    // architectural instructions retired so far, over every pass
+	var fused uint64 // FusedOps of earlier passes
 iterate:
 	for {
 		// Instruction ii of this call is b.Ins[ii-first] at base +
@@ -193,6 +210,9 @@ iterate:
 		base := start - first*isa.InstrSize
 		for ui := range uops {
 			u := &uops[ui]
+			// at and pc address the micro-op's current instruction: its first,
+			// or the access after a folded MOVI.
+			at := ii
 			pc := base + ii*isa.InstrSize
 			switch u.Kind {
 			case isa.UNop:
@@ -231,6 +251,11 @@ iterate:
 				a := regs[u.A]
 				m.CPU.Flags.Z, m.CPU.Flags.S = a == u.Imm, int32(a) < int32(u.Imm)
 
+			case isa.UMoviLoad:
+				bank[u.B] = 0 // immediate: delete (Table I)
+				regs[u.B] = u.Imm2
+				at, pc = at+1, pc+isa.InstrSize
+				fallthrough
 			case isa.ULoad:
 				addr := regs[u.B] + u.Imm
 				if u.C != isa.NoIdx {
@@ -257,18 +282,18 @@ iterate:
 						}
 						f.stats.LoadsChecked++
 						if f.T.Has(raw, taint.TagExportTable) {
-							m.InstrCount = entry + uint64(ii)
-							f.checkPolicy(m, pc, b.Ins[ii-first], addr, raw, 1)
+							m.InstrCount = entry + uint64(at)
+							f.checkPolicy(m, pc, b.Ins[at-first], addr, raw, 1)
 						}
 					} else {
 						fast = false
-						m.InstrCount = entry + uint64(ii)
-						f.taintLoadPA(m, pc, b.Ins[ii-first], addr, pa, int(u.Size))
+						m.InstrCount = entry + uint64(at)
+						f.taintLoadPA(m, pc, b.Ins[at-first], addr, pa, int(u.Size))
 					}
 				} else {
 					fast = false
-					m.InstrCount = entry + uint64(ii)
-					f.taintLoadAt(m, pc, b.Ins[ii-first], addr, int(u.Size))
+					m.InstrCount = entry + uint64(at)
+					f.taintLoadAt(m, pc, b.Ins[at-first], addr, int(u.Size))
 				}
 				if st != 0 && u.Size == 1 && tl.data != nil {
 					// The probe already translated and the fill checked read
@@ -283,11 +308,33 @@ iterate:
 						v, _, err = m.DataRead8(addr)
 					}
 					if err != nil {
-						return f.fusedFault(m, entry, ii, pc, fused, err)
+						return f.fusedFault(m, entry, at, pc, fused+vm.FusedIn(uops, ui), err)
 					}
 					regs[u.A] = v
 				}
+				if u.Op != 0 {
+					if u.D == isa.NoIdx {
+						// Immediate forms leave the destination's taint unchanged.
+						regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
+					} else {
+						// UAluRR's union with the loaded register as the source,
+						// inline as there (a helper would not inline).
+						if a, bb := bank[u.D], bank[u.A]; bb != 0 && a != bb {
+							if a == 0 {
+								bank[u.D] = bb
+							} else {
+								bank[u.D] = f.T.Union(a, bb)
+							}
+						}
+						regs[u.D] = isa.EvalALU(u.Op, regs[u.D], regs[u.A])
+					}
+				}
 
+			case isa.UMoviStore:
+				bank[u.B] = 0 // immediate: delete (Table I)
+				regs[u.B] = u.Imm2
+				at, pc = at+1, pc+isa.InstrSize
+				fallthrough
 			case isa.UStore:
 				addr := regs[u.B] + u.Imm
 				if u.C != isa.NoIdx {
@@ -318,7 +365,7 @@ iterate:
 						}
 					} else {
 						fast = false
-						m.InstrCount = entry + uint64(ii)
+						m.InstrCount = entry + uint64(at)
 						if st != 0 {
 							f.taintStorePA(pa, int(u.Size), bank[u.A])
 						} else {
@@ -341,11 +388,11 @@ iterate:
 						_, err = m.DataWrite8(addr, byte(regs[u.A]))
 					}
 					if err != nil {
-						return f.fusedFault(m, entry, ii, pc, fused, err)
+						return f.fusedFault(m, entry, at, pc, fused+vm.FusedIn(uops, ui), err)
 					}
 				}
 				if m.BlockEpoch() != epoch {
-					return f.fusedCommit(m, entry, ii+1, pc+isa.InstrSize, vm.TrapNone, fused, fast)
+					return f.fusedCommit(m, entry, at+1, pc+isa.InstrSize, vm.TrapNone, fused+vm.FusedIn(uops, ui+1), fast)
 				}
 
 			case isa.UPush:
@@ -370,10 +417,10 @@ iterate:
 				regs[isa.ESP] = sp
 				if _, err := m.DataWrite32(sp, v); err != nil {
 					regs[isa.ESP] = sp + 4
-					return f.fusedFault(m, entry, ii, pc, fused, err)
+					return f.fusedFault(m, entry, ii, pc, fused+vm.FusedIn(uops, ui), err)
 				}
 				if m.BlockEpoch() != epoch {
-					return f.fusedCommit(m, entry, ii+1, pc+isa.InstrSize, vm.TrapNone, fused, fast)
+					return f.fusedCommit(m, entry, ii+1, pc+isa.InstrSize, vm.TrapNone, fused+vm.FusedIn(uops, ui+1), fast)
 				}
 
 			case isa.UPop:
@@ -391,7 +438,7 @@ iterate:
 				}
 				v, _, err := m.DataRead32(sp)
 				if err != nil {
-					return f.fusedFault(m, entry, ii, pc, fused, err)
+					return f.fusedFault(m, entry, ii, pc, fused+vm.FusedIn(uops, ui), err)
 				}
 				regs[isa.ESP] = sp + 4
 				regs[u.A] = v
@@ -401,18 +448,18 @@ iterate:
 				// not a register).
 				v, _, err := m.DataRead32(regs[isa.ESP])
 				if err != nil {
-					return f.fusedFault(m, entry, ii, pc, fused, err)
+					return f.fusedFault(m, entry, ii, pc, fused+vm.FusedIn(uops, ui), err)
 				}
 				regs[isa.ESP] += 4
-				return f.fusedCommit(m, entry, ii+1, v, b.EndTrap, fused, fast)
+				return f.fusedCommit(m, entry, ii+1, v, b.EndTrap, fused+uint64(b.Fused), fast)
 
 			case isa.UJmp:
 				next := vm.UopTarget(regs, u, pc)
-				if b.Iterates(next, start, ii+1, limit) && f.again(m, b, epoch) {
-					ii++
+				if b.Iterates(next, start, ii+1, limit) && m.BlockEpoch() == epoch && f.again(b) {
+					ii, fused = ii+1, fused+uint64(b.Fused)
 					continue iterate
 				}
-				return f.fusedCommit(m, entry, ii+1, next, b.EndTrap, fused, fast)
+				return f.fusedCommit(m, entry, ii+1, next, b.EndTrap, fused+uint64(b.Fused), fast)
 
 			case isa.UJcc:
 				// Control dependencies are deliberately not propagated (§IV).
@@ -420,11 +467,11 @@ iterate:
 				// fall-through micro-op.
 				if isa.CondTaken(u.Op, m.CPU.Flags.Z, m.CPU.Flags.S) {
 					next := vm.UopTarget(regs, u, pc)
-					if b.Iterates(next, start, ii+1, limit) && f.again(m, b, epoch) {
-						ii++
+					if b.Iterates(next, start, ii+1, limit) && m.BlockEpoch() == epoch && f.again(b) {
+						ii, fused = ii+1, fused+vm.FusedIn(uops, ui+1)
 						continue iterate
 					}
-					return f.fusedCommit(m, entry, ii+1, next, vm.TrapNone, fused, fast)
+					return f.fusedCommit(m, entry, ii+1, next, vm.TrapNone, fused+vm.FusedIn(uops, ui+1), fast)
 				}
 
 			case isa.UCall:
@@ -443,17 +490,17 @@ iterate:
 				regs[isa.ESP] = sp
 				if _, err := m.DataWrite32(sp, pc+isa.InstrSize); err != nil {
 					regs[isa.ESP] = sp + 4
-					return f.fusedFault(m, entry, ii, pc, fused, err)
+					return f.fusedFault(m, entry, ii, pc, fused+vm.FusedIn(uops, ui), err)
 				}
-				return f.fusedCommit(m, entry, ii+1, vm.UopTarget(regs, u, pc), b.EndTrap, fused, fast)
+				return f.fusedCommit(m, entry, ii+1, vm.UopTarget(regs, u, pc), b.EndTrap, fused+uint64(b.Fused), fast)
 
 			case isa.USyscall:
 				// Kernel return values are untainted.
 				bank[isa.EAX] = 0
-				return f.fusedCommit(m, entry, ii+1, pc+isa.InstrSize, b.EndTrap, fused, fast)
+				return f.fusedCommit(m, entry, ii+1, pc+isa.InstrSize, b.EndTrap, fused+uint64(b.Fused), fast)
 
 			case isa.UHlt:
-				return f.fusedCommit(m, entry, ii+1, pc+isa.InstrSize, b.EndTrap, fused, fast)
+				return f.fusedCommit(m, entry, ii+1, pc+isa.InstrSize, b.EndTrap, fused+uint64(b.Fused), fast)
 
 			case isa.UCmpJccRR, isa.UCmpJccRI:
 				a := regs[u.A]
@@ -463,25 +510,23 @@ iterate:
 				}
 				z, s := a == v, int32(a) < int32(v)
 				m.CPU.Flags.Z, m.CPU.Flags.S = z, s
-				fused++
 				if isa.CondTaken(u.Op, z, s) {
 					next := vm.UopTarget2(u, pc)
-					if b.Iterates(next, start, ii+2, limit) && f.again(m, b, epoch) {
-						ii += 2
+					if b.Iterates(next, start, ii+2, limit) && m.BlockEpoch() == epoch && f.again(b) {
+						ii, fused = ii+2, fused+vm.FusedIn(uops, ui+1)
 						continue iterate
 					}
-					return f.fusedCommit(m, entry, ii+2, next, vm.TrapNone, fused, fast)
+					return f.fusedCommit(m, entry, ii+2, next, vm.TrapNone, fused+vm.FusedIn(uops, ui+1), fast)
 				}
 
 			case isa.UAluJmp:
 				regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
-				fused++
 				next := vm.UopTarget2(u, pc)
-				if b.Iterates(next, start, ii+2, limit) && f.again(m, b, epoch) {
-					ii += 2
+				if b.Iterates(next, start, ii+2, limit) && m.BlockEpoch() == epoch && f.again(b) {
+					ii, fused = ii+2, fused+uint64(b.Fused)
 					continue iterate
 				}
-				return f.fusedCommit(m, entry, ii+2, next, b.EndTrap, fused, fast)
+				return f.fusedCommit(m, entry, ii+2, next, b.EndTrap, fused+uint64(b.Fused), fast)
 
 			case isa.UMemMoveB:
 				laddr := regs[u.A] + regs[u.B]
@@ -520,7 +565,7 @@ iterate:
 					var err error
 					v, _, err = m.DataRead8(laddr)
 					if err != nil {
-						return f.fusedFault(m, entry, ii, pc, fused, err)
+						return f.fusedFault(m, entry, ii, pc, fused+vm.FusedIn(uops, ui), err)
 					}
 				}
 				regs[u.Imm] = v
@@ -561,19 +606,18 @@ iterate:
 					}
 				} else {
 					if _, err := m.DataWrite8(saddr, byte(v)); err != nil {
-						return f.fusedFault(m, entry, ii+1, pc+isa.InstrSize, fused, err)
+						return f.fusedFault(m, entry, ii+1, pc+isa.InstrSize, fused+vm.FusedIn(uops, ui), err)
 					}
 				}
-				fused++
 				if m.BlockEpoch() != epoch {
-					return f.fusedCommit(m, entry, ii+2, pc+2*isa.InstrSize, vm.TrapNone, fused, fast)
+					return f.fusedCommit(m, entry, ii+2, pc+2*isa.InstrSize, vm.TrapNone, fused+vm.FusedIn(uops, ui+1), fast)
 				}
 			}
 			ii += uint32(u.N)
 		}
 		// Page-end cut, or the end of a budget prefix: fall through to the
 		// next instruction.
-		return f.fusedCommit(m, entry, ii, base+ii*isa.InstrSize, vm.TrapNone, fused, fast)
+		return f.fusedCommit(m, entry, ii, base+ii*isa.InstrSize, vm.TrapNone, fused+vm.FusedIn(uops, len(uops)), fast)
 	}
 }
 

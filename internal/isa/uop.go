@@ -6,11 +6,14 @@
 // re-deriving op×mode combinations every execution.
 //
 // Lowering also fuses the superinstruction patterns the sample corpus is
-// dominated by: compare-and-branch loop heads, ALU-and-jump back edges, and
-// the byte-granular load/store pair of memcpy bodies. A fused micro-op
-// retires N architectural instructions; a branch into the middle of a fused
-// pair simply enters a different block starting at the second instruction,
-// so fusion never needs branch-target knowledge.
+// dominated by: compare-and-branch loop heads, ALU-and-jump back edges, the
+// byte-granular load/store pair of memcpy bodies, and the wide memory
+// micro-ops of buffer loops: a MOVI that sets an access's base register
+// rides on the access, and a load carries the ALU op that consumes the
+// loaded register. A fused micro-op retires N architectural instructions
+// (two or three); a branch into its middle simply enters a different block
+// starting at that instruction, so fusion never needs branch-target
+// knowledge.
 
 package isa
 
@@ -24,14 +27,15 @@ const NoIdx = 0xFF
 // bytes' provenance into the destination register and run the load policy".
 type UopKind uint8
 
-// Micro-op kinds. The fused kinds retire two architectural instructions.
+// Micro-op kinds. The superinstructions and the wide memory forms retire
+// more than one architectural instruction (Uop.N).
 const (
 	UNop UopKind = iota + 1
 	UHlt
 	USyscall
 	UMovRR    // A=dst, B=src
 	UMovRI    // A=dst, Imm=value (taint delete)
-	ULoad     // A=dst, B=base, C=index or NoIdx, Imm=disp, Size=1|4
+	ULoad     // A=dst, B=base, C=index or NoIdx, Imm=disp, Size=1|4; Op≠0 folds an ALU op (foldALU)
 	UStore    // A=src(data), B=base, C=index or NoIdx, Imm=disp, Size=1|4
 	UAluRR    // Op=ALU selector, A=dst, B=src (taint union)
 	UAluRI    // Op=ALU selector, A=dst, Imm (taint unchanged)
@@ -51,11 +55,22 @@ const (
 	UCmpJccRI // Op=cond, A reg, Imm compare imm; Imm2=branch target, D=1 if rel
 	UAluJmp   // Op=ALU selector, A=dst, Imm=ALU imm; Imm2=jump target, D=1 if rel
 	UMemMoveB // LDB+STB pair: A=load base, B=load idx, C=store base, D=store idx, Imm=data reg
+
+	// Wide memory micro-ops: MOVI B,Imm2 (taint delete), then the access
+	// exactly as ULoad/UStore with the same fields. A fault in the access
+	// retires the MOVI.
+	UMoviLoad  // MOVI + LD/LDB, plus the folded ALU op of ULoad when Op≠0
+	UMoviStore // MOVI + ST/STB
 )
 
 // Uop is one predecoded micro-op. The field meanings depend on Kind (see
 // the kind constants); N is the number of architectural instructions the
-// micro-op retires (2 for superinstructions).
+// micro-op retires (more than one for the fused forms).
+//
+// A load whose Op is nonzero also runs the ALU instruction after it, which
+// reads the loaded register A: with D == NoIdx it is "Op A, Imm" (only on
+// indexed loads, whose Imm is otherwise unused; taint unchanged), otherwise
+// "Op D, A" (taint union into D).
 type Uop struct {
 	Kind UopKind
 	Op   Op // original opcode: ALU selector, branch condition
@@ -69,13 +84,10 @@ type Uop struct {
 	Imm2 uint32
 }
 
-// IsFused reports whether the micro-op is a superinstruction.
-func (u *Uop) IsFused() bool { return u.N > 1 }
-
 // TouchesMem reports whether the micro-op performs a data memory access.
 func (k UopKind) TouchesMem() bool {
 	switch k {
-	case ULoad, UStore, UCall, URet, UPush, UPop, UMemMoveB:
+	case ULoad, UStore, UCall, URet, UPush, UPop, UMemMoveB, UMoviLoad, UMoviStore:
 		return true
 	}
 	return false
@@ -232,50 +244,95 @@ func aluImmediate(in Instruction) bool {
 // can occur mid-stream; unconditional transfers only at the tail.
 func Lower(ins []Instruction) []Uop {
 	uops := make([]Uop, 0, len(ins))
-	for i := 0; i < len(ins); i++ {
-		in := ins[i]
-		if i+1 < len(ins) {
-			next := ins[i+1]
-			// CMP + Jcc → one compare-and-branch micro-op.
-			if in.Op == OpCmp && next.Op.IsCondJump() {
-				j := jumpUop(UJcc, next)
-				u := Uop{Op: next.Op, D: j.D, Imm2: j.Imm, N: 2}
-				if in.Mode == ModeRR {
-					u.Kind = UCmpJccRR
-					u.A, u.B = uint8(in.Dst&7), uint8(in.Src&7)
-				} else {
-					u.Kind = UCmpJccRI
-					u.A, u.Imm = uint8(in.Dst&7), in.Imm
-				}
-				uops = append(uops, u)
-				i++
-				continue
-			}
-			// ALU-immediate + unconditional JMP → loop back edge.
-			if aluImmediate(in) && next.Op == OpJmp && next.Mode != ModeRR {
-				j := jumpUop(UJmp, next)
-				uops = append(uops, Uop{
-					Kind: UAluJmp, Op: in.Op, A: uint8(in.Dst & 7),
-					Imm: in.Imm, Imm2: j.Imm, D: j.D, N: 2,
-				})
-				i++
-				continue
-			}
-			// LDB [b1+i] + STB [b2+j] through the same data register → the
-			// memcpy body micro-op.
-			if in.Op == OpLdb && in.Mode == ModeRX &&
-				next.Op == OpStb && next.Mode == ModeXR && next.Src == in.Dst {
-				uops = append(uops, Uop{
-					Kind: UMemMoveB,
-					A:    uint8(in.Src & 7), B: uint8(in.Imm & 7),
-					C: uint8(next.Dst & 7), D: uint8(next.Imm & 7),
-					Imm: uint32(in.Dst & 7), Size: 1, N: 2,
-				})
-				i++
-				continue
-			}
-		}
-		uops = append(uops, LowerOne(in))
+	for i := 0; i < len(ins); {
+		u := fuse(ins[i:])
+		uops = append(uops, u)
+		i += int(u.N)
 	}
 	return uops
+}
+
+// fuse lowers the micro-op that starts at ins[0], folding in the
+// instructions after it that a fusion pattern covers.
+func fuse(ins []Instruction) Uop {
+	in := ins[0]
+	u := LowerOne(in)
+	if len(ins) == 1 {
+		return u
+	}
+	next := ins[1]
+	switch {
+	case in.Op == OpCmp && next.Op.IsCondJump():
+		// CMP + Jcc → one compare-and-branch micro-op.
+		j := jumpUop(UJcc, next)
+		u = Uop{Op: next.Op, D: j.D, Imm2: j.Imm, N: 2}
+		if in.Mode == ModeRR {
+			u.Kind = UCmpJccRR
+			u.A, u.B = uint8(in.Dst&7), uint8(in.Src&7)
+		} else {
+			u.Kind = UCmpJccRI
+			u.A, u.Imm = uint8(in.Dst&7), in.Imm
+		}
+	case aluImmediate(in) && next.Op == OpJmp && next.Mode != ModeRR:
+		// ALU-immediate + unconditional JMP → loop back edge.
+		j := jumpUop(UJmp, next)
+		u = Uop{Kind: UAluJmp, Op: in.Op, A: uint8(in.Dst & 7), Imm: in.Imm, Imm2: j.Imm, D: j.D, N: 2}
+	case u.Kind == UMovRI:
+		// MOVI into the base register of the next access → the access
+		// carrying the immediate; a load may fold an ALU op too.
+		acc := LowerOne(next)
+		if acc.B != u.A {
+			break
+		}
+		switch acc.Kind {
+		case ULoad:
+			acc.Kind, acc.Imm2, acc.N = UMoviLoad, in.Imm, 2
+			foldALU(&acc, ins[2:])
+			u = acc
+		case UStore:
+			acc.Kind, acc.Imm2, acc.N = UMoviStore, in.Imm, 2
+			u = acc
+		}
+	case in.Op == OpLdb && in.Mode == ModeRX &&
+		next.Op == OpStb && next.Mode == ModeXR && next.Src == in.Dst:
+		// LDB [b1+i] + STB [b2+j] through the same data register → the
+		// memcpy body micro-op.
+		u = Uop{
+			Kind: UMemMoveB,
+			A:    uint8(in.Src & 7), B: uint8(in.Imm & 7),
+			C: uint8(next.Dst & 7), D: uint8(next.Imm & 7),
+			Imm: uint32(in.Dst & 7), Size: 1, N: 2,
+		}
+	case u.Kind == ULoad:
+		foldALU(&u, ins[1:])
+	}
+	return u
+}
+
+// foldALU folds rest[0] into the load micro-op u when it is an ALU
+// operation reading the loaded register: the immediate form on it (only
+// after an indexed load, whose Imm is free) or the register form from it
+// into another register. Other ALU shapes stay apart: XOR r,r is a taint
+// delete, and an ALU op writing the loaded register from another one
+// reads a register the load does not produce.
+func foldALU(u *Uop, rest []Instruction) {
+	if len(rest) == 0 {
+		return
+	}
+	alu := rest[0]
+	switch alu.Op {
+	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpMul, OpShl, OpShr:
+	default:
+		return
+	}
+	dst, src := uint8(alu.Dst&7), uint8(alu.Src&7)
+	switch {
+	case alu.Mode == ModeRI && dst == u.A && u.C != NoIdx:
+		u.Op, u.D, u.Imm = alu.Op, NoIdx, alu.Imm
+	case alu.Mode == ModeRR && src == u.A && dst != u.A:
+		u.Op, u.D = alu.Op, dst
+	default:
+		return
+	}
+	u.N++
 }

@@ -413,10 +413,10 @@ var metricTable = []metricDef{
 	{"faros_provgraph_nodes_total", "Nodes across built provenance graphs.", counter, always, func(s *Stats) uint64 { return s.Prov.Nodes }, nil},
 	{"faros_provgraph_edges_total", "Edges across built provenance graphs.", counter, always, func(s *Stats) uint64 { return s.Prov.Edges }, nil},
 	{"faros_block_built_total", "Guest code blocks attached to a machine's block cache, shared or privately decoded.", counter, always, func(s *Stats) uint64 { return s.Block.Built }, nil},
-	{"faros_block_hits_total", "Block executions served from the block cache.", counter, always, func(s *Stats) uint64 { return s.Block.Hits }, nil},
+	{"faros_block_hits_total", "Block dispatches served from the block cache; a self-looping block's in-place passes are one dispatch.", counter, always, func(s *Stats) uint64 { return s.Block.Hits }, nil},
 	{"faros_block_invalidated_total", "Cached blocks invalidated by self-modifying-code writes.", counter, always, func(s *Stats) uint64 { return s.Block.Invalidated }, nil},
 	{"faros_block_fused_ops_total", "Superinstructions retired by the block executors.", counter, always, func(s *Stats) uint64 { return s.Block.FusedOps }, nil},
-	{"faros_block_untainted_fast_blocks_total", "Block executions that took the untainted fast loop.", counter, always, func(s *Stats) uint64 { return s.Block.UntaintedFastBlocks }, nil},
+	{"faros_block_untainted_fast_blocks_total", "Block dispatches that ran start to finish on the untainted fast loop; a self-looping block's in-place passes are one dispatch.", counter, always, func(s *Stats) uint64 { return s.Block.UntaintedFastBlocks }, nil},
 	{"faros_block_table_entries", "Decoded guest blocks held in the process-wide shared block table.", gauge, always, func(s *Stats) uint64 { return uint64(s.BlockTable.Entries) }, nil},
 	{"faros_block_table_bytes", "Accounted bytes held in the shared block table.", gauge, always, func(s *Stats) uint64 { return uint64(s.BlockTable.Bytes) }, nil},
 	{"faros_block_table_private_total", "Blocks decoded privately because the shared block table was full.", counter, always, func(s *Stats) uint64 { return s.BlockTable.Private }, nil},

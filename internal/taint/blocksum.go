@@ -39,12 +39,12 @@ func SummarizeUops(uops []isa.Uop) BlockEffects {
 			e.MemUops++
 		}
 		switch u.Kind {
-		case isa.ULoad:
+		case isa.ULoad, isa.UMoviLoad:
 			e.LoadInstrs++
 		case isa.UMemMoveB:
 			e.LoadInstrs++
 			e.StoreUops++
-		case isa.UStore, isa.UPush, isa.UCall:
+		case isa.UStore, isa.UMoviStore, isa.UPush, isa.UCall:
 			e.StoreUops++
 		}
 	}

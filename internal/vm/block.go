@@ -5,9 +5,9 @@
 // per instruction. Every PC runs through a block. A budget that ends
 // inside a cached block runs the block's longest whole-uop prefix that
 // fits (Block.Run), so the preemption boundary stays exact; RunBlock runs
-// the one instruction at EIP as an uncached block only where a budget of
-// one splits the fused pair a block starts with, and at unaligned,
-// page-straddling or undecodable PCs.
+// the one instruction at EIP as an uncached block only where the budget is
+// below the instruction count of the fused micro-op a block starts with,
+// and at unaligned, page-straddling or undecodable PCs.
 //
 // Loops stay in the executor: when a pass ends on a back edge (JMP,
 // ALU+JMP, taken Jcc or CMP+Jcc) to the block's own first instruction and
@@ -62,7 +62,8 @@ type Block struct {
 	Uops []isa.Uop
 	// NInstr is len(Ins): the architectural instructions the block retires.
 	NInstr int
-	// Fused counts superinstructions in Uops.
+	// Fused counts the instructions Uops' fused micro-ops fold away: N-1
+	// for each (see BlockStats.FusedOps).
 	Fused int
 	// EndTrap is the trap raised after the block completes: TrapSyscall or
 	// TrapHalt when the terminator is SYSCALL/HLT, TrapNone otherwise.
@@ -95,8 +96,11 @@ type BlockStats struct {
 	Hits uint64 `json:"hits"`
 	// Invalidated counts frames whose cached blocks were dropped.
 	Invalidated uint64 `json:"invalidated"`
-	// FusedOps counts superinstructions retired by the plain block
-	// executor (an attached engine counts its own executions separately).
+	// FusedOps counts the instructions fused micro-ops retired beyond
+	// their first: one for each two-instruction superinstruction, two for a
+	// three-instruction wide memory micro-op. Retired instructions minus
+	// FusedOps is the number of micro-ops the executors dispatched. An
+	// attached engine charges its own executor's (AddFusedOps).
 	FusedOps uint64 `json:"fused_ops"`
 }
 
@@ -163,8 +167,8 @@ func (m *Machine) BlocksBuilt() uint64 { return m.bstats.Built }
 // one) were built over bytes that no longer exist.
 func (m *Machine) BlockEpoch() uint64 { return m.blockEpoch }
 
-// AddFusedOps charges n retired superinstructions to the block counters on
-// behalf of an attached block engine.
+// AddFusedOps charges n folded instructions (BlockStats.FusedOps) to the
+// block counters on behalf of an attached block engine.
 func (m *Machine) AddFusedOps(n uint64) { m.bstats.FusedOps += n }
 
 // RunBlock executes up to budget instructions, chaining predecoded blocks
@@ -212,10 +216,9 @@ func (m *Machine) RunBlock(budget uint64) (uint64, Trap, error) {
 // entryBlock returns the block RunBlock starts with: the cached block at
 // EIP when a run within budget enters it (see Block.Enters), otherwise the
 // machine's uncached one-instruction block, refilled for EIP. That serves
-// every PC the block cache cannot: a budget of one instruction that splits
-// the fused pair the cached block starts with, an unaligned or
-// page-straddling PC, and a slot with no block (fetched here, so a failure
-// is Step's *FaultError).
+// every PC the block cache cannot: a budget that splits the fused micro-op
+// the cached block starts with, an unaligned or page-straddling PC, and a
+// slot with no block (fetched here, so a failure is Step's *FaultError).
 func (m *Machine) entryBlock(budget uint64) (*Block, error) {
 	var b *Block
 	if m.space != nil {
@@ -240,8 +243,8 @@ func (m *Machine) entryBlock(budget uint64) (*Block, error) {
 }
 
 // Enters reports whether a run of b within budget (at least one
-// instruction) retires anything: false only when the budget is one
-// instruction and b starts with a fused pair.
+// instruction) retires anything: false only when b starts with a fused
+// micro-op of more instructions than the budget.
 func (b *Block) Enters(budget uint64) bool { return uint64(b.Uops[0].N) <= budget }
 
 // Run returns what one executor call on b may do within budget retired
@@ -389,9 +392,7 @@ func decodeBlock(key []byte) *Block {
 	b.Uops = isa.Lower(b.Ins)
 	b.Eff = taint.SummarizeUops(b.Uops)
 	for i := range b.Uops {
-		if b.Uops[i].IsFused() {
-			b.Fused++
-		}
+		b.Fused += int(b.Uops[i].N) - 1
 	}
 	return b
 }
@@ -491,7 +492,7 @@ func (m *Machine) execBlockPlain(b *Block, budget uint64) (uint64, Trap, error) 
 	epoch := m.blockEpoch
 	uops, limit := b.Run(budget)
 	var ii uint32    // architectural instructions retired so far, over every pass
-	var fused uint64 // superinstructions retired by earlier passes
+	var fused uint64 // FusedOps of earlier passes
 iterate:
 	for {
 		// Instruction ii of this call sits at base + ii*InstrSize: each pass
@@ -499,6 +500,9 @@ iterate:
 		base := start - ii*isa.InstrSize
 		for ui := range uops {
 			u := &uops[ui]
+			// at and pc address the micro-op's current instruction: its first,
+			// or the access after a folded MOVI.
+			at := ii
 			pc := base + ii*isa.InstrSize
 			switch u.Kind {
 			case isa.UNop:
@@ -520,6 +524,10 @@ iterate:
 			case isa.UCmpRI:
 				a := regs[u.A]
 				m.CPU.Flags.Z, m.CPU.Flags.S = a == u.Imm, int32(a) < int32(u.Imm)
+			case isa.UMoviLoad:
+				regs[u.B] = u.Imm2
+				at, pc = at+1, pc+isa.InstrSize
+				fallthrough
 			case isa.ULoad:
 				addr := regs[u.B] + u.Imm
 				if u.C != isa.NoIdx {
@@ -533,9 +541,20 @@ iterate:
 					v, _, err = m.DataRead8(addr)
 				}
 				if err != nil {
-					return m.blockFault(ii, pc, err)
+					return m.blockFault(at, pc, err)
 				}
 				regs[u.A] = v
+				if u.Op != 0 {
+					if u.D == isa.NoIdx {
+						regs[u.A] = isa.EvalALU(u.Op, v, u.Imm)
+					} else {
+						regs[u.D] = isa.EvalALU(u.Op, regs[u.D], v)
+					}
+				}
+			case isa.UMoviStore:
+				regs[u.B] = u.Imm2
+				at, pc = at+1, pc+isa.InstrSize
+				fallthrough
 			case isa.UStore:
 				addr := regs[u.B] + u.Imm
 				if u.C != isa.NoIdx {
@@ -548,10 +567,10 @@ iterate:
 					_, err = m.DataWrite8(addr, byte(regs[u.A]))
 				}
 				if err != nil {
-					return m.blockFault(ii, pc, err)
+					return m.blockFault(at, pc, err)
 				}
 				if m.blockEpoch != epoch {
-					return m.blockCommit(ii+1, pc+isa.InstrSize, TrapNone, fused+fusedIn(uops, ui+1))
+					return m.blockCommit(at+1, pc+isa.InstrSize, TrapNone, fused+FusedIn(uops, ui+1))
 				}
 			case isa.UPush:
 				v := u.Imm
@@ -564,7 +583,7 @@ iterate:
 					return m.blockFault(ii, pc, err)
 				}
 				if m.blockEpoch != epoch {
-					return m.blockCommit(ii+1, pc+isa.InstrSize, TrapNone, fused+fusedIn(uops, ui+1))
+					return m.blockCommit(ii+1, pc+isa.InstrSize, TrapNone, fused+FusedIn(uops, ui+1))
 				}
 			case isa.UPop:
 				v, _, err := m.DataRead32(regs[isa.ESP])
@@ -593,10 +612,10 @@ iterate:
 				if isa.CondTaken(u.Op, m.CPU.Flags.Z, m.CPU.Flags.S) {
 					next := uopTarget(regs, u, pc)
 					if b.Iterates(next, start, ii+1, limit) && m.blockEpoch == epoch {
-						ii, fused = ii+1, fused+fusedIn(uops, ui+1)
+						ii, fused = ii+1, fused+FusedIn(uops, ui+1)
 						continue iterate
 					}
-					return m.blockCommit(ii+1, next, TrapNone, fused+fusedIn(uops, ui+1))
+					return m.blockCommit(ii+1, next, TrapNone, fused+FusedIn(uops, ui+1))
 				}
 			case isa.UCall:
 				regs[isa.ESP] -= 4
@@ -618,10 +637,10 @@ iterate:
 				if isa.CondTaken(u.Op, z, s) {
 					next := uopTarget2(u, pc)
 					if b.Iterates(next, start, ii+2, limit) && m.blockEpoch == epoch {
-						ii, fused = ii+2, fused+fusedIn(uops, ui+1)
+						ii, fused = ii+2, fused+FusedIn(uops, ui+1)
 						continue iterate
 					}
-					return m.blockCommit(ii+2, next, TrapNone, fused+fusedIn(uops, ui+1))
+					return m.blockCommit(ii+2, next, TrapNone, fused+FusedIn(uops, ui+1))
 				}
 			case isa.UAluJmp:
 				regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
@@ -642,7 +661,7 @@ iterate:
 					return m.blockFault(ii+1, pc+isa.InstrSize, err)
 				}
 				if m.blockEpoch != epoch {
-					return m.blockCommit(ii+2, pc+2*isa.InstrSize, TrapNone, fused+fusedIn(uops, ui+1))
+					return m.blockCommit(ii+2, pc+2*isa.InstrSize, TrapNone, fused+FusedIn(uops, ui+1))
 				}
 			}
 			ii += uint32(u.N)
@@ -650,7 +669,7 @@ iterate:
 		// Page-end cut, or the end of a budget prefix: fall through to the
 		// next instruction.
 		if len(uops) < len(b.Uops) {
-			return m.blockCommit(ii, base+ii*isa.InstrSize, TrapNone, fused+fusedIn(uops, len(uops)))
+			return m.blockCommit(ii, base+ii*isa.InstrSize, TrapNone, fused+FusedIn(uops, len(uops)))
 		}
 		return m.blockCommit(ii, base+ii*isa.InstrSize, TrapNone, fused+uint64(b.Fused))
 	}
@@ -683,13 +702,13 @@ func (m *Machine) blockFault(retired, pc uint32, err error) (uint64, Trap, error
 	return uint64(retired), TrapFault, &FaultError{PC: pc, Err: err}
 }
 
-// fusedIn counts superinstructions among the first n micro-ops.
-func fusedIn(uops []isa.Uop, n int) uint64 {
+// FusedIn counts the instructions the first n micro-ops fold away (see
+// BlockStats.FusedOps): what a pass that ends after them adds to it. Both
+// block executors count this way.
+func FusedIn(uops []isa.Uop, n int) uint64 {
 	var c uint64
 	for i := 0; i < n && i < len(uops); i++ {
-		if uops[i].IsFused() {
-			c++
-		}
+		c += uint64(uops[i].N) - 1
 	}
 	return c
 }

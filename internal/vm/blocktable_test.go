@@ -33,9 +33,7 @@ func referenceBlock(f *[mem.PageSize]byte, off uint32) *Block {
 	b.Uops = isa.Lower(b.Ins)
 	b.Eff = taint.SummarizeUops(b.Uops)
 	for i := range b.Uops {
-		if b.Uops[i].IsFused() {
-			b.Fused++
-		}
+		b.Fused += int(b.Uops[i].N) - 1
 	}
 	return b
 }

@@ -6,135 +6,53 @@ import (
 
 	"faros/internal/isa"
 	"faros/internal/mem"
+	"faros/internal/vm/vmtest"
 )
 
-// Back-edge kinds a generated loop closes with. The loop head sits at
-// "loop"; every kind branches back to it, so the loop is one block that
-// targets its own first instruction.
-const (
-	edgeJmp    = iota // ADDI, NOP, JMP: a plain unconditional back edge
-	edgeAluJmp        // ADDI+JMP: the fused ALU-and-jump
-	edgeJcc           // CMPI, NOP, JL: a plain taken conditional
-	edgeCmpJcc        // CMPI+JL: the fused compare-and-branch
-	numEdges
-)
+// loopLayout places the generated loops on the test machines: data at
+// dataBase, code (writable, for the code-store events) at codeBase.
+var loopLayout = vmtest.Layout{Data: dataBase, Code: codeBase}
 
-// Events a generated loop body triggers at one chosen iteration.
-const (
-	eventNone      = iota
-	eventCodeStore // a byte store into the loop's own code page
-	eventBadLoad   // a load from an unmapped page
-	numEvents
-)
-
-// unmappedVA is below every mapping of the test machines.
-const unmappedVA = 0x00000FF8
-
-// loopProgram assembles a single-page loop from fuzz input. body picks
-// the loop's instructions (ALU, byte and word loads and stores, fused
-// LDB/STB moves, PUSH/POP); edge picks the back edge; n is the trip
-// count. event, when not eventNone, adds a store or load whose address
-// is a harmless scratch byte on every iteration but iteration k, where it
-// is the code byte at patch (eventCodeStore) or an unmapped page
-// (eventBadLoad). The address is computed without branches, so the loop
-// stays one block.
-func loopProgram(body []byte, edge, event, k, n uint8, patch uint16) *isa.Block {
-	const scratch = dataBase + 0x300
-	b := isa.NewBlock()
-	b.Movi(isa.ESI, dataBase)       // src
-	b.Movi(isa.EDI, dataBase+0x100) // dst
-	b.Movi(isa.ECX, 0)
-	b.Movi(isa.EDX, 0)
-	b.Label("loop")
-	if edge%numEdges < edgeJcc {
-		// Head-tested: the exit test leads the block.
-		b.Cmpi(isa.ECX, uint32(n))
-		b.Jge("done")
-	}
-	for i, op := range body {
-		if i == 12 {
-			break
-		}
-		switch op % 8 {
-		case 0:
-			b.LdbIdx(isa.EAX, isa.ESI, isa.ECX)
-		case 1:
-			b.StbIdx(isa.EDI, isa.ECX, isa.EAX)
-		case 2:
-			b.Add(isa.EDX, isa.EAX)
-		case 3:
-			b.Xori(isa.EAX, uint32(op))
-		case 4:
-			b.Push(isa.EAX)
-		case 5:
-			b.Pop(isa.EBX)
-		case 6:
-			b.Ld(isa.EBX, isa.EDI, 0)
-		case 7:
-			b.St(isa.EDI, 4, isa.EDX)
-		}
-	}
-	if ev := event % numEvents; ev != eventNone {
-		target := uint32(unmappedVA)
-		if ev == eventCodeStore {
-			target = codeBase + uint32(patch)%0x100
-		}
-		// EBX = 1 when ECX == k, else 0 (ECX stays far below 2^31).
-		b.Mov(isa.EBX, isa.ECX)
-		b.Xori(isa.EBX, uint32(k))
-		b.Subi(isa.EBX, 1)
-		b.Shri(isa.EBX, 31)
-		b.Muli(isa.EBX, target-scratch)
-		b.Addi(isa.EBX, scratch)
-		if ev == eventCodeStore {
-			b.Stb(isa.EBX, 0, isa.EAX)
-		} else {
-			b.Ldb(isa.EAX, isa.EBX, 0)
-		}
-	}
-	switch edge % numEdges {
-	case edgeJmp:
-		b.Addi(isa.ECX, 1)
-		b.Nop()
-		b.Jmp("loop")
-	case edgeAluJmp:
-		b.Addi(isa.ECX, 1)
-		b.Jmp("loop")
-	case edgeJcc:
-		b.Addi(isa.ECX, 1)
-		b.Cmpi(isa.ECX, uint32(n))
-		b.Nop()
-		b.Jl("loop")
-	case edgeCmpJcc:
-		b.Addi(isa.ECX, 1)
-		b.Cmpi(isa.ECX, uint32(n))
-		b.Jl("loop")
-	}
-	b.Label("done")
-	b.Hlt()
-	return b
-}
-
-// FuzzLoopBudget runs a generated single-page loop through RunBlock in
-// quanta drawn from a budget sequence, driven like the kernel's scheduler
-// loop, against a machine running the same quanta on Step. After every
-// quantum the two must agree on CPU state, InstrCount, trap and fault, and
-// at the end on the data and code pages. The loops iterate in place, the
-// quanta end on block prefixes and split fused pairs, and the events
-// exercise the self-modifying-code and fault exits after earlier passes.
+// FuzzLoopBudget runs a generated single-page loop (vmtest.Loop) through
+// RunBlock in quanta drawn from a budget sequence, driven like the kernel's
+// scheduler loop, against a machine running the same quanta on Step. After
+// every quantum the two must agree on CPU state, InstrCount, trap and
+// fault, and at the end on the data and code pages. The loops iterate in
+// place, the quanta end on block prefixes and split fused and wide
+// micro-ops, and the events exercise the self-modifying-code and fault
+// exits after earlier passes, inside wide micro-ops too.
 func FuzzLoopBudget(f *testing.F) {
 	// copyLoop's body (LDB/STB move, checksum ADD) under each back edge,
 	// and selfPatch's store into its own code at iteration 3.
 	copyBody := []byte{0, 1, 6, 2}
-	for edge := uint8(0); edge < numEdges; edge++ {
-		f.Add(copyBody, edge, uint8(eventNone), uint8(0), uint8(12), uint16(0), []byte{255})
-		f.Add(copyBody, edge, uint8(eventCodeStore), uint8(3), uint8(12), uint16(0x24), []byte{6, 0, 60})
-		f.Add(copyBody, edge, uint8(eventBadLoad), uint8(5), uint8(12), uint16(0), []byte{2, 9})
+	for edge := uint8(0); edge < vmtest.NumEdges; edge++ {
+		f.Add(copyBody, edge, uint8(vmtest.EventNone), uint8(0), uint8(12), uint16(0), []byte{255})
+		f.Add(copyBody, edge, uint8(vmtest.EventCodeStore), uint8(3), uint8(12), uint16(0x24), []byte{6, 0, 60})
+		f.Add(copyBody, edge, uint8(vmtest.EventBadLoad), uint8(5), uint8(12), uint16(0), []byte{2, 9})
+		f.Add(copyBody, edge, uint8(vmtest.EventWideCodeStore), uint8(3), uint8(12), uint16(0x24), []byte{6, 0, 60})
+		f.Add(copyBody, edge, uint8(vmtest.EventWideBadLoad), uint8(5), uint8(12), uint16(0), []byte{2, 9})
 	}
-	f.Add([]byte{4, 3, 5, 7}, uint8(edgeAluJmp), uint8(eventNone), uint8(0), uint8(20), uint16(0), []byte{0, 1, 2})
+	f.Add([]byte{4, 3, 5, 7}, uint8(vmtest.EdgeAluJmp), uint8(vmtest.EventNone), uint8(0), uint8(20), uint16(0), []byte{0, 1, 2})
+	// The Table V copy (MOVI+LDB+XORI, MOVI+STB) and accumulate
+	// (MOVI+LDB+ADD) bodies, and every other wide shape and guard, at
+	// budgets of 1, 2 and 3: quantum ends land on every instruction
+	// boundary, so each wide micro-op is split at every offset.
+	bodies := [][]byte{{8, 3, 10}, {8, 2}, {9, 2, 11, 18, 12, 3, 18, 13, 14, 18, 16, 19}, {0, 17, 8, 2, 0, 3, 0, 1, 18, 15}}
+	for _, body := range bodies {
+		for _, budgets := range [][]byte{{0}, {1}, {2}, {255}} {
+			f.Add(body, uint8(vmtest.EdgeAluJmp), uint8(vmtest.EventNone), uint8(0), uint8(9), uint16(0), budgets)
+		}
+		f.Add(body, uint8(vmtest.EdgeCmpJcc), uint8(vmtest.EventWideBadLoad), uint8(4), uint8(9), uint16(0), []byte{2, 0, 1})
+		f.Add(body, uint8(vmtest.EdgeJmp), uint8(vmtest.EventWideCodeStore), uint8(2), uint8(9), uint16(0x10), []byte{1, 0})
+	}
 	f.Fuzz(func(t *testing.T, body []byte, edge, event, k, n uint8, patch uint16, budgets []byte) {
-		prog := loopProgram(body, edge, event, k, n%64, patch)
+		prog := vmtest.Loop{Body: body, Edge: edge, Event: event, K: k, N: n % 64, Patch: patch}.Block(loopLayout)
 		mb, ms := newRWXMachine(t, prog), newRWXMachine(t, prog)
+		for _, m := range []*Machine{mb, ms} {
+			if err := m.space.WriteBytes(dataBase, vmtest.Pattern(0x400)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		mb.blockTab = &blockTable{} // generated code stays out of the process-wide table
 		if len(budgets) == 0 {
 			budgets = []byte{255}
@@ -180,7 +98,7 @@ func FuzzLoopBudget(f *testing.F) {
 // executor call, and a budget that lands inside it runs a prefix of the
 // cached block rather than an uncached one-instruction block.
 func TestLoopRunsInPlace(t *testing.T) {
-	prog := loopProgram([]byte{0, 1, 2}, edgeAluJmp, eventNone, 0, 40, 0)
+	prog := vmtest.Loop{Body: []byte{0, 1, 2}, Edge: vmtest.EdgeAluJmp, N: 40}.Block(loopLayout)
 	m := newRWXMachine(t, prog)
 	runBlocksToHalt(t, m, 10_000)
 	if st := m.BlockStats(); st.Hits != 0 {
@@ -207,5 +125,46 @@ func TestLoopRunsInPlace(t *testing.T) {
 	}
 	if n, _, _ := m.RunBlock(1); n != 1 || m.CPU.EIP != loop+6*isa.InstrSize || m.CPU.Regs[isa.ECX] != 1 {
 		t.Fatalf("RunBlock(1) inside ADDI+JMP retired %d, EIP %#x, ECX %d", n, m.CPU.EIP, m.CPU.Regs[isa.ECX])
+	}
+}
+
+// TestWideUopBudgetTail: a budget below the instruction count of the wide
+// micro-op a block starts with runs its first instruction as the uncached
+// one-instruction block, and the rest re-enters at the next instruction,
+// exactly as Step retires them.
+func TestWideUopBudgetTail(t *testing.T) {
+	b := isa.NewBlock()
+	b.Movi(isa.ECX, 3)
+	b.Label("wide") // MOVI+LDB+XORI: one three-instruction micro-op
+	b.Movi(isa.ESI, dataBase)
+	b.LdbIdx(isa.EAX, isa.ESI, isa.ECX)
+	b.Xori(isa.EAX, 0x5A)
+	b.Hlt()
+	mb, ms := newRWXMachine(t, b), newRWXMachine(t, b)
+	for _, m := range []*Machine{mb, ms} {
+		if err := m.space.WriteBytes(dataBase, vmtest.Pattern(0x10)); err != nil {
+			t.Fatal(err)
+		}
+		m.Step() // MOVI ECX: the next block starts with the wide micro-op
+	}
+	wide := mb.CPU.EIP
+	if blk := mb.LookupBlock(wide); blk == nil || blk.Uops[0].N != 3 {
+		t.Fatalf("block at the wide micro-op: %+v", blk)
+	}
+	// MOVI alone (budget 2 < 3), LDB alone (its block starts with
+	// LDB+XORI, 2 > 1), then XORI as the prefix of XORI, HLT.
+	for _, budget := range []uint64{2, 1, 1} {
+		n, trap, err := mb.RunBlock(budget)
+		if n != 1 || err != nil || trap != TrapNone {
+			t.Fatalf("RunBlock(%d) = %d, %v, %v; want one instruction", budget, n, trap, err)
+		}
+		ms.Step()
+		if mb.CPU != ms.CPU || mb.InstrCount != ms.InstrCount {
+			t.Fatalf("RunBlock(%d): EIP %#x regs %v; Step EIP %#x regs %v",
+				budget, mb.CPU.EIP, mb.CPU.Regs, ms.CPU.EIP, ms.CPU.Regs)
+		}
+	}
+	if mb.CPU.EIP != wide+3*isa.InstrSize || mb.CPU.Regs[isa.EAX] != uint32(vmtest.Pattern(4)[3])^0x5A {
+		t.Errorf("after the tails: EIP %#x EAX %#x", mb.CPU.EIP, mb.CPU.Regs[isa.EAX])
 	}
 }
