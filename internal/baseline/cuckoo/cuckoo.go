@@ -190,23 +190,6 @@ func (r *Report) FlaggedInjection() bool {
 	return false
 }
 
-// DLLListedAnywhere reports whether the named module shows up in any
-// process's loaded-DLL list (a reflectively injected DLL never does).
-func (r *Report) DLLListedAnywhere(name string) bool {
-	for _, pr := range r.Processes {
-		for _, dll := range pr.LoadedDLLs {
-			if dll == name {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// HasProvenance always returns false: the defining limitation the paper's
-// comparison table records. An event sandbox has no byte-level provenance.
-func (r *Report) HasProvenance() bool { return false }
-
 // String renders the report.
 func (r *Report) String() string {
 	var sb strings.Builder

@@ -76,12 +76,6 @@ func TestSandboxObservesBehaviour(t *testing.T) {
 	if r.FlaggedInjection() {
 		t.Error("benign program flagged")
 	}
-	if r.HasProvenance() {
-		t.Error("event sandbox claims provenance")
-	}
-	if !r.DLLListedAnywhere("helper.dll") || r.DLLListedAnywhere("ghost.dll") {
-		t.Error("DLL listing broken")
-	}
 	out := r.String()
 	for _, want := range []string{"busy.exe", "10.1.1.1:443", "dropped.txt"} {
 		if !strings.Contains(out, want) {

@@ -109,11 +109,6 @@ func allZero(b []byte) bool {
 // Flagged reports whether the scan found anything.
 func (r *Report) Flagged() bool { return len(r.Hits) > 0 }
 
-// HasProvenance always returns false: a snapshot has no history. This is
-// the comparison row the paper emphasizes — malfind can sometimes find the
-// artifact, never the story.
-func (r *Report) HasProvenance() bool { return false }
-
 // String renders the report.
 func (r *Report) String() string {
 	var sb strings.Builder

@@ -48,9 +48,6 @@ func TestScanCleanSystem(t *testing.T) {
 	if !strings.Contains(r.String(), "no suspicious regions") {
 		t.Error("clean render broken")
 	}
-	if r.HasProvenance() {
-		t.Error("snapshot scanner claims provenance")
-	}
 }
 
 // plantRWX maps an RWX private region in the process and writes content

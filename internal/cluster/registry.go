@@ -267,17 +267,6 @@ func (r *Registry) Up(node string) bool {
 	return ok && p.up
 }
 
-// URL returns a peer's base URL.
-func (r *Registry) URL(node string) (string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.peers[node]
-	if !ok {
-		return "", false
-	}
-	return p.url, true
-}
-
 // MarkDown flips a peer down immediately (a forward to it just failed)
 // and schedules a prompt re-probe; the probe loop restores it once
 // /readyz answers again.

@@ -100,13 +100,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the ring's node IDs, sorted.
-func (r *Ring) Nodes() []string {
-	out := make([]string, len(r.nodes))
-	copy(out, r.nodes)
-	return out
-}
-
 // Len returns the number of distinct nodes on the ring.
 func (r *Ring) Len() int { return len(r.nodes) }
 

@@ -248,7 +248,6 @@ type FAROS struct {
 	execChecked map[uint64]struct{} // CR3<<32|vpn pages already strict-checked
 	lastExecKey uint64              // one-entry memo over execChecked (page locality)
 	lastPolicy  policyMemo          // one-entry memo over checkPolicy
-	trace       *lifecycleTrace     // optional byte-lifecycle watch
 
 	tlb     [3]pageTLB
 	ipCache map[uint64]instrProvEntry // instr PA → provenance at a change count
@@ -364,20 +363,11 @@ func (f *FAROS) procTag(p *guest.Process) taint.Tag {
 	return f.T.InternProcess(p.CR3(), p.PID, p.Name)
 }
 
-// physAt translates va in space to a physical shadow address; ok=false for
-// unmapped pages (the access will fault architecturally anyway).
-func physAt(s *mem.Space, va uint32) (uint64, bool) {
-	frame, ok := s.FrameOf(va)
-	if !ok {
-		return 0, false
-	}
-	return uint64(frame)<<mem.PageShift | uint64(va%mem.PageSize), true
-}
-
-// pagePA is physAt through the engine's page TLB. Sequential accesses
-// to the same virtual page — the propagation common case — skip the page
-// table entirely; any mapping change bumps the space generation and drops
-// the entry.
+// pagePA translates va in s to a physical shadow address through the
+// engine's page TLB; ok=false for unmapped pages (the access will fault
+// architecturally anyway). Sequential accesses to the same virtual page —
+// the propagation common case — skip the page table entirely; any mapping
+// change bumps the space generation and drops the entry.
 func (f *FAROS) pagePA(s *mem.Space, va uint32, slot int) (uint64, bool) {
 	t := &f.tlb[slot]
 	if t.ok && t.space == s && t.vpn == va>>mem.PageShift && t.gen == s.Gen() {

@@ -1,13 +1,101 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"faros/internal/guest"
 	"faros/internal/isa"
+	"faros/internal/mem"
 	"faros/internal/peimg"
 	"faros/internal/taint"
 )
+
+// Lifecycle tracing: the paper's provenance lists answer "what does the
+// life cycle of a byte look like" (§V.A). A lifecycleWatch adds the
+// dynamic view: it watches a byte range, and records every provenance
+// change with its timestamp — the byte's biography as it happens, not just
+// the final chronology.
+
+// LifecycleEvent is one observed provenance change on a watched byte.
+type LifecycleEvent struct {
+	At   uint64
+	PA   uint64
+	From taint.ProvID
+	To   taint.ProvID
+}
+
+// lifecycleWatch is the watch state, installed as f's shadow-change
+// observer.
+type lifecycleWatch struct {
+	f       *FAROS
+	watched map[uint64]struct{}
+	events  []LifecycleEvent
+	limit   int
+}
+
+// watchLifecycle installs a watch on f's shadow store. Events are capped
+// at limit (0 = 4096) to bound an adversarial flood.
+func watchLifecycle(f *FAROS, limit int) *lifecycleWatch {
+	if limit <= 0 {
+		limit = 4096
+	}
+	w := &lifecycleWatch{f: f, watched: make(map[uint64]struct{}), limit: limit}
+	f.T.SetWatch(w.onShadowChange)
+	return w
+}
+
+// watchRange watches n bytes of process p's memory at va (resolved to
+// physical addresses, so the watch survives the bytes being viewed from
+// other address spaces).
+func (w *lifecycleWatch) watchRange(p *guest.Process, va uint32, n int) {
+	for i := 0; i < n; i++ {
+		if pa, ok := physAt(p.Space, va+uint32(i)); ok {
+			w.watched[pa] = struct{}{}
+		}
+	}
+}
+
+// onShadowChange records changes on watched bytes.
+func (w *lifecycleWatch) onShadowChange(pa uint64, old, new taint.ProvID) {
+	if len(w.events) >= w.limit {
+		return
+	}
+	if _, ok := w.watched[pa]; !ok {
+		return
+	}
+	w.events = append(w.events, LifecycleEvent{
+		At:   w.f.k.M.InstrCount,
+		PA:   pa,
+		From: old,
+		To:   new,
+	})
+}
+
+// render renders the watched bytes' biography.
+func (w *lifecycleWatch) render() string {
+	if len(w.events) == 0 {
+		return "lifecycle: no provenance changes observed on watched bytes\n"
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "lifecycle of watched bytes (%d events):\n", len(w.events))
+	for _, ev := range w.events {
+		fmt.Fprintf(&sb, "  [instr %d] pa %#x: %s  =>  %s\n",
+			ev.At, ev.PA, w.f.T.Render(ev.From), w.f.T.Render(ev.To))
+	}
+	return sb.String()
+}
+
+// physAt translates va in space to a physical shadow address; ok=false for
+// unmapped pages.
+func physAt(s *mem.Space, va uint32) (uint64, bool) {
+	frame, ok := s.FrameOf(va)
+	if !ok {
+		return 0, false
+	}
+	return uint64(frame)<<mem.PageShift | uint64(va%mem.PageSize), true
+}
 
 // TestLifecycleTraceCapturesByteBiography watches the victim's injected
 // region and checks the trace shows provenance arriving when the injector
@@ -22,11 +110,12 @@ func TestLifecycleTraceCapturesByteBiography(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Watch the receive buffer before the run.
-	f.WatchRange(p, bufVA, 4, 0)
+	w := watchLifecycle(f, 0)
+	w.watchRange(p, bufVA, 4)
 	if _, err := k.Run(2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	events := f.Lifecycle()
+	events := w.events
 	if len(events) == 0 {
 		t.Fatal("no lifecycle events on the receive buffer")
 	}
@@ -35,7 +124,7 @@ func TestLifecycleTraceCapturesByteBiography(t *testing.T) {
 	if first.From != 0 || !f.T.Has(first.To, taint.TagNetflow) {
 		t.Errorf("first event = %+v (%s)", first, f.T.Render(first.To))
 	}
-	out := f.RenderLifecycle()
+	out := w.render()
 	if !strings.Contains(out, "NetFlow") || !strings.Contains(out, "=>") {
 		t.Errorf("render:\n%s", out)
 	}
@@ -51,12 +140,13 @@ func TestLifecycleRenderEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WatchRange(p, 0x300000, 4, 0) // stack; nothing tainted lands there
+	w := watchLifecycle(f, 0)
+	w.watchRange(p, 0x300000, 4) // stack; nothing tainted lands there
 	if _, err := k.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(f.RenderLifecycle(), "no provenance changes") {
-		t.Errorf("render = %q", f.RenderLifecycle())
+	if !strings.Contains(w.render(), "no provenance changes") {
+		t.Errorf("render = %q", w.render())
 	}
 }
 
@@ -69,11 +159,12 @@ func TestLifecycleEventCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WatchRange(p, bufVA, 16, 3)
+	w := watchLifecycle(f, 3)
+	w.watchRange(p, bufVA, 16)
 	if _, err := k.Run(2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(f.Lifecycle()); got > 3 {
+	if got := len(w.events); got > 3 {
 		t.Errorf("events = %d, cap 3", got)
 	}
 }

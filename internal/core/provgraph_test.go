@@ -70,7 +70,7 @@ func TestFindingsCarryProvGraph(t *testing.T) {
 
 	// The whole-run merge contains every per-finding graph.
 	run := f.ProvGraph()
-	if run.NodeCount() == 0 || run.EdgeCount() == 0 {
+	if len(run.Nodes) == 0 || len(run.Edges) == 0 {
 		t.Fatal("whole-run graph empty")
 	}
 	for _, fd := range f.Findings() {
@@ -150,7 +150,7 @@ func TestRenderersFallBackWithoutGraph(t *testing.T) {
 func TestProvGraphEmptyRun(t *testing.T) {
 	_, f := newKernelWithFAROS(t, Config{})
 	g := f.ProvGraph()
-	if g == nil || g.NodeCount() != 0 || g.EdgeCount() != 0 {
+	if g == nil || len(g.Nodes) != 0 || len(g.Edges) != 0 {
 		t.Fatalf("clean run graph not canonical empty: %+v", g)
 	}
 	if err := g.Validate(); err != nil {
@@ -234,7 +234,7 @@ func TestJSONExportCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NodeCount() != 0 || back.EdgeCount() != 0 || len(back.Chains) != 0 {
+	if len(back.Nodes) != 0 || len(back.Edges) != 0 || len(back.Chains) != 0 {
 		t.Errorf("clean run graph = %s", raw)
 	}
 }

@@ -92,28 +92,30 @@ func useRefBridge(k *guest.Kernel, f *FAROS) { k.Bridge = refBridge{f} }
 // its later provenance changes.
 type watchBridge struct {
 	guest.TaintBridge
-	f *FAROS
+	w *lifecycleWatch
 }
 
 const watchLimit = 1 << 20
 
 func (w watchBridge) RecvToUser(p *guest.Process, dstVA uint32, data []byte, prov []uint32) {
-	w.f.WatchRange(p, dstVA, len(data), watchLimit)
+	w.w.watchRange(p, dstVA, len(data))
 	w.TaintBridge.RecvToUser(p, dstVA, data, prov)
 }
 
 func (w watchBridge) FileRead(p *guest.Process, file *gfs.File, fileOff int, dstVA uint32, n int) {
-	w.f.WatchRange(p, dstVA, n, watchLimit)
+	w.w.watchRange(p, dstVA, n)
 	w.TaintBridge.FileRead(p, file, fileOff, dstVA, n)
 }
 
 func (w watchBridge) CopyUserToUser(caller, dst *guest.Process, dstVA uint32, src *guest.Process, srcVA uint32, n int) {
-	w.f.WatchRange(dst, dstVA, n, watchLimit)
+	w.w.watchRange(dst, dstVA, n)
 	w.TaintBridge.CopyUserToUser(caller, dst, dstVA, src, srcVA, n)
 }
 
 // watchHookWrites wraps whichever bridge is installed in a watchBridge.
-func watchHookWrites(k *guest.Kernel, f *FAROS) { k.Bridge = watchBridge{k.Bridge, f} }
+func watchHookWrites(k *guest.Kernel, f *FAROS) {
+	k.Bridge = watchBridge{k.Bridge, watchLifecycle(f, watchLimit)}
+}
 
 // fileState is a guest file's content and full-length shadow.
 type fileState struct {
@@ -138,7 +140,9 @@ func snapshotBridge(k *guest.Kernel, f *FAROS) bridgeState {
 		shadow:   make(map[uint64]taint.ProvID),
 		files:    make(map[string]fileState),
 		counters: f.T.Stats(),
-		life:     f.Lifecycle(),
+	}
+	if wb, ok := k.Bridge.(watchBridge); ok {
+		st.life = wb.w.events
 	}
 	f.T.ForEachTainted(func(pa uint64, id taint.ProvID) { st.shadow[pa] = id })
 	for id := 0; id <= st.counters.ListsInterned; id++ {

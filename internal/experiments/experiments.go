@@ -427,7 +427,7 @@ func Evasion() (string, error) {
 // Experiment names, in run order.
 var order = []string{
 	"detect", "table2", "fig7", "fig8", "fig9", "fig10",
-	"table3", "table4", "table5", "perf", "trace-perf", "cuckoo",
+	"table3", "table4", "table5", "perf", "cuckoo",
 	"indirect", "ablate-addr", "ablate-proctag", "ablate-cap",
 	"evasion", "chaos", "triage",
 }
@@ -496,8 +496,6 @@ func Run(name string) (string, error) {
 		return TableIV()
 	case "perf":
 		return Perf()
-	case "trace-perf":
-		return TracePerf()
 	case "table5":
 		return TableV()
 	case "cuckoo":

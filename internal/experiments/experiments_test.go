@@ -10,7 +10,7 @@ import (
 func TestNamesCoverEveryTableAndFigure(t *testing.T) {
 	names := Names()
 	want := []string{"detect", "table2", "fig7", "fig8", "fig9", "fig10",
-		"table3", "table4", "table5", "perf", "trace-perf", "cuckoo",
+		"table3", "table4", "table5", "perf", "cuckoo",
 		"indirect", "ablate-addr", "ablate-proctag", "ablate-cap",
 		"evasion", "chaos", "triage"}
 	if len(names) != len(want) {

@@ -110,9 +110,6 @@ func (sock *Socket) AcceptSeq(seq uint32, data []byte) [][]byte {
 	return out
 }
 
-// PendingSegments returns the number of out-of-order segments buffered.
-func (sock *Socket) PendingSegments() int { return len(sock.pending) }
-
 // Checksum hashes packet payloads (FNV-1a) so corrupted wire copies can be
 // detected and discarded at delivery.
 func Checksum(data []byte) uint32 {
@@ -176,21 +173,6 @@ func (st *Stack) SetScheduler(s Scheduler) { st.sched = s }
 
 // AddEndpoint registers a scripted remote host.
 func (st *Stack) AddEndpoint(addr Addr, ep Endpoint) { st.endpoints[addr] = ep }
-
-// Endpoints returns registered endpoint addresses, sorted, for reports.
-func (st *Stack) Endpoints() []Addr {
-	out := make([]Addr, 0, len(st.endpoints))
-	for a := range st.endpoints {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].IP != out[j].IP {
-			return out[i].IP < out[j].IP
-		}
-		return out[i].Port < out[j].Port
-	})
-	return out
-}
 
 // NextSeq allocates the next wire sequence number for a flow (first is 1).
 func (st *Stack) NextSeq(flowID uint32) uint32 {

@@ -1,8 +1,27 @@
 package gnet
 
 import (
+	"sort"
 	"testing"
 )
+
+// PendingSegments returns the number of out-of-order segments buffered.
+func (sock *Socket) PendingSegments() int { return len(sock.pending) }
+
+// Endpoints returns registered endpoint addresses, sorted.
+func (st *Stack) Endpoints() []Addr {
+	out := make([]Addr, 0, len(st.endpoints))
+	for a := range st.endpoints {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].IP != out[j].IP {
+			return out[i].IP < out[j].IP
+		}
+		return out[i].Port < out[j].Port
+	})
+	return out
+}
 
 // fakeSched collects scheduled packets.
 type fakeSched struct {

@@ -75,9 +75,6 @@ func (p PacketRecord) String() string {
 // SyscallHook observes syscall entry (the syscalls2 plugin surface).
 type SyscallHook func(p *Process, no uint32, args [4]uint32)
 
-// SyscallRetHook observes syscall completion with its return value.
-type SyscallRetHook func(p *Process, no uint32, args [4]uint32, ret uint32)
-
 // ProcHook observes process lifecycle events (the OSI plugin surface).
 type ProcHook func(p *Process, ev ProcEventKind)
 
@@ -142,12 +139,10 @@ type Kernel struct {
 	ntdllSize    uint32
 	// The name tables are the shared boot image's; read-only.
 	apiAddr    map[uint32]uint32 // name hash → VA
-	apiNames   map[uint32]string // VA → name (for reports)
 	entryNames []string          // export table entry index → name
 
-	syscallHooks    []SyscallHook
-	syscallRetHooks []SyscallRetHook
-	procHooks       []ProcHook
+	syscallHooks []SyscallHook
+	procHooks    []ProcHook
 }
 
 // NewKernel boots a machine: copies the boot image (the stub region,
@@ -177,9 +172,6 @@ func NewKernel() (*Kernel, error) {
 
 // OnSyscall registers a syscall-entry observer.
 func (k *Kernel) OnSyscall(h SyscallHook) { k.syscallHooks = append(k.syscallHooks, h) }
-
-// OnSyscallRet registers a syscall-return observer.
-func (k *Kernel) OnSyscallRet(h SyscallRetHook) { k.syscallRetHooks = append(k.syscallRetHooks, h) }
 
 // OnProcEvent registers a process lifecycle observer.
 func (k *Kernel) OnProcEvent(h ProcHook) { k.procHooks = append(k.procHooks, h) }
@@ -334,7 +326,6 @@ func ntdllSource() (*isa.Block, map[string]string) {
 type bootImage struct {
 	stubCode, ntdllCode, exportTable []byte
 	apiAddr                          map[uint32]uint32 // name hash → VA
-	apiNames                         map[uint32]string // VA → name (for reports)
 	entryNames                       []string          // export table entry index → name
 }
 
@@ -345,7 +336,7 @@ var sharedBootImage = sync.OnceValues(buildBootImage)
 // buildBootImage assembles the stub region, ntdll-mini, and the export
 // table.
 func buildBootImage() (*bootImage, error) {
-	img := &bootImage{apiAddr: make(map[uint32]uint32), apiNames: make(map[uint32]string)}
+	img := &bootImage{apiAddr: make(map[uint32]uint32)}
 
 	// API stubs.
 	stubs := isa.NewBlock()
@@ -364,9 +355,7 @@ func buildBootImage() (*bootImage, error) {
 		return nil, fmt.Errorf("guest: assemble stubs: %w", err)
 	}
 	for i, api := range apis {
-		va := StubVA(i)
-		img.apiAddr[peimg.HashName(api.Name)] = va
-		img.apiNames[va] = api.Name
+		img.apiAddr[peimg.HashName(api.Name)] = StubVA(i)
 	}
 
 	// ntdll-mini.
@@ -385,9 +374,7 @@ func buildBootImage() (*bootImage, error) {
 		if !ok {
 			return nil, fmt.Errorf("guest: ntdll export %q missing", name)
 		}
-		va := NtdllBase + uint32(off)
-		img.apiAddr[peimg.HashName(name)] = va
-		img.apiNames[va] = name
+		img.apiAddr[peimg.HashName(name)] = NtdllBase + uint32(off)
 	}
 
 	// Export table: count, then (hash, addr) entries in stub order followed
@@ -421,7 +408,7 @@ func (k *Kernel) buildKernelRegions() error {
 	k.stubFrames, k.stubSize = writeToFrames(phys, img.stubCode)
 	k.ntdllFrames, k.ntdllSize = writeToFrames(phys, img.ntdllCode)
 	k.exportFrames, k.exportSize = writeToFrames(phys, img.exportTable)
-	k.apiAddr, k.apiNames, k.entryNames = img.apiAddr, img.apiNames, img.entryNames
+	k.apiAddr, k.entryNames = img.apiAddr, img.entryNames
 	return nil
 }
 
@@ -459,18 +446,6 @@ func (k *Kernel) ExportEntryNameAt(off uint32) (string, bool) {
 		return "", false
 	}
 	return k.entryNames[idx], true
-}
-
-// APIName returns the exported API name at va, if any.
-func (k *Kernel) APIName(va uint32) (string, bool) {
-	s, ok := k.apiNames[va]
-	return s, ok
-}
-
-// ResolveAPI resolves an API name to its VA, as the loader does.
-func (k *Kernel) ResolveAPI(name string) (uint32, bool) {
-	va, ok := k.apiAddr[peimg.HashName(name)]
-	return va, ok
 }
 
 // --- process management ---
@@ -662,11 +637,6 @@ func kernelReadBytes(s *mem.Space, va uint32, n int) ([]byte, error) {
 		va += uint32(c)
 	}
 	return out, nil
-}
-
-// kernelWrite32 writes a word with kernel privilege.
-func kernelWrite32(s *mem.Space, va uint32, v uint32) error {
-	return kernelWriteBytes(s, va, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
 }
 
 // kwrite is the kernel's privileged write: it bypasses page permissions

@@ -3,7 +3,6 @@ package guest
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Registry is WinMini's configuration store, the analog of the Windows
@@ -58,17 +57,5 @@ func (r *Registry) Keys() []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// RunKeys returns the autostart values (persistence), the artifact
-// sandboxes flag first.
-func (r *Registry) RunKeys() map[string]string {
-	out := make(map[string]string)
-	for k, v := range r.values {
-		if strings.Contains(k, `\Run\`) || strings.HasSuffix(k, `\Run`) {
-			out[k] = v
-		}
-	}
 	return out
 }

@@ -17,10 +17,6 @@ func TestRegistryUnit(t *testing.T) {
 	if v, ok := r.Get(`HKCU\Software\WinMini\Run\evil.exe`); !ok || v != "evil.exe" {
 		t.Errorf("get = %q, %v", v, ok)
 	}
-	run := r.RunKeys()
-	if len(run) != 1 {
-		t.Errorf("run keys = %v", run)
-	}
 	if !r.Delete(`HKCU\Software\WinMini\Run\evil.exe`) {
 		t.Error("delete failed")
 	}

@@ -34,9 +34,6 @@ func (k *Kernel) handleSyscall(p *Process) {
 		return
 	}
 	p.CPU.Regs[isa.EAX] = ret
-	for _, h := range k.syscallRetHooks {
-		h(p, no, args, ret)
-	}
 }
 
 // dispatchSyscall implements the syscall table. It returns (ret, blocked);

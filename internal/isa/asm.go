@@ -185,11 +185,6 @@ func (b *Block) Add(dst, src Reg) *Block { return b.alu(OpAdd, dst, src) }
 // Addi computes dst += imm.
 func (b *Block) Addi(dst Reg, imm uint32) *Block { return b.alui(OpAdd, dst, imm) }
 
-// AddiLabel computes dst += offset(label).
-func (b *Block) AddiLabel(dst Reg, label string) *Block {
-	return b.emitFix(Instruction{Op: OpAdd, Mode: ModeRI, Dst: dst}, label, fixDeltaImm)
-}
-
 // Sub computes dst -= src.
 func (b *Block) Sub(dst, src Reg) *Block { return b.alu(OpSub, dst, src) }
 

@@ -107,7 +107,12 @@ func TestConditionalJumpEmitters(t *testing.T) {
 	}
 }
 
-// TestAddiLabel verifies the label-offset immediate fixup.
+// AddiLabel computes dst += offset(label).
+func (b *Block) AddiLabel(dst Reg, label string) *Block {
+	return b.emitFix(Instruction{Op: OpAdd, Mode: ModeRI, Dst: dst}, label, fixDeltaImm)
+}
+
+// TestAddiLabel verifies the label-offset immediate fixup LeaSelf relies on.
 func TestAddiLabel(t *testing.T) {
 	b := NewBlock()
 	b.AddiLabel(EAX, "data")

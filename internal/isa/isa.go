@@ -118,12 +118,6 @@ func (o Op) String() string {
 // Valid reports whether o is a defined opcode.
 func (o Op) Valid() bool { return o >= OpNop && o < opMax }
 
-// IsLoad reports whether o reads guest memory as a data operand.
-func (o Op) IsLoad() bool { return o == OpLd || o == OpLdb || o == OpPop || o == OpRet }
-
-// IsStore reports whether o writes guest memory as a data operand.
-func (o Op) IsStore() bool { return o == OpSt || o == OpStb || o == OpPush || o == OpCall }
-
 // IsJump reports whether o may transfer control.
 func (o Op) IsJump() bool {
 	switch o {
@@ -137,16 +131,6 @@ func (o Op) IsJump() bool {
 func (o Op) IsCondJump() bool {
 	switch o {
 	case OpJz, OpJnz, OpJl, OpJg, OpJle, OpJge:
-		return true
-	}
-	return false
-}
-
-// IsALU reports whether o is a two-operand computation whose result taint is
-// the union of its operands' taint.
-func (o Op) IsALU() bool {
-	switch o {
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpMul, OpShl, OpShr, OpNot:
 		return true
 	}
 	return false
@@ -211,13 +195,6 @@ func (in Instruction) Encode(buf []byte) {
 	buf[2] = byte(in.Dst)
 	buf[3] = byte(in.Src)
 	binary.LittleEndian.PutUint32(buf[4:8], in.Imm)
-}
-
-// EncodeBytes returns the 8-byte encoding of the instruction.
-func (in Instruction) EncodeBytes() []byte {
-	buf := make([]byte, InstrSize)
-	in.Encode(buf)
-	return buf
 }
 
 // Decode parses the instruction encoded at the start of buf. It returns an

@@ -42,15 +42,6 @@ func Parse(src string) (*Block, error) {
 	return b, nil
 }
 
-// MustParse is Parse panicking on error, for test-covered fixtures.
-func MustParse(src string) *Block {
-	b, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 func stripComment(line string) string {
 	for _, c := range []string{";", "#"} {
 		if i := strings.Index(line, c); i >= 0 {

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// MustParse is Parse panicking on error, for test-covered fixtures.
+func MustParse(src string) *Block {
+	b, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestParseFullProgram(t *testing.T) {
 	src := `
 ; sum 1..5 into EAX

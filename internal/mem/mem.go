@@ -167,9 +167,6 @@ func (p *Phys) AllocFrames(n int) []uint32 {
 	return out
 }
 
-// NumFrames returns the number of allocated frames.
-func (p *Phys) NumFrames() int { return len(p.frames) }
-
 // Frame returns the backing array for a frame index.
 func (p *Phys) Frame(idx uint32) (*[PageSize]byte, error) {
 	if int(idx) >= len(p.frames) {
@@ -305,12 +302,6 @@ func (s *Space) Protect(va uint32, npages int, perm Perm) error {
 	}
 	s.gen++
 	return nil
-}
-
-// IsMapped reports whether va's page is mapped.
-func (s *Space) IsMapped(va uint32) bool {
-	_, ok := s.pages[vpn(va)]
-	return ok
 }
 
 // Translate resolves va to a physical address, checking the permission

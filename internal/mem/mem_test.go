@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// NumFrames returns the number of allocated frames.
+func (p *Phys) NumFrames() int { return len(p.frames) }
+
 func TestPermString(t *testing.T) {
 	tests := []struct {
 		p    Perm
@@ -138,7 +141,9 @@ func TestUnmapAndProtect(t *testing.T) {
 		t.Errorf("page outside Protect range affected: %v", err)
 	}
 	s.Unmap(0x20000, 4)
-	if s.IsMapped(0x20000) || s.IsMapped(0x23000) {
+	_, mapped0 := s.FrameOf(0x20000)
+	_, mapped3 := s.FrameOf(0x23000)
+	if mapped0 || mapped3 {
 		t.Error("pages still mapped after Unmap")
 	}
 	if err := s.Protect(0x20000, 1, PermRead); err == nil {

@@ -51,14 +51,3 @@ func (t *Tracker) Processes() []ProcessInfo {
 	}
 	return out
 }
-
-// ByCR3 resolves a CR3 value to its process, the lookup the FAROS report
-// uses to turn process tags into names.
-func (t *Tracker) ByCR3(cr3 uint32) (ProcessInfo, bool) {
-	for _, pi := range t.Processes() {
-		if pi.CR3 == cr3 {
-			return pi, true
-		}
-	}
-	return ProcessInfo{}, false
-}

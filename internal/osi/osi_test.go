@@ -29,8 +29,7 @@ func TestTrackerProcessesAndEvents(t *testing.T) {
 	tr := Attach(k)
 	installExit(t, k, "a.exe")
 	installExit(t, k, "b.exe")
-	pa, err := k.Spawn("a.exe", false, 0)
-	if err != nil {
+	if _, err := k.Spawn("a.exe", false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Spawn("b.exe", true, 0); err != nil {
@@ -49,14 +48,6 @@ func TestTrackerProcessesAndEvents(t *testing.T) {
 	}
 	if procs[1].State != "suspended" {
 		t.Errorf("proc[1] = %+v", procs[1])
-	}
-
-	pi, ok := tr.ByCR3(pa.CR3())
-	if !ok || pi.PID != pa.PID {
-		t.Errorf("ByCR3 = %+v, %v", pi, ok)
-	}
-	if _, ok := tr.ByCR3(0xDEAD); ok {
-		t.Error("found bogus CR3")
 	}
 
 	var createdSeen, exitedSeen bool

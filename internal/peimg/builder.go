@@ -70,16 +70,6 @@ func (b *Builder) CallImport(api string) *Builder {
 	return b
 }
 
-// TextVA returns the absolute VA of a label in the text block. Valid only
-// after the label has been defined.
-func (b *Builder) TextVA(label string) (uint32, error) {
-	off, ok := b.Text.LabelOffset(label)
-	if !ok {
-		return 0, fmt.Errorf("peimg: text label %q not defined", label)
-	}
-	return b.Base + TextOff + uint32(off), nil
-}
-
 // DataVA returns the absolute VA of a label in the data block. Valid only
 // after the label has been defined (emit data before code that uses it).
 func (b *Builder) DataVA(label string) (uint32, error) {

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"faros/internal/mem"
 )
@@ -103,18 +104,6 @@ type Image struct {
 	Exports  []Export
 }
 
-// TotalMapped returns the number of bytes of address space the image spans.
-func (img *Image) TotalMapped() uint32 {
-	var end uint32
-	for i := range img.Sections {
-		s := &img.Sections[i]
-		if e := s.VA + s.MemSize(); e > end {
-			end = e
-		}
-	}
-	return end
-}
-
 // Section returns the named section, if present.
 func (img *Image) Section(name string) *Section {
 	for i := range img.Sections {
@@ -123,16 +112,6 @@ func (img *Image) Section(name string) *Section {
 		}
 	}
 	return nil
-}
-
-// FindExport resolves an export by name hash.
-func (img *Image) FindExport(hash uint32) (Export, bool) {
-	for _, e := range img.Exports {
-		if e.NameHash == hash {
-			return e, true
-		}
-	}
-	return Export{}, false
 }
 
 func putString(w *bytes.Buffer, s string) error {
@@ -144,13 +123,29 @@ func putString(w *bytes.Buffer, s string) error {
 	return nil
 }
 
+// readFull fills buf from r. Every field of the format is required, so
+// running out of input anywhere, even between fields, is
+// io.ErrUnexpectedEOF.
+func readFull(r *bytes.Reader, buf []byte) error {
+	if _, err := io.ReadFull(r, buf); err != io.EOF {
+		return err
+	}
+	return io.ErrUnexpectedEOF
+}
+
+func getU8(r *bytes.Reader) (byte, error) {
+	var tmp [1]byte
+	err := readFull(r, tmp[:])
+	return tmp[0], err
+}
+
 func getString(r *bytes.Reader) (string, error) {
-	n, err := r.ReadByte()
+	n, err := getU8(r)
 	if err != nil {
 		return "", err
 	}
 	buf := make([]byte, n)
-	if _, err := r.Read(buf); err != nil {
+	if err := readFull(r, buf); err != nil {
 		return "", err
 	}
 	return string(buf), nil
@@ -164,7 +159,7 @@ func putU32(w *bytes.Buffer, v uint32) {
 
 func getU32(r *bytes.Reader) (uint32, error) {
 	var tmp [4]byte
-	if _, err := r.Read(tmp[:]); err != nil {
+	if err := readFull(r, tmp[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(tmp[:]), nil
@@ -211,11 +206,15 @@ func (img *Image) Marshal() ([]byte, error) {
 }
 
 // Unmarshal parses an MZ32 image. It validates the magic and structural
-// sanity so the loader can reject corrupted or hollow files.
+// sanity so the loader can reject corrupted or hollow files. A truncated
+// image's error matches io.ErrUnexpectedEOF under errors.Is.
 func Unmarshal(data []byte) (*Image, error) {
 	r := bytes.NewReader(data)
 	magic, err := getU32(r)
-	if err != nil || magic != Magic {
+	if err != nil {
+		return nil, fmt.Errorf("peimg: magic: %w", err)
+	}
+	if magic != Magic {
 		return nil, fmt.Errorf("peimg: bad magic %#x", magic)
 	}
 	img := &Image{}
@@ -252,7 +251,7 @@ func Unmarshal(data []byte) (*Image, error) {
 		if s.VA, err = getU32(r); err != nil {
 			return nil, err
 		}
-		perm, err := r.ReadByte()
+		perm, err := getU8(r)
 		if err != nil {
 			return nil, err
 		}
@@ -265,11 +264,11 @@ func Unmarshal(data []byte) (*Image, error) {
 			return nil, err
 		}
 		if int(dlen) > r.Len() {
-			return nil, fmt.Errorf("peimg: section %q data truncated", s.Name)
+			return nil, fmt.Errorf("peimg: section %q data: %w", s.Name, io.ErrUnexpectedEOF)
 		}
 		s.DataFileOff = len(data) - r.Len()
 		s.Data = make([]byte, dlen)
-		if _, err := r.Read(s.Data); err != nil {
+		if err := readFull(r, s.Data); err != nil {
 			return nil, err
 		}
 		img.Sections = append(img.Sections, s)

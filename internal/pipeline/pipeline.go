@@ -737,10 +737,6 @@ func (p *Pool) Subscribe(buf int) *triage.Subscriber { return p.hub.Subscribe(bu
 // ok=false when the job was never ledgered or its timeline was evicted.
 func (p *Pool) JobEvents(id string) ([]triage.Event, bool) { return p.ledger.Job(id) }
 
-// TriagePolicy returns the active risk policy (nil when triage is
-// disabled).
-func (p *Pool) TriagePolicy() *triage.Policy { return p.cfg.Triage }
-
 // JobErr returns a waiter handle's typed terminal error (nil while
 // unsettled or when it settled cleanly). The HTTP layer uses it to map
 // typed failures — trace mismatches, replay divergences — onto status

@@ -22,7 +22,7 @@ func TestServerProvEndpoint(t *testing.T) {
 	if view.Result == nil || !view.Result.Flagged {
 		t.Fatalf("expected flagged result, got %+v", view.Result)
 	}
-	if view.Result.Prov == nil || view.Result.Prov.NodeCount() == 0 {
+	if view.Result.Prov == nil || len(view.Result.Prov.Nodes) == 0 {
 		t.Fatalf("result missing merged provenance graph")
 	}
 	for _, f := range view.Result.Findings {
@@ -57,9 +57,9 @@ func TestServerProvEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", url, err)
 		}
-		if g.NodeCount() != view.Result.Prov.NodeCount() || g.EdgeCount() != view.Result.Prov.EdgeCount() {
+		if len(g.Nodes) != len(view.Result.Prov.Nodes) || len(g.Edges) != len(view.Result.Prov.Edges) {
 			t.Fatalf("%s: graph drift: %d/%d nodes, %d/%d edges", url,
-				g.NodeCount(), view.Result.Prov.NodeCount(), g.EdgeCount(), view.Result.Prov.EdgeCount())
+				len(g.Nodes), len(view.Result.Prov.Nodes), len(g.Edges), len(view.Result.Prov.Edges))
 		}
 	}
 

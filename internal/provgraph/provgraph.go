@@ -168,12 +168,6 @@ type Graph struct {
 	Chains []Chain `json:"chains,omitempty"`
 }
 
-// NodeCount returns the number of nodes.
-func (g *Graph) NodeCount() int { return len(g.Nodes) }
-
-// EdgeCount returns the number of edges.
-func (g *Graph) EdgeCount() int { return len(g.Edges) }
-
 // chainKey is a chain's canonical identity: its role plus the key sequence
 // of its nodes.
 func (g *Graph) chainKey(c Chain) string {

@@ -35,11 +35,6 @@ var behaviorNames = map[Behavior]string{
 // String returns the Table IV column label.
 func (b Behavior) String() string { return behaviorNames[b] }
 
-// AllBehaviors returns the Table IV columns in order.
-func AllBehaviors() []Behavior {
-	return []Behavior{BIdle, BRun, BAudioRecord, BFileTransfer, BKeylogger, BRemoteDesktop, BUpload, BDownload, BRemoteShell}
-}
-
 // Family is one malware family row of Table IV.
 type Family struct {
 	Name      string

@@ -8,6 +8,11 @@ import (
 	"faros/internal/peimg"
 )
 
+// AllBehaviors returns the Table IV columns in order.
+func AllBehaviors() []Behavior {
+	return []Behavior{BIdle, BRun, BAudioRecord, BFileTransfer, BKeylogger, BRemoteDesktop, BUpload, BDownload, BRemoteShell}
+}
+
 func TestAllAttackSpecsBuild(t *testing.T) {
 	attacks := Attacks()
 	if len(attacks) != 6 {

@@ -5,11 +5,14 @@ import (
 	"testing"
 )
 
-// The range fast paths (MemSetRange, MemUnionFrom, MemCopy) and the
+// The range fast paths (MemSetRange, MemUnionFrom) and the
 // page-granular live counters must be invisible: every operation has to
 // produce bit-identical shadow state, identical interned ProvIDs, and an
 // identical watch-event stream to the naive byte-at-a-time reference.
 // These tests pin that equivalence down.
+
+// TaintedPages returns the number of shadow pages carrying any taint.
+func (s *Store) TaintedPages() int { return s.stats.TaintedPages }
 
 // refModel is the per-byte reference: a plain map shadow with no pages, no
 // live counters, and no skips. Unions go through the same Store so ProvIDs
@@ -47,22 +50,6 @@ func (r *refModel) unionFrom(acc ProvID, pa uint64, n int) ProvID {
 		}
 	}
 	return acc
-}
-
-func (r *refModel) copyRange(dst, src uint64, n int) {
-	for i := 0; i < n; i++ {
-		a := dst + uint64(i)
-		id := r.shadow[src+uint64(i)]
-		old := r.shadow[a]
-		if old != id {
-			r.events = append(r.events, watchEvent{a, old, id})
-		}
-		if id == 0 {
-			delete(r.shadow, a)
-		} else {
-			r.shadow[a] = id
-		}
-	}
 }
 
 func (r *refModel) taintedBytes() int { return len(r.shadow) }
@@ -106,7 +93,7 @@ func TestRangeOpsMatchPerByteReference(t *testing.T) {
 
 	for op := 0; op < 5000; op++ {
 		n := 1 + rng.Intn(48) // ranges cross page boundaries regularly
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0: // set / clear a range
 			pa, id := addr(), ids[rng.Intn(len(ids))]
 			s.MemSetRange(pa, n, id)
@@ -117,11 +104,7 @@ func TestRangeOpsMatchPerByteReference(t *testing.T) {
 			if a, b := s.MemUnionFrom(acc, pa, n), ref.unionFrom(acc, pa, n); a != b {
 				t.Fatalf("op %d: MemUnionFrom(%d, %#x, %d) = %d, reference %d", op, acc, pa, n, a, b)
 			}
-		case 2: // copy, including overlapping page pairs
-			dst, src := addr(), addr()
-			s.MemCopy(dst, src, n)
-			ref.copyRange(dst, src, n)
-		case 3: // single-byte ops interleave with ranges
+		case 2: // single-byte ops interleave with ranges
 			pa, id := addr(), ids[rng.Intn(len(ids))]
 			s.MemSet(pa, id)
 			ref.setRange(pa, 1, id)
@@ -164,7 +147,7 @@ func TestRangeOpsMatchPerByteReference(t *testing.T) {
 }
 
 // TestPageCounterBookkeeping walks the live counters through the full
-// set → overwrite → copy → clear cycle across two pages.
+// set → overwrite → clear cycle across two pages.
 func TestPageCounterBookkeeping(t *testing.T) {
 	s := NewStore(0)
 	a := s.Single(Tag{Type: TagNetflow, Index: 1})
@@ -187,19 +170,6 @@ func TestPageCounterBookkeeping(t *testing.T) {
 	s.MemSetRange(shadowPageSize-2, 4, b)
 	if s.TaintedBytes() != 4 || s.TaintedPages() != 2 {
 		t.Fatalf("after overwrite: bytes=%d pages=%d, want 4/2", s.TaintedBytes(), s.TaintedPages())
-	}
-
-	// Copy the tainted window elsewhere; counters grow by the copy.
-	s.MemCopy(8*shadowPageSize, shadowPageSize-2, 4)
-	if s.TaintedBytes() != 8 || s.TaintedPages() != 3 {
-		t.Fatalf("after copy: bytes=%d pages=%d, want 8/3", s.TaintedBytes(), s.TaintedPages())
-	}
-
-	// Copying zeros over taint clears it (copy is a write-through, not a
-	// merge) and drops the counters back down.
-	s.MemCopy(8*shadowPageSize, 16*shadowPageSize, 4)
-	if s.TaintedBytes() != 4 || s.TaintedPages() != 2 {
-		t.Fatalf("after zero-copy: bytes=%d pages=%d, want 4/2", s.TaintedBytes(), s.TaintedPages())
 	}
 
 	// Clear page 0's half; page 0 goes untainted, page 1 keeps its bytes.
@@ -273,7 +243,6 @@ func TestUntaintedWritesCostNothing(t *testing.T) {
 	s := NewStore(0)
 	s.MemSet(100, 0)
 	s.MemSetRange(0, 3*shadowPageSize, 0)
-	s.MemCopy(4*shadowPageSize, 0, 2*shadowPageSize)
 	st := s.Stats()
 	if st.ShadowWrites != 0 {
 		t.Fatalf("ShadowWrites = %d, want 0 for untainted no-ops", st.ShadowWrites)

@@ -9,13 +9,6 @@ const NumShadowRegs = 8
 // scheduling.
 type RegBank [NumShadowRegs]ProvID
 
-// Clear empties every register's provenance.
-func (rb *RegBank) Clear() {
-	for i := range rb {
-		rb[i] = 0
-	}
-}
-
 // AnyTainted reports whether any register carries taint.
 func (rb *RegBank) AnyTainted() bool {
 	// Branch-free: the block dispatcher probes this on every block entry.

@@ -50,20 +50,6 @@ type Tag struct {
 	Index uint16
 }
 
-// Encode packs the tag into its 3-byte wire format.
-func (t Tag) Encode() [3]byte {
-	return [3]byte{byte(t.Type), byte(t.Index), byte(t.Index >> 8)}
-}
-
-// DecodeTag unpacks a 3-byte prov_tag.
-func DecodeTag(b [3]byte) (Tag, error) {
-	tt := TagType(b[0])
-	if tt < TagNetflow || tt > TagExportTable {
-		return Tag{}, fmt.Errorf("taint: invalid tag type %d", b[0])
-	}
-	return Tag{Type: tt, Index: uint16(b[1]) | uint16(b[2])<<8}, nil
-}
-
 // NetflowTag identifies a network connection (Figure 5).
 type NetflowTag struct {
 	SrcIP   string
@@ -164,9 +150,10 @@ type Store struct {
 	listCap int
 	stats   Stats
 
-	// watch, when set, observes every shadow byte change (the lifecycle
-	// tracing hook and the engine's provenance-cache invalidation). It
-	// fires only on actual changes and must not mutate the store.
+	// watch, when set, observes every shadow byte change (core's
+	// byte-lifecycle tests and the range-op oracle set it; production
+	// never does). It fires only on actual changes and must not mutate
+	// the store.
 	watch func(pa uint64, old, new ProvID)
 }
 
@@ -644,10 +631,6 @@ func (s *Store) MemGet(pa uint64) ProvID {
 // SetWatch installs (or clears, with nil) the shadow-change observer.
 func (s *Store) SetWatch(fn func(pa uint64, old, new ProvID)) { s.watch = fn }
 
-// Watch returns the installed shadow-change observer, letting an owner
-// chain a new observer onto an existing one.
-func (s *Store) Watch() func(pa uint64, old, new ProvID) { return s.watch }
-
 // MemSet sets the provenance of the byte at pa. The untainted write to an
 // unallocated page is a no-op and deliberately not counted as shadow work.
 func (s *Store) MemSet(pa uint64, id ProvID) {
@@ -764,11 +747,6 @@ func (s *Store) MemSame1(pa uint64, id ProvID, ids []ProvID) bool {
 	return true
 }
 
-// MemUnion returns the union of the provenance of n consecutive bytes.
-func (s *Store) MemUnion(pa uint64, n int) ProvID {
-	return s.MemUnionFrom(0, pa, n)
-}
-
 // MemUnionFrom folds the provenance of n consecutive bytes into acc, left
 // to right — the accumulator form lets callers chain page-sized chunks with
 // exactly the per-byte union order, so the interned intermediate lists are
@@ -800,47 +778,6 @@ func (s *Store) MemUnionFrom(acc ProvID, pa uint64, n int) ProvID {
 		n -= chunk
 	}
 	return acc
-}
-
-// MemCopy copies n bytes of shadow state from src to dst (the kernel-copy
-// propagation path), byte order strictly forward as the per-byte reference,
-// resolving the source and destination pages once per overlapping chunk.
-func (s *Store) MemCopy(dst, src uint64, n int) {
-	for n > 0 {
-		chunk := shadowPageSize - int(src%shadowPageSize)
-		if c := shadowPageSize - int(dst%shadowPageSize); c < chunk {
-			chunk = c
-		}
-		if chunk > n {
-			chunk = n
-		}
-		srcPage := s.page(src / shadowPageSize)
-		if srcPage != nil && srcPage.live == 0 {
-			srcPage = nil // wholly untainted: copy zeros
-		}
-		dstFrame := dst / shadowPageSize
-		dstPage := s.page(dstFrame)
-		if srcPage == nil && (dstPage == nil || dstPage.live == 0) {
-			s.stats.RangeFastSkips++ // zeros onto an untainted page
-		} else {
-			for i := 0; i < chunk; i++ {
-				var id ProvID
-				if srcPage != nil {
-					id = srcPage.ids[(src+uint64(i))%shadowPageSize]
-				}
-				if dstPage == nil {
-					if id == 0 {
-						continue // untainted write to unallocated page
-					}
-					dstPage = s.ensurePage(dstFrame)
-				}
-				s.setInPage(dstPage, dst+uint64(i), id)
-			}
-		}
-		src += uint64(chunk)
-		dst += uint64(chunk)
-		n -= chunk
-	}
 }
 
 // ForEachTainted calls fn for every shadow byte carrying taint, in
@@ -875,9 +812,6 @@ func (s *Store) ForEachTainted(fn func(pa uint64, id ProvID)) {
 
 // TaintedBytes returns the number of physical bytes carrying taint.
 func (s *Store) TaintedBytes() int { return s.stats.TaintedBytes }
-
-// TaintedPages returns the number of shadow pages carrying any taint.
-func (s *Store) TaintedPages() int { return s.stats.TaintedPages }
 
 // --- rendering (Table II style) ---
 

@@ -416,9 +416,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return tr, nil
 }
 
-// Meta returns the parsed header.
-func (r *Reader) Meta() Meta { return r.meta }
-
 // Digest returns the trace's content address (valid after Next returned
 // io.EOF, i.e. after the whole file was consumed and verified).
 func (r *Reader) Digest() string { return r.digest }

@@ -5,6 +5,9 @@ import (
 	"reflect"
 )
 
+// Step is the reference interpreter with no observer: step(nil).
+func (m *Machine) Step() (Trap, error) { return m.step(nil) }
+
 // CheckSharedBlocks rebuilds every block in the process-wide table
 // privately from its key bytes and requires the rebuild to equal the
 // shared block: same Ins, Uops, NInstr, Fused, EndTrap and Eff. It returns

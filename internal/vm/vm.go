@@ -273,17 +273,14 @@ func fault(pc uint32, err error) (Trap, error) {
 	return TrapFault, &FaultError{PC: pc, Err: err}
 }
 
-// Step is the reference interpreter: it fetches, decodes and executes one
-// instruction, with no cache and no analysis attached. On TrapFault the
-// returned error is a *FaultError describing the fault and EIP is
-// unchanged; for all other traps EIP has advanced. Production dispatch
-// never calls it (RunBlock serves every PC through the block executors);
-// the tests hold the block executors to it, and RunBlock calls it only
-// under the reference seam (UseReferenceStep).
-func (m *Machine) Step() (Trap, error) { return m.step(nil) }
-
-// step is Step with an optional observer called between fetch and
-// execution, on the pre-execution register state.
+// step is the reference interpreter: it fetches, decodes and executes one
+// instruction, with no cache and no analysis attached, calling before (if
+// non-nil) between fetch and execution, on the pre-execution register
+// state. On TrapFault the returned error is a *FaultError describing the
+// fault and EIP is unchanged; for all other traps EIP has advanced.
+// Production dispatch never calls it (RunBlock serves every PC through the
+// block executors); the tests hold the block executors to it through Step,
+// and RunBlock calls it only under the reference seam (UseReferenceStep).
 func (m *Machine) step(before func(m *Machine, pc uint32, in isa.Instruction)) (Trap, error) {
 	pc := m.CPU.EIP
 	in, err := m.fetch(pc)
