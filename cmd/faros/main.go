@@ -38,7 +38,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -222,7 +221,7 @@ func runFromTrace(ctx context.Context, path string, plugins scenario.Plugins, op
 		fmt.Fprintf(os.Stderr, "faros: %v\n", err)
 		return 1
 	}
-	meta, err := trace.ReadMeta(bytes.NewReader(data))
+	meta, err := trace.ReadMeta(data)
 	if err != nil {
 		printRunErr("trace", err)
 		return 1

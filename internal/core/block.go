@@ -60,27 +60,6 @@ var _ vm.BlockPlugin = (*FAROS)(nil)
 // longest whole-uop prefix that fits.
 func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm.Trap, error) {
 	var total uint64
-	if f.bank == nil {
-		// No process context: the engine only counts instructions, so
-		// whole chains run on the plain executor. The bank only changes in
-		// lifecycle hooks, which fire outside the dispatch loop — never
-		// mid-chain.
-		for {
-			n, trap, err := m.ExecBlockPlain(b, budget)
-			f.stats.Instructions += n
-			if err != nil {
-				f.stats.Instructions++ // the faulting instruction was observed too
-			}
-			total += n
-			budget -= n
-			if trap != vm.TrapNone || err != nil || budget == 0 {
-				return total, trap, err
-			}
-			if b = m.LookupBlock(m.CPU.EIP); b == nil || !b.Enters(budget) {
-				return total, vm.TrapNone, nil
-			}
-		}
-	}
 	strict := f.cfg.StrictExecCheck
 	noDeps := !f.cfg.PropagateAddrDeps
 	for {

@@ -150,7 +150,7 @@ func snapshotBridge(k *guest.Kernel, f *FAROS) bridgeState {
 	}
 	for _, name := range k.FS.List() {
 		file, _ := k.FS.Stat(name)
-		_, shadow := file.ReadAt(0, file.Size())
+		_, shadow := file.ReadAt(0, len(file.Bytes()))
 		st.files[name] = fileState{string(file.Bytes()), shadow}
 	}
 	// Run-granular stamping makes fewer Prepend and Union calls by design;
@@ -384,8 +384,9 @@ func (w *hookWorld) apply(bridge guest.TaintBridge, ops []hookOp) {
 		case opCopy:
 			bridge.CopyUserToUser(procs[op.caller], procs[op.dst], op.dstVA, procs[op.src], op.srcVA, op.n)
 		case opFileRead:
-			off := op.off % w.file.Size()
-			bridge.FileRead(procs[op.dst], w.file, off, op.dstVA, min(op.n, w.file.Size()-off))
+			size := len(w.file.Bytes())
+			off := op.off % size
+			bridge.FileRead(procs[op.dst], w.file, off, op.dstVA, min(op.n, size-off))
 		case opFileWrite:
 			if err := w.file.WriteAt(op.off, make([]byte, op.n), nil); err != nil {
 				panic(err)

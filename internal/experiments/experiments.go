@@ -50,16 +50,10 @@ func Detection() (string, error) {
 	return t.String(), nil
 }
 
-// TableII reproduces the paper's Table II: FAROS output for the reflective
-// DLL injection — flagged instruction addresses with their provenance
-// lists.
-func TableII() (string, error) {
-	out, _, err := tableIIWithGraph()
-	return out, err
-}
-
-// tableIIWithGraph renders Table II and also returns the run's merged
-// provenance graph (the structured source the text is a view over).
+// tableIIWithGraph reproduces the paper's Table II — FAROS output for the
+// reflective DLL injection: flagged instruction addresses with their
+// provenance lists — and also returns the run's merged provenance graph
+// (the structured source the text is a view over).
 func tableIIWithGraph() (string, *provgraph.Graph, error) {
 	res, err := scenario.RunLiveContext(context.Background(), samples.ReflectiveDLLInject(), scenario.DetectPlugins(), nil)
 	if err != nil {
@@ -86,14 +80,8 @@ func figureSpec(n int) (samples.Spec, string, error) {
 	return samples.Spec{}, "", fmt.Errorf("no figure %d", n)
 }
 
-// Figure reproduces one of Figures 7–10: the provenance chain captured for
-// the flagged instruction.
-func Figure(n int) (string, error) {
-	out, _, err := figureWithGraph(n)
-	return out, err
-}
-
-// figureWithGraph renders one figure and also returns the flagged
+// figureWithGraph reproduces one of Figures 7–10 — the provenance chain
+// captured for the flagged instruction — and also returns the flagged
 // finding's provenance graph.
 func figureWithGraph(n int) (string, *provgraph.Graph, error) {
 	spec, title, err := figureSpec(n)
@@ -424,16 +412,67 @@ func Evasion() (string, error) {
 	return out, nil
 }
 
-// Experiment names, in run order.
-var order = []string{
-	"detect", "table2", "fig7", "fig8", "fig9", "fig10",
-	"table3", "table4", "table5", "perf", "cuckoo",
-	"indirect", "ablate-addr", "ablate-proctag", "ablate-cap",
-	"evasion", "chaos", "triage",
+// experiment is one registry entry: a name and the function that runs it,
+// returning the text output and, for Table II and the figures, the
+// provenance graph the text is a view over.
+type experiment struct {
+	name string
+	run  func() (string, *provgraph.Graph, error)
+}
+
+// registry holds every experiment, in run order.
+var registry = []experiment{
+	{"detect", graphless(Detection)},
+	{"table2", tableIIWithGraph},
+	{"fig7", figure(7)},
+	{"fig8", figure(8)},
+	{"fig9", figure(9)},
+	{"fig10", figure(10)},
+	{"table3", graphless(TableIII)},
+	{"table4", graphless(TableIV)},
+	{"table5", graphless(TableV)},
+	{"perf", graphless(Perf)},
+	{"cuckoo", graphless(CuckooComparison)},
+	{"indirect", graphless(IndirectFlows)},
+	{"ablate-addr", graphless(AblateAddrDeps)},
+	{"ablate-proctag", graphless(AblateProcTag)},
+	{"ablate-cap", graphless(AblateListCap)},
+	{"evasion", graphless(Evasion)},
+	{"chaos", graphless(Chaos)},
+	{"triage", graphless(TriageSweep)},
+}
+
+// graphless adapts an experiment that renders no provenance graph.
+func graphless(run func() (string, error)) func() (string, *provgraph.Graph, error) {
+	return func() (string, *provgraph.Graph, error) {
+		out, err := run()
+		return out, nil, err
+	}
+}
+
+// figure is the registry entry for Figure n.
+func figure(n int) func() (string, *provgraph.Graph, error) {
+	return func() (string, *provgraph.Graph, error) { return figureWithGraph(n) }
 }
 
 // Names returns the experiment identifiers.
-func Names() []string { return append([]string(nil), order...) }
+func Names() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
+}
+
+// lookup runs the named experiment.
+func lookup(name string) (string, *provgraph.Graph, error) {
+	for _, e := range registry {
+		if e.name == name {
+			return e.run()
+		}
+	}
+	return "", nil, fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(Names(), ", "))
+}
 
 // Options tunes how RunWith renders an experiment.
 type Options struct {
@@ -447,21 +486,7 @@ type Options struct {
 
 // RunWith executes one named experiment with rendering options.
 func RunWith(name string, opts Options) (string, error) {
-	var (
-		out string
-		g   *provgraph.Graph
-		err error
-	)
-	switch name {
-	case "table2":
-		out, g, err = tableIIWithGraph()
-	case "fig7", "fig8", "fig9", "fig10":
-		var n int
-		fmt.Sscanf(name, "fig%d", &n)
-		out, g, err = figureWithGraph(n)
-	default:
-		out, err = Run(name)
-	}
+	out, g, err := lookup(name)
 	if err != nil {
 		return "", err
 	}
@@ -477,43 +502,6 @@ func RunWith(name string, opts Options) (string, error) {
 
 // Run executes one named experiment.
 func Run(name string) (string, error) {
-	switch name {
-	case "detect":
-		return Detection()
-	case "table2":
-		return TableII()
-	case "fig7":
-		return Figure(7)
-	case "fig8":
-		return Figure(8)
-	case "fig9":
-		return Figure(9)
-	case "fig10":
-		return Figure(10)
-	case "table3":
-		return TableIII()
-	case "table4":
-		return TableIV()
-	case "perf":
-		return Perf()
-	case "table5":
-		return TableV()
-	case "cuckoo":
-		return CuckooComparison()
-	case "indirect":
-		return IndirectFlows()
-	case "ablate-addr":
-		return AblateAddrDeps()
-	case "ablate-proctag":
-		return AblateProcTag()
-	case "ablate-cap":
-		return AblateListCap()
-	case "evasion":
-		return Evasion()
-	case "chaos":
-		return Chaos()
-	case "triage":
-		return TriageSweep()
-	}
-	return "", fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(order, ", "))
+	out, _, err := lookup(name)
+	return out, err
 }

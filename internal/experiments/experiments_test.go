@@ -27,7 +27,7 @@ func TestRunRejectsUnknown(t *testing.T) {
 	if _, err := Run("nope"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if _, err := Figure(11); err == nil {
+	if _, _, err := figureWithGraph(11); err == nil {
 		t.Error("figure 11 accepted")
 	}
 }
@@ -52,7 +52,7 @@ func TestDetectionExperiment(t *testing.T) {
 
 func TestFigureExperiments(t *testing.T) {
 	for n := 7; n <= 10; n++ {
-		out, err := Figure(n)
+		out, _, err := figureWithGraph(n)
 		if err != nil {
 			t.Fatalf("fig %d: %v", n, err)
 		}
@@ -61,19 +61,19 @@ func TestFigureExperiments(t *testing.T) {
 		}
 	}
 	// Fig 8 is self-injection: exactly one process in the chain.
-	out, _ := Figure(8)
+	out, _, _ := figureWithGraph(8)
 	if strings.Count(out, "Process:") < 1 || strings.Contains(out, "notepad") {
 		t.Errorf("fig 8 wrong chain:\n%s", out)
 	}
 	// Fig 10 has no netflow.
-	out, _ = Figure(10)
+	out, _, _ = figureWithGraph(10)
 	if strings.Contains(strings.SplitN(out, "reads", 2)[0], "NetFlow") {
 		t.Errorf("fig 10 instruction provenance has netflow:\n%s", out)
 	}
 }
 
 func TestTableIIExperiment(t *testing.T) {
-	out, err := TableII()
+	out, _, err := tableIIWithGraph()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,6 @@ type File struct {
 	shadow []uint32
 }
 
-// Size returns the file length in bytes.
-func (f *File) Size() int { return len(f.data) }
-
 // Bytes returns the file content. The returned slice must not be modified.
 func (f *File) Bytes() []byte { return f.data }
 

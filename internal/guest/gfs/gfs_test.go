@@ -264,3 +264,6 @@ func TestTruncateDropsShadow(t *testing.T) {
 		t.Errorf("shadow after tainted regrow = %v", got)
 	}
 }
+
+// Size returns the file length in bytes.
+func (f *File) Size() int { return len(f.data) }

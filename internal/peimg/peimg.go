@@ -104,16 +104,6 @@ type Image struct {
 	Exports  []Export
 }
 
-// Section returns the named section, if present.
-func (img *Image) Section(name string) *Section {
-	for i := range img.Sections {
-		if img.Sections[i].Name == name {
-			return &img.Sections[i]
-		}
-	}
-	return nil
-}
-
 func putString(w *bytes.Buffer, s string) error {
 	if len(s) > MaxName {
 		return fmt.Errorf("peimg: name too long: %d", len(s))

@@ -249,3 +249,13 @@ func TestMarshalPropertyNamesSurvive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Section returns the named section, if present.
+func (img *Image) Section(name string) *Section {
+	for i := range img.Sections {
+		if img.Sections[i].Name == name {
+			return &img.Sections[i]
+		}
+	}
+	return nil
+}

@@ -233,6 +233,21 @@ func TestTraceAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// TestTraceUploadTrailingBytes: an upload with bytes after the trace's
+// trailer is the same recording under a second digest, so it gets 400 and
+// stores nothing.
+func TestTraceUploadTrailingBytes(t *testing.T) {
+	srv, _, ts := newTraceServer(t)
+	data, _ := attackTrace(t)
+	resp, body := postTrace(t, srv, append(append([]byte(nil), data...), 0, 0))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trailing bytes: status %d body %v, want 400", resp.StatusCode, body)
+	}
+	if ts.Len() != 0 {
+		t.Fatalf("trace store Len = %d after a rejected upload, want 0", ts.Len())
+	}
+}
+
 // TestTraceConcurrentUploadDedup races identical uploads through the full
 // HTTP path: exactly one 201, one stored entry, one ingest count (-race
 // guards the store and metrics paths).

@@ -1,6 +1,7 @@
 package samples
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestAllAttackSpecsBuild(t *testing.T) {
 				t.Errorf("%s/%s: bad image: %v", spec.Name, p.Path, err)
 				continue
 			}
-			if img.Section(".text") == nil {
+			if !slices.ContainsFunc(img.Sections, func(s peimg.Section) bool { return s.Name == ".text" }) {
 				t.Errorf("%s/%s: no text section", spec.Name, p.Path)
 			}
 		}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -66,7 +65,7 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 		if !ok {
 			continue
 		}
-		meta, err := ReadMeta(bytes.NewReader(data))
+		meta, err := ReadMeta(data)
 		if err != nil || Digest(data) != key {
 			continue // not a trace under its own digest; never index it
 		}

@@ -20,11 +20,7 @@ func encodedTrace(t *testing.T, seed byte) []byte {
 		{At: 1, Kind: record.EvKeyboard, Data: []byte{seed, seed + 1}},
 		{At: 2, Kind: record.EvShutdown},
 	}
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, meta, events); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encode(t, meta, events)
 }
 
 func TestStorePutGetDedup(t *testing.T) {
@@ -75,12 +71,12 @@ func TestStoreRejectsSpeclessTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, Meta{Scenario: "bare"}, nil); err != nil {
+	data, _, err := EncodeLog(Meta{}, &record.Log{Scenario: "bare"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var ce *CorruptError
-	if _, _, err := s.Put(buf.Bytes()); !errors.As(err, &ce) {
+	if _, _, err := s.Put(data); !errors.As(err, &ce) {
 		t.Fatalf("specless Put err = %v, want *CorruptError", err)
 	}
 }

@@ -1,5 +1,5 @@
 // Package trace defines the wire format for recorded executions: a
-// versioned, compressed, streamable encoding of internal/record event logs
+// versioned, compressed encoding of internal/record event logs
 // plus everything needed to re-run the analysis without the original
 // process — the scenario's canonical spec wire form, its hash, a digest of
 // the initial guest memory/filesystem image, and the instruction-count
@@ -23,15 +23,22 @@
 //
 // Each event inside a decompressed chunk is encoded as uvarint At, one
 // byte Kind, uvarint Flow, uvarint Seq, uvarint Sum, uvarint data length,
-// data bytes. Chunks are bounded (~64 KiB of raw events), so both Writer
-// and Reader stream multi-MB traces without ever buffering the whole file.
+// data bytes. The encoder cuts a chunk once it holds ~64 KiB of raw
+// events.
+//
+// The codec works on byte slices: every caller holds the whole trace
+// (EncodeLog returns it, the trace store keeps it, POST /traces reads the
+// whole body). EncodeLog encodes, DecodeBytes verifies and decodes, and
+// ReadMeta parses the header alone.
 //
 // Integrity: the header's spec hash must match the embedded spec wire
-// bytes, the declared event count must match the stream, and the trailing
-// checksum covers the entire file — any truncation or bit flip surfaces as
-// a *CorruptError instead of a silently diverging replay. The trace digest
-// (SHA-256 of the complete encoded file) is the content address the trace
-// store and the (trace, config) result cache key off.
+// bytes, the declared event count must match the stream, the trailing
+// checksum covers the entire file, and nothing may follow it — any
+// truncation, bit flip or appended byte surfaces as a *CorruptError
+// instead of a silently diverging replay or a second address for the same
+// recording. The trace digest (SHA-256 of the complete encoded file) is
+// the content address the trace store and the (trace, config) result
+// cache key off.
 package trace
 
 import (
@@ -41,9 +48,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"hash"
 	"io"
 
 	"faros/internal/record"
@@ -53,8 +58,8 @@ const (
 	magic   = "FTRC"
 	version = 1
 
-	// chunkBytes is the raw (uncompressed) size at which the writer cuts a
-	// chunk. Bounded chunks are what make the format streamable.
+	// chunkBytes is the raw (uncompressed) size at which the encoder cuts
+	// a chunk.
 	chunkBytes = 64 * 1024
 
 	// maxEventBytes bounds one event's payload at decode time so a corrupt
@@ -140,342 +145,204 @@ func (m Meta) validate() error {
 	return nil
 }
 
-// hashWriter tees every written byte into a running SHA-256.
-type hashWriter struct {
-	w   io.Writer
-	h   hash.Hash
-	all hash.Hash // digest of the complete file, trailer included
-}
-
-func (hw *hashWriter) Write(p []byte) (int, error) {
-	n, err := hw.w.Write(p)
-	hw.h.Write(p[:n])
-	hw.all.Write(p[:n])
-	if err == nil && n < len(p) {
-		err = io.ErrShortWrite
-	}
-	return n, err
-}
-
-// Writer streams a trace to an io.Writer: header first, then events
-// appended one at a time, compressed in bounded chunks, with the trailing
-// checksum written at Close. Multi-MB traces never sit in memory whole.
-type Writer struct {
-	hw       *hashWriter
-	raw      bytes.Buffer
-	scratch  []byte
-	declared uint64
-	count    uint64
-	closed   bool
-	digest   string
-	err      error
-}
-
-// NewWriter writes the header and returns a streaming writer. meta.Events
-// must declare the exact number of events that will be appended (the
-// header precedes the stream, and the format is append-only); meta.SpecHash
-// is filled from meta.SpecWire when empty.
-func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
-	if meta.SpecHash == "" {
-		meta.SpecHash = Digest(meta.SpecWire)
-	}
+// EncodeLog encodes a recorded log under the given header, returning the
+// serialized trace and its content digest. The scenario name, final
+// instruction count and event count come from the log, not from meta.
+func EncodeLog(meta Meta, log *record.Log) ([]byte, string, error) {
 	if err := meta.validate(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	hw := &hashWriter{w: w, h: sha256.New(), all: sha256.New()}
-	tw := &Writer{hw: hw, declared: meta.Events}
-	var hdr bytes.Buffer
-	hdr.WriteString(magic)
-	hdr.WriteByte(version)
-	putUvarintString := func(s []byte) {
-		var tmp [binary.MaxVarintLen64]byte
-		hdr.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(s)))])
-		hdr.Write(s)
-	}
-	putUvarintString([]byte(meta.Scenario))
-	putUvarintString(meta.SpecWire)
-	specSum, _ := hex.DecodeString(meta.SpecHash)
-	hdr.Write(specSum)
+	out := append([]byte(magic), version)
+	out = appendBlob(out, []byte(log.Scenario))
+	out = appendBlob(out, meta.SpecWire)
+	specSum := sha256.Sum256(meta.SpecWire)
+	out = append(out, specSum[:]...)
 	memSum := make([]byte, sha256.Size)
 	if meta.MemImage != "" {
 		memSum, _ = hex.DecodeString(meta.MemImage)
 	}
-	hdr.Write(memSum)
-	var be [8]byte
-	binary.BigEndian.PutUint64(be[:], meta.FinalInstr)
-	hdr.Write(be[:])
-	binary.BigEndian.PutUint64(be[:], meta.Events)
-	hdr.Write(be[:])
-	if _, err := hw.Write(hdr.Bytes()); err != nil {
-		return nil, fmt.Errorf("trace: write header: %w", err)
-	}
-	return tw, nil
-}
+	out = append(out, memSum...)
+	out = binary.BigEndian.AppendUint64(out, log.FinalInstr)
+	out = binary.BigEndian.AppendUint64(out, uint64(len(log.Events)))
 
-// Append encodes one event into the pending chunk, flushing it when it
-// reaches the chunk bound.
-func (w *Writer) Append(ev record.Event) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return errors.New("trace: append after Close")
-	}
-	w.scratch = w.scratch[:0]
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) { w.scratch = append(w.scratch, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	put(ev.At)
-	w.scratch = append(w.scratch, byte(ev.Kind))
-	put(uint64(ev.Flow))
-	put(uint64(ev.Seq))
-	put(uint64(ev.Sum))
-	put(uint64(len(ev.Data)))
-	w.raw.Write(w.scratch)
-	w.raw.Write(ev.Data)
-	w.count++
-	if w.raw.Len() >= chunkBytes {
-		w.err = w.flushChunk()
-	}
-	return w.err
-}
-
-// flushChunk compresses and emits the pending raw buffer as one chunk.
-func (w *Writer) flushChunk() error {
-	if w.raw.Len() == 0 {
-		return nil
-	}
 	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	fw, _ := flate.NewWriter(&comp, flate.BestSpeed) // fails only on a bad level
+	var raw []byte
+	for i, ev := range log.Events {
+		raw = binary.AppendUvarint(raw, ev.At)
+		raw = append(raw, byte(ev.Kind))
+		raw = binary.AppendUvarint(raw, uint64(ev.Flow))
+		raw = binary.AppendUvarint(raw, uint64(ev.Seq))
+		raw = binary.AppendUvarint(raw, uint64(ev.Sum))
+		raw = binary.AppendUvarint(raw, uint64(len(ev.Data)))
+		raw = append(raw, ev.Data...)
+		if len(raw) >= chunkBytes || i == len(log.Events)-1 {
+			// flate reports only its writer's errors, and a bytes.Buffer has none.
+			comp.Reset()
+			fw.Reset(&comp)
+			fw.Write(raw)
+			fw.Close()
+			out = appendBlob(out, comp.Bytes())
+			raw = raw[:0]
+		}
+	}
+	out = append(out, 0) // end-of-stream marker
+	sum := sha256.Sum256(out)
+	out = append(out, sum[:]...)
+	return out, Digest(out), nil
+}
+
+// appendBlob appends a uvarint length prefix and the bytes it counts.
+func appendBlob(out, b []byte) []byte {
+	return append(binary.AppendUvarint(out, uint64(len(b))), b...)
+}
+
+// decoder walks an encoded trace front to back.
+type decoder struct {
+	data []byte
+	pos  int
+}
+
+// uvarint reads one length or count.
+func (d *decoder) uvarint(what string) (uint64, error) {
+	v, n := binary.Uvarint(d.data[d.pos:])
+	switch {
+	case n == 0:
+		return 0, &CorruptError{Reason: what + ": unexpected EOF"}
+	case n < 0:
+		return 0, &CorruptError{Reason: what + ": uvarint overflows"}
+	}
+	d.pos += n
+	return v, nil
+}
+
+// bytes returns the next n bytes.
+func (d *decoder) bytes(what string, n uint64) ([]byte, error) {
+	if n > uint64(len(d.data)-d.pos) {
+		return nil, &CorruptError{Reason: "short read on " + what}
+	}
+	b := d.data[d.pos : d.pos+int(n)]
+	d.pos += int(n)
+	return b, nil
+}
+
+// blob reads a length-prefixed byte string of at most limit bytes.
+func (d *decoder) blob(what string, limit uint64) ([]byte, error) {
+	n, err := d.uvarint(what + " length")
 	if err != nil {
-		return fmt.Errorf("trace: flate: %w", err)
+		return nil, err
 	}
-	if _, err := fw.Write(w.raw.Bytes()); err != nil {
-		return fmt.Errorf("trace: compress chunk: %w", err)
+	if n > limit {
+		return nil, &CorruptError{Reason: fmt.Sprintf("%s length %d exceeds limit %d", what, n, limit)}
 	}
-	if err := fw.Close(); err != nil {
-		return fmt.Errorf("trace: compress chunk: %w", err)
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	if _, err := w.hw.Write(tmp[:binary.PutUvarint(tmp[:], uint64(comp.Len()))]); err != nil {
-		return fmt.Errorf("trace: write chunk: %w", err)
-	}
-	if _, err := w.hw.Write(comp.Bytes()); err != nil {
-		return fmt.Errorf("trace: write chunk: %w", err)
-	}
-	w.raw.Reset()
-	return nil
+	return d.bytes(what, n)
 }
 
-// Close flushes the final chunk, writes the end marker and the trailing
-// checksum, and seals the trace. It fails if the appended event count does
-// not match the header's declaration.
-func (w *Writer) Close() error {
-	if w.closed {
-		return w.err
-	}
-	w.closed = true
-	if w.err != nil {
-		return w.err
-	}
-	if w.count != w.declared {
-		w.err = fmt.Errorf("trace: header declares %d events, %d appended", w.declared, w.count)
-		return w.err
-	}
-	if err := w.flushChunk(); err != nil {
-		w.err = err
-		return err
-	}
-	if _, err := w.hw.Write([]byte{0}); err != nil { // end-of-stream marker
-		w.err = fmt.Errorf("trace: write end marker: %w", err)
-		return w.err
-	}
-	sum := w.hw.h.Sum(nil)
-	if _, err := w.hw.Write(sum); err != nil {
-		w.err = fmt.Errorf("trace: write checksum: %w", err)
-		return w.err
-	}
-	w.digest = hex.EncodeToString(w.hw.all.Sum(nil))
-	return nil
-}
-
-// Digest returns the content address of the finished trace (valid after a
-// successful Close).
-func (w *Writer) Digest() string { return w.digest }
-
-// hashReader tees every consumed byte into running SHA-256s and counts
-// them; the trailer read bypasses the checksum hash but not the content
-// digest.
-type hashReader struct {
-	r   io.Reader
-	h   hash.Hash
-	all hash.Hash
-}
-
-func (hr *hashReader) readFull(p []byte, hashed bool) error {
-	if _, err := io.ReadFull(hr.r, p); err != nil {
-		return err
-	}
-	if hashed {
-		hr.h.Write(p)
-	}
-	hr.all.Write(p)
-	return nil
-}
-
-func (hr *hashReader) readByte(hashed bool) (byte, error) {
-	var b [1]byte
-	if err := hr.readFull(b[:], hashed); err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (hr *hashReader) readUvarint() (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; ; i++ {
-		b, err := hr.readByte(true)
-		if err != nil {
-			return 0, err
-		}
-		if i == binary.MaxVarintLen64 {
-			return 0, errors.New("uvarint overflows")
-		}
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, errors.New("uvarint overflows")
-			}
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-}
-
-// Reader streams a trace from an io.Reader. The header is parsed at
-// construction; events come one at a time from Next. Only one chunk is
-// buffered at a time.
-type Reader struct {
-	hr        *hashReader
-	meta      Meta
-	chunk     []byte // decompressed events not yet consumed
-	remaining uint64
-	done      bool
-	digest    string
-}
-
-// NewReader parses and verifies the trace header. Framing damage anywhere
-// after this point surfaces from Next as a *CorruptError.
-func NewReader(r io.Reader) (*Reader, error) {
-	hr := &hashReader{r: r, h: sha256.New(), all: sha256.New()}
-	head := make([]byte, 5)
-	if err := hr.readFull(head, true); err != nil {
-		return nil, &CorruptError{Reason: "short read on magic: " + err.Error()}
+// header parses and validates the magic, version and header fields.
+func (d *decoder) header() (Meta, error) {
+	head, err := d.bytes("magic", 5)
+	if err != nil {
+		return Meta{}, err
 	}
 	if string(head[:4]) != magic {
-		return nil, &CorruptError{Reason: fmt.Sprintf("bad magic %q", head[:4])}
+		return Meta{}, &CorruptError{Reason: fmt.Sprintf("bad magic %q", head[:4])}
 	}
 	if head[4] != version {
-		return nil, &CorruptError{Reason: fmt.Sprintf("unknown trace version %d", head[4])}
+		return Meta{}, &CorruptError{Reason: fmt.Sprintf("unknown trace version %d", head[4])}
 	}
-	tr := &Reader{hr: hr}
-	readBlob := func(what string, limit uint64) ([]byte, error) {
-		n, err := hr.readUvarint()
-		if err != nil {
-			return nil, &CorruptError{Reason: what + " length: " + err.Error()}
-		}
-		if n > limit {
-			return nil, &CorruptError{Reason: fmt.Sprintf("%s length %d exceeds limit %d", what, n, limit)}
-		}
-		buf := make([]byte, n)
-		if err := hr.readFull(buf, true); err != nil {
-			return nil, &CorruptError{Reason: "short read on " + what + ": " + err.Error()}
-		}
-		return buf, nil
-	}
-	name, err := readBlob("scenario name", 4096)
+	var m Meta
+	name, err := d.blob("scenario name", 4096)
 	if err != nil {
-		return nil, err
+		return Meta{}, err
 	}
-	tr.meta.Scenario = string(name)
-	if tr.meta.SpecWire, err = readBlob("spec wire", maxEventBytes); err != nil {
-		return nil, err
+	m.Scenario = string(name)
+	wire, err := d.blob("spec wire", maxEventBytes)
+	if err != nil {
+		return Meta{}, err
 	}
-	sums := make([]byte, 2*sha256.Size+16)
-	if err := hr.readFull(sums, true); err != nil {
-		return nil, &CorruptError{Reason: "short read on header digests: " + err.Error()}
+	m.SpecWire = append([]byte(nil), wire...)
+	sums, err := d.bytes("header digests", 2*sha256.Size+16)
+	if err != nil {
+		return Meta{}, err
 	}
-	tr.meta.SpecHash = hex.EncodeToString(sums[:sha256.Size])
-	tr.meta.MemImage = hex.EncodeToString(sums[sha256.Size : 2*sha256.Size])
-	tr.meta.FinalInstr = binary.BigEndian.Uint64(sums[2*sha256.Size:])
-	tr.meta.Events = binary.BigEndian.Uint64(sums[2*sha256.Size+8:])
-	tr.remaining = tr.meta.Events
-	if err := tr.meta.validate(); err != nil {
-		return nil, err
+	m.SpecHash = hex.EncodeToString(sums[:sha256.Size])
+	m.MemImage = hex.EncodeToString(sums[sha256.Size : 2*sha256.Size])
+	m.FinalInstr = binary.BigEndian.Uint64(sums[2*sha256.Size:])
+	m.Events = binary.BigEndian.Uint64(sums[2*sha256.Size+8:])
+	if err := m.validate(); err != nil {
+		return Meta{}, err
 	}
-	return tr, nil
+	return m, nil
 }
 
-// Digest returns the trace's content address (valid after Next returned
-// io.EOF, i.e. after the whole file was consumed and verified).
-func (r *Reader) Digest() string { return r.digest }
-
-// Next returns the next event. io.EOF is returned only after the
-// end-of-stream marker, the declared event count, and the whole-file
-// checksum have all verified; any damage yields a *CorruptError instead.
-func (r *Reader) Next() (record.Event, error) {
-	for len(r.chunk) == 0 {
-		if r.done {
-			return record.Event{}, io.EOF
+// DecodeBytes decodes a complete trace, verifying the declared event
+// count and the whole-file checksum, and requiring the checksum to be the
+// last 32 bytes: a recording has exactly one encoding on the wire, so one
+// content address. A blob in the pre-trace gob encoding is reported as a
+// typed *LegacyFormatError instead of generic corruption.
+func DecodeBytes(data []byte) (Meta, *record.Log, error) {
+	if len(data) < 5 || string(data[:4]) != magic {
+		if looksLikeGobLog(data) {
+			return Meta{}, nil, &LegacyFormatError{}
 		}
-		n, err := r.hr.readUvarint()
+	}
+	d := &decoder{data: data}
+	meta, err := d.header()
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	log := &record.Log{Scenario: meta.Scenario, FinalInstr: meta.FinalInstr}
+	if meta.Events > 0 {
+		// The declared count is only a hint until the stream honours it:
+		// bound the preallocation by the input size too, so a tiny blob
+		// claiming 2^64 events cannot reserve megabytes.
+		log.Events = make([]record.Event, 0, min(meta.Events, uint64(len(data)), 1<<20))
+	}
+	for {
+		comp, err := d.blob("chunk", maxEventBytes)
 		if err != nil {
-			return record.Event{}, &CorruptError{Reason: "chunk length: " + err.Error()}
+			return Meta{}, nil, err
 		}
-		if n == 0 {
-			// End marker: verify count, then the trailing checksum.
-			if r.remaining != 0 {
-				return record.Event{}, &CorruptError{Reason: fmt.Sprintf("stream ended with %d of %d declared events missing", r.remaining, r.meta.Events)}
-			}
-			want := r.hr.h.Sum(nil)
-			got := make([]byte, sha256.Size)
-			if err := r.hr.readFull(got, false); err != nil {
-				return record.Event{}, &CorruptError{Reason: "short read on trailing checksum: " + err.Error()}
-			}
-			if !bytes.Equal(want, got) {
-				return record.Event{}, &CorruptError{Reason: "whole-file checksum mismatch"}
-			}
-			r.done = true
-			r.digest = hex.EncodeToString(r.hr.all.Sum(nil))
-			return record.Event{}, io.EOF
+		if len(comp) == 0 {
+			break // end marker
 		}
-		if n > maxEventBytes {
-			return record.Event{}, &CorruptError{Reason: fmt.Sprintf("chunk length %d exceeds limit", n)}
-		}
-		comp := make([]byte, n)
-		if err := r.hr.readFull(comp, true); err != nil {
-			return record.Event{}, &CorruptError{Reason: "short read on chunk: " + err.Error()}
-		}
-		fr := flate.NewReader(bytes.NewReader(comp))
-		raw, err := io.ReadAll(io.LimitReader(fr, maxEventBytes+1))
+		raw, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(comp)), maxEventBytes+1))
 		if err != nil {
-			return record.Event{}, &CorruptError{Reason: "decompress chunk: " + err.Error()}
+			return Meta{}, nil, &CorruptError{Reason: "decompress chunk: " + err.Error()}
 		}
 		if len(raw) > maxEventBytes {
-			return record.Event{}, &CorruptError{Reason: "decompressed chunk exceeds limit"}
+			return Meta{}, nil, &CorruptError{Reason: "decompressed chunk exceeds limit"}
 		}
-		r.chunk = raw
+		for len(raw) > 0 {
+			if uint64(len(log.Events)) == meta.Events {
+				return Meta{}, nil, &CorruptError{Reason: "stream carries more events than the header declares"}
+			}
+			var ev record.Event
+			if ev, raw, err = decodeEvent(raw); err != nil {
+				return Meta{}, nil, err
+			}
+			log.Events = append(log.Events, ev)
+		}
 	}
-	if r.remaining == 0 {
-		return record.Event{}, &CorruptError{Reason: "stream carries more events than the header declares"}
+	if got := uint64(len(log.Events)); got != meta.Events {
+		return Meta{}, nil, &CorruptError{Reason: fmt.Sprintf("stream ended with %d of %d declared events missing", meta.Events-got, meta.Events)}
 	}
-	ev, rest, err := decodeEvent(r.chunk)
-	if err != nil {
-		return record.Event{}, err
+	switch rest := len(data) - d.pos; {
+	case rest < sha256.Size:
+		return Meta{}, nil, &CorruptError{Reason: "short read on trailing checksum"}
+	case rest > sha256.Size:
+		return Meta{}, nil, &CorruptError{Reason: fmt.Sprintf("%d trailing bytes after the checksum", rest-sha256.Size)}
 	}
-	r.chunk = rest
-	r.remaining--
-	return ev, nil
+	if sum := sha256.Sum256(data[:d.pos]); !bytes.Equal(sum[:], data[d.pos:]) {
+		return Meta{}, nil, &CorruptError{Reason: "whole-file checksum mismatch"}
+	}
+	return meta, log, nil
+}
+
+// ReadMeta parses just the header — enough to index a stored trace without
+// decompressing its event stream. It performs no checksum verification.
+func ReadMeta(data []byte) (Meta, error) {
+	return (&decoder{data: data}).header()
 }
 
 // decodeEvent parses one event from the front of a decompressed chunk.
@@ -526,84 +393,6 @@ func decodeEvent(buf []byte) (record.Event, []byte, error) {
 		buf = buf[dlen:]
 	}
 	return ev, buf, nil
-}
-
-// Encode writes a complete trace for the events and returns its content
-// digest.
-func Encode(w io.Writer, meta Meta, events []record.Event) (string, error) {
-	meta.Events = uint64(len(events))
-	tw, err := NewWriter(w, meta)
-	if err != nil {
-		return "", err
-	}
-	for _, ev := range events {
-		if err := tw.Append(ev); err != nil {
-			return "", err
-		}
-	}
-	if err := tw.Close(); err != nil {
-		return "", err
-	}
-	return tw.Digest(), nil
-}
-
-// EncodeLog encodes a recorded log under the given header, returning the
-// serialized trace and its content digest. meta.Scenario, FinalInstr, and
-// Events are taken from the log.
-func EncodeLog(meta Meta, log *record.Log) ([]byte, string, error) {
-	meta.Scenario = log.Scenario
-	meta.FinalInstr = log.FinalInstr
-	var buf bytes.Buffer
-	digest, err := Encode(&buf, meta, log.Events)
-	if err != nil {
-		return nil, "", err
-	}
-	return buf.Bytes(), digest, nil
-}
-
-// Decode streams a trace to completion, verifying the declared event count
-// and the whole-file checksum before returning the reconstructed log.
-func Decode(r io.Reader) (Meta, *record.Log, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	log := &record.Log{Scenario: tr.meta.Scenario, FinalInstr: tr.meta.FinalInstr}
-	if tr.meta.Events > 0 {
-		log.Events = make([]record.Event, 0, min(tr.meta.Events, 1<<20))
-	}
-	for {
-		ev, err := tr.Next()
-		if err == io.EOF {
-			return tr.meta, log, nil
-		}
-		if err != nil {
-			return Meta{}, nil, err
-		}
-		log.Events = append(log.Events, ev)
-	}
-}
-
-// DecodeBytes is Decode over a byte slice, with one addition: a blob in
-// the pre-trace gob encoding is recognized and reported as a typed
-// *LegacyFormatError instead of generic corruption.
-func DecodeBytes(data []byte) (Meta, *record.Log, error) {
-	if len(data) < 5 || string(data[:4]) != magic {
-		if looksLikeGobLog(data) {
-			return Meta{}, nil, &LegacyFormatError{}
-		}
-	}
-	return Decode(bytes.NewReader(data))
-}
-
-// ReadMeta parses just the header — enough to index a stored trace without
-// decompressing its event stream. It performs no checksum verification.
-func ReadMeta(r io.Reader) (Meta, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return Meta{}, err
-	}
-	return tr.meta, nil
 }
 
 // legacyLog mirrors the retired gob encoding of record.Log (the decode

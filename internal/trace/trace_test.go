@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
-	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"faros/internal/record"
@@ -45,20 +47,24 @@ func testEvents() []record.Event {
 	}
 }
 
+// encode encodes events under meta's header through EncodeLog.
+func encode(t *testing.T, meta Meta, events []record.Event) []byte {
+	t.Helper()
+	data, digest, err := EncodeLog(meta, &record.Log{Scenario: meta.Scenario, FinalInstr: meta.FinalInstr, Events: events})
+	if err != nil {
+		t.Fatalf("EncodeLog: %v", err)
+	}
+	if digest != Digest(data) {
+		t.Fatalf("EncodeLog digest %s != content digest %s", digest, Digest(data))
+	}
+	return data
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	meta := testMeta(t)
 	meta.FinalInstr = 123456
 	events := testEvents()
-
-	var buf bytes.Buffer
-	digest, err := Encode(&buf, meta, events)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	data := buf.Bytes()
-	if digest != Digest(data) {
-		t.Fatalf("writer digest %s != content digest %s", digest, Digest(data))
-	}
+	data := encode(t, meta, events)
 
 	got, log, err := DecodeBytes(data)
 	if err != nil {
@@ -85,22 +91,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	if log.Scenario != meta.Scenario || log.FinalInstr != meta.FinalInstr {
 		t.Fatalf("log header: %q %d", log.Scenario, log.FinalInstr)
 	}
-
-	// The streaming reader reports the same content address once drained.
-	tr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := tr.Next(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr.Digest() != digest {
-		t.Fatalf("reader digest %s, want %s", tr.Digest(), digest)
-	}
 }
 
 // normalize maps empty and nil data to the same shape for comparison.
@@ -112,12 +102,7 @@ func normalize(ev record.Event) record.Event {
 }
 
 func TestCodecEmptyLog(t *testing.T) {
-	meta := testMeta(t)
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, meta, nil); err != nil {
-		t.Fatalf("Encode empty: %v", err)
-	}
-	got, log, err := DecodeBytes(buf.Bytes())
+	got, log, err := DecodeBytes(encode(t, testMeta(t), nil))
 	if err != nil {
 		t.Fatalf("DecodeBytes empty: %v", err)
 	}
@@ -126,27 +111,11 @@ func TestCodecEmptyLog(t *testing.T) {
 	}
 }
 
-func TestWriterEventCountMismatch(t *testing.T) {
-	meta := testMeta(t)
-	meta.Events = 2
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(record.Event{Kind: record.EvShutdown}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err == nil {
-		t.Fatal("Close accepted 1 event against a declared count of 2")
-	}
-}
-
-func TestWriterRejectsBadSpecHash(t *testing.T) {
+func TestEncodeRejectsBadSpecHash(t *testing.T) {
 	meta := testMeta(t)
 	meta.SpecHash = Digest([]byte("not the spec"))
 	var ce *CorruptError
-	if _, err := NewWriter(io.Discard, meta); !errors.As(err, &ce) {
+	if _, _, err := EncodeLog(meta, &record.Log{}); !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CorruptError", err)
 	}
 }
@@ -154,12 +123,7 @@ func TestWriterRejectsBadSpecHash(t *testing.T) {
 // TestTruncationAlwaysDetected: every proper prefix of a valid trace must
 // fail to decode — no truncation point yields a silently shorter log.
 func TestTruncationAlwaysDetected(t *testing.T) {
-	meta := testMeta(t)
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, meta, testEvents()); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encode(t, testMeta(t), testEvents())
 	step := 1
 	if len(data) > 4096 {
 		step = len(data) / 4096 // sample large traces; always include 0
@@ -177,12 +141,7 @@ func TestTruncationAlwaysDetected(t *testing.T) {
 // Positions are drawn from the same seeded generator the chaos package
 // uses, so failures reproduce from the seed.
 func TestBitFlipAlwaysDetected(t *testing.T) {
-	meta := testMeta(t)
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, meta, testEvents()); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encode(t, testMeta(t), testEvents())
 	state := uint64(0xFA205_7)
 	next := func() uint64 {
 		state += 0x9E3779B97F4A7C15
@@ -227,15 +186,53 @@ func TestLegacyGobRecognized(t *testing.T) {
 func TestReadMetaHeaderOnly(t *testing.T) {
 	meta := testMeta(t)
 	meta.FinalInstr = 7
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, meta, testEvents()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMeta(bytes.NewReader(buf.Bytes()))
+	got, err := ReadMeta(encode(t, meta, testEvents()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Scenario != meta.Scenario || got.FinalInstr != 7 || got.Events != uint64(len(testEvents())) {
 		t.Fatalf("ReadMeta: %+v", got)
+	}
+}
+
+// TestTrailingBytesRejected: a recording has one encoding, so one content
+// address. Bytes after the trailer would give the same recording a second
+// digest, so the decoder and the store reject them as corruption.
+func TestTrailingBytesRejected(t *testing.T) {
+	data := append(encode(t, testMeta(t), testEvents()), 0)
+	var ce *CorruptError
+	if _, _, err := DecodeBytes(data); !errors.As(err, &ce) {
+		t.Fatalf("DecodeBytes err = %v, want *CorruptError", err)
+	}
+	s, err := OpenStore(StoreConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, _, err := s.Put(data); !errors.As(err, &ce) {
+		t.Fatalf("Put err = %v, want *CorruptError", err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after a rejected Put, want 0", s.Len())
+	}
+}
+
+// TestDeclaredCountReservesNoMemory: the header's event count is not
+// trusted for allocation before the stream honours it, so a small blob
+// declaring 2^64 events costs kilobytes to reject, not 48 MiB.
+func TestDeclaredCountReservesNoMemory(t *testing.T) {
+	data := encode(t, testMeta(t), nil)
+	count := len(data) - sha256.Size - 1 - 8 // before the end marker and trailer
+	binary.BigEndian.PutUint64(data[count:], ^uint64(0))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := DecodeBytes(data)
+	runtime.ReadMemStats(&after)
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want *CorruptError", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("rejecting a %d-byte trace allocated %d bytes", len(data), n)
 	}
 }

@@ -201,13 +201,13 @@ func (m *Machine) RunBlock(budget uint64) (uint64, Trap, error) {
 	}
 	var total uint64
 	for {
-		n, trap, err := m.execBlockPlain(b, budget)
+		n, trap, err := m.ExecBlockPlain(b, budget)
 		total += n
 		budget -= n
 		if trap != TrapNone || err != nil || budget == 0 {
 			return total, trap, err
 		}
-		if b = m.lookupBlock(m.CPU.EIP); b == nil || !b.Enters(budget) {
+		if b = m.LookupBlock(m.CPU.EIP); b == nil || !b.Enters(budget) {
 			return total, TrapNone, nil
 		}
 	}
@@ -222,7 +222,7 @@ func (m *Machine) RunBlock(budget uint64) (uint64, Trap, error) {
 func (m *Machine) entryBlock(budget uint64) (*Block, error) {
 	var b *Block
 	if m.space != nil {
-		b = m.lookupBlock(m.CPU.EIP)
+		b = m.LookupBlock(m.CPU.EIP)
 	}
 	if b != nil {
 		if b.Enters(budget) {
@@ -283,15 +283,10 @@ func endTrap(op isa.Op) Trap {
 }
 
 // LookupBlock returns the cached block starting at pc, building it on
-// first sight; nil means no cached block serves that PC. Exported for
-// chaining block plugins.
-func (m *Machine) LookupBlock(pc uint32) *Block { return m.lookupBlock(pc) }
-
-// lookupBlock returns the cached block starting at pc, building it on
 // first sight. nil means no cached block (unaligned, unmapped, or
 // undecodable entry); RunBlock serves such a PC with a one-instruction
-// block (entryBlock).
-func (m *Machine) lookupBlock(pc uint32) *Block {
+// block (entryBlock), and a chaining block plugin ends its chain.
+func (m *Machine) LookupBlock(pc uint32) *Block {
 	if pc%isa.InstrSize != 0 {
 		return nil
 	}
@@ -483,10 +478,6 @@ func blockBytes(key []byte, b *Block) int {
 // exactly: same register/flag/memory effects, same fault PCs and error
 // values, same instruction counting.
 func (m *Machine) ExecBlockPlain(b *Block, budget uint64) (uint64, Trap, error) {
-	return m.execBlockPlain(b, budget)
-}
-
-func (m *Machine) execBlockPlain(b *Block, budget uint64) (uint64, Trap, error) {
 	regs := &m.CPU.Regs
 	start := m.CPU.EIP
 	epoch := m.blockEpoch
@@ -600,7 +591,7 @@ iterate:
 				regs[isa.ESP] += 4
 				return m.blockCommit(ii+1, v, b.EndTrap, fused+uint64(b.Fused))
 			case isa.UJmp:
-				next := uopTarget(regs, u, pc)
+				next := UopTarget(regs, u, pc)
 				if b.Iterates(next, start, ii+1, limit) && m.blockEpoch == epoch {
 					ii, fused = ii+1, fused+uint64(b.Fused)
 					continue iterate
@@ -610,7 +601,7 @@ iterate:
 				// Taken: side exit. Not taken: the block continues at the
 				// fall-through instruction, which is the next micro-op.
 				if isa.CondTaken(u.Op, m.CPU.Flags.Z, m.CPU.Flags.S) {
-					next := uopTarget(regs, u, pc)
+					next := UopTarget(regs, u, pc)
 					if b.Iterates(next, start, ii+1, limit) && m.blockEpoch == epoch {
 						ii, fused = ii+1, fused+FusedIn(uops, ui+1)
 						continue iterate
@@ -623,7 +614,7 @@ iterate:
 					regs[isa.ESP] += 4
 					return m.blockFault(ii, pc, err)
 				}
-				return m.blockCommit(ii+1, uopTarget(regs, u, pc), b.EndTrap, fused+uint64(b.Fused))
+				return m.blockCommit(ii+1, UopTarget(regs, u, pc), b.EndTrap, fused+uint64(b.Fused))
 			case isa.USyscall, isa.UHlt:
 				return m.blockCommit(ii+1, pc+isa.InstrSize, b.EndTrap, fused+uint64(b.Fused))
 			case isa.UCmpJccRR, isa.UCmpJccRI:
@@ -635,7 +626,7 @@ iterate:
 				z, s := a == v, int32(a) < int32(v)
 				m.CPU.Flags.Z, m.CPU.Flags.S = z, s
 				if isa.CondTaken(u.Op, z, s) {
-					next := uopTarget2(u, pc)
+					next := UopTarget2(u, pc)
 					if b.Iterates(next, start, ii+2, limit) && m.blockEpoch == epoch {
 						ii, fused = ii+2, fused+FusedIn(uops, ui+1)
 						continue iterate
@@ -644,7 +635,7 @@ iterate:
 				}
 			case isa.UAluJmp:
 				regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
-				next := uopTarget2(u, pc)
+				next := UopTarget2(u, pc)
 				if b.Iterates(next, start, ii+2, limit) && m.blockEpoch == epoch {
 					ii, fused = ii+2, fused+uint64(b.Fused)
 					continue iterate
@@ -713,8 +704,9 @@ func FusedIn(uops []isa.Uop, n int) uint64 {
 	return c
 }
 
-// uopTarget resolves a single-instruction control transfer's destination.
-func uopTarget(regs *[isa.NumRegs]uint32, u *isa.Uop, pc uint32) uint32 {
+// UopTarget resolves a single-instruction control transfer's destination
+// against the given register file.
+func UopTarget(regs *[isa.NumRegs]uint32, u *isa.Uop, pc uint32) uint32 {
 	switch u.D {
 	case 1:
 		return pc + isa.InstrSize + uint32(int32(u.Imm))
@@ -724,25 +716,15 @@ func uopTarget(regs *[isa.NumRegs]uint32, u *isa.Uop, pc uint32) uint32 {
 	return u.Imm
 }
 
-// uopTarget2 resolves the branch destination of a fused compare-and-branch
+// UopTarget2 resolves the branch destination of a fused compare-and-branch
 // or ALU-and-jump micro-op (the branch is the second instruction, at
 // pc + InstrSize).
-func uopTarget2(u *isa.Uop, pc uint32) uint32 {
+func UopTarget2(u *isa.Uop, pc uint32) uint32 {
 	if u.D == 1 {
 		return pc + 2*isa.InstrSize + uint32(int32(u.Imm2))
 	}
 	return u.Imm2
 }
-
-// UopTarget resolves a control-transfer micro-op's destination against the
-// given register file; UopTarget2 is the fused-pair form. Exported for the
-// fused engine executor.
-func UopTarget(regs *[isa.NumRegs]uint32, u *isa.Uop, pc uint32) uint32 {
-	return uopTarget(regs, u, pc)
-}
-
-// UopTarget2 resolves the branch target of a fused superinstruction.
-func UopTarget2(u *isa.Uop, pc uint32) uint32 { return uopTarget2(u, pc) }
 
 // --- data accessors ---
 //

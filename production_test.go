@@ -28,6 +28,7 @@ var referencedByTestsOnly = map[string]string{
 	"internal/isa.Block.MoviLabel":           "vm's self-modifying-code tests address code labels with it",
 	"internal/faults.NewFSInjector":          "fault-injecting filesystem for trace's store tests",
 	"internal/samples.Spinner":               "never-exiting guest that pipeline's cancellation and deadline tests wedge a worker with",
+	"internal/experiments.Run":               "RunWith without rendering options; the root package's per-experiment benchmarks call it",
 }
 
 // calledThroughInterface names methods the standard library calls through
