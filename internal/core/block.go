@@ -3,7 +3,8 @@
 // ExecBlock is the engine's only dispatcher: the Table I dataflow compiled
 // into one loop over a predecoded micro-op stream, so a block costs one
 // interface call instead of one per instruction, and the per-instruction
-// op×mode re-derivation disappears. The per-instruction form of the same
+// op×mode re-derivation disappears. vm.Machine.RunBlock chains the blocks
+// and calls ExecBlock once per block. The per-instruction form of the same
 // semantics lives on as a test-only reference (refstep_test.go), which the
 // differential tests run under vm.Machine.UseReferenceStep. Three
 // observations make the executor fast while staying bit-identical:
@@ -11,15 +12,16 @@
 //   - The taint side of every micro-op is known at lowering time (Table I),
 //     so each case applies arch effect and shadow effect together — the
 //     effective address is computed once, and the memory helpers
-//     (taintLoadAt, taintStoreAt, ...) are shared with the reference, so
+//     (taintLoad, taintStore, taintPop) are shared with the reference, so
 //     both propagate through identical code.
 //   - A clean register bank plus clean touched pages makes every taint
-//     effect a provable no-op. Blocks that touch no data memory then run on
-//     the VM's plain executor outright; blocks that do touch memory run in
-//     "fast" mode, probing each page's live-taint counter (FrameUntainted
-//     via the engine page TLB) and dropping to full propagation mid-block
-//     the moment taint is seen — before the triggering micro-op applies any
-//     effect, so nothing is replayed.
+//     effect a provable no-op. Blocks that touch no data memory (RegOnly)
+//     then run on the VM's plain executor outright; blocks that do touch
+//     memory run in "fast" mode, probing each page's live-taint counter
+//     through the engine page TLB (pageTLB.probe, the one hit test) and
+//     dropping to full propagation mid-block the moment taint is seen —
+//     before the triggering micro-op applies any effect, so nothing is
+//     replayed.
 //   - Findings and lifecycle events timestamp with M.InstrCount, so the
 //     loop syncs the counter right before each instruction's shadow effect;
 //     everything else (EIP, the retire count) batches to block exit.
@@ -50,54 +52,39 @@ import (
 
 var _ vm.BlockPlugin = (*FAROS)(nil)
 
-// ExecBlock implements vm.BlockPlugin: execute predecoded blocks with the
-// engine's taint effects fused into the dispatch loop, chaining from block
-// to block until the budget runs out, a trap or fault surfaces, or the next
-// PC has no cached block a run within the budget enters — one interface
-// call per chain, not per block. Each executor call runs its block in
-// place for as many passes as branch back to the block's start (see
-// vm.Block.Run), and ends a budget that lands inside the block on its
-// longest whole-uop prefix that fits.
+// ExecBlock implements vm.BlockPlugin: execute one predecoded block with
+// the engine's taint effects fused into the executor, running it in place
+// for as many passes as branch back to the block's start and ending a
+// budget that lands inside it on its longest whole-uop prefix that fits
+// (see vm.Block.Run). vm.Machine.RunBlock chains blocks; every entry makes
+// the strict exec check and the throttled bank rescan, then picks the
+// plain executor for a RegOnly block over a clean bank and the fused
+// executor otherwise.
 func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm.Trap, error) {
-	var total uint64
-	strict := f.cfg.StrictExecCheck
-	noDeps := !f.cfg.PropagateAddrDeps
-	for {
-		if strict {
-			// Block entry is always the first-ever instruction executed on a
-			// not-yet-checked (CR3, page): blocks never cross pages, so any
-			// earlier instruction on this page would have recorded the key.
-			f.strictExecCheck(m, m.CPU.EIP, b.Ins[0])
-		}
-		f.recheckBank()
-		var n uint64
-		var trap vm.Trap
-		var err error
-		if fast := noDeps && f.bankClean; fast && b.Eff.RegOnly {
-			// No data memory touched and the bank is clean: every taint
-			// effect is a no-op on a no-op (copies of zero, deletes of zero,
-			// unions the reference skips). Run the taint-no-op loop. Its
-			// in-place passes make the same entry decisions: the strict
-			// check's (CR3, page) was just recorded, and a clean bank stays
-			// clean in a block that loads nothing, so no rescan is due.
-			n, trap, err = m.ExecBlockPlain(b, budget)
-			f.stats.Instructions += n
-			if err != nil {
-				f.stats.Instructions++
-			}
-			f.stats.Block.UntaintedFastBlocks++
-		} else {
-			n, trap, err = f.execFused(m, b, fast, budget)
-		}
-		total += n
-		budget -= n
-		if trap != vm.TrapNone || err != nil || budget == 0 {
-			return total, trap, err
-		}
-		if b = m.LookupBlock(m.CPU.EIP); b == nil || !b.Enters(budget) {
-			return total, vm.TrapNone, nil
-		}
+	if f.cfg.StrictExecCheck {
+		// Block entry is always the first-ever instruction executed on a
+		// not-yet-checked (CR3, page): blocks never cross pages, so any
+		// earlier instruction on this page would have recorded the key.
+		f.strictExecCheck(m, m.CPU.EIP, b.Ins[0])
 	}
+	f.recheckBank()
+	fast := !f.cfg.PropagateAddrDeps && f.bankClean
+	if !fast || !b.RegOnly {
+		return f.execFused(m, b, fast, budget)
+	}
+	// No data memory touched and the bank is clean: every taint effect is a
+	// no-op on a no-op (copies of zero, deletes of zero, unions the
+	// reference skips). Run the taint-no-op loop. Its in-place passes make
+	// the same entry decisions: the strict check's (CR3, page) was just
+	// recorded, and a clean bank stays clean in a block that loads nothing,
+	// so no rescan is due.
+	n, trap, err := m.ExecBlockPlain(b, budget)
+	f.stats.Instructions += n
+	if err != nil {
+		f.stats.Instructions++
+	}
+	f.stats.Block.UntaintedFastBlocks++
+	return n, trap, err
 }
 
 // recheckBank is the throttled bank rescan every block entry makes.
@@ -123,9 +110,10 @@ func (f *FAROS) recheckBank() {
 // entry recorded the same (CR3, page) in its memo and nothing in
 // execFused checks another page. The throttled bank rescan runs as at
 // entry (recheckBank), except that a RegOnly block whose rescan is due
-// returns to ExecBlock instead, which makes that entry itself: a clean
-// bank sends it to the plain executor. again is small enough to inline
-// into the back edges, so a pass calls out only when a rescan is due.
+// returns instead, and RunBlock's next ExecBlock call makes that entry
+// itself: a clean bank sends it to the plain executor. again is small
+// enough to inline into the back edges, so a pass calls out only when a
+// rescan is due.
 func (f *FAROS) again(b *vm.Block) bool {
 	if !f.bankClean {
 		if f.bankRecheck++; f.bankRecheck&15 == 0 {
@@ -143,7 +131,7 @@ func (f *FAROS) again(b *vm.Block) bool {
 //go:noinline
 func (f *FAROS) rescanDue(b *vm.Block) bool {
 	f.bankRecheck--
-	if b.Eff.RegOnly && !f.cfg.PropagateAddrDeps {
+	if b.RegOnly && !f.cfg.PropagateAddrDeps {
 		return false
 	}
 	f.recheckBank()
@@ -153,17 +141,16 @@ func (f *FAROS) rescanDue(b *vm.Block) bool {
 // execFused runs the block at EIP applying architectural and shadow
 // effects together, within budget retired instructions: a budget prefix
 // or as many in-place passes as the block's back edge allows (see again).
-// Memory micro-ops probe the page TLB inline — the probe is the first
-// branch of the matching taint helper (taintLoadAt, taintStoreAt,
-// ...), hoisted out of the call: a clean page and an untainted value make
-// the helper a provable no-op, so the common case pays a few compares
-// instead of the full propagation chain, dirty bank or not. fast tracks
-// whether the bank stayed clean for the whole block (the
-// untainted_fast_blocks diagnostic); it flips off when a taint helper runs
-// and stays off for the passes after. Retire and fused-op counts stay in
-// locals across passes and commit once on exit; as in the plain executor,
-// a pass's folded instructions (vm.FusedIn) are added where it ends, not
-// per micro-op.
+// Memory micro-ops probe the page TLB inline and hand the verdict to the
+// matching taint helper (taintLoad, taintStore, taintPop) only when it is
+// not a provable no-op (a clean page, and for stores an untainted value),
+// so the common case pays a few compares instead of the full propagation
+// chain, dirty bank or not. fast tracks whether the bank stayed clean for
+// the whole block (the untainted_fast_blocks diagnostic); it flips off
+// when a taint helper runs and stays off for the passes after. Retire and
+// fused-op counts stay in locals across passes and commit once on exit;
+// as in the plain executor, a pass's folded instructions (vm.FusedIn) are
+// added where it ends, not per micro-op.
 func (f *FAROS) execFused(m *vm.Machine, b *vm.Block, fast bool, budget uint64) (uint64, vm.Trap, error) {
 	regs := &m.CPU.Regs
 	space := m.Space()
@@ -244,35 +231,29 @@ iterate:
 				pa, st := tl.probe(space, spaceGen, addr, uint32(u.Size), f.T.PageAllocs())
 				if noDeps && st > 0 {
 					// Clean page: the loaded provenance is zero, the policy
-					// check vacuous — taintLoadAt reduced to its first branch.
+					// check vacuous — taintLoad reduced to its first branch.
 					bank[u.A] = 0
 					f.stats.LoadsChecked++
-				} else if noDeps && st < 0 {
-					if ids := tl.ids; ids != nil && u.Size == 1 {
-						// Single tainted byte: the provenance is the shadow byte
-						// itself — no union fold, no helper call. The policy
-						// check keeps taintLoadPA's shape (summary-bit test,
-						// full check only on a hit).
-						raw := ids[pa%mem.PageSize]
-						bank[u.A] = raw
-						if raw != 0 {
-							f.bankClean = false
-							fast = false
-						}
-						f.stats.LoadsChecked++
-						if f.T.Has(raw, taint.TagExportTable) {
-							m.InstrCount = entry + uint64(at)
-							f.checkPolicy(m, pc, b.Ins[at-first], addr, raw, 1)
-						}
-					} else {
+				} else if ids := tl.ids; noDeps && st < 0 && ids != nil && u.Size == 1 {
+					// Single tainted byte: the provenance is the shadow byte
+					// itself — no union fold, no helper call. The policy check
+					// keeps taintLoad's shape (summary-bit test, full check
+					// only on a hit).
+					raw := ids[pa%mem.PageSize]
+					bank[u.A] = raw
+					if raw != 0 {
+						f.bankClean = false
 						fast = false
+					}
+					f.stats.LoadsChecked++
+					if f.T.Has(raw, taint.TagExportTable) {
 						m.InstrCount = entry + uint64(at)
-						f.taintLoadPA(m, pc, b.Ins[at-first], addr, pa, int(u.Size))
+						f.checkPolicy(m, pc, b.Ins[at-first], addr, raw, 1)
 					}
 				} else {
 					fast = false
 					m.InstrCount = entry + uint64(at)
-					f.taintLoadAt(m, pc, b.Ins[at-first], addr, int(u.Size))
+					f.taintLoad(m, pc, b.Ins[at-first], addr, int(u.Size), pa, st)
 				}
 				if st != 0 && u.Size == 1 && tl.data != nil {
 					// The probe already translated and the fill checked read
@@ -319,14 +300,14 @@ iterate:
 				if u.C != isa.NoIdx {
 					addr = regs[u.B] + regs[u.C]
 				}
-				// Untainted value over a clean page: taintStoreAt would stamp 0
+				// Untainted value over a clean page: taintStore would stamp 0
 				// and skip the shadow write — nothing to do.
 				ts := &f.tlb[tlbStore]
 				pa, st := ts.probe(space, spaceGen, addr, uint32(u.Size), f.T.PageAllocs())
 				if !(bank[u.A] == 0 && st > 0) {
 					if ids := ts.ids; st < 0 && ids != nil && u.Size == 1 {
 						// Single byte onto an already-tainted page: stamp via the
-						// one-entry memo (taintStorePA's first step, inlined) and
+						// one-entry memo (taintStore's first step, inlined) and
 						// skip MemSet1 when the stamped id is already in place —
 						// the steady state of a copy loop's second and later
 						// rounds.
@@ -345,11 +326,7 @@ iterate:
 					} else {
 						fast = false
 						m.InstrCount = entry + uint64(at)
-						if st != 0 {
-							f.taintStorePA(pa, int(u.Size), bank[u.A])
-						} else {
-							f.taintStoreAt(space, addr, int(u.Size), bank[u.A])
-						}
+						f.taintStore(space, addr, int(u.Size), bank[u.A], pa, st)
 					}
 				}
 				if st != 0 && u.Size == 1 && ts.data != nil {
@@ -383,11 +360,7 @@ iterate:
 				if pa, st := f.tlb[tlbStore].probe(space, spaceGen, sp, 4, f.T.PageAllocs()); !(id == 0 && st > 0) {
 					fast = false
 					m.InstrCount = entry + uint64(ii)
-					if st != 0 {
-						f.taintStorePA(pa, 4, id)
-					} else {
-						f.taintStoreAt(space, sp, 4, id)
-					}
+					f.taintStore(space, sp, 4, id, pa, st)
 				}
 				v := u.Imm
 				if u.D == 0 {
@@ -406,14 +379,10 @@ iterate:
 				sp := regs[isa.ESP]
 				if pa, st := f.tlb[tlbLoad].probe(space, spaceGen, sp, 4, f.T.PageAllocs()); st > 0 {
 					bank[u.A] = 0 // clean page: taintPop's zero branch
-				} else if st < 0 {
-					fast = false
-					m.InstrCount = entry + uint64(ii)
-					f.taintPopPA(pa, u.A)
 				} else {
 					fast = false
 					m.InstrCount = entry + uint64(ii)
-					f.taintPop(space, sp, u.A)
+					f.taintPop(space, sp, u.A, pa, st)
 				}
 				v, _, err := m.DataRead32(sp)
 				if err != nil {
@@ -455,16 +424,12 @@ iterate:
 
 			case isa.UCall:
 				sp := regs[isa.ESP] - 4
-				if pa, st := f.tlb[tlbStore].probe(space, spaceGen, sp, 4, f.T.PageAllocs()); st < 0 {
+				if pa, st := f.tlb[tlbStore].probe(space, spaceGen, sp, 4, f.T.PageAllocs()); st <= 0 {
 					// The pushed return address is a constant: delete the taint
-					// under it (taintCall with the translation in hand).
+					// under it (a store of id 0, a no-op over a clean page).
 					fast = false
 					m.InstrCount = entry + uint64(ii)
-					f.T.MemSetRange(pa, 4, 0)
-				} else if st == 0 {
-					fast = false
-					m.InstrCount = entry + uint64(ii)
-					f.taintCall(space, sp)
+					f.taintStore(space, sp, 4, 0, pa, st)
 				}
 				regs[isa.ESP] = sp
 				if _, err := m.DataWrite32(sp, pc+isa.InstrSize); err != nil {
@@ -514,28 +479,22 @@ iterate:
 				if noDeps && lst > 0 {
 					bank[u.Imm] = 0
 					f.stats.LoadsChecked++
-				} else if noDeps && lst < 0 {
-					if ids := tl.ids; ids != nil {
-						raw := ids[lpa%mem.PageSize]
-						bank[u.Imm] = raw
-						if raw != 0 {
-							f.bankClean = false
-							fast = false
-						}
-						f.stats.LoadsChecked++
-						if f.T.Has(raw, taint.TagExportTable) {
-							m.InstrCount = entry + uint64(ii)
-							f.checkPolicy(m, pc, b.Ins[ii-first], laddr, raw, 1)
-						}
-					} else {
+				} else if ids := tl.ids; noDeps && lst < 0 && ids != nil {
+					raw := ids[lpa%mem.PageSize]
+					bank[u.Imm] = raw
+					if raw != 0 {
+						f.bankClean = false
 						fast = false
+					}
+					f.stats.LoadsChecked++
+					if f.T.Has(raw, taint.TagExportTable) {
 						m.InstrCount = entry + uint64(ii)
-						f.taintLoadPA(m, pc, b.Ins[ii-first], laddr, lpa, 1)
+						f.checkPolicy(m, pc, b.Ins[ii-first], laddr, raw, 1)
 					}
 				} else {
 					fast = false
 					m.InstrCount = entry + uint64(ii)
-					f.taintLoadAt(m, pc, b.Ins[ii-first], laddr, 1)
+					f.taintLoad(m, pc, b.Ins[ii-first], laddr, 1, lpa, lst)
 				}
 				var v uint32
 				if lst != 0 && tl.data != nil {
@@ -570,11 +529,7 @@ iterate:
 					} else {
 						fast = false
 						m.InstrCount = entry + uint64(ii) + 1
-						if sst != 0 {
-							f.taintStorePA(spa, 1, bank[u.Imm])
-						} else {
-							f.taintStoreAt(space, saddr, 1, bank[u.Imm])
-						}
+						f.taintStore(space, saddr, 1, bank[u.Imm], spa, sst)
 					}
 				}
 				if sst != 0 && ts.data != nil {

@@ -364,14 +364,14 @@ func (f *FAROS) procTag(p *guest.Process) taint.Tag {
 }
 
 // pagePA translates va in s to a physical shadow address through the
-// engine's page TLB; ok=false for unmapped pages (the access will fault
-// architecturally anyway). Sequential accesses to the same virtual page —
-// the propagation common case — skip the page table entirely; any mapping
-// change bumps the space generation and drops the entry.
+// engine's page TLB: the slot's probe, filled on a miss; ok=false for
+// unmapped pages (the access will fault architecturally anyway).
+// Sequential accesses to the same virtual page — the propagation common
+// case — skip the page table entirely; any mapping change bumps the space
+// generation and drops the entry.
 func (f *FAROS) pagePA(s *mem.Space, va uint32, slot int) (uint64, bool) {
-	t := &f.tlb[slot]
-	if t.ok && t.space == s && t.vpn == va>>mem.PageShift && t.gen == s.Gen() {
-		return t.base | uint64(va%mem.PageSize), true
+	if pa, st := f.tlb[slot].probe(s, s.Gen(), va, 1, f.T.PageAllocs()); st != 0 {
+		return pa, true
 	}
 	return f.pagePAFill(s, va, slot)
 }
@@ -405,25 +405,6 @@ func (f *FAROS) pagePAFill(s *mem.Space, va uint32, slot int) (uint64, bool) {
 		}
 	}
 	return t.base | uint64(va%mem.PageSize), true
-}
-
-// rangeUntainted reports whether [va, va+n) is known to lie in a single,
-// currently untainted page. It is pure cache consultation — a miss (TLB
-// cold, page straddling, or page tainted) just means the caller takes the
-// ordinary range path; a hit lets loads return 0 and untainted stores
-// become no-ops without touching the shadow at all. The live-counter load
-// stays accurate while taint flows through other pages, so the common
-// untainted/tainted working-set split keeps its fast path.
-func (f *FAROS) rangeUntainted(s *mem.Space, va uint32, n uint32, slot int) bool {
-	t := &f.tlb[slot]
-	if !(t.ok && t.space == s && t.vpn == va>>mem.PageShift && t.gen == s.Gen() &&
-		va%mem.PageSize <= mem.PageSize-n) {
-		return false
-	}
-	if t.live != nil {
-		return *t.live == 0
-	}
-	return t.allocGen == f.T.PageAllocs()
 }
 
 // memGetRange unions the shadow of [va, va+n) in the current space,
@@ -462,32 +443,54 @@ func (f *FAROS) memSetRange(s *mem.Space, va uint32, n int, id taint.ProvID) {
 	}
 }
 
-// taintLoadAt mirrors a load's shadow dataflow (Table I) given its resolved
+// The shadow-effect helpers below take the caller's page-TLB probe of the
+// access ((pageTLB).probe on the slot the helper reads: tlbLoad for loads
+// and pops, tlbStore for stores): st > 0 a clean page, st < 0 a hit on a
+// possibly tainted page with pa addressing the range's shadow bytes, and
+// st == 0 a miss, which walks the range page by page. The fused block
+// executor probes inline and calls them only when the verdict is not a
+// provable no-op; the test-only per-instruction reference probes and calls
+// them for every access, so both propagate through identical code.
+
+// loadedProv returns the provenance of the size bytes at va that a load or
+// pop reads, given the load slot's probe verdict.
+func (f *FAROS) loadedProv(s *mem.Space, va uint32, size int, pa uint64, st int) taint.ProvID {
+	if st > 0 {
+		return 0
+	}
+	if st == 0 {
+		return f.memGetRange(s, va, size)
+	}
+	ids := f.tlb[tlbLoad].ids
+	if ids == nil {
+		// Shadow page born after the entry was filled (allocGen mismatch).
+		return f.T.MemUnionFrom(0, pa, size)
+	}
+	// The probing entry aliases the shadow page directly: union the bytes
+	// without re-walking the store. Runs of the same list fold to a single
+	// union, exactly as MemUnionFrom does.
+	var id, last taint.ProvID
+	off := pa % mem.PageSize
+	for i := 0; i < size; i++ {
+		if v := ids[off+uint64(i)]; v != 0 && v != last {
+			if id == 0 {
+				id = v // Union(0, v) without the call
+			} else {
+				id = f.T.Union(id, v)
+			}
+			last = v
+		}
+	}
+	return id
+}
+
+// taintLoad mirrors a load's shadow dataflow (Table I) given its resolved
 // effective address, and applies the detection policy. The loaded bytes'
 // provenance is computed once and flows both into the destination register
-// and into the policy check — checkPolicy never recomputes the range. A
-// load from a known-untainted page skips the shadow walk entirely. Shared
-// by the fused block executor and the test-only per-instruction reference.
-func (f *FAROS) taintLoadAt(m *vm.Machine, pc uint32, in isa.Instruction, addr uint32, size int) {
-	space := m.Space()
+// and into the policy check — checkPolicy never recomputes the range.
+func (f *FAROS) taintLoad(m *vm.Machine, pc uint32, in isa.Instruction, addr uint32, size int, pa uint64, st int) {
 	bank := f.bank
-	var raw taint.ProvID
-	// Hand-inlined TLB probe: on a hit the tainted case goes straight to
-	// MemUnionFrom with the translated address — one probe, no loop setup —
-	// and the clean case keeps raw = 0. The cold path fills through
-	// memGetRange exactly as before.
-	if t := &f.tlb[tlbLoad]; t.ok && t.space == space && t.vpn == addr>>mem.PageShift &&
-		t.gen == space.Gen() && addr%mem.PageSize <= mem.PageSize-uint32(size) {
-		if t.live != nil {
-			if *t.live != 0 {
-				raw = f.T.MemUnionFrom(0, t.base|uint64(addr%mem.PageSize), size)
-			}
-		} else if t.allocGen != f.T.PageAllocs() {
-			raw = f.T.MemUnionFrom(0, t.base|uint64(addr%mem.PageSize), size)
-		}
-	} else {
-		raw = f.memGetRange(space, addr, size)
-	}
+	raw := f.loadedProv(m.Space(), addr, size, pa, st)
 	id := raw
 	if f.cfg.PropagateAddrDeps {
 		// Address dependency: the pointer's taint flows into the value
@@ -507,123 +510,32 @@ func (f *FAROS) taintLoadAt(m *vm.Machine, pc uint32, in isa.Instruction, addr u
 	}
 }
 
-// taintLoadPA is taintLoadAt for the fused path's pre-translated probe
-// hits: the caller established [addr, addr+size) lies in one shadow page at
-// pa and that address dependencies are off, so the probe and the ablation
-// branch are already resolved.
-func (f *FAROS) taintLoadPA(m *vm.Machine, pc uint32, in isa.Instruction, addr uint32, pa uint64, size int) {
-	var raw taint.ProvID
-	if ids := f.tlb[tlbLoad].ids; ids != nil {
-		// The probing entry aliases the shadow page directly: union the
-		// bytes without re-walking the store. Runs of the same list fold to
-		// a single union, exactly as MemUnionFrom does.
-		off := pa % mem.PageSize
-		var last taint.ProvID
-		for i := 0; i < size; i++ {
-			if id := ids[off+uint64(i)]; id != 0 && id != last {
-				if raw == 0 {
-					raw = id // Union(0, id) without the call
-				} else {
-					raw = f.T.Union(raw, id)
-				}
-				last = id
-			}
-		}
-	} else {
-		// Shadow page born after the entry was filled (allocGen mismatch).
-		raw = f.T.MemUnionFrom(0, pa, size)
-	}
-	f.bank[in.Dst&7] = raw
-	if raw != 0 {
-		f.bankClean = false
-	}
-	f.stats.LoadsChecked++
-	if f.T.Has(raw, taint.TagExportTable) {
-		f.checkPolicy(m, pc, in, addr, raw, size)
-	}
-}
-
-// taintStorePA is taintStoreAt for pre-translated probe hits: stamp and
-// write the shadow range directly. The caller already handled the
-// untainted-over-clean no-op.
-func (f *FAROS) taintStorePA(pa uint64, size int, id taint.ProvID) {
-	if id = f.stampStore(id); size == 1 {
-		f.T.MemSet1(pa, id)
-	} else {
-		f.T.MemSetRange(pa, size, id)
-	}
-}
-
-// taintPopPA is taintPop for pre-translated probe hits on tainted pages.
-func (f *FAROS) taintPopPA(pa uint64, dst uint8) {
-	var id taint.ProvID
-	if ids := f.tlb[tlbLoad].ids; ids != nil {
-		off := pa % mem.PageSize
-		var last taint.ProvID
-		for i := uint64(0); i < 4; i++ {
-			if v := ids[off+i]; v != 0 && v != last {
-				if id == 0 {
-					id = v
-				} else {
-					id = f.T.Union(id, v)
-				}
-				last = v
-			}
-		}
-	} else {
-		id = f.T.MemUnionFrom(0, pa, 4)
-	}
+// taintPop mirrors a pop's shadow dataflow: the destination register
+// inherits the popped bytes' provenance.
+func (f *FAROS) taintPop(s *mem.Space, sp uint32, dst uint8, pa uint64, st int) {
+	id := f.loadedProv(s, sp, 4, pa, st)
 	f.bank[dst] = id
 	if id != 0 {
 		f.bankClean = false
 	}
 }
 
-// taintStoreAt mirrors a store's shadow dataflow: stamp the stored value's
-// provenance with the process tag and write it over the target range.
-// Storing untainted over a known-untainted page is a no-op.
-func (f *FAROS) taintStoreAt(space *mem.Space, addr uint32, size int, id taint.ProvID) {
+// taintStore mirrors a store's shadow dataflow: stamp the stored value's
+// provenance with the process tag and write it over the target range. A
+// call is a store of id 0: the pushed return address is a constant,
+// deleting any taint under it. Storing untainted over a clean page is a
+// no-op.
+func (f *FAROS) taintStore(s *mem.Space, addr uint32, size int, id taint.ProvID, pa uint64, st int) {
 	id = f.stampStore(id)
-	// Hand-inlined TLB probe, mirroring taintLoadAt: a hit writes the shadow
-	// range directly; an untainted store over a clean page stays a no-op.
-	if t := &f.tlb[tlbStore]; t.ok && t.space == space && t.vpn == addr>>mem.PageShift &&
-		t.gen == space.Gen() && addr%mem.PageSize <= mem.PageSize-uint32(size) {
-		if id == 0 {
-			if t.live != nil {
-				if *t.live == 0 {
-					return
-				}
-			} else if t.allocGen == f.T.PageAllocs() {
-				return
-			}
-		}
-		f.T.MemSetRange(t.base|uint64(addr%mem.PageSize), size, id)
-		return
-	}
-	if id != 0 || !f.rangeUntainted(space, addr, uint32(size), tlbStore) {
-		f.memSetRange(space, addr, size, id)
-	}
-}
-
-// taintPop mirrors a pop's shadow dataflow: the destination register
-// inherits the popped bytes' provenance.
-func (f *FAROS) taintPop(space *mem.Space, sp uint32, dst uint8) {
-	if f.rangeUntainted(space, sp, 4, tlbLoad) {
-		f.bank[dst] = 0
-	} else {
-		id := f.memGetRange(space, sp, 4)
-		f.bank[dst] = id
-		if id != 0 {
-			f.bankClean = false
-		}
-	}
-}
-
-// taintCall mirrors a call's shadow dataflow: the pushed return address is
-// a constant, deleting any taint under it.
-func (f *FAROS) taintCall(space *mem.Space, sp uint32) {
-	if !f.rangeUntainted(space, sp, 4, tlbStore) {
-		f.memSetRange(space, sp, 4, 0)
+	switch {
+	case st == 0:
+		f.memSetRange(s, addr, size, id)
+	case id == 0 && st > 0:
+		// Untainted over a clean page: nothing to write.
+	case size == 1:
+		f.T.MemSet1(pa, id)
+	default:
+		f.T.MemSetRange(pa, size, id)
 	}
 }
 

@@ -31,6 +31,19 @@ const loopDataLen = 0x400
 func newLoopRun(t *testing.T, l vmtest.Loop, cfg Config, ref, rwx bool) *loopRun {
 	t.Helper()
 	k, f := newKernelWithFAROS(t, cfg)
+	if ref {
+		UseRefStep(k)
+	}
+	p, data := spawnLoop(t, k, l, rwx)
+	nf := f.T.Single(f.T.InternNetflow(taint.NetflowTag{SrcIP: attackerAddr.IP, SrcPort: uint16(attackerAddr.Port)}))
+	f.memSetRange(p.Space, data, 0x80, nf)
+	return &loopRun{k: k, f: f, p: p, data: data}
+}
+
+// spawnLoop installs the loop as an image on k and spawns it with its data
+// filled with vmtest.Pattern, returning the process and the data address.
+func spawnLoop(t *testing.T, k *guest.Kernel, l vmtest.Loop, rwx bool) (*guest.Process, uint32) {
+	t.Helper()
 	b := peimg.NewBuilder("loop.exe")
 	// A data word ahead of the BSS: peimg.Unmarshal rejects an image whose
 	// last section carries no bytes.
@@ -39,9 +52,6 @@ func newLoopRun(t *testing.T, l vmtest.Loop, cfg Config, ref, rwx bool) *loopRun
 	code := b.Base + peimg.TextOff
 	l.Emit(b.Text, vmtest.Layout{Data: data, Code: code})
 	install(t, k, b, "loop.exe")
-	if ref {
-		UseRefStep(k)
-	}
 	p, err := k.Spawn("loop.exe", false, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +64,7 @@ func newLoopRun(t *testing.T, l vmtest.Loop, cfg Config, ref, rwx bool) *loopRun
 	if err := p.Space.WriteBytes(data, vmtest.Pattern(loopDataLen)); err != nil {
 		t.Fatal(err)
 	}
-	nf := f.T.Single(f.T.InternNetflow(taint.NetflowTag{SrcIP: attackerAddr.IP, SrcPort: uint16(attackerAddr.Port)}))
-	f.memSetRange(p.Space, data, 0x80, nf)
-	return &loopRun{k: k, f: f, p: p, data: data}
+	return p, data
 }
 
 // shadow returns the shadow IDs over the loop's data page (nil while it
@@ -141,4 +149,38 @@ func FuzzFusedLoop(f *testing.F) {
 			t.Fatal("data page bytes diverged")
 		}
 	})
+}
+
+// TestFaultChargesFusedOps: a loop of wide micro-ops that faults after
+// several in-place passes charges the same FusedOps with and without
+// FAROS, so retired instructions minus FusedOps counts the micro-ops
+// dispatched under either executor.
+func TestFaultChargesFusedOps(t *testing.T) {
+	for _, ev := range []uint8{vmtest.EventBadLoad, vmtest.EventWideBadLoad} {
+		l := vmtest.Loop{Body: []byte{8, 3, 10}, Edge: vmtest.EdgeAluJmp, Event: ev, K: 5, N: 12}
+		r := newLoopRun(t, l, Config{}, false, false)
+		plain, err := guest.NewKernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spawnLoop(t, plain, l, false)
+		var fused [2]uint64
+		for i, k := range []*guest.Kernel{r.k, plain} {
+			sum, err := k.Run(10_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sum.Faults) != 1 || sum.LiveProcs != 0 {
+				t.Fatalf("event %d: run %d: %+v, want one fault ending the loop", ev, i, sum)
+			}
+			fused[i] = k.M.BlockStats().FusedOps
+		}
+		if r.k.M.InstrCount != plain.M.InstrCount {
+			t.Fatalf("event %d: retired %d under FAROS, %d without", ev, r.k.M.InstrCount, plain.M.InstrCount)
+		}
+		// Five passes of MOVI+LDB+XORI and ADDI+JMP fold three instructions each.
+		if fused[0] != fused[1] || fused[0] < 5*3 {
+			t.Errorf("event %d: FusedOps %d under FAROS, %d without; want equal and at least 15", ev, fused[0], fused[1])
+		}
+	}
 }

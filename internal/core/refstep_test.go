@@ -3,6 +3,7 @@ package core
 import (
 	"faros/internal/guest"
 	"faros/internal/isa"
+	"faros/internal/mem"
 	"faros/internal/taint"
 	"faros/internal/vm"
 )
@@ -58,7 +59,8 @@ func (f *FAROS) BeforeInstr(m *vm.Machine, pc uint32, in isa.Instruction) {
 		if in.Op == isa.OpLdb {
 			size = 1
 		}
-		f.taintLoadAt(m, pc, in, addr, size)
+		pa, st := f.probe(space, tlbLoad, addr, size)
+		f.taintLoad(m, pc, in, addr, size, pa, st)
 
 	case isa.OpSt, isa.OpStb:
 		addr := m.CPU.Regs[in.Dst&7] + in.Imm
@@ -69,7 +71,8 @@ func (f *FAROS) BeforeInstr(m *vm.Machine, pc uint32, in isa.Instruction) {
 		if in.Op == isa.OpStb {
 			size = 1
 		}
-		f.taintStoreAt(space, addr, size, bank[in.Src&7])
+		pa, st := f.probe(space, tlbStore, addr, size)
+		f.taintStore(space, addr, size, bank[in.Src&7], pa, st)
 
 	case isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpMul, isa.OpShl, isa.OpShr:
 		if in.Mode == isa.ModeRR {
@@ -98,17 +101,30 @@ func (f *FAROS) BeforeInstr(m *vm.Machine, pc uint32, in isa.Instruction) {
 		if in.Mode == isa.ModeRR {
 			id = bank[in.Dst&7]
 		}
-		f.taintStoreAt(space, m.CPU.Regs[isa.ESP]-4, 4, id)
+		sp := m.CPU.Regs[isa.ESP] - 4
+		pa, st := f.probe(space, tlbStore, sp, 4)
+		f.taintStore(space, sp, 4, id, pa, st)
 
 	case isa.OpPop:
-		f.taintPop(space, m.CPU.Regs[isa.ESP], uint8(in.Dst&7))
+		sp := m.CPU.Regs[isa.ESP]
+		pa, st := f.probe(space, tlbLoad, sp, 4)
+		f.taintPop(space, sp, uint8(in.Dst&7), pa, st)
 
 	case isa.OpCall:
-		f.taintCall(space, m.CPU.Regs[isa.ESP]-4)
+		// The pushed return address is a constant: a store of id 0.
+		sp := m.CPU.Regs[isa.ESP] - 4
+		pa, st := f.probe(space, tlbStore, sp, 4)
+		f.taintStore(space, sp, 4, 0, pa, st)
 
 	case isa.OpSyscall:
 		// Kernel return values are untainted; data-carrying results are
 		// tagged through the bridge instead.
 		bank[isa.EAX] = 0
 	}
+}
+
+// probe is the page-TLB probe the fused executor makes before calling a
+// shadow-effect helper: the verdict (pa, st) of slot for [va, va+size).
+func (f *FAROS) probe(s *mem.Space, slot int, va uint32, size int) (uint64, int) {
+	return f.tlb[slot].probe(s, s.Gen(), va, uint32(size), f.T.PageAllocs())
 }

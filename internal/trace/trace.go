@@ -62,8 +62,14 @@ const (
 	// a chunk.
 	chunkBytes = 64 * 1024
 
-	// maxEventBytes bounds one event's payload at decode time so a corrupt
-	// length prefix cannot ask for gigabytes.
+	// The decoder's bounds. EncodeLog enforces them too, so it never writes
+	// a trace the decoder rejects.
+	//
+	// maxNameBytes bounds the scenario name.
+	maxNameBytes = 4096
+	// maxEventBytes bounds the spec wire, a chunk (compressed and
+	// decompressed) and one event's payload, so a corrupt length prefix
+	// cannot ask for gigabytes.
 	maxEventBytes = 64 << 20
 )
 
@@ -147,9 +153,17 @@ func (m Meta) validate() error {
 
 // EncodeLog encodes a recorded log under the given header, returning the
 // serialized trace and its content digest. The scenario name, final
-// instruction count and event count come from the log, not from meta.
+// instruction count and event count come from the log, not from meta. A
+// log the decoder's bounds would reject is an error: a name over
+// maxNameBytes, or a spec wire or chunk over maxEventBytes.
 func EncodeLog(meta Meta, log *record.Log) ([]byte, string, error) {
 	if err := meta.validate(); err != nil {
+		return nil, "", err
+	}
+	if err := overLimit("scenario name", len(log.Scenario), maxNameBytes); err != nil {
+		return nil, "", err
+	}
+	if err := overLimit("spec wire", len(meta.SpecWire), maxEventBytes); err != nil {
 		return nil, "", err
 	}
 	out := append([]byte(magic), version)
@@ -177,11 +191,17 @@ func EncodeLog(meta Meta, log *record.Log) ([]byte, string, error) {
 		raw = binary.AppendUvarint(raw, uint64(len(ev.Data)))
 		raw = append(raw, ev.Data...)
 		if len(raw) >= chunkBytes || i == len(log.Events)-1 {
+			if err := overLimit("chunk", len(raw), maxEventBytes); err != nil {
+				return nil, "", err
+			}
 			// flate reports only its writer's errors, and a bytes.Buffer has none.
 			comp.Reset()
 			fw.Reset(&comp)
 			fw.Write(raw)
 			fw.Close()
+			if err := overLimit("compressed chunk", comp.Len(), maxEventBytes); err != nil {
+				return nil, "", err
+			}
 			out = appendBlob(out, comp.Bytes())
 			raw = raw[:0]
 		}
@@ -190,6 +210,14 @@ func EncodeLog(meta Meta, log *record.Log) ([]byte, string, error) {
 	sum := sha256.Sum256(out)
 	out = append(out, sum[:]...)
 	return out, Digest(out), nil
+}
+
+// overLimit reports an encoder input of n bytes over the decoder's limit.
+func overLimit(what string, n, limit int) error {
+	if n > limit {
+		return fmt.Errorf("trace: encode: %s length %d exceeds limit %d", what, n, limit)
+	}
+	return nil
 }
 
 // appendBlob appends a uvarint length prefix and the bytes it counts.
@@ -251,7 +279,7 @@ func (d *decoder) header() (Meta, error) {
 		return Meta{}, &CorruptError{Reason: fmt.Sprintf("unknown trace version %d", head[4])}
 	}
 	var m Meta
-	name, err := d.blob("scenario name", 4096)
+	name, err := d.blob("scenario name", maxNameBytes)
 	if err != nil {
 		return Meta{}, err
 	}

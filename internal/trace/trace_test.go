@@ -8,6 +8,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"faros/internal/record"
@@ -117,6 +118,25 @@ func TestEncodeRejectsBadSpecHash(t *testing.T) {
 	var ce *CorruptError
 	if _, _, err := EncodeLog(meta, &record.Log{}); !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CorruptError", err)
+	}
+}
+
+// TestEncodeRejectsWhatDecodeRejects: EncodeLog refuses a log whose
+// scenario name exceeds the decoder's limit instead of writing a trace
+// nothing can read; a name at the limit round-trips.
+func TestEncodeRejectsWhatDecodeRejects(t *testing.T) {
+	meta := testMeta(t)
+	if data, _, err := EncodeLog(meta, &record.Log{Scenario: strings.Repeat("n", 5000)}); err == nil {
+		_, _, derr := DecodeBytes(data)
+		t.Fatalf("EncodeLog accepted a 5000-byte name; DecodeBytes: %v", derr)
+	}
+	name := strings.Repeat("n", maxNameBytes)
+	data, _, err := EncodeLog(meta, &record.Log{Scenario: name})
+	if err != nil {
+		t.Fatalf("EncodeLog at the name limit: %v", err)
+	}
+	if got, _, err := DecodeBytes(data); err != nil || got.Scenario != name {
+		t.Fatalf("DecodeBytes at the name limit: %v", err)
 	}
 }
 

@@ -16,12 +16,13 @@
 package triage
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"faros/internal/provgraph"
 )
@@ -186,13 +187,18 @@ func (p *Policy) Validate() error {
 
 // Parse decodes and validates a policy from its JSON form. Unknown
 // fields are rejected so a typoed condition fails loudly instead of
-// silently matching everything.
+// silently matching everything, and so is anything but whitespace after
+// the policy: a policy file holds exactly one policy.
 func Parse(data []byte) (*Policy, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var p Policy
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("triage: parse policy: %w", err)
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("triage: parse policy: data after the policy at offset %d", end)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -131,6 +131,9 @@ func TestParseRejectsMalformedPolicies(t *testing.T) {
 		{"negative threshold", `{"rules":[{"name":"r","score":"low","match":{"min_bytes":-1}}]}`, "cannot be negative"},
 		{"unknown field", `{"rules":[{"name":"r","score":"low","match":{"min_byte":3}}]}`, "unknown field"},
 		{"not json", `nope`, "parse policy"},
+		{"trailing data", `{"name":"x","rules":[]} trailing`, "data after the policy"},
+		{"two policies", `{"name":"x","rules":[]}{"name":"y","rules":[]}`, "data after the policy"},
+		{"trailing brace", `{"name":"x","rules":[]}}`, "data after the policy"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.in))

@@ -1,13 +1,16 @@
 // Block dispatch: the interpreter. Guest code is predecoded into basic
 // blocks of micro-ops (internal/isa lowering) and cached per machine by
 // physical frame and instruction slot. Dispatching a block costs one
-// lookup and one plugin call instead of a fetch, a decode, and a callback
-// per instruction. Every PC runs through a block. A budget that ends
-// inside a cached block runs the block's longest whole-uop prefix that
-// fits (Block.Run), so the preemption boundary stays exact; RunBlock runs
-// the one instruction at EIP as an uncached block only where the budget is
-// below the instruction count of the fused micro-op a block starts with,
-// and at unaligned, page-straddling or undecodable PCs.
+// lookup and one executor call instead of a fetch, a decode, and a
+// callback per instruction. RunBlock is the one loop that chains blocks:
+// each iteration makes one lookup (entryBlock) and hands the block to the
+// attached engine (BlockPlugin) or to the plain executor. Every PC runs
+// through a block. A budget that ends inside a cached block runs the
+// block's longest whole-uop prefix that fits (Block.Run), so the
+// preemption boundary stays exact; entryBlock serves the one instruction
+// at EIP as an uncached block only where the budget is below the
+// instruction count of the fused micro-op a block starts with, and at
+// unaligned, page-straddling or undecodable PCs.
 //
 // Loops stay in the executor: when a pass ends on a back edge (JMP,
 // ALU+JMP, taken Jcc or CMP+Jcc) to the block's own first instruction and
@@ -44,7 +47,6 @@ import (
 
 	"faros/internal/isa"
 	"faros/internal/mem"
-	"faros/internal/taint"
 )
 
 // Block is one predecoded basic block: the instructions from a branch
@@ -68,20 +70,21 @@ type Block struct {
 	// EndTrap is the trap raised after the block completes: TrapSyscall or
 	// TrapHalt when the terminator is SYSCALL/HLT, TrapNone otherwise.
 	EndTrap Trap
-	// Eff is the block-level taint effect summary (internal/taint).
-	Eff taint.BlockEffects
+	// RegOnly means no micro-op touches data memory (isa.UopKind.TouchesMem):
+	// an engine whose register state is clean can run the block without
+	// analysis.
+	RegOnly bool
 }
 
 // BlockPlugin is an analysis engine that executes blocks with its
-// analysis fused into the dispatch loop instead of being called back per
-// instruction. ExecBlock executes the given block (which starts at the
-// current EIP) and may then chain into successor blocks via LookupBlock,
-// up to budget retired instructions in total — one plugin call per chain,
-// not per block. It returns the instructions retired plus the trap state
-// of the last one, exactly as a sequence of Steps would have. Returning
-// TrapNone with budget left simply means the chain ended at a PC with no
-// cached block that fits (or a partial retire after self-modifying code);
-// the VM re-enters at the new EIP.
+// analysis fused into the executor instead of being called back per
+// instruction: one plugin call per block. ExecBlock executes the given
+// block, which starts at the current EIP, within budget retired
+// instructions — a whole-uop prefix when the block does not fit (see
+// Block.Run), and its in-place passes when it loops — and returns. It
+// reports the instructions retired plus the trap state of the last one,
+// exactly as a sequence of Steps would have. RunBlock chains: TrapNone
+// with budget left means it looks up the block at the new EIP.
 type BlockPlugin interface {
 	ExecBlock(m *Machine, b *Block, budget uint64) (retired uint64, trap Trap, err error)
 }
@@ -172,13 +175,16 @@ func (m *Machine) BlockEpoch() uint64 { return m.blockEpoch }
 func (m *Machine) AddFusedOps(n uint64) { m.bstats.FusedOps += n }
 
 // RunBlock executes up to budget instructions, chaining predecoded blocks
-// until the budget runs out or a trap or fault ends the run. Chaining is
-// transparent to the caller: a sequence of single-block calls would retire
-// the same instructions in the same order, the loop just keeps the
-// dispatch state hot instead of bouncing through the scheduler between
-// every block. It returns the instructions retired and the trap state of
-// the last one. A fetch failure at EIP retires nothing and returns the
-// *FaultError Step would.
+// until the budget runs out or a trap or fault ends the run. It is the only
+// loop that chains blocks: each iteration looks up one block (entryBlock)
+// and runs it through the attached block plugin, or through the plain
+// executor when none is attached. Chaining is transparent to the caller: a
+// sequence of single-block calls would retire the same instructions in the
+// same order, the loop just keeps the dispatch state hot instead of
+// bouncing through the scheduler between every block. It returns the
+// instructions retired and the trap state of the last one. A fetch failure
+// at EIP returns what was retired before it and the *FaultError Step
+// would.
 func (m *Machine) RunBlock(budget uint64) (uint64, Trap, error) {
 	if budget == 0 {
 		return 0, TrapNone, nil
@@ -190,42 +196,42 @@ func (m *Machine) RunBlock(budget uint64) (uint64, Trap, error) {
 		}
 		return 1, trap, nil
 	}
-	b, err := m.entryBlock(budget)
-	if err != nil {
-		return 0, TrapFault, err
-	}
-	if bp := m.blockPlugin; bp != nil {
-		// The plugin chains internally; one call covers up to the whole
-		// budget.
-		return bp.ExecBlock(m, b, budget)
-	}
 	var total uint64
 	for {
-		n, trap, err := m.ExecBlockPlain(b, budget)
+		b, err := m.entryBlock(budget)
+		if err != nil {
+			return total, TrapFault, err
+		}
+		var n uint64
+		var trap Trap
+		if bp := m.blockPlugin; bp != nil {
+			n, trap, err = bp.ExecBlock(m, b, budget)
+		} else {
+			n, trap, err = m.ExecBlockPlain(b, budget)
+		}
 		total += n
 		budget -= n
 		if trap != TrapNone || err != nil || budget == 0 {
 			return total, trap, err
 		}
-		if b = m.LookupBlock(m.CPU.EIP); b == nil || !b.Enters(budget) {
-			return total, TrapNone, nil
-		}
 	}
 }
 
-// entryBlock returns the block RunBlock starts with: the cached block at
-// EIP when a run within budget enters it (see Block.Enters), otherwise the
-// machine's uncached one-instruction block, refilled for EIP. That serves
-// every PC the block cache cannot: a budget that splits the fused micro-op
-// the cached block starts with, an unaligned or page-straddling PC, and a
-// slot with no block (fetched here, so a failure is Step's *FaultError).
+// entryBlock returns the block at EIP to run within budget: the cached
+// block unless it starts with a fused micro-op of more instructions than
+// the budget, otherwise the machine's uncached one-instruction block,
+// refilled for EIP from the cached block's first instruction when there is
+// one. That serves every PC the block cache cannot: a budget that splits
+// the fused micro-op the cached block starts with, an unaligned or
+// page-straddling PC, and a slot with no block (fetched here, so a failure
+// is Step's *FaultError).
 func (m *Machine) entryBlock(budget uint64) (*Block, error) {
 	var b *Block
 	if m.space != nil {
-		b = m.LookupBlock(m.CPU.EIP)
+		b = m.lookupBlock(m.CPU.EIP)
 	}
 	if b != nil {
-		if b.Enters(budget) {
+		if uint64(b.Uops[0].N) <= budget {
 			return b, nil
 		}
 		m.tailIns[0] = b.Ins[0]
@@ -238,14 +244,9 @@ func (m *Machine) entryBlock(budget uint64) (*Block, error) {
 	}
 	m.tailUops[0] = isa.LowerOne(m.tailIns[0])
 	m.tail.EndTrap = endTrap(m.tailIns[0].Op)
-	m.tail.Eff = taint.SummarizeUops(m.tailUops[:])
+	m.tail.RegOnly = regOnly(m.tailUops[:])
 	return &m.tail, nil
 }
-
-// Enters reports whether a run of b within budget (at least one
-// instruction) retires anything: false only when b starts with a fused
-// micro-op of more instructions than the budget.
-func (b *Block) Enters(budget uint64) bool { return uint64(b.Uops[0].N) <= budget }
 
 // Run returns what one executor call on b may do within budget retired
 // instructions: the micro-ops of a pass (the whole block when it fits,
@@ -282,11 +283,11 @@ func endTrap(op isa.Op) Trap {
 	return TrapNone
 }
 
-// LookupBlock returns the cached block starting at pc, building it on
+// lookupBlock returns the cached block starting at pc, building it on
 // first sight. nil means no cached block (unaligned, unmapped, or
 // undecodable entry); RunBlock serves such a PC with a one-instruction
-// block (entryBlock), and a chaining block plugin ends its chain.
-func (m *Machine) LookupBlock(pc uint32) *Block {
+// block (entryBlock).
+func (m *Machine) lookupBlock(pc uint32) *Block {
 	if pc%isa.InstrSize != 0 {
 		return nil
 	}
@@ -385,11 +386,21 @@ func decodeBlock(key []byte) *Block {
 	}
 	b.NInstr = len(b.Ins)
 	b.Uops = isa.Lower(b.Ins)
-	b.Eff = taint.SummarizeUops(b.Uops)
+	b.RegOnly = regOnly(b.Uops)
 	for i := range b.Uops {
 		b.Fused += int(b.Uops[i].N) - 1
 	}
 	return b
+}
+
+// regOnly reports whether no micro-op in uops touches data memory.
+func regOnly(uops []isa.Uop) bool {
+	for i := range uops {
+		if uops[i].Kind.TouchesMem() {
+			return false
+		}
+	}
+	return true
 }
 
 // sharedBlockBytes bounds a block table by the accounted size of what it
@@ -532,7 +543,7 @@ iterate:
 					v, _, err = m.DataRead8(addr)
 				}
 				if err != nil {
-					return m.blockFault(at, pc, err)
+					return m.blockFault(at, pc, fused+FusedIn(uops, ui), err)
 				}
 				regs[u.A] = v
 				if u.Op != 0 {
@@ -558,7 +569,7 @@ iterate:
 					_, err = m.DataWrite8(addr, byte(regs[u.A]))
 				}
 				if err != nil {
-					return m.blockFault(at, pc, err)
+					return m.blockFault(at, pc, fused+FusedIn(uops, ui), err)
 				}
 				if m.blockEpoch != epoch {
 					return m.blockCommit(at+1, pc+isa.InstrSize, TrapNone, fused+FusedIn(uops, ui+1))
@@ -571,7 +582,7 @@ iterate:
 				regs[isa.ESP] -= 4
 				if _, err := m.DataWrite32(regs[isa.ESP], v); err != nil {
 					regs[isa.ESP] += 4
-					return m.blockFault(ii, pc, err)
+					return m.blockFault(ii, pc, fused+FusedIn(uops, ui), err)
 				}
 				if m.blockEpoch != epoch {
 					return m.blockCommit(ii+1, pc+isa.InstrSize, TrapNone, fused+FusedIn(uops, ui+1))
@@ -579,14 +590,14 @@ iterate:
 			case isa.UPop:
 				v, _, err := m.DataRead32(regs[isa.ESP])
 				if err != nil {
-					return m.blockFault(ii, pc, err)
+					return m.blockFault(ii, pc, fused+FusedIn(uops, ui), err)
 				}
 				regs[isa.ESP] += 4
 				regs[u.A] = v
 			case isa.URet:
 				v, _, err := m.DataRead32(regs[isa.ESP])
 				if err != nil {
-					return m.blockFault(ii, pc, err)
+					return m.blockFault(ii, pc, fused+FusedIn(uops, ui), err)
 				}
 				regs[isa.ESP] += 4
 				return m.blockCommit(ii+1, v, b.EndTrap, fused+uint64(b.Fused))
@@ -612,7 +623,7 @@ iterate:
 				regs[isa.ESP] -= 4
 				if _, err := m.DataWrite32(regs[isa.ESP], pc+isa.InstrSize); err != nil {
 					regs[isa.ESP] += 4
-					return m.blockFault(ii, pc, err)
+					return m.blockFault(ii, pc, fused+FusedIn(uops, ui), err)
 				}
 				return m.blockCommit(ii+1, UopTarget(regs, u, pc), b.EndTrap, fused+uint64(b.Fused))
 			case isa.USyscall, isa.UHlt:
@@ -644,12 +655,12 @@ iterate:
 			case isa.UMemMoveB:
 				v, _, err := m.DataRead8(regs[u.A] + regs[u.B])
 				if err != nil {
-					return m.blockFault(ii, pc, err)
+					return m.blockFault(ii, pc, fused+FusedIn(uops, ui), err)
 				}
 				regs[u.Imm] = v
 				// The load retired; the store is the second instruction.
 				if _, err := m.DataWrite8(regs[u.C]+regs[u.D], byte(v)); err != nil {
-					return m.blockFault(ii+1, pc+isa.InstrSize, err)
+					return m.blockFault(ii+1, pc+isa.InstrSize, fused+FusedIn(uops, ui), err)
 				}
 				if m.blockEpoch != epoch {
 					return m.blockCommit(ii+2, pc+2*isa.InstrSize, TrapNone, fused+FusedIn(uops, ui+1))
@@ -684,12 +695,14 @@ func (m *Machine) blockCommit(retired, next uint32, trap Trap, fused uint64) (ui
 	return uint64(retired), trap, nil
 }
 
-// blockFault finalizes a mid-block fault: retired instructions commit, EIP
+// blockFault finalizes a mid-block fault: retired instructions and the
+// folded instructions of the micro-ops that completed (fused) commit, EIP
 // points at the faulting instruction (Step's contract), and the error is
 // the same *FaultError a Step sequence would have produced.
-func (m *Machine) blockFault(retired, pc uint32, err error) (uint64, Trap, error) {
+func (m *Machine) blockFault(retired, pc uint32, fused uint64, err error) (uint64, Trap, error) {
 	m.CPU.EIP = pc
 	m.InstrCount += uint64(retired)
+	m.bstats.FusedOps += fused
 	return uint64(retired), TrapFault, &FaultError{PC: pc, Err: err}
 }
 

@@ -160,7 +160,7 @@ func TestSuperblockExtendsThroughConditional(t *testing.T) {
 	// conditional.
 	found := false
 	for off := uint32(0); off < 0x200; off += isa.InstrSize {
-		blk := m.LookupBlock(codeBase + off)
+		blk := m.lookupBlock(codeBase + off)
 		if blk == nil || len(blk.Uops) == 0 {
 			continue
 		}

@@ -8,7 +8,6 @@ import (
 
 	"faros/internal/isa"
 	"faros/internal/mem"
-	"faros/internal/taint"
 )
 
 // referenceBlock builds the block at off by decoding the page directly,
@@ -31,7 +30,7 @@ func referenceBlock(f *[mem.PageSize]byte, off uint32) *Block {
 	}
 	b.NInstr = len(b.Ins)
 	b.Uops = isa.Lower(b.Ins)
-	b.Eff = taint.SummarizeUops(b.Uops)
+	b.RegOnly = !slices.ContainsFunc(b.Uops, func(u isa.Uop) bool { return u.Kind.TouchesMem() })
 	for i := range b.Uops {
 		b.Fused += int(b.Uops[i].N) - 1
 	}
@@ -78,7 +77,7 @@ func TestBlockTableBound(t *testing.T) {
 		m := newTestMachine(t, fullPage(i))
 		defer m.Release()
 		m.blockTab = tab
-		b := m.LookupBlock(codeBase)
+		b := m.lookupBlock(codeBase)
 		if b == nil || b.NInstr != pageSlots {
 			t.Fatalf("page %d: block %+v, want %d instructions", i, b, pageSlots)
 		}
@@ -175,4 +174,32 @@ func FuzzBuildBlock(f *testing.F) {
 			t.Fatal("block depends on bytes outside its key")
 		}
 	})
+}
+
+// TestRegOnlyWideKinds: a block whose only memory access is folded into a
+// wide micro-op (a MOVI-addressed or load-op pair) touches memory, so it is
+// not RegOnly; a block of register work and a terminator is.
+func TestRegOnlyWideKinds(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(b *isa.Block)
+		want bool
+	}{
+		{"movi+ldb+xori", func(b *isa.Block) { b.Movi(isa.ESI, 0x5000).LdbIdx(isa.EAX, isa.ESI, isa.ECX).Xori(isa.EAX, 0x5A) }, false},
+		{"movi+ld", func(b *isa.Block) { b.Movi(isa.EBX, 0x5000).Ld(isa.EAX, isa.EBX, 8) }, false},
+		{"ldb+add", func(b *isa.Block) { b.LdbIdx(isa.EAX, isa.ESI, isa.ECX).Add(isa.EDX, isa.EAX) }, false},
+		{"movi+stb", func(b *isa.Block) { b.Movi(isa.ESI, 0x6000).StbIdx(isa.ESI, isa.ECX, isa.EAX) }, false},
+		{"movi alone", func(b *isa.Block) { b.Movi(isa.ESI, 0x6000) }, true},
+	}
+	for _, tc := range cases {
+		asm := isa.NewBlock()
+		tc.body(asm)
+		blk := decodeBlock(asm.Hlt().MustAssemble(0))
+		if len(blk.Uops) != 2 {
+			t.Fatalf("%s: lowered to %d micro-ops, want one wide one and HLT: %+v", tc.name, len(blk.Uops), blk.Uops)
+		}
+		if blk.RegOnly != tc.want {
+			t.Errorf("%s: RegOnly = %v, want %v", tc.name, blk.RegOnly, tc.want)
+		}
+	}
 }

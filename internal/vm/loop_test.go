@@ -114,7 +114,7 @@ func TestLoopRunsInPlace(t *testing.T) {
 		t.Fatalf("RunBlock(4) = %d, %v, %v", n, trap, err)
 	}
 	loop := m.CPU.EIP
-	if blk := m.LookupBlock(loop); blk == nil || blk.NInstr != 7 {
+	if blk := m.lookupBlock(loop); blk == nil || blk.NInstr != 7 {
 		t.Fatalf("loop block %+v", blk)
 	}
 	if n, _, _ := m.RunBlock(5); n != 5 || m.CPU.EIP != loop+5*isa.InstrSize {
@@ -130,7 +130,7 @@ func TestLoopRunsInPlace(t *testing.T) {
 
 // TestWideUopBudgetTail: a budget below the instruction count of the wide
 // micro-op a block starts with runs its first instruction as the uncached
-// one-instruction block, and the rest re-enters at the next instruction,
+// one-instruction block, and the chain goes on at the next instruction,
 // exactly as Step retires them.
 func TestWideUopBudgetTail(t *testing.T) {
 	b := isa.NewBlock()
@@ -148,20 +148,24 @@ func TestWideUopBudgetTail(t *testing.T) {
 		m.Step() // MOVI ECX: the next block starts with the wide micro-op
 	}
 	wide := mb.CPU.EIP
-	if blk := mb.LookupBlock(wide); blk == nil || blk.Uops[0].N != 3 {
+	if blk := mb.lookupBlock(wide); blk == nil || blk.Uops[0].N != 3 {
 		t.Fatalf("block at the wide micro-op: %+v", blk)
 	}
-	// MOVI alone (budget 2 < 3), LDB alone (its block starts with
-	// LDB+XORI, 2 > 1), then XORI as the prefix of XORI, HLT.
-	for _, budget := range []uint64{2, 1, 1} {
-		n, trap, err := mb.RunBlock(budget)
-		if n != 1 || err != nil || trap != TrapNone {
-			t.Fatalf("RunBlock(%d) = %d, %v, %v; want one instruction", budget, n, trap, err)
+	// RunBlock(2) chains two uncached tails: MOVI alone (2 < 3), then LDB
+	// alone (its block starts with LDB+XORI, 2 > 1). RunBlock(1) then runs
+	// XORI as the prefix of XORI, HLT. Each call's state must equal that many
+	// Steps.
+	for _, c := range []struct{ budget, want uint64 }{{2, 2}, {1, 1}} {
+		n, trap, err := mb.RunBlock(c.budget)
+		if n != c.want || err != nil || trap != TrapNone {
+			t.Fatalf("RunBlock(%d) = %d, %v, %v; want %d instructions", c.budget, n, trap, err, c.want)
 		}
-		ms.Step()
+		for i := uint64(0); i < n; i++ {
+			ms.Step()
+		}
 		if mb.CPU != ms.CPU || mb.InstrCount != ms.InstrCount {
 			t.Fatalf("RunBlock(%d): EIP %#x regs %v; Step EIP %#x regs %v",
-				budget, mb.CPU.EIP, mb.CPU.Regs, ms.CPU.EIP, ms.CPU.Regs)
+				c.budget, mb.CPU.EIP, mb.CPU.Regs, ms.CPU.EIP, ms.CPU.Regs)
 		}
 	}
 	if mb.CPU.EIP != wide+3*isa.InstrSize || mb.CPU.Regs[isa.EAX] != uint32(vmtest.Pattern(4)[3])^0x5A {
