@@ -6,7 +6,7 @@
 // op×mode re-derivation disappears. vm.Machine.RunBlock chains the blocks
 // and calls ExecBlock once per block. The per-instruction form of the same
 // semantics lives on as a test-only reference (refstep_test.go), which the
-// differential tests run under vm.Machine.UseReferenceStep. Three
+// differential tests run under vm.Machine.UseReferenceStep. Four
 // observations make the executor fast while staying bit-identical:
 //
 //   - The taint side of every micro-op is known at lowering time (Table I),
@@ -15,23 +15,20 @@
 //     (taintLoad, taintStore, taintPop) are shared with the reference, so
 //     both propagate through identical code.
 //   - A clean register bank plus clean touched pages makes every taint
-//     effect a provable no-op. Blocks that touch no data memory (RegOnly)
-//     then run on the VM's plain executor outright; blocks that do touch
-//     memory run in "fast" mode, probing each page's live-taint counter
-//     through the engine page TLB (pageTLB.probe, the one hit test) and
-//     dropping to full propagation mid-block the moment taint is seen —
-//     before the triggering micro-op applies any effect, so nothing is
-//     replayed.
+//     effect a provable no-op. A block entered over a clean bank runs in
+//     "fast" mode, probing each page's live-taint counter through the
+//     engine page TLB (pageTLB.probe, the one hit test) and dropping to
+//     full propagation mid-block the moment taint is seen — before the
+//     triggering micro-op applies any effect, so nothing is replayed.
 //   - Findings and lifecycle events timestamp with M.InstrCount, so the
 //     loop syncs the counter right before each instruction's shadow effect;
 //     everything else (EIP, the retire count) batches to block exit.
 //   - Hot loops never leave the executor: a back edge to the block's own
-//     start begins the next pass in place (again), making the decisions
-//     ExecBlock makes on every block entry — the throttled bank rescan,
-//     and handing a RegOnly block whose bank is clean to the plain
-//     executor, which loops in place too; the strict exec check already
-//     recorded the block's page at entry. A budget that
-//     lands inside a block runs the block's longest whole-uop prefix.
+//     start begins the next pass in place, making the one decision
+//     ExecBlock makes on every block entry that can change between passes,
+//     the throttled bank rescan (recheckBank); the strict exec check
+//     already recorded the block's page at entry. A budget that lands
+//     inside a block runs the block's longest whole-uop prefix.
 //
 // Faults replicate Step's contract exactly: the reference runs the
 // observer — shadow effects included — before the architectural access
@@ -57,9 +54,8 @@ var _ vm.BlockPlugin = (*FAROS)(nil)
 // for as many passes as branch back to the block's start and ending a
 // budget that lands inside it on its longest whole-uop prefix that fits
 // (see vm.Block.Run). vm.Machine.RunBlock chains blocks; every entry makes
-// the strict exec check and the throttled bank rescan, then picks the
-// plain executor for a RegOnly block over a clean bank and the fused
-// executor otherwise.
+// the strict exec check and the throttled bank rescan, then runs the block
+// through execFused.
 func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm.Trap, error) {
 	if f.cfg.StrictExecCheck {
 		// Block entry is always the first-ever instruction executed on a
@@ -68,79 +64,39 @@ func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm
 		f.strictExecCheck(m, m.CPU.EIP, b.Ins[0])
 	}
 	f.recheckBank()
-	fast := !f.cfg.PropagateAddrDeps && f.bankClean
-	if !fast || !b.RegOnly {
-		return f.execFused(m, b, fast, budget)
-	}
-	// No data memory touched and the bank is clean: every taint effect is a
-	// no-op on a no-op (copies of zero, deletes of zero, unions the
-	// reference skips). Run the taint-no-op loop. Its in-place passes make
-	// the same entry decisions: the strict check's (CR3, page) was just
-	// recorded, and a clean bank stays clean in a block that loads nothing,
-	// so no rescan is due.
-	n, trap, err := m.ExecBlockPlain(b, budget)
-	f.stats.Instructions += n
-	if err != nil {
-		f.stats.Instructions++
-	}
-	f.stats.Block.UntaintedFastBlocks++
-	return n, trap, err
+	return f.execFused(m, b, !f.cfg.PropagateAddrDeps && f.bankClean, budget)
 }
 
-// recheckBank is the throttled bank rescan every block entry makes.
-// bankClean is a one-way dirty flag between rescans: only loads and pops
-// can introduce taint into a clean bank (unions and copies need a tainted
-// source), and both clear it when they write a nonzero id. Taint often
-// drains (overwritten by immediates, XOR-cleared) without the flag
-// noticing, so dirty banks are rescanned — but only every 16th entry: the
-// flag is purely an optimization hint, and a rescan on every block costs
-// more than the shortcuts it would recover.
+// recheckBank is the throttled bank rescan every block entry and every
+// in-place pass makes. bankClean is a one-way dirty flag between rescans:
+// only loads and pops can introduce taint into a clean bank (unions and
+// copies need a tainted source), and both clear it when they write a
+// nonzero id. Taint often drains (overwritten by immediates, XOR-cleared)
+// without the flag noticing, so dirty banks are rescanned — but only every
+// 16th time: the flag is purely an optimization hint, and a rescan on
+// every block costs more than the shortcuts it would recover. recheckBank
+// is small enough to inline into execFused's back edges, so a pass calls
+// out only when a rescan is due.
 func (f *FAROS) recheckBank() {
 	if !f.bankClean {
-		if f.bankRecheck++; f.bankRecheck&15 == 0 && !f.bank.AnyTainted() {
-			f.bankClean = true
-		}
-	}
-}
-
-// again reports whether execFused runs the next pass of b in place at a
-// back edge vm.Block.Iterates accepts with the block epoch unmoved (both
-// checked at the back edge): the pass makes the decisions ExecBlock makes
-// on every block entry. The strict exec check needs nothing here: the
-// entry recorded the same (CR3, page) in its memo and nothing in
-// execFused checks another page. The throttled bank rescan runs as at
-// entry (recheckBank), except that a RegOnly block whose rescan is due
-// returns instead, and RunBlock's next ExecBlock call makes that entry
-// itself: a clean bank sends it to the plain executor. again is small
-// enough to inline into the back edges, so a pass calls out only when a
-// rescan is due.
-func (f *FAROS) again(b *vm.Block) bool {
-	if !f.bankClean {
 		if f.bankRecheck++; f.bankRecheck&15 == 0 {
-			return f.rescanDue(b)
+			f.rescanBank()
 		}
 	}
-	return true
 }
 
-// rescanDue is again's pass whose bank rescan is due. It takes back
-// again's count and leaves the rescan to recheckBank, here or, for a
-// RegOnly block, at ExecBlock's entry. Kept out of line so that again
+// rescanBank is recheckBank's rescan, kept out of line so that recheckBank
 // inlines.
 //
 //go:noinline
-func (f *FAROS) rescanDue(b *vm.Block) bool {
-	f.bankRecheck--
-	if b.RegOnly && !f.cfg.PropagateAddrDeps {
-		return false
-	}
-	f.recheckBank()
-	return true
+func (f *FAROS) rescanBank() {
+	f.bankClean = !f.bank.AnyTainted()
 }
 
 // execFused runs the block at EIP applying architectural and shadow
 // effects together, within budget retired instructions: a budget prefix
-// or as many in-place passes as the block's back edge allows (see again).
+// or as many in-place passes as the block's back edge allows, each making
+// the throttled bank rescan (recheckBank) a block entry makes.
 // Memory micro-ops probe the page TLB inline and hand the verdict to the
 // matching taint helper (taintLoad, taintStore, taintPop) only when it is
 // not a provable no-op (a clean page, and for stores an untainted value),
@@ -403,7 +359,8 @@ iterate:
 
 			case isa.UJmp:
 				next := vm.UopTarget(regs, u, pc)
-				if b.Iterates(next, start, ii+1, limit) && m.BlockEpoch() == epoch && f.again(b) {
+				if b.Iterates(next, start, ii+1, limit) && m.BlockEpoch() == epoch {
+					f.recheckBank()
 					ii, fused = ii+1, fused+uint64(b.Fused)
 					continue iterate
 				}
@@ -415,7 +372,8 @@ iterate:
 				// fall-through micro-op.
 				if isa.CondTaken(u.Op, m.CPU.Flags.Z, m.CPU.Flags.S) {
 					next := vm.UopTarget(regs, u, pc)
-					if b.Iterates(next, start, ii+1, limit) && m.BlockEpoch() == epoch && f.again(b) {
+					if b.Iterates(next, start, ii+1, limit) && m.BlockEpoch() == epoch {
+						f.recheckBank()
 						ii, fused = ii+1, fused+vm.FusedIn(uops, ui+1)
 						continue iterate
 					}
@@ -456,7 +414,8 @@ iterate:
 				m.CPU.Flags.Z, m.CPU.Flags.S = z, s
 				if isa.CondTaken(u.Op, z, s) {
 					next := vm.UopTarget2(u, pc)
-					if b.Iterates(next, start, ii+2, limit) && m.BlockEpoch() == epoch && f.again(b) {
+					if b.Iterates(next, start, ii+2, limit) && m.BlockEpoch() == epoch {
+						f.recheckBank()
 						ii, fused = ii+2, fused+vm.FusedIn(uops, ui+1)
 						continue iterate
 					}
@@ -466,86 +425,13 @@ iterate:
 			case isa.UAluJmp:
 				regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
 				next := vm.UopTarget2(u, pc)
-				if b.Iterates(next, start, ii+2, limit) && m.BlockEpoch() == epoch && f.again(b) {
+				if b.Iterates(next, start, ii+2, limit) && m.BlockEpoch() == epoch {
+					f.recheckBank()
 					ii, fused = ii+2, fused+uint64(b.Fused)
 					continue iterate
 				}
 				return f.fusedCommit(m, entry, ii+2, next, b.EndTrap, fused+uint64(b.Fused), fast)
 
-			case isa.UMemMoveB:
-				laddr := regs[u.A] + regs[u.B]
-				tl := &f.tlb[tlbLoad]
-				lpa, lst := tl.probe(space, spaceGen, laddr, 1, f.T.PageAllocs())
-				if noDeps && lst > 0 {
-					bank[u.Imm] = 0
-					f.stats.LoadsChecked++
-				} else if ids := tl.ids; noDeps && lst < 0 && ids != nil {
-					raw := ids[lpa%mem.PageSize]
-					bank[u.Imm] = raw
-					if raw != 0 {
-						f.bankClean = false
-						fast = false
-					}
-					f.stats.LoadsChecked++
-					if f.T.Has(raw, taint.TagExportTable) {
-						m.InstrCount = entry + uint64(ii)
-						f.checkPolicy(m, pc, b.Ins[ii-first], laddr, raw, 1)
-					}
-				} else {
-					fast = false
-					m.InstrCount = entry + uint64(ii)
-					f.taintLoad(m, pc, b.Ins[ii-first], laddr, 1, lpa, lst)
-				}
-				var v uint32
-				if lst != 0 && tl.data != nil {
-					v = uint32(tl.data[lpa%mem.PageSize])
-				} else {
-					var err error
-					v, _, err = m.DataRead8(laddr)
-					if err != nil {
-						return f.fusedFault(m, entry, ii, pc, fused+vm.FusedIn(uops, ui), err)
-					}
-				}
-				regs[u.Imm] = v
-				// The load retired; the store is the second instruction, and its
-				// effective address sees the load's register write.
-				saddr := regs[u.C] + regs[u.D]
-				ts := &f.tlb[tlbStore]
-				spa, sst := ts.probe(space, spaceGen, saddr, 1, f.T.PageAllocs())
-				if !(bank[u.Imm] == 0 && sst > 0) {
-					if ids := ts.ids; sst < 0 && ids != nil {
-						sid := bank[u.Imm]
-						if sid != 0 {
-							fast = false
-							if f.haveCur && sid == f.stampIn && f.curTag == f.stampTag && !f.cfg.NoProcessTags {
-								sid = f.stampOut
-							} else {
-								sid = f.stampStore(sid)
-							}
-						}
-						if !f.T.MemSame1(spa, sid, ids) {
-							f.T.MemSet1(spa, sid)
-						}
-					} else {
-						fast = false
-						m.InstrCount = entry + uint64(ii) + 1
-						f.taintStore(space, saddr, 1, bank[u.Imm], spa, sst)
-					}
-				}
-				if sst != 0 && ts.data != nil {
-					ts.data[spa%mem.PageSize] = byte(v)
-					if !(ts.noBlocks && ts.builtAt == m.BlocksBuilt()) {
-						m.InvalidateFrame(uint32(spa >> mem.PageShift))
-						ts.noBlocks, ts.builtAt = true, m.BlocksBuilt()
-					}
-				} else {
-					if _, err := m.DataWrite8(saddr, byte(v)); err != nil {
-						return f.fusedFault(m, entry, ii+1, pc+isa.InstrSize, fused+vm.FusedIn(uops, ui), err)
-					}
-				}
-				if m.BlockEpoch() != epoch {
-					return f.fusedCommit(m, entry, ii+2, pc+2*isa.InstrSize, vm.TrapNone, fused+vm.FusedIn(uops, ui+1), fast)
-				}
 			}
 			ii += uint32(u.N)
 		}

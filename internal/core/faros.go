@@ -113,13 +113,13 @@ type ProvStats struct {
 }
 
 // BlockStats counts block-dispatch activity: the VM's predecoded block
-// cache plus the engine's taint-no-op fast path.
+// cache plus the engine's untainted fast mode.
 type BlockStats struct {
 	vm.BlockStats
-	// UntaintedFastBlocks counts block dispatches that ran start to finish
-	// on the taint-no-op dispatch loop (clean register bank, every touched
-	// page clean) without a single propagation call. A self-looping
-	// block's in-place passes are one dispatch.
+	// UntaintedFastBlocks counts block dispatches that execFused ran start
+	// to finish in fast mode (entered over a clean register bank, every
+	// touched page clean) without a single propagation call. A
+	// self-looping block's in-place passes are one dispatch.
 	UntaintedFastBlocks uint64 `json:"untainted_fast_blocks"`
 }
 

@@ -189,6 +189,9 @@ func parseLine(b *Block, line string) error {
 	case "SYSCALL":
 		b.Syscall()
 	case "NOT":
+		if len(ops) != 1 {
+			return fmt.Errorf("NOT needs one operand")
+		}
 		r, ok := parseReg(ops[0])
 		if !ok {
 			return fmt.Errorf("NOT needs a register")
@@ -208,6 +211,9 @@ func parseLine(b *Block, line string) error {
 			b.Pushi(imm)
 		}
 	case "POP":
+		if len(ops) != 1 {
+			return fmt.Errorf("POP needs one operand")
+		}
 		r, ok := parseReg(ops[0])
 		if !ok {
 			return fmt.Errorf("POP needs a register")
@@ -343,6 +349,10 @@ func opForJump(mnemonic string) Op {
 	return OpNop
 }
 
+// maxPadBytes bounds the program that .space and .align may grow: they
+// take a 32-bit count, and a source line must not allocate gigabytes.
+const maxPadBytes = 1 << 20
+
 func parseDirective(b *Block, line string) error {
 	fields := strings.SplitN(line, " ", 2)
 	dir := strings.ToLower(fields[0])
@@ -368,6 +378,9 @@ func parseDirective(b *Block, line string) error {
 		if err != nil {
 			return err
 		}
+		if uint64(b.Len())+uint64(n) > maxPadBytes {
+			return fmt.Errorf(".space %d grows the program past %d bytes", n, maxPadBytes)
+		}
 		b.Space(int(n))
 	case ".align":
 		n, err := parseImm(arg)
@@ -376,6 +389,9 @@ func parseDirective(b *Block, line string) error {
 		}
 		if n == 0 {
 			return fmt.Errorf(".align 0")
+		}
+		if uint64(b.Len())+uint64(n) > maxPadBytes {
+			return fmt.Errorf(".align %d may grow the program past %d bytes", n, maxPadBytes)
 		}
 		b.Align(int(n))
 	default:

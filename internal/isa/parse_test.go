@@ -124,8 +124,13 @@ func TestParseErrors(t *testing.T) {
 		".word zzz",
 		".unknown 5",
 		".align 0",
+		".space 0xFFFFFFFF",
+		".space 0x80000\n.space 0x80001",
+		".align 0x80000000",
 		"JMP",
 		"NOT 0x5",
+		"NOT",
+		"POP",
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {

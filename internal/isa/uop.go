@@ -6,14 +6,13 @@
 // re-deriving op×mode combinations every execution.
 //
 // Lowering also fuses the superinstruction patterns the sample corpus is
-// dominated by: compare-and-branch loop heads, ALU-and-jump back edges, the
-// byte-granular load/store pair of memcpy bodies, and the wide memory
-// micro-ops of buffer loops: a MOVI that sets an access's base register
-// rides on the access, and a load carries the ALU op that consumes the
-// loaded register. A fused micro-op retires N architectural instructions
-// (two or three); a branch into its middle simply enters a different block
-// starting at that instruction, so fusion never needs branch-target
-// knowledge.
+// dominated by: compare-and-branch loop heads, ALU-and-jump back edges,
+// and the wide memory micro-ops of buffer loops: a MOVI that sets an
+// access's base register rides on the access, and a load carries the ALU
+// op that consumes the loaded register. A fused micro-op retires N
+// architectural instructions (two or three); a branch into its middle
+// simply enters a different block starting at that instruction, so fusion
+// never needs branch-target knowledge.
 
 package isa
 
@@ -54,7 +53,6 @@ const (
 	UCmpJccRR // Op=cond, A,B compare regs; Imm2=branch target, D=1 if rel
 	UCmpJccRI // Op=cond, A reg, Imm compare imm; Imm2=branch target, D=1 if rel
 	UAluJmp   // Op=ALU selector, A=dst, Imm=ALU imm; Imm2=jump target, D=1 if rel
-	UMemMoveB // LDB+STB pair: A=load base, B=load idx, C=store base, D=store idx, Imm=data reg
 
 	// Wide memory micro-ops: MOVI B,Imm2 (taint delete), then the access
 	// exactly as ULoad/UStore with the same fields. A fault in the access
@@ -82,15 +80,6 @@ type Uop struct {
 	N    uint8
 	Imm  uint32
 	Imm2 uint32
-}
-
-// TouchesMem reports whether the micro-op performs a data memory access.
-func (k UopKind) TouchesMem() bool {
-	switch k {
-	case ULoad, UStore, UCall, URet, UPush, UPop, UMemMoveB, UMoviLoad, UMoviStore:
-		return true
-	}
-	return false
 }
 
 // EvalALU evaluates a two-operand ALU operation. The VM's reference Step
@@ -292,16 +281,6 @@ func fuse(ins []Instruction) Uop {
 		case UStore:
 			acc.Kind, acc.Imm2, acc.N = UMoviStore, in.Imm, 2
 			u = acc
-		}
-	case in.Op == OpLdb && in.Mode == ModeRX &&
-		next.Op == OpStb && next.Mode == ModeXR && next.Src == in.Dst:
-		// LDB [b1+i] + STB [b2+j] through the same data register → the
-		// memcpy body micro-op.
-		u = Uop{
-			Kind: UMemMoveB,
-			A:    uint8(in.Src & 7), B: uint8(in.Imm & 7),
-			C: uint8(next.Dst & 7), D: uint8(next.Imm & 7),
-			Imm: uint32(in.Dst & 7), Size: 1, N: 2,
 		}
 	case u.Kind == ULoad:
 		foldALU(&u, ins[1:])

@@ -95,31 +95,6 @@ func TestLowerFusesCmpJccMidStream(t *testing.T) {
 	}
 }
 
-func TestLowerFusesMemMove(t *testing.T) {
-	fusable := []Instruction{
-		{Op: OpLdb, Mode: ModeRX, Dst: EAX, Src: ESI, Imm: uint32(ECX)},
-		{Op: OpStb, Mode: ModeXR, Dst: EDI, Src: EAX, Imm: uint32(ECX)},
-	}
-	uops := Lower(fusable)
-	if len(uops) != 1 || uops[0].Kind != UMemMoveB || uops[0].N != 2 {
-		t.Fatalf("memcpy body not fused: %+v", uops)
-	}
-	u := uops[0]
-	if u.A != 4 || u.B != 2 || u.C != 5 || u.D != 2 || u.Imm != 0 {
-		t.Errorf("memmove operands = %+v", u)
-	}
-
-	// A store of a different register than the load's destination must
-	// not fuse: the intermediate value is observable.
-	unfusable := []Instruction{
-		{Op: OpLdb, Mode: ModeRX, Dst: EAX, Src: ESI, Imm: uint32(ECX)},
-		{Op: OpStb, Mode: ModeXR, Dst: EDI, Src: EBX, Imm: uint32(ECX)},
-	}
-	if uops := Lower(unfusable); len(uops) != 2 {
-		t.Errorf("mismatched data reg fused anyway: %+v", uops)
-	}
-}
-
 // An ALU in register form before a JMP must not fuse (its taint effect is
 // a union, not "unchanged"), and neither may a register-indirect JMP.
 func TestLowerAluJmpGuards(t *testing.T) {
@@ -204,8 +179,12 @@ func TestLowerWideMemory(t *testing.T) {
 			[]Uop{{Kind: ULoad, A: 0, B: 4, C: 2, Size: 1, N: 1}, {Kind: UNot, A: 0, N: 1}}},
 		{"stb, xori on its register", []Instruction{stbIdx(ESI, ECX, EAX), aluRI(OpXor, EAX, 1)},
 			[]Uop{{Kind: UStore, A: 0, B: 4, C: 2, Size: 1, N: 1}, {Kind: UAluRI, Op: OpXor, A: 0, Imm: 1, N: 1}}},
-		// Lowering is greedy from the left: the MOVI takes the load, so the
-		// memcpy pair after it does not form, and the count stays two.
+		// A memcpy body's LDB/STB pair through one data register stays two
+		// micro-ops, as does a pair through different registers.
+		{"memcpy pair", []Instruction{ldbIdx(EAX, ESI, ECX), stbIdx(EDI, ECX, EAX)},
+			[]Uop{{Kind: ULoad, A: 0, B: 4, C: 2, Size: 1, N: 1}, {Kind: UStore, A: 0, B: 5, C: 2, Size: 1, N: 1}}},
+		{"ldb, stb of another register", []Instruction{ldbIdx(EAX, ESI, ECX), stbIdx(EDI, ECX, EBX)},
+			[]Uop{{Kind: ULoad, A: 0, B: 4, C: 2, Size: 1, N: 1}, {Kind: UStore, A: 1, B: 5, C: 2, Size: 1, N: 1}}},
 		{"movi before a memcpy pair", []Instruction{movi(ESI, 0x5000), ldbIdx(EAX, ESI, ECX), stbIdx(EDI, ECX, EAX)},
 			[]Uop{{Kind: UMoviLoad, A: 0, B: 4, C: 2, Size: 1, Imm2: 0x5000, N: 2}, {Kind: UStore, A: 0, B: 5, C: 2, Size: 1, N: 1}}},
 		{"Table V copy body", []Instruction{movi(ESI, 0x5000), ldbIdx(EAX, ESI, ECX), aluRI(OpXor, EAX, 0x5A), movi(ESI, 0x6000), stbIdx(ESI, ECX, EAX)},

@@ -415,7 +415,7 @@ var metricTable = []metricDef{
 	{"faros_block_built_total", "Guest code blocks attached to a machine's block cache, shared or privately decoded.", counter, always, func(s *Stats) uint64 { return s.Block.Built }, nil},
 	{"faros_block_hits_total", "Block dispatches served from the block cache; a self-looping block's in-place passes are one dispatch.", counter, always, func(s *Stats) uint64 { return s.Block.Hits }, nil},
 	{"faros_block_invalidated_total", "Cached blocks invalidated by self-modifying-code writes.", counter, always, func(s *Stats) uint64 { return s.Block.Invalidated }, nil},
-	{"faros_block_fused_ops_total", "Superinstructions retired by the block executors.", counter, always, func(s *Stats) uint64 { return s.Block.FusedOps }, nil},
+	{"faros_block_fused_ops_total", "Instructions fused micro-ops retired beyond their first (retired instructions minus micro-ops dispatched).", counter, always, func(s *Stats) uint64 { return s.Block.FusedOps }, nil},
 	{"faros_block_untainted_fast_blocks_total", "Block dispatches that ran start to finish on the untainted fast loop; a self-looping block's in-place passes are one dispatch.", counter, always, func(s *Stats) uint64 { return s.Block.UntaintedFastBlocks }, nil},
 	{"faros_block_table_entries", "Decoded guest blocks held in the process-wide shared block table.", gauge, always, func(s *Stats) uint64 { return uint64(s.BlockTable.Entries) }, nil},
 	{"faros_block_table_bytes", "Accounted bytes held in the shared block table.", gauge, always, func(s *Stats) uint64 { return uint64(s.BlockTable.Bytes) }, nil},

@@ -70,10 +70,6 @@ type Block struct {
 	// EndTrap is the trap raised after the block completes: TrapSyscall or
 	// TrapHalt when the terminator is SYSCALL/HLT, TrapNone otherwise.
 	EndTrap Trap
-	// RegOnly means no micro-op touches data memory (isa.UopKind.TouchesMem):
-	// an engine whose register state is clean can run the block without
-	// analysis.
-	RegOnly bool
 }
 
 // BlockPlugin is an analysis engine that executes blocks with its
@@ -207,7 +203,7 @@ func (m *Machine) RunBlock(budget uint64) (uint64, Trap, error) {
 		if bp := m.blockPlugin; bp != nil {
 			n, trap, err = bp.ExecBlock(m, b, budget)
 		} else {
-			n, trap, err = m.ExecBlockPlain(b, budget)
+			n, trap, err = m.execBlockPlain(b, budget)
 		}
 		total += n
 		budget -= n
@@ -244,7 +240,6 @@ func (m *Machine) entryBlock(budget uint64) (*Block, error) {
 	}
 	m.tailUops[0] = isa.LowerOne(m.tailIns[0])
 	m.tail.EndTrap = endTrap(m.tailIns[0].Op)
-	m.tail.RegOnly = regOnly(m.tailUops[:])
 	return &m.tail, nil
 }
 
@@ -386,21 +381,10 @@ func decodeBlock(key []byte) *Block {
 	}
 	b.NInstr = len(b.Ins)
 	b.Uops = isa.Lower(b.Ins)
-	b.RegOnly = regOnly(b.Uops)
 	for i := range b.Uops {
 		b.Fused += int(b.Uops[i].N) - 1
 	}
 	return b
-}
-
-// regOnly reports whether no micro-op in uops touches data memory.
-func regOnly(uops []isa.Uop) bool {
-	for i := range uops {
-		if uops[i].Kind.TouchesMem() {
-			return false
-		}
-	}
-	return true
 }
 
 // sharedBlockBytes bounds a block table by the accounted size of what it
@@ -481,14 +465,13 @@ func blockBytes(key []byte, b *Block) int {
 		cap(b.Ins)*int(unsafe.Sizeof(isa.Instruction{})) + cap(b.Uops)*int(unsafe.Sizeof(isa.Uop{}))
 }
 
-// ExecBlockPlain executes the block at EIP with no analysis attached — the
-// taint-no-op dispatch loop — retiring at most budget instructions (see
-// Block.Run). A back edge to the block's own start iterates in place while
-// the budget fits another pass. An attached engine also routes through it
-// for blocks it has proven effect-free. Semantics match a Step sequence
-// exactly: same register/flag/memory effects, same fault PCs and error
-// values, same instruction counting.
-func (m *Machine) ExecBlockPlain(b *Block, budget uint64) (uint64, Trap, error) {
+// execBlockPlain executes the block at EIP with no analysis attached (a
+// record pass, or the plain side of a Table V timing), retiring at most
+// budget instructions (see Block.Run). A back edge to the block's own start
+// iterates in place while the budget fits another pass. Semantics match a
+// Step sequence exactly: same register/flag/memory effects, same fault PCs
+// and error values, same instruction counting.
+func (m *Machine) execBlockPlain(b *Block, budget uint64) (uint64, Trap, error) {
 	regs := &m.CPU.Regs
 	start := m.CPU.EIP
 	epoch := m.blockEpoch
@@ -652,19 +635,6 @@ iterate:
 					continue iterate
 				}
 				return m.blockCommit(ii+2, next, b.EndTrap, fused+uint64(b.Fused))
-			case isa.UMemMoveB:
-				v, _, err := m.DataRead8(regs[u.A] + regs[u.B])
-				if err != nil {
-					return m.blockFault(ii, pc, fused+FusedIn(uops, ui), err)
-				}
-				regs[u.Imm] = v
-				// The load retired; the store is the second instruction.
-				if _, err := m.DataWrite8(regs[u.C]+regs[u.D], byte(v)); err != nil {
-					return m.blockFault(ii+1, pc+isa.InstrSize, fused+FusedIn(uops, ui), err)
-				}
-				if m.blockEpoch != epoch {
-					return m.blockCommit(ii+2, pc+2*isa.InstrSize, TrapNone, fused+FusedIn(uops, ui+1))
-				}
 			}
 			ii += uint32(u.N)
 		}

@@ -30,7 +30,6 @@ func referenceBlock(f *[mem.PageSize]byte, off uint32) *Block {
 	}
 	b.NInstr = len(b.Ins)
 	b.Uops = isa.Lower(b.Ins)
-	b.RegOnly = !slices.ContainsFunc(b.Uops, func(u isa.Uop) bool { return u.Kind.TouchesMem() })
 	for i := range b.Uops {
 		b.Fused += int(b.Uops[i].N) - 1
 	}
@@ -174,32 +173,4 @@ func FuzzBuildBlock(f *testing.F) {
 			t.Fatal("block depends on bytes outside its key")
 		}
 	})
-}
-
-// TestRegOnlyWideKinds: a block whose only memory access is folded into a
-// wide micro-op (a MOVI-addressed or load-op pair) touches memory, so it is
-// not RegOnly; a block of register work and a terminator is.
-func TestRegOnlyWideKinds(t *testing.T) {
-	cases := []struct {
-		name string
-		body func(b *isa.Block)
-		want bool
-	}{
-		{"movi+ldb+xori", func(b *isa.Block) { b.Movi(isa.ESI, 0x5000).LdbIdx(isa.EAX, isa.ESI, isa.ECX).Xori(isa.EAX, 0x5A) }, false},
-		{"movi+ld", func(b *isa.Block) { b.Movi(isa.EBX, 0x5000).Ld(isa.EAX, isa.EBX, 8) }, false},
-		{"ldb+add", func(b *isa.Block) { b.LdbIdx(isa.EAX, isa.ESI, isa.ECX).Add(isa.EDX, isa.EAX) }, false},
-		{"movi+stb", func(b *isa.Block) { b.Movi(isa.ESI, 0x6000).StbIdx(isa.ESI, isa.ECX, isa.EAX) }, false},
-		{"movi alone", func(b *isa.Block) { b.Movi(isa.ESI, 0x6000) }, true},
-	}
-	for _, tc := range cases {
-		asm := isa.NewBlock()
-		tc.body(asm)
-		blk := decodeBlock(asm.Hlt().MustAssemble(0))
-		if len(blk.Uops) != 2 {
-			t.Fatalf("%s: lowered to %d micro-ops, want one wide one and HLT: %+v", tc.name, len(blk.Uops), blk.Uops)
-		}
-		if blk.RegOnly != tc.want {
-			t.Errorf("%s: RegOnly = %v, want %v", tc.name, blk.RegOnly, tc.want)
-		}
-	}
 }

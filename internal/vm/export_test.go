@@ -10,8 +10,8 @@ func (m *Machine) Step() (Trap, error) { return m.step(nil) }
 
 // CheckSharedBlocks rebuilds every block in the process-wide table
 // privately from its key bytes and requires the rebuild to equal the
-// shared block: same Ins, Uops, NInstr, Fused, EndTrap and RegOnly. It returns
-// how many blocks it checked.
+// shared block: same Ins, Uops, NInstr, Fused and EndTrap. It returns how
+// many blocks it checked.
 func CheckSharedBlocks() (int, error) {
 	sharedBlocks.mu.Lock()
 	defer sharedBlocks.mu.Unlock()
