@@ -95,6 +95,34 @@ func TestLowerFusesCmpJccMidStream(t *testing.T) {
 	}
 }
 
+// A memcpy body's LDB/STB pair has no superinstruction: through one data
+// register or through two, it lowers to a ULoad and a UStore that retire
+// one instruction each.
+func TestLowerFusesMemMove(t *testing.T) {
+	cases := []struct {
+		name string
+		ins  []Instruction
+		want []Uop
+	}{
+		{"memcpy pair", []Instruction{ldbIdx(EAX, ESI, ECX), stbIdx(EDI, ECX, EAX)},
+			[]Uop{{Kind: ULoad, A: 0, B: 4, C: 2, Size: 1, N: 1}, {Kind: UStore, A: 0, B: 5, C: 2, Size: 1, N: 1}}},
+		{"ldb, stb of another register", []Instruction{ldbIdx(EAX, ESI, ECX), stbIdx(EDI, ECX, EBX)},
+			[]Uop{{Kind: ULoad, A: 0, B: 4, C: 2, Size: 1, N: 1}, {Kind: UStore, A: 1, B: 5, C: 2, Size: 1, N: 1}}},
+	}
+	for _, tc := range cases {
+		got := Lower(tc.ins)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: lowered to %+v, want %+v", tc.name, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: uop %d = %+v, want %+v", tc.name, i, got[i], tc.want[i])
+			}
+		}
+	}
+}
+
 // An ALU in register form before a JMP must not fuse (its taint effect is
 // a union, not "unchanged"), and neither may a register-indirect JMP.
 func TestLowerAluJmpGuards(t *testing.T) {
@@ -179,12 +207,6 @@ func TestLowerWideMemory(t *testing.T) {
 			[]Uop{{Kind: ULoad, A: 0, B: 4, C: 2, Size: 1, N: 1}, {Kind: UNot, A: 0, N: 1}}},
 		{"stb, xori on its register", []Instruction{stbIdx(ESI, ECX, EAX), aluRI(OpXor, EAX, 1)},
 			[]Uop{{Kind: UStore, A: 0, B: 4, C: 2, Size: 1, N: 1}, {Kind: UAluRI, Op: OpXor, A: 0, Imm: 1, N: 1}}},
-		// A memcpy body's LDB/STB pair through one data register stays two
-		// micro-ops, as does a pair through different registers.
-		{"memcpy pair", []Instruction{ldbIdx(EAX, ESI, ECX), stbIdx(EDI, ECX, EAX)},
-			[]Uop{{Kind: ULoad, A: 0, B: 4, C: 2, Size: 1, N: 1}, {Kind: UStore, A: 0, B: 5, C: 2, Size: 1, N: 1}}},
-		{"ldb, stb of another register", []Instruction{ldbIdx(EAX, ESI, ECX), stbIdx(EDI, ECX, EBX)},
-			[]Uop{{Kind: ULoad, A: 0, B: 4, C: 2, Size: 1, N: 1}, {Kind: UStore, A: 1, B: 5, C: 2, Size: 1, N: 1}}},
 		{"movi before a memcpy pair", []Instruction{movi(ESI, 0x5000), ldbIdx(EAX, ESI, ECX), stbIdx(EDI, ECX, EAX)},
 			[]Uop{{Kind: UMoviLoad, A: 0, B: 4, C: 2, Size: 1, Imm2: 0x5000, N: 2}, {Kind: UStore, A: 0, B: 5, C: 2, Size: 1, N: 1}}},
 		{"Table V copy body", []Instruction{movi(ESI, 0x5000), ldbIdx(EAX, ESI, ECX), aluRI(OpXor, EAX, 0x5A), movi(ESI, 0x6000), stbIdx(ESI, ECX, EAX)},
