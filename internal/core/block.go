@@ -6,7 +6,7 @@
 // op×mode re-derivation disappears. vm.Machine.RunBlock chains the blocks
 // and calls ExecBlock once per block. The per-instruction form of the same
 // semantics lives on as a test-only reference (refstep_test.go), which the
-// differential tests run under vm.Machine.UseReferenceStep. Four
+// differential tests run under vm.Machine.UseReferenceStep. Five
 // observations make the executor fast while staying bit-identical:
 //
 //   - The taint side of every micro-op is known at lowering time (Table I),
@@ -29,6 +29,10 @@
 //     the throttled bank rescan (recheckBank); the strict exec check
 //     already recorded the block's page at entry. A budget that lands
 //     inside a block runs the block's longest whole-uop prefix.
+//   - A counted byte loop's passes differ only in the bytes they move, so
+//     whole passes run in batches (loopBatch) with each access's page
+//     probed once per batch, declining wherever a pass would take a branch
+//     of execFused the batch does not repeat.
 //
 // Faults replicate Step's contract exactly: the reference runs the
 // observer — shadow effects included — before the architectural access
@@ -125,6 +129,11 @@ func (f *FAROS) execFused(m *vm.Machine, b *vm.Block, fast bool, budget uint64) 
 	var fused uint64 // FusedOps of earlier passes
 iterate:
 	for {
+		if b.Loop != nil && noDeps {
+			var n uint32
+			n, fast = f.loopBatch(m, b, start, entry, ii, limit, fast)
+			ii, fused = ii+n*uint32(b.NInstr), fused+uint64(n)*uint64(b.Fused)
+		}
 		// Instruction ii of this call is b.Ins[ii-first] at base +
 		// ii*InstrSize: each pass starts at start, so both back off by the
 		// instructions of earlier passes.
@@ -439,6 +448,143 @@ iterate:
 		// next instruction.
 		return f.fusedCommit(m, entry, ii, base+ii*isa.InstrSize, vm.TrapNone, fused+vm.FusedIn(uops, len(uops)), fast)
 	}
+}
+
+// loopBatch runs, at the start of a pass of the counted loop b
+// (vm.CountedLoop), the passes vm.Block.LoopPasses allows with their
+// shadow effects, and returns how many it ran; execFused's per-pass
+// dispatch runs the pass after them. Only the default dataflow batches:
+// execFused keeps address dependencies to its per-pass dispatch.
+//
+// Each access's page resolves once: its probe of the page-TLB slot
+// execFused would probe must hit with data set, and the store slot must
+// show the frame block-free at the current built count, so no pass
+// invalidates blocks or moves the epoch. A pass first checks every load
+// and declines (ending the batch before any of its effects) where
+// execFused would call out: a load that would need taintLoad (a shadow
+// page born under an entry filled without one) or whose provenance
+// carries the export-table tag (checkPolicy). It then applies the pass's
+// effects in micro-op order through the branches execFused takes, syncing
+// InstrCount where execFused does, and makes the back edge's bank
+// recheck. It returns fast as the passes it ran leave it.
+func (f *FAROS) loopBatch(m *vm.Machine, b *vm.Block, start uint32, entry uint64, retired, limit uint32, fast bool) (uint32, bool) {
+	var addr [vm.MaxLoopAccesses]uint32
+	regs := &m.CPU.Regs
+	n := b.LoopPasses(regs, start, retired, limit, &addr)
+	if n == 0 {
+		return 0, fast
+	}
+	l := b.Loop
+	space := m.Space()
+	spaceGen := space.Gen()
+	tl, ts := &f.tlb[tlbLoad], &f.tlb[tlbStore]
+	var idx [vm.MaxLoopAccesses]uint32
+	for k := range l.Body {
+		t := tl
+		if k >= l.Loads {
+			t = ts
+		}
+		if _, st := t.probe(space, spaceGen, addr[k], 1, f.T.PageAllocs()); st == 0 || t.data == nil {
+			return 0, fast
+		}
+		idx[k] = addr[k] % mem.PageSize
+	}
+	if l.Loads < len(l.Body) && !(ts.noBlocks && ts.builtAt == m.BlocksBuilt()) {
+		return 0, fast
+	}
+	bank, T := f.bank, f.T
+	loads, stores := l.Body[:l.Loads], l.Body[l.Loads:]
+	// The slots' shadow and data pages: no pass refills either entry.
+	lids, ldata, sids, sdata := tl.ids, tl.data, ts.ids, ts.data
+	var raws [vm.MaxLoopAccesses]taint.ProvID
+	var lastRaw taint.ProvID // one-entry memo over the export-tag test
+	lastExport := false
+	var p uint32
+pass:
+	for ; p < n; p++ {
+		// The loads' probe verdict, the same for each: no load changes
+		// shadow state.
+		tainted := len(loads) > 0 && tl.verdict(T.PageAllocs()) < 0
+		if tainted {
+			if lids == nil {
+				break // taintLoad would union through the store
+			}
+			for k := range loads {
+				raw := lids[idx[k]+p]
+				if raw != lastRaw {
+					lastRaw, lastExport = raw, T.Has(raw, taint.TagExportTable)
+				}
+				if lastExport {
+					break pass // checkPolicy runs in execFused
+				}
+				raws[k] = raw
+			}
+		}
+		if p == 0 {
+			for k := range l.Body {
+				if u := &l.Body[k]; u.Kind == isa.UMoviLoad || u.Kind == isa.UMoviStore {
+					bank[u.B] = 0 // immediate: delete (Table I)
+					regs[u.B] = u.Imm2
+				}
+			}
+		}
+		for k := range loads {
+			u := &loads[k]
+			var raw taint.ProvID
+			if tainted {
+				if raw = raws[k]; raw != 0 {
+					f.bankClean = false
+					fast = false
+				}
+			}
+			bank[u.A] = raw
+			regs[u.A] = uint32(ldata[idx[k]+p])
+			if u.Op != 0 {
+				if u.D == isa.NoIdx {
+					regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
+				} else {
+					if a, bb := bank[u.D], raw; bb != 0 && a != bb {
+						if a == 0 {
+							bank[u.D] = bb
+						} else {
+							bank[u.D] = T.Union(a, bb)
+						}
+					}
+					regs[u.D] = isa.EvalALU(u.Op, regs[u.D], regs[u.A])
+				}
+			}
+		}
+		for k := range stores {
+			u := &stores[k]
+			j := l.Loads + k
+			pa, st := ts.base|uint64(idx[j]+p), ts.verdict(T.PageAllocs()) // the probe's hit
+			if sid := bank[u.A]; !(sid == 0 && st > 0) {
+				if st < 0 && sids != nil {
+					if sid != 0 {
+						fast = false
+						if f.haveCur && sid == f.stampIn && f.curTag == f.stampTag && !f.cfg.NoProcessTags {
+							sid = f.stampOut
+						} else {
+							sid = f.stampStore(sid)
+						}
+					}
+					if !T.MemSame1(pa, sid, sids) {
+						T.MemSet1(pa, sid)
+					}
+				} else {
+					fast = false
+					m.InstrCount = entry + uint64(retired+p*uint32(b.NInstr)+l.At[j])
+					f.taintStore(space, addr[j]+p, 1, sid, pa, st)
+				}
+			}
+			sdata[idx[j]+p] = byte(regs[u.A])
+		}
+		regs[l.I]++
+		f.recheckBank()
+	}
+	f.stats.LoadsChecked += uint64(p) * uint64(len(loads))
+	m.AddBatchedPasses(uint64(p))
+	return p, fast
 }
 
 // fusedCommit finalizes a (possibly partial) fused block execution.

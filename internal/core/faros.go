@@ -184,17 +184,16 @@ func (t *pageTLB) probe(s *mem.Space, gen uint64, va, n uint32, allocs uint32) (
 	if !t.ok || t.space != s || t.vpn != va>>mem.PageShift || t.gen != gen || va%mem.PageSize > mem.PageSize-n {
 		return 0, 0
 	}
-	pa := t.base | uint64(va%mem.PageSize)
-	if t.live != nil {
-		if *t.live == 0 {
-			return pa, 1
-		}
-		return pa, -1
+	return t.base | uint64(va%mem.PageSize), t.verdict(allocs)
+}
+
+// verdict is probe's answer for a hit: +1 while the page is clean, -1 once
+// it may hold taint (allocs is the store's current PageAllocs).
+func (t *pageTLB) verdict(allocs uint32) int {
+	if t.live != nil && *t.live != 0 || t.live == nil && t.allocGen != allocs {
+		return -1
 	}
-	if t.allocGen == allocs {
-		return pa, 1
-	}
-	return pa, -1
+	return 1
 }
 
 // Page-TLB slot indices, one per access stream.
@@ -269,6 +268,14 @@ var _ guest.TaintBridge = (*FAROS)(nil)
 // Attach installs FAROS on a kernel: it becomes the taint bridge and the
 // VM's block engine, and tags the kernel export table region.
 func Attach(k *guest.Kernel, cfg Config) *FAROS {
+	f := attachBridge(k, cfg)
+	k.M.OnBlockPlugin(f)
+	return f
+}
+
+// attachBridge is Attach without the block engine: FAROS becomes the
+// kernel's taint bridge and tags the export table region.
+func attachBridge(k *guest.Kernel, cfg Config) *FAROS {
 	f := &FAROS{
 		T:           taint.NewStore(cfg.ListCap),
 		cfg:         cfg,
@@ -281,7 +288,6 @@ func Attach(k *guest.Kernel, cfg Config) *FAROS {
 	}
 	f.exportTag = f.T.ExportTableTag()
 	k.Bridge = f
-	k.M.OnBlockPlugin(f)
 
 	// Tag insertion for the export table: taint the whole region in the
 	// shared physical frames so every process sees it.

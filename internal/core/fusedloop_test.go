@@ -78,8 +78,8 @@ func (r *loopRun) shadow(t *testing.T) []taint.ProvID {
 }
 
 // FuzzFusedLoop is FuzzLoopBudget's FAROS leg: the same generated loops
-// run under FAROS through block dispatch (execFused and the plain executor
-// it hands clean blocks to) and through the per-instruction reference
+// run under FAROS through block dispatch (execFused, which batches the
+// passes of counted loops) and through the per-instruction reference
 // (UseRefStep), in quanta drawn from a budget sequence, under each engine
 // configuration that changes what the executor does. After every quantum
 // the two must agree on the kernel's run summary, CPU state, InstrCount,
@@ -105,6 +105,13 @@ func FuzzFusedLoop(f *testing.F) {
 			}
 		}
 		f.Add([]byte{0, 1, 6, 2}, uint8(vmtest.EdgeJcc), uint8(vmtest.EventBadLoad), uint8(5), uint8(12), uint16(0), []byte{2, 9}, cfg)
+		// Head-tested counted byte loops long enough that their passes batch
+		// (loopBatch), over the tainted first half of the source and on.
+		for _, body := range [][]byte{{0, 1}, {8, 3, 10}, {8, 2}, {0, 2}} {
+			for _, budgets := range [][]byte{{60}, {255}} {
+				f.Add(body, uint8(vmtest.EdgeAluJmp), uint8(vmtest.EventNone), uint8(0), uint8(48), uint16(0), budgets, cfg)
+			}
+		}
 	}
 	configs := []Config{{}, {StrictExecCheck: true}, {PropagateAddrDeps: true}, {NoProcessTags: true}}
 	f.Fuzz(func(t *testing.T, body []byte, edge, event, k, n uint8, patch uint16, budgets []byte, cfg uint8) {

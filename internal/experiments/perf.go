@@ -57,7 +57,8 @@ type perfTableVRow struct {
 // perfSnapshot is the full snapshot payload (committed as BENCH_3.json at
 // the taint-fast-path PR, BENCH_8.json at the block-dispatch PR,
 // BENCH_16.json at the one-pass-detect PR, BENCH_39.json as the bench
-// gate's ratio baseline). The gate holds two ratios: GuestExecution's
+// gate's first ratio baseline, BENCH_40.json once both executors batched
+// counted loops). The gate holds two ratios: GuestExecution's
 // slowdown, and Hollowing's, process_hollowing replayed without and with
 // FAROS, since the Table V workloads barely exercise the policy check.
 // Taint and Block are the engine's own counters from one FAROS run of the

@@ -274,8 +274,8 @@ func (s Stats) String() string {
 		fmt.Fprintf(&sb, "provgraph: %d graphs built (%d nodes, %d edges)\n", p.Builds, p.Nodes, p.Edges)
 	}
 	if b := s.Block; b.Built+b.Hits > 0 {
-		fmt.Fprintf(&sb, "blocks: %d built, %d hits (%.0f%% hit rate), %d invalidated, %d fused ops, %d untainted fast blocks\n",
-			b.Built, b.Hits, 100*rate(b.Hits, b.Built+b.Hits), b.Invalidated, b.FusedOps, b.UntaintedFastBlocks)
+		fmt.Fprintf(&sb, "blocks: %d built, %d hits (%.0f%% hit rate), %d invalidated, %d fused ops, %d untainted fast blocks, %d batched loop passes\n",
+			b.Built, b.Hits, 100*rate(b.Hits, b.Built+b.Hits), b.Invalidated, b.FusedOps, b.UntaintedFastBlocks, b.BatchedPasses)
 	}
 	if t := s.BlockTable; t.Entries > 0 {
 		fmt.Fprintf(&sb, "block table: %d shared blocks (%d bytes), %d decoded privately\n", t.Entries, t.Bytes, t.Private)
@@ -416,6 +416,7 @@ var metricTable = []metricDef{
 	{"faros_block_hits_total", "Block dispatches served from the block cache; a self-looping block's in-place passes are one dispatch.", counter, always, func(s *Stats) uint64 { return s.Block.Hits }, nil},
 	{"faros_block_invalidated_total", "Cached blocks invalidated by self-modifying-code writes.", counter, always, func(s *Stats) uint64 { return s.Block.Invalidated }, nil},
 	{"faros_block_fused_ops_total", "Instructions fused micro-ops retired beyond their first (retired instructions minus micro-ops dispatched).", counter, always, func(s *Stats) uint64 { return s.Block.FusedOps }, nil},
+	{"faros_block_batched_passes_total", "Passes of counted byte loops the block executors ran in batches instead of micro-op by micro-op.", counter, always, func(s *Stats) uint64 { return s.Block.BatchedPasses }, nil},
 	{"faros_block_untainted_fast_blocks_total", "Block dispatches that ran start to finish on the untainted fast loop; a self-looping block's in-place passes are one dispatch.", counter, always, func(s *Stats) uint64 { return s.Block.UntaintedFastBlocks }, nil},
 	{"faros_block_table_entries", "Decoded guest blocks held in the process-wide shared block table.", gauge, always, func(s *Stats) uint64 { return uint64(s.BlockTable.Entries) }, nil},
 	{"faros_block_table_bytes", "Accounted bytes held in the shared block table.", gauge, always, func(s *Stats) uint64 { return uint64(s.BlockTable.Bytes) }, nil},

@@ -71,7 +71,7 @@ func fullStats() Stats {
 		Taint: core.TaintStats{Stats: taint.Stats{Prepends: 56, PrependMemoHits: 55, Unions: 58, UnionMemoHits: 57,
 			ShadowWrites: 59, RangeFastSkips: 60, TaintedBytes: 62, TaintedPages: 63}, InstrProvHits: 61},
 		Prov:         core.ProvStats{Builds: 64, Nodes: 65, Edges: 66},
-		Block:        core.BlockStats{BlockStats: vm.BlockStats{Built: 67, Hits: 68, Invalidated: 69, FusedOps: 70}, UntaintedFastBlocks: 71},
+		Block:        core.BlockStats{BlockStats: vm.BlockStats{Built: 67, Hits: 68, Invalidated: 69, FusedOps: 70, BatchedPasses: 91}, UntaintedFastBlocks: 71},
 		BlockTable:   vm.BlockTableStats{Entries: 88, Bytes: 89, Private: 90},
 		LatencyCount: 72,
 		LatencySum:   73*time.Second + 250*time.Millisecond,

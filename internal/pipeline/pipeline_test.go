@@ -367,6 +367,7 @@ func TestTaintStatsAggregation(t *testing.T) {
 		"faros_block_hits_total",
 		"faros_block_invalidated_total",
 		"faros_block_fused_ops_total",
+		"faros_block_batched_passes_total",
 		"faros_block_untainted_fast_blocks_total",
 	} {
 		if !strings.Contains(prom, metric) {

@@ -20,6 +20,14 @@
 // self-modifying-code exits report every instruction retired across
 // passes.
 //
+// Counted byte loops run their passes in batches: decodeBlock marks a
+// self-looping block whose passes test an induction register, move bytes
+// at base + that register, and add 1 to it (CountedLoop). At a pass start
+// both executors ask LoopPasses how many whole passes may run without a
+// decision the per-pass dispatch would make differently, resolve each
+// access's page once, and move bytes and registers pass by pass. Every
+// other pass, and every other block, dispatches micro-op by micro-op.
+//
 // Decode once per process: a block depends only on the bytes it spans, so
 // every machine looks those bytes up in one bounded, process-wide table of
 // immutable blocks (blockTable) and decodes only on a miss. Machines
@@ -70,6 +78,129 @@ type Block struct {
 	// EndTrap is the trap raised after the block completes: TrapSyscall or
 	// TrapHalt when the terminator is SYSCALL/HLT, TrapNone otherwise.
 	EndTrap Trap
+	// Loop describes the block as a counted byte loop; nil for every other
+	// block.
+	Loop *CountedLoop
+}
+
+// CountedLoop describes a counted byte loop: a block whose first micro-op
+// is a compare-and-branch exit test of register I against an immediate,
+// whose last adds 1 to I and jumps back to the block's own start, and
+// whose other micro-ops (Body) are byte accesses at base + I, loads before
+// stores. Each access's base is a MOVI immediate (UMoviLoad, UMoviStore)
+// or a register no micro-op of the block writes (ULoad, UStore). No access
+// writes I or a base register, and no store's data is a base register, so
+// every access's address moves by exactly 1 per pass and the MOVI base
+// writes matter only as the registers they leave behind.
+type CountedLoop struct {
+	I     uint8     // the induction register
+	Loads int       // Body[:Loads] are the loads, Body[Loads:] the stores
+	Body  []isa.Uop // aliases the block's Uops between the test and the edge
+	At    []uint32  // instruction offset in a pass of each Body access (after a folded MOVI)
+}
+
+// MaxLoopAccesses bounds a counted loop's accesses, so the executors keep
+// per-batch state in fixed arrays.
+const MaxLoopAccesses = 8
+
+// countedLoop returns the counted-loop descriptor of a block lowered to
+// uops, or nil when the block is not one.
+func countedLoop(uops []isa.Uop) *CountedLoop {
+	if len(uops) < 3 || len(uops) > MaxLoopAccesses+2 {
+		return nil
+	}
+	head, edge := &uops[0], &uops[len(uops)-1]
+	i := head.A
+	if head.Kind != isa.UCmpJccRI || edge.Kind != isa.UAluJmp || edge.A != i || edge.Op != isa.OpAdd || edge.Imm != 1 {
+		return nil
+	}
+	l := &CountedLoop{I: i, Body: uops[1 : len(uops)-1]}
+	var written, regBases, moviBases, data uint32 // register bit sets
+	at := uint32(head.N)
+	for k := range l.Body {
+		u := &l.Body[k]
+		if u.Size != 1 || u.C != i {
+			return nil
+		}
+		switch u.Kind {
+		case isa.ULoad, isa.UMoviLoad:
+			if k != l.Loads {
+				return nil // a load after a store
+			}
+			l.Loads++
+			written |= 1 << u.A
+			if u.Op != 0 && u.D != isa.NoIdx {
+				written |= 1 << u.D
+			}
+		case isa.UStore, isa.UMoviStore:
+			data |= 1 << u.A
+		default:
+			return nil
+		}
+		if u.Kind == isa.UMoviLoad || u.Kind == isa.UMoviStore {
+			moviBases |= 1 << u.B
+			l.At = append(l.At, at+1)
+		} else {
+			regBases |= 1 << u.B
+			l.At = append(l.At, at)
+		}
+		at += uint32(u.N)
+	}
+	bases := regBases | moviBases
+	if written&(bases|1<<i) != 0 || bases&(1<<i) != 0 || moviBases&regBases != 0 || data&bases != 0 {
+		return nil
+	}
+	return l
+}
+
+// LoopPasses is the batch bound both executors apply at the start of a
+// pass of b, retired instructions into an executor call that began at
+// start with retire limit limit (Block.Run): how many whole passes may run
+// as one batch. Each of them has its exit test not taken, a back edge that
+// Iterates takes (the last pass that fits the limit is left to the
+// per-pass dispatch, which decides its back edge), and accesses that stay
+// on the pages they start on. It stores each access's address in the
+// first of them in addr. Zero when b is not a counted loop.
+func (b *Block) LoopPasses(regs *[isa.NumRegs]uint32, start, retired, limit uint32, addr *[MaxLoopAccesses]uint32) uint32 {
+	l := b.Loop
+	n := (limit - retired) / uint32(b.NInstr)
+	if l == nil || n < 2 {
+		return 0
+	}
+	n--
+	if UopTarget2(&b.Uops[len(b.Uops)-1], start+uint32(b.NInstr-2)*isa.InstrSize) != start {
+		return 0
+	}
+	i := regs[l.I]
+	for k := range l.Body {
+		u := &l.Body[k]
+		base := regs[u.B]
+		if u.Kind == isa.UMoviLoad || u.Kind == isa.UMoviStore {
+			base = u.Imm2
+		}
+		addr[k] = base + i
+		if room := mem.PageSize - addr[k]%mem.PageSize; room < n {
+			n = room
+		}
+	}
+	return exitPass(&b.Uops[0], i, n)
+}
+
+// exitPass returns the first of n passes, the first testing i and each
+// next one i+1 more, whose compare-and-branch exit test head is taken, or
+// n when none is. Along the passes the flags change only at the pass where
+// i+p == Imm (Z sets, S clears), the pass after it (Z clears) and the pass
+// where i+p wraps to the most negative int32 (S sets). The outcome is
+// constant between them, so the first taken pass is pass 0 or one of
+// those three.
+func exitPass(head *isa.Uop, i, n uint32) uint32 {
+	first := n
+	for _, p := range [...]uint32{0, head.Imm - i, head.Imm - i + 1, 1<<31 - i} {
+		if v := i + p; p < first && isa.CondTaken(head.Op, v == head.Imm, int32(v) < int32(head.Imm)) {
+			first = p
+		}
+	}
+	return first
 }
 
 // BlockPlugin is an analysis engine that executes blocks with its
@@ -101,6 +232,10 @@ type BlockStats struct {
 	// FusedOps is the number of micro-ops the executors dispatched. An
 	// attached engine charges its own executor's (AddFusedOps).
 	FusedOps uint64 `json:"fused_ops"`
+	// BatchedPasses counts the passes of counted byte loops (CountedLoop)
+	// the executors ran in batches rather than micro-op by micro-op. An
+	// attached engine charges its own executor's (AddBatchedPasses).
+	BatchedPasses uint64 `json:"batched_passes"`
 }
 
 // blockPage holds the cached blocks of one physical frame, indexed by
@@ -169,6 +304,10 @@ func (m *Machine) BlockEpoch() uint64 { return m.blockEpoch }
 // AddFusedOps charges n folded instructions (BlockStats.FusedOps) to the
 // block counters on behalf of an attached block engine.
 func (m *Machine) AddFusedOps(n uint64) { m.bstats.FusedOps += n }
+
+// AddBatchedPasses charges n loop passes run in a batch
+// (BlockStats.BatchedPasses) on behalf of an attached block engine.
+func (m *Machine) AddBatchedPasses(n uint64) { m.bstats.BatchedPasses += n }
 
 // RunBlock executes up to budget instructions, chaining predecoded blocks
 // until the budget runs out or a trap or fault ends the run. It is the only
@@ -384,6 +523,7 @@ func decodeBlock(key []byte) *Block {
 	for i := range b.Uops {
 		b.Fused += int(b.Uops[i].N) - 1
 	}
+	b.Loop = countedLoop(b.Uops)
 	return b
 }
 
@@ -459,10 +599,14 @@ func (t *blockTable) lookup(key []byte) *Block {
 }
 
 // blockBytes is the memory a table entry accounts for: its key and the
-// block with its instruction and micro-op arrays.
+// block with its instruction and micro-op arrays and loop descriptor.
 func blockBytes(key []byte, b *Block) int {
-	return len(key) + int(unsafe.Sizeof(*b)) +
+	n := len(key) + int(unsafe.Sizeof(*b)) +
 		cap(b.Ins)*int(unsafe.Sizeof(isa.Instruction{})) + cap(b.Uops)*int(unsafe.Sizeof(isa.Uop{}))
+	if b.Loop != nil {
+		n += int(unsafe.Sizeof(*b.Loop)) + 4*cap(b.Loop.At)
+	}
+	return n
 }
 
 // execBlockPlain executes the block at EIP with no analysis attached (a
@@ -480,6 +624,10 @@ func (m *Machine) execBlockPlain(b *Block, budget uint64) (uint64, Trap, error) 
 	var fused uint64 // FusedOps of earlier passes
 iterate:
 	for {
+		if b.Loop != nil {
+			n := m.loopBatch(b, start, ii, limit)
+			ii, fused = ii+n*uint32(b.NInstr), fused+uint64(n)*uint64(b.Fused)
+		}
 		// Instruction ii of this call sits at base + ii*InstrSize: each pass
 		// starts at start, so base backs off by the earlier passes.
 		base := start - ii*isa.InstrSize
@@ -645,6 +793,74 @@ iterate:
 		}
 		return m.blockCommit(ii, base+ii*isa.InstrSize, TrapNone, fused+uint64(b.Fused))
 	}
+}
+
+// loopBatch runs, at the start of a pass of the counted loop b, the passes
+// LoopPasses allows, and returns how many it ran; the per-pass dispatch
+// runs the pass after them. It translates each access's page once, with
+// that access's permission, and invalidates each store's frame once up
+// front; a failed translation (the pass faults) or an invalidation that
+// moves the block epoch (the loop stores into cached code) declines the
+// batch, and the per-pass dispatch reaches the same state: its own store
+// finds the frame already invalidated and the epoch moved since the
+// executor's entry.
+func (m *Machine) loopBatch(b *Block, start, retired, limit uint32) uint32 {
+	var addr [MaxLoopAccesses]uint32
+	n := b.LoopPasses(&m.CPU.Regs, start, retired, limit, &addr)
+	if n == 0 {
+		return 0
+	}
+	l := b.Loop
+	var frames [MaxLoopAccesses]*[mem.PageSize]byte
+	var frameNo, idx [MaxLoopAccesses]uint32
+	for k := range l.Body {
+		kind := mem.AccessWrite
+		if k < l.Loads {
+			kind = mem.AccessRead
+		}
+		pa, err := m.space.Translate(addr[k], kind)
+		if err != nil {
+			return 0
+		}
+		if frames[k], err = m.phys.Frame(pa.Frame()); err != nil {
+			return 0
+		}
+		frameNo[k], idx[k] = pa.Frame(), pa.Offset()
+	}
+	epoch := m.blockEpoch
+	for k := l.Loads; k < len(l.Body); k++ {
+		m.InvalidateFrame(frameNo[k])
+	}
+	if m.blockEpoch != epoch {
+		return 0
+	}
+	regs := &m.CPU.Regs
+	for k := range l.Body {
+		if u := &l.Body[k]; u.Kind == isa.UMoviLoad || u.Kind == isa.UMoviStore {
+			regs[u.B] = u.Imm2
+		}
+	}
+	loads, stores := l.Body[:l.Loads], l.Body[l.Loads:]
+	for p := uint32(0); p < n; p++ {
+		for k := range loads {
+			u := &loads[k]
+			v := uint32(frames[k][idx[k]+p])
+			regs[u.A] = v
+			if u.Op != 0 {
+				if u.D == isa.NoIdx {
+					regs[u.A] = isa.EvalALU(u.Op, v, u.Imm)
+				} else {
+					regs[u.D] = isa.EvalALU(u.Op, regs[u.D], v)
+				}
+			}
+		}
+		for k := range stores {
+			frames[l.Loads+k][idx[l.Loads+k]+p] = byte(regs[stores[k].A])
+		}
+		regs[l.I]++
+	}
+	m.bstats.BatchedPasses += uint64(n)
+	return n
 }
 
 // Iterates is the back-edge rule both block executors apply: a branch to

@@ -45,6 +45,14 @@ func FuzzLoopBudget(f *testing.F) {
 		f.Add(body, uint8(vmtest.EdgeCmpJcc), uint8(vmtest.EventWideBadLoad), uint8(4), uint8(9), uint16(0), []byte{2, 0, 1})
 		f.Add(body, uint8(vmtest.EdgeJmp), uint8(vmtest.EventWideCodeStore), uint8(2), uint8(9), uint16(0x10), []byte{1, 0})
 	}
+	// Head-tested counted byte loops long enough that their passes batch
+	// (CountedLoop): the register-base copy and load-accumulate bodies and
+	// the Table V copy and accumulate bodies, in quanta of 61 and 256.
+	for _, body := range [][]byte{{0, 1}, {8, 3, 10}, {8, 2}, {0, 2}} {
+		for _, budgets := range [][]byte{{60}, {255}} {
+			f.Add(body, uint8(vmtest.EdgeAluJmp), uint8(vmtest.EventNone), uint8(0), uint8(48), uint16(0), budgets)
+		}
+	}
 	f.Fuzz(func(t *testing.T, body []byte, edge, event, k, n uint8, patch uint16, budgets []byte) {
 		prog := vmtest.Loop{Body: body, Edge: edge, Event: event, K: k, N: n % 64, Patch: patch}.Block(loopLayout)
 		mb, ms := newRWXMachine(t, prog), newRWXMachine(t, prog)

@@ -1,7 +1,9 @@
 // Package vmtest generates the single-block guest loops that the block
-// executors' differential fuzz targets run against the per-instruction
+// executors' differential tests run against the per-instruction
 // reference: internal/vm's FuzzLoopBudget for the plain executor and
-// internal/core's FuzzFusedLoop for the FAROS one. Only tests import it.
+// internal/core's FuzzFusedLoop for the FAROS one, and the counted byte
+// loops (Counted) their batch-boundary tests place across page ends. Only
+// tests import it.
 package vmtest
 
 import "faros/internal/isa"
@@ -204,5 +206,56 @@ func (l Loop) Emit(b *isa.Block, at Layout) {
 		b.Jl("loop")
 	}
 	b.Label("done")
+	b.Hlt()
+}
+
+// Counted is a Table V-shaped counted byte loop: the copy loop (load,
+// XORI, store) from Src to Dst or the accumulate loop (load, ADD into EDX)
+// over Src, N passes with the exit test leading the block. The bases are
+// MOVIs in the body, as the Table V apps emit them, or with RegBase ESI
+// and EDI set before the loop. The block executors run both shapes as
+// counted loops (vm.CountedLoop).
+type Counted struct {
+	Src, Dst   uint32
+	N          uint32
+	Accumulate bool
+	RegBase    bool
+	// ExitZ tests the exit with JZ (ECX == N) instead of JGE.
+	ExitZ bool
+}
+
+// Emit appends the loop and a HLT to b.
+func (c Counted) Emit(b *isa.Block) {
+	b.Movi(isa.ECX, 0)
+	b.Movi(isa.EDX, 0)
+	if c.RegBase {
+		b.Movi(isa.ESI, c.Src)
+		b.Movi(isa.EDI, c.Dst)
+	}
+	b.Label("counted")
+	b.Cmpi(isa.ECX, c.N)
+	if c.ExitZ {
+		b.Jz("counted_done")
+	} else {
+		b.Jge("counted_done")
+	}
+	if !c.RegBase {
+		b.Movi(isa.ESI, c.Src)
+	}
+	b.LdbIdx(isa.EAX, isa.ESI, isa.ECX)
+	switch {
+	case c.Accumulate:
+		b.Add(isa.EDX, isa.EAX)
+	case c.RegBase:
+		b.Xori(isa.EAX, 0x5A)
+		b.StbIdx(isa.EDI, isa.ECX, isa.EAX)
+	default:
+		b.Xori(isa.EAX, 0x5A)
+		b.Movi(isa.ESI, c.Dst)
+		b.StbIdx(isa.ESI, isa.ECX, isa.EAX)
+	}
+	b.Addi(isa.ECX, 1)
+	b.Jmp("counted")
+	b.Label("counted_done")
 	b.Hlt()
 }
