@@ -8,11 +8,11 @@
 //
 //	farosd                         # listen on :7373, GOMAXPROCS workers
 //	farosd -addr :9000 -workers 8 -timeout 30s -cache 1024
-//	farosd -retention 4096 -retention-age 1h -cache-ttl 30m -degraded-ttl 10s
+//	farosd -retention 4096 -retention-age 1h
 //	farosd -store-dir /var/lib/faros -store-max-bytes 1073741824 -store-ttl 168h
 //	farosd -rate-limit 50 -rate-burst 100 -shed-threshold 0.8
 //	farosd -trace-dir /var/lib/faros/traces -trace-max-bytes 4294967296
-//	farosd -triage-policy policy.json -ledger 4096
+//	farosd -triage-policy policy.json
 //	farosd -node-id a -peers-file peers.json            # one node of a fleet
 //	farosd -node-id a -peers b=http://h2:7373,c=http://h3:7373
 //
@@ -44,7 +44,7 @@
 //	GET  /traces           stored trace headers
 //	GET  /traces/{digest}  one trace's header (?raw=1 for the bytes)
 //	GET  /jobs/{id}        job status and result (404 once retention expires it)
-//	GET  /jobs/{id}/events the job's append-only audit-ledger timeline
+//	GET  /jobs/{id}/events the job's append-only event timeline (kept as long as the job)
 //	POST /jobs/{id}/cancel detach this waiter from its job
 //	GET  /events           live event stream (SSE): transitions, scored findings
 //	GET  /results/{hash}   cached/stored result by cache key
@@ -120,10 +120,8 @@ func run() int {
 	queue := flag.Int("queue", 0, "job queue depth (0 = default 256)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-job deadline (negative disables)")
 	cache := flag.Int("cache", 0, "result cache capacity (0 = default 512, negative disables)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "result cache entry TTL (0 = entries never age out)")
-	degradedTTL := flag.Duration("degraded-ttl", 0, "cache degraded (partial-failure) results for this long (0 = never cache them)")
-	retention := flag.Int("retention", 0, "terminal jobs kept for GET /jobs/{id} (0 = default 1024, negative disables)")
-	retentionAge := flag.Duration("retention-age", 0, "max age of retained terminal jobs (0 = default 15m, negative = no age limit)")
+	retention := flag.Int("retention", 0, "terminal jobs kept, with their event timelines, for GET /jobs/{id} (0 = default 1024, negative disables)")
+	retentionAge := flag.Duration("retention-age", 0, "max age of retained terminal jobs and their timelines (0 = default 15m, negative = no age limit)")
 	storeDir := flag.String("store-dir", "", "persistent result store directory (empty disables persistence)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "persistent store size bound; oldest entries evicted beyond it (0 = unbounded)")
 	storeTTL := flag.Duration("store-ttl", 0, "persistent store entry TTL (0 = entries never expire)")
@@ -131,7 +129,6 @@ func run() int {
 	traceMaxBytes := flag.Int64("trace-max-bytes", 0, "trace store size bound; oldest traces evicted beyond it (0 = unbounded)")
 	traceTTL := flag.Duration("trace-ttl", 0, "trace store entry TTL (0 = traces never expire)")
 	triagePolicy := flag.String("triage-policy", "default", "triage policy: 'default' (built-in), 'off' to disable, or a policy JSON file path")
-	ledgerJobs := flag.Int("ledger", 0, "audit-ledger job timelines kept for GET /jobs/{id}/events (0 = default 1024)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client sustained submissions/sec (0 = unlimited)")
 	rateBurst := flag.Int("rate-burst", 0, "per-client burst size (0 = derived from -rate-limit)")
 	shedThreshold := flag.Float64("shed-threshold", 0, "queue saturation fraction at which new work sheds with 429 (0 = default 0.9, negative disables)")
@@ -224,14 +221,11 @@ func run() int {
 		QueueDepth:      *queue,
 		JobTimeout:      *timeout,
 		CacheCap:        *cache,
-		CacheTTL:        *cacheTTL,
-		DegradedTTL:     *degradedTTL,
 		JobRetention:    *retention,
 		JobRetentionAge: *retentionAge,
 		Store:           st,
 		Traces:          traces,
 		Triage:          policy,
-		LedgerJobs:      *ledgerJobs,
 		NodeID:          *nodeID,
 	}
 	if clus != nil {

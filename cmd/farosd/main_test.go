@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"os/exec"
@@ -64,6 +65,31 @@ func TestSIGTERMAfterListening(t *testing.T) {
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestRemovedFlagsRejected: a flag farosd no longer has is a usage error
+// (exit status 2), never silently ignored.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cache-ttl", "30m"},
+		{"-degraded-ttl", "10s"},
+		{"-ledger", "4096"},
+		{"-cache-lru"},
+		{"-advertise", "http://a:7373"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+		cmd.Env = append(os.Environ(), daemonEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2", args, err)
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: stderr lacks the usage error:\n%s", args, stderr.String())
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"faros/internal/pipeline/client"
 )
 
 // ProbeFunc checks one peer's health; nil error means the peer is up.
@@ -71,9 +73,9 @@ type Registry struct {
 	probe ProbeFunc
 	now   func() time.Time
 
-	mu    sync.Mutex
-	peers map[string]*peer
-	st    uint64 // splitmix64 jitter state
+	mu      sync.Mutex
+	peers   map[string]*peer
+	backoff *client.Backoff // re-probe delays: Interval doubling to MaxBackoff
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -121,49 +123,17 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 		}
 	}
 	r := &Registry{
-		cfg:   cfg,
-		probe: probe,
-		now:   cfg.now,
-		peers: make(map[string]*peer, len(cfg.Peers)),
-		st:    cfg.Seed,
-		stop:  make(chan struct{}),
+		cfg:     cfg,
+		probe:   probe,
+		now:     cfg.now,
+		peers:   make(map[string]*peer, len(cfg.Peers)),
+		backoff: client.NewBackoff(cfg.Interval, cfg.MaxBackoff, cfg.Seed),
+		stop:    make(chan struct{}),
 	}
 	for node, url := range cfg.Peers {
 		r.peers[node] = &peer{node: node, url: url}
 	}
 	return r
-}
-
-// next is one splitmix64 draw (same tiny PRNG as internal/faults and the
-// retrying client — deterministic, no global rand state). r.mu held.
-func (r *Registry) next() uint64 {
-	r.st += 0x9E3779B97F4A7C15
-	z := r.st
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// jitter spreads a delay over [d/2, d); r.mu held.
-func (r *Registry) jitter(d time.Duration) time.Duration {
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(r.next()%uint64(half))
-}
-
-// backoff computes the re-probe delay after n consecutive failures:
-// Interval * 2^(n-1), capped at MaxBackoff, jittered; r.mu held.
-func (r *Registry) backoff(failures int) time.Duration {
-	d := r.cfg.Interval
-	for i := 1; i < failures && d < r.cfg.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > r.cfg.MaxBackoff {
-		d = r.cfg.MaxBackoff
-	}
-	return r.jitter(d)
 }
 
 // Start launches the probe loop. Idempotent.
@@ -249,13 +219,13 @@ func (r *Registry) probeOne(p *peer) {
 		p.up = true
 		p.failures = 0
 		p.lastErr = ""
-		p.nextProbe = now.Add(r.jitter(r.cfg.Interval))
+		p.nextProbe = now.Add(r.backoff.Jitter(r.cfg.Interval))
 		return
 	}
 	p.up = false
 	p.failures++
 	p.lastErr = err.Error()
-	p.nextProbe = now.Add(r.backoff(p.failures))
+	p.nextProbe = now.Add(r.backoff.Delay(p.failures - 1))
 }
 
 // Up reports whether a peer is currently healthy (false for unknown
@@ -283,7 +253,7 @@ func (r *Registry) MarkDown(node string, reason string) {
 	p.failures++
 	p.lastErr = reason
 	p.lastProbe = now
-	p.nextProbe = now.Add(r.backoff(p.failures))
+	p.nextProbe = now.Add(r.backoff.Delay(p.failures - 1))
 }
 
 // Status snapshots every peer's health, sorted by node ID.

@@ -102,9 +102,7 @@ func TestRegistryBackoff(t *testing.T) {
 		9: 10 * time.Second,
 	} {
 		for i := 0; i < 50; i++ { // jitter draws must all stay in-band
-			r.mu.Lock()
-			d := r.backoff(failures)
-			r.mu.Unlock()
+			d := r.backoff.Delay(failures - 1)
 			if d < ideal/2 || d >= ideal {
 				t.Fatalf("backoff(%d) = %v, want in [%v, %v)", failures, d, ideal/2, ideal)
 			}
@@ -122,11 +120,9 @@ func TestRegistryJitterDeterministic(t *testing.T) {
 			Probe: func(context.Context, string) error { return nil },
 		})
 		out := make([]time.Duration, 8)
-		r.mu.Lock()
 		for i := range out {
-			out[i] = r.jitter(time.Second)
+			out[i] = r.backoff.Jitter(time.Second)
 		}
-		r.mu.Unlock()
 		return out
 	}
 	a, b := mk(), mk()
@@ -156,6 +152,27 @@ func TestRegistryLoop(t *testing.T) {
 		case <-deadline:
 			t.Fatal("peer never came up")
 		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
+// TestRegistryBackoffPinned pins the registry's first eight re-probe
+// delays (after 1..8 failures) for its default seed and for a fixed one
+// (2s doubling to 30s).
+func TestRegistryBackoffPinned(t *testing.T) {
+	for seed, want := range map[uint64][8]time.Duration{
+		0:  {1989884762, 2114822145, 4781262129, 12149971591, 22258601393, 28346917120, 21625946644, 20354334627},
+		42: {1755275413, 2126892291, 4462763858, 12258255764, 21141963250, 15662989062, 27777624925, 26987775908},
+	} {
+		r := NewRegistry(RegistryConfig{
+			Peers: map[string]string{"a": "http://a"},
+			Seed:  seed,
+			Probe: func(context.Context, string) error { return nil },
+		})
+		for n, w := range want {
+			if d := r.backoff.Delay(n); d != w {
+				t.Errorf("seed %d: delay after %d failures = %d, want %d", seed, n+1, d, w)
+			}
 		}
 	}
 }

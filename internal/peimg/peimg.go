@@ -113,46 +113,57 @@ func putString(w *bytes.Buffer, s string) error {
 	return nil
 }
 
-// readFull fills buf from r. Every field of the format is required, so
-// running out of input anywhere, even between fields, is
+// reader is a cursor over a serialized image. Every field of the format
+// is required, so running out of input anywhere, even between fields, is
 // io.ErrUnexpectedEOF.
-func readFull(r *bytes.Reader, buf []byte) error {
-	if _, err := io.ReadFull(r, buf); err != io.EOF {
-		return err
+type reader struct {
+	data []byte
+	off  int
+}
+
+// next returns the next n bytes as a subslice of data. The bounds check
+// compares in uint64, so no length converts to a negative int.
+func (r *reader) next(n uint32) ([]byte, error) {
+	if uint64(n) > uint64(len(r.data)-r.off) {
+		return nil, io.ErrUnexpectedEOF
 	}
-	return io.ErrUnexpectedEOF
+	b := r.data[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b, nil
 }
 
-func getU8(r *bytes.Reader) (byte, error) {
-	var tmp [1]byte
-	err := readFull(r, tmp[:])
-	return tmp[0], err
+func (r *reader) u8() (byte, error) {
+	b, err := r.next(1)
+	if err != nil {
+		return 0, err
+	}
+	return b[0], nil
 }
 
-func getString(r *bytes.Reader) (string, error) {
-	n, err := getU8(r)
+func (r *reader) u32() (uint32, error) {
+	b, err := r.next(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+func (r *reader) str() (string, error) {
+	n, err := r.u8()
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, n)
-	if err := readFull(r, buf); err != nil {
+	b, err := r.next(uint32(n))
+	if err != nil {
 		return "", err
 	}
-	return string(buf), nil
+	return string(b), nil
 }
 
 func putU32(w *bytes.Buffer, v uint32) {
 	var tmp [4]byte
 	binary.LittleEndian.PutUint32(tmp[:], v)
 	w.Write(tmp[:])
-}
-
-func getU32(r *bytes.Reader) (uint32, error) {
-	var tmp [4]byte
-	if err := readFull(r, tmp[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(tmp[:]), nil
 }
 
 // Marshal serializes the image to its on-disk MZ32 form.
@@ -199,8 +210,8 @@ func (img *Image) Marshal() ([]byte, error) {
 // sanity so the loader can reject corrupted or hollow files. A truncated
 // image's error matches io.ErrUnexpectedEOF under errors.Is.
 func Unmarshal(data []byte) (*Image, error) {
-	r := bytes.NewReader(data)
-	magic, err := getU32(r)
+	r := &reader{data: data}
+	magic, err := r.u32()
 	if err != nil {
 		return nil, fmt.Errorf("peimg: magic: %w", err)
 	}
@@ -208,24 +219,24 @@ func Unmarshal(data []byte) (*Image, error) {
 		return nil, fmt.Errorf("peimg: bad magic %#x", magic)
 	}
 	img := &Image{}
-	if img.Name, err = getString(r); err != nil {
+	if img.Name, err = r.str(); err != nil {
 		return nil, fmt.Errorf("peimg: name: %w", err)
 	}
-	if img.Base, err = getU32(r); err != nil {
+	if img.Base, err = r.u32(); err != nil {
 		return nil, err
 	}
-	if img.Entry, err = getU32(r); err != nil {
+	if img.Entry, err = r.u32(); err != nil {
 		return nil, err
 	}
-	nsec, err := getU32(r)
+	nsec, err := r.u32()
 	if err != nil {
 		return nil, err
 	}
-	nimp, err := getU32(r)
+	nimp, err := r.u32()
 	if err != nil {
 		return nil, err
 	}
-	nexp, err := getU32(r)
+	nexp, err := r.u32()
 	if err != nil {
 		return nil, err
 	}
@@ -235,56 +246,55 @@ func Unmarshal(data []byte) (*Image, error) {
 	}
 	for i := uint32(0); i < nsec; i++ {
 		var s Section
-		if s.Name, err = getString(r); err != nil {
+		if s.Name, err = r.str(); err != nil {
 			return nil, fmt.Errorf("peimg: section %d: %w", i, err)
 		}
-		if s.VA, err = getU32(r); err != nil {
+		if s.VA, err = r.u32(); err != nil {
 			return nil, err
 		}
-		perm, err := getU8(r)
+		perm, err := r.u8()
 		if err != nil {
 			return nil, err
 		}
 		s.Perm = mem.Perm(perm)
-		if s.Size, err = getU32(r); err != nil {
+		if s.Size, err = r.u32(); err != nil {
 			return nil, err
 		}
-		dlen, err := getU32(r)
+		dlen, err := r.u32()
 		if err != nil {
 			return nil, err
 		}
-		if int(dlen) > r.Len() {
-			return nil, fmt.Errorf("peimg: section %q data: %w", s.Name, io.ErrUnexpectedEOF)
+		s.DataFileOff = r.off
+		b, err := r.next(dlen)
+		if err != nil {
+			return nil, fmt.Errorf("peimg: section %q data: %w", s.Name, err)
 		}
-		s.DataFileOff = len(data) - r.Len()
 		s.Data = make([]byte, dlen)
-		if err := readFull(r, s.Data); err != nil {
-			return nil, err
-		}
+		copy(s.Data, b)
 		img.Sections = append(img.Sections, s)
 	}
 	for i := uint32(0); i < nimp; i++ {
 		var im Import
-		if im.NameHash, err = getU32(r); err != nil {
+		if im.NameHash, err = r.u32(); err != nil {
 			return nil, err
 		}
-		if im.ThunkVA, err = getU32(r); err != nil {
+		if im.ThunkVA, err = r.u32(); err != nil {
 			return nil, err
 		}
-		if im.Name, err = getString(r); err != nil {
+		if im.Name, err = r.str(); err != nil {
 			return nil, err
 		}
 		img.Imports = append(img.Imports, im)
 	}
 	for i := uint32(0); i < nexp; i++ {
 		var ex Export
-		if ex.NameHash, err = getU32(r); err != nil {
+		if ex.NameHash, err = r.u32(); err != nil {
 			return nil, err
 		}
-		if ex.VA, err = getU32(r); err != nil {
+		if ex.VA, err = r.u32(); err != nil {
 			return nil, err
 		}
-		if ex.Name, err = getString(r); err != nil {
+		if ex.Name, err = r.str(); err != nil {
 			return nil, err
 		}
 		img.Exports = append(img.Exports, ex)

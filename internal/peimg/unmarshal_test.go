@@ -114,3 +114,22 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 	})
 }
+
+// TestUnmarshalAllocs bounds Unmarshal on each Table V image: the image,
+// its names, its section-data copies and the slices that hold them, and
+// no per-field read temporaries (reading fields through a bytes.Reader
+// cost 92 allocations per image).
+func TestUnmarshalAllocs(t *testing.T) {
+	const bound = 25
+	for _, w := range samples.PerfWorkloads() {
+		raw := w.Spec.Programs[0].Bytes
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := peimg.Unmarshal(raw); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > bound {
+			t.Errorf("%s: Unmarshal made %.0f allocations, want at most %d", w.Display, got, bound)
+		}
+	}
+}

@@ -22,10 +22,6 @@ type AdmissionConfig struct {
 	// cached/stored results only. 0 = default 0.9; negative disables
 	// shedding (the hard ErrQueueFull backstop still applies).
 	ShedThreshold float64
-	// RetryAfter is the Retry-After hint attached to shed responses
-	// (default 1s). Rate-limit rejections compute their own hint from the
-	// bucket's refill time.
-	RetryAfter time.Duration
 
 	// now overrides the clock (tests).
 	now func() time.Time
@@ -41,9 +37,6 @@ func (a AdmissionConfig) Validate() error {
 	}
 	if a.ShedThreshold > 1 {
 		return &ConfigError{"ShedThreshold", a.ShedThreshold, "shed threshold is a fraction of queue capacity (0..1; negative disables)"}
-	}
-	if a.RetryAfter < 0 {
-		return &ConfigError{"RetryAfter", a.RetryAfter, "retry-after hint cannot be negative (0 = default 1s)"}
 	}
 	return nil
 }
@@ -64,6 +57,11 @@ type admission struct {
 	buckets map[string]*bucket
 }
 
+// shedRetryAfter is the Retry-After hint on shed, queue-full and draining
+// responses. Rate-limit rejections compute their own hint from the
+// bucket's refill time.
+const shedRetryAfter = time.Second
+
 // maxBuckets bounds the per-client map; when exceeded, saturated (idle)
 // buckets are swept — an idle client's bucket is indistinguishable from a
 // fresh one.
@@ -72,9 +70,6 @@ const maxBuckets = 4096
 func newAdmission(cfg AdmissionConfig) *admission {
 	if cfg.ShedThreshold == 0 {
 		cfg.ShedThreshold = 0.9
-	}
-	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = time.Second
 	}
 	burst := float64(cfg.Burst)
 	if burst == 0 {

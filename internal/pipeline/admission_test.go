@@ -101,7 +101,7 @@ func TestShedThenRecover(t *testing.T) {
 	}
 	srv, p := newAdmissionServer(t,
 		pipeline.Config{Workers: 1, QueueDepth: 1, Runner: runner},
-		pipeline.AdmissionConfig{ShedThreshold: 0.9, RetryAfter: 2 * time.Second})
+		pipeline.AdmissionConfig{ShedThreshold: 0.9})
 
 	// Pre-warm the cache while there is capacity.
 	if resp, view := postAnalyze(t, srv, specBody(t, warm, true)); resp.StatusCode != http.StatusOK || view.Result == nil {
@@ -123,8 +123,8 @@ func TestShedThenRecover(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("fresh work while saturated: status %d, want 429", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") != "2" {
-		t.Fatalf("Retry-After = %q, want 2", resp.Header.Get("Retry-After"))
+	if resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("Retry-After = %q, want 1", resp.Header.Get("Retry-After"))
 	}
 	// …but cached results still serve, flagged as hits.
 	hitResp, hitView := postAnalyze(t, srv, specBody(t, warm, true))

@@ -60,11 +60,9 @@ type Config struct {
 
 // Client is a farosd API client. Safe for concurrent use.
 type Client struct {
-	cfg  Config
-	http *http.Client
-
-	mu sync.Mutex
-	st uint64 // splitmix64 jitter state
+	cfg     Config
+	http    *http.Client
+	backoff *Backoff
 }
 
 // StatusError is a non-retryable server rejection (4xx other than 429).
@@ -111,35 +109,53 @@ func New(cfg Config) (*Client, error) {
 			}
 		}
 	}
-	return &Client{cfg: cfg, http: cfg.HTTP, st: seed}, nil
+	return &Client{cfg: cfg, http: cfg.HTTP, backoff: NewBackoff(cfg.BaseDelay, cfg.MaxDelay, seed)}, nil
 }
 
-// next is one splitmix64 draw (the same tiny PRNG internal/faults uses —
-// deterministic, lock-cheap, no global rand state).
-func (c *Client) next() uint64 {
-	c.mu.Lock()
-	c.st += 0x9E3779B97F4A7C15
-	z := c.st
-	c.mu.Unlock()
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+// Backoff is a seeded, jittered exponential backoff: retry step n
+// (0-based) waits base·2ⁿ capped at limit, spread uniformly over [d/2, d)
+// so a fleet rejected together does not retry together. The jitter is a
+// splitmix64 stream (the same tiny PRNG internal/faults uses —
+// deterministic, no global rand state). Safe for concurrent use.
+type Backoff struct {
+	base, limit time.Duration
+
+	mu sync.Mutex
+	st uint64
 }
 
-// backoff computes the jittered delay for a retry attempt (0-based).
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.cfg.BaseDelay
-	for i := 0; i < attempt && d < c.cfg.MaxDelay; i++ {
+// NewBackoff returns a backoff whose jitter stream starts at seed.
+func NewBackoff(base, limit time.Duration, seed uint64) *Backoff {
+	return &Backoff{base: base, limit: limit, st: seed}
+}
+
+// Delay returns the jittered delay for retry step n (0-based).
+func (b *Backoff) Delay(n int) time.Duration {
+	d := b.base
+	for i := 0; i < n && d < b.limit; i++ {
 		d *= 2
 	}
-	if d > c.cfg.MaxDelay {
-		d = c.cfg.MaxDelay
-	}
+	return b.Jitter(min(d, b.limit))
+}
+
+// Jitter spreads d uniformly over [d/2, d).
+func (b *Backoff) Jitter(d time.Duration) time.Duration {
 	half := d / 2
 	if half <= 0 {
 		return d
 	}
-	return half + time.Duration(c.next()%uint64(half))
+	return half + time.Duration(b.next()%uint64(half))
+}
+
+// next is one splitmix64 draw.
+func (b *Backoff) next() uint64 {
+	b.mu.Lock()
+	b.st += 0x9E3779B97F4A7C15
+	z := b.st
+	b.mu.Unlock()
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
 }
 
 // retryAfter parses a Retry-After header: delay-seconds or an HTTP date.
@@ -185,7 +201,7 @@ func (c *Client) doTyped(ctx context.Context, method, path string, body []byte, 
 		if attempt > 0 {
 			delay, ok := retryDelay(lastErr)
 			if !ok {
-				delay = c.backoff(attempt - 1)
+				delay = c.backoff.Delay(attempt - 1)
 			}
 			if err := c.cfg.sleep(ctx, delay); err != nil {
 				return nil, err

@@ -199,7 +199,7 @@ func TestSweepCompletesUnderOverload(t *testing.T) {
 	}
 	defer p.Close()
 	srv := httptest.NewServer(pipeline.NewHandler(p, pipeline.ServerConfig{
-		Admission: &pipeline.AdmissionConfig{ShedThreshold: 0.9, RetryAfter: time.Second},
+		Admission: &pipeline.AdmissionConfig{ShedThreshold: 0.9},
 	}))
 	defer srv.Close()
 
@@ -321,5 +321,24 @@ func TestResultNotFound(t *testing.T) {
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusNotFound {
 		t.Fatalf("want StatusError{404}, got %v", err)
+	}
+}
+
+// TestBackoffSchedulePinned pins the client's first eight retry delays
+// for its default seed and for a fixed one (100ms doubling to 5s).
+func TestBackoffSchedulePinned(t *testing.T) {
+	for seed, want := range map[uint64][8]time.Duration{
+		0:  {95056031, 173315084, 372915344, 564624295, 1341055577, 2320473025, 3227160468, 3096295868},
+		42: {55275413, 126892291, 262763858, 658255764, 1341963250, 2462989062, 2777624925, 4487775908},
+	} {
+		c, err := New(Config{BaseURL: "http://x", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, w := range want {
+			if d := c.backoff.Delay(n); d != w {
+				t.Errorf("seed %d: delay %d = %d, want %d", seed, n, d, w)
+			}
+		}
 	}
 }

@@ -2,14 +2,13 @@ package pipeline
 
 import (
 	"testing"
-	"time"
 
 	"faros/internal/samples"
 )
 
 // tierCounters is the slice of Stats a result lookup may move.
 type tierCounters struct {
-	CacheHits, CacheMisses, StoreHits, Coalesced, Backfills, Expired uint64
+	CacheHits, CacheMisses, StoreHits, Coalesced, Backfills uint64
 }
 
 func tierCountersOf(s Stats) tierCounters {
@@ -19,7 +18,6 @@ func tierCountersOf(s Stats) tierCounters {
 		StoreHits:   s.Store.Hits,
 		Coalesced:   s.JobsCoalesced,
 		Backfills:   s.Cluster.Backfills,
-		Expired:     s.CacheExpired,
 	}
 }
 
@@ -30,22 +28,19 @@ func (c tierCounters) minus(o tierCounters) tierCounters {
 		StoreHits:   c.StoreHits - o.StoreHits,
 		Coalesced:   c.Coalesced - o.Coalesced,
 		Backfills:   c.Backfills - o.Backfills,
-		Expired:     c.Expired - o.Expired,
 	}
 }
 
 // TestTierCounters pins which counters each keyed entry point moves
 // against each place a key's result can be: the memory cache, the
-// persistent store only (a restarted pool), an in-flight run, nowhere, an
-// expired memory entry still held by the store, and a pool with caching
-// disabled over a store an earlier pool filled. A hit from either tier
+// persistent store only (a restarted pool), an in-flight run, nowhere,
+// and a pool with caching disabled over a store an earlier pool filled. A hit from either tier
 // through Submit or CachedJob counts as a cache hit; ResultByHash counts
 // none of its own, Backfill writes nothing a tier already holds, and a
 // disabled cache never reads the store.
 func TestTierCounters(t *testing.T) {
 	req := Request{Spec: samples.Spinner(1000), Mode: ModeLive}
 	key := cacheKey(req, "")
-	const ttl = 20 * time.Millisecond
 
 	// fill runs req to completion on a fresh pool over dir and closes it.
 	fill := func(t *testing.T, dir string) {
@@ -86,16 +81,6 @@ func TestTierCounters(t *testing.T) {
 		}},
 		{"miss", func(t *testing.T) *Pool {
 			return mustNew(t, Config{Workers: 1, Store: openStore(t, t.TempDir()), Runner: blockingRunner(closedChan())})
-		}},
-		{"expired", func(t *testing.T) *Pool {
-			p := mustNew(t, Config{Workers: 1, CacheTTL: ttl, Store: openStore(t, t.TempDir()), Runner: blockingRunner(closedChan())})
-			job, err := p.Submit(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitState(t, p, job, StateDone)
-			time.Sleep(2 * ttl)
-			return p
 		}},
 		{"disabled", func(t *testing.T) *Pool {
 			dir := t.TempDir()
@@ -139,7 +124,6 @@ func TestTierCounters(t *testing.T) {
 			"store":    {true, tierCounters{CacheHits: 1, StoreHits: 1}},
 			"inflight": {false, tierCounters{Coalesced: 1}},
 			"miss":     {false, tierCounters{CacheMisses: 1}},
-			"expired":  {true, tierCounters{CacheHits: 1, Expired: 1, StoreHits: 1}},
 			"disabled": {false, tierCounters{CacheMisses: 1}},
 		},
 		"CachedJob": {
@@ -147,7 +131,6 @@ func TestTierCounters(t *testing.T) {
 			"store":    {true, tierCounters{CacheHits: 1, StoreHits: 1}},
 			"inflight": {false, tierCounters{}},
 			"miss":     {false, tierCounters{}},
-			"expired":  {true, tierCounters{CacheHits: 1, Expired: 1, StoreHits: 1}},
 			"disabled": {false, tierCounters{}},
 		},
 		"ResultByHash": {
@@ -155,7 +138,6 @@ func TestTierCounters(t *testing.T) {
 			"store":    {true, tierCounters{StoreHits: 1}},
 			"inflight": {false, tierCounters{}},
 			"miss":     {false, tierCounters{}},
-			"expired":  {true, tierCounters{Expired: 1, StoreHits: 1}},
 			"disabled": {false, tierCounters{}},
 		},
 		"Backfill": {
@@ -163,7 +145,6 @@ func TestTierCounters(t *testing.T) {
 			"store":    {false, tierCounters{StoreHits: 1}},
 			"inflight": {true, tierCounters{Backfills: 1}},
 			"miss":     {true, tierCounters{Backfills: 1}},
-			"expired":  {false, tierCounters{Expired: 1, StoreHits: 1}},
 			"disabled": {false, tierCounters{}},
 		},
 	}

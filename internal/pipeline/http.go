@@ -404,7 +404,8 @@ func resolveTrace(p *Pool, specs *specResolver, req AnalyzeRequest, pre *decoded
 //	POST /analyze          submit a job (optionally waiting for the result)
 //	GET  /jobs/{id}        job status + result (settled jobs answer from the
 //	                       retention ring until count/age evicts them → 404)
-//	GET  /jobs/{id}/events the job's append-only audit-ledger timeline
+//	GET  /jobs/{id}/events the job's append-only event timeline (answers
+//	                       exactly while GET /jobs/{id} does)
 //	GET  /events           live Server-Sent-Events stream of job transitions,
 //	                       admission rejections, and scored findings
 //	POST /jobs/{id}/cancel detach this waiter (coalesced peers unaffected)
@@ -567,27 +568,23 @@ func newHandler(p *Pool, cfg ServerConfig, decode func([]byte) (AnalyzeRequest, 
 			// anything needing execution sheds with a retry hint.
 			cached, ok := p.CachedJob(preq)
 			if !ok {
-				// Stream-only: no job exists to ledger the shed under.
+				// Stream-only: no job exists to hold the shed event.
 				p.count(func(s *Stats) { s.AdmissionShed++ })
 				p.emit(triage.Event{Type: triage.EventShed, Scenario: preq.Spec.Name,
 					Detail: "queue saturated; serving cached results only"})
-				writeRetryable(w, http.StatusTooManyRequests, adm.cfg.RetryAfter,
+				writeRetryable(w, http.StatusTooManyRequests, shedRetryAfter,
 					"queue saturated; serving cached results only")
 				return
 			}
 			job = cached
 		} else {
 			job, err = p.Submit(preq)
-			retryAfter := time.Second
-			if adm != nil {
-				retryAfter = adm.cfg.RetryAfter
-			}
 			switch {
 			case err == ErrQueueFull:
-				writeRetryable(w, http.StatusTooManyRequests, retryAfter, err.Error())
+				writeRetryable(w, http.StatusTooManyRequests, shedRetryAfter, err.Error())
 				return
 			case err == ErrDraining, err == ErrClosed:
-				writeRetryable(w, http.StatusServiceUnavailable, retryAfter, err.Error())
+				writeRetryable(w, http.StatusServiceUnavailable, shedRetryAfter, err.Error())
 				return
 			case err != nil:
 				writeErr(w, err)
@@ -711,7 +708,7 @@ func newHandler(p *Pool, cfg ServerConfig, decode func([]byte) (AnalyzeRequest, 
 		events, ok := p.JobEvents(id)
 		if !ok {
 			writeErr(w, &httpError{http.StatusNotFound,
-				"no event timeline for job " + id + " (unknown, or evicted from the ledger)"})
+				"no event timeline for job " + id + " (unknown, or evicted from retention)"})
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"job": id, "events": events})

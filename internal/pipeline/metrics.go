@@ -98,10 +98,8 @@ type Stats struct {
 
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	// CacheExpired counts entries dropped at lookup because their TTL
-	// passed; CacheSkippedDegraded counts degraded results the cache
-	// policy refused to insert.
-	CacheExpired         uint64 `json:"cache_expired"`
+	// CacheSkippedDegraded counts degraded results the cache policy
+	// refused to insert.
 	CacheSkippedDegraded uint64 `json:"cache_skipped_degraded"`
 
 	// TriageEnabled reports whether a risk policy is active; TriagePolicy
@@ -123,12 +121,9 @@ type Stats struct {
 	// EventsPublished / EventsDropped are the live event hub's counters
 	// (drops are per-subscriber deliveries lost to slowness, never
 	// back-pressure); EventSubscribers the current GET /events consumers.
-	// LedgerJobs / LedgerEvicted gauge the audit ledger.
 	EventsPublished  uint64 `json:"events_published"`
 	EventsDropped    uint64 `json:"events_dropped"`
 	EventSubscribers int    `json:"event_subscribers"`
-	LedgerJobs       int    `json:"ledger_jobs"`
-	LedgerEvicted    uint64 `json:"ledger_evicted"`
 
 	Instructions   uint64            `json:"instructions"`
 	FindingsByRule map[string]uint64 `json:"findings_by_rule,omitempty"`
@@ -221,8 +216,8 @@ func (s Stats) String() string {
 		s.Workers, s.QueueDepth, s.Running, s.JobsActive, s.JobsRetained, s.CacheEntries)
 	fmt.Fprintf(&sb, "jobs: %d submitted, %d done, %d failed (%d deadline), %d canceled, %d coalesced, %d queue-full\n",
 		s.JobsSubmitted, s.JobsDone, s.JobsFailed, s.JobsDeadline, s.JobsCanceled, s.JobsCoalesced, s.QueueFull)
-	fmt.Fprintf(&sb, "cache: %d hits, %d misses (%.0f%% hit rate), %d expired, %d degraded skipped\n",
-		s.CacheHits, s.CacheMisses, 100*rate(s.CacheHits, s.CacheHits+s.CacheMisses), s.CacheExpired, s.CacheSkippedDegraded)
+	fmt.Fprintf(&sb, "cache: %d hits, %d misses (%.0f%% hit rate), %d degraded skipped\n",
+		s.CacheHits, s.CacheMisses, 100*rate(s.CacheHits, s.CacheHits+s.CacheMisses), s.CacheSkippedDegraded)
 	if s.StoreEnabled {
 		fmt.Fprintf(&sb, "store: %d entries (%d bytes), %d hits, %d misses, %d quarantined, %d gc-evicted\n",
 			s.Store.Entries, s.Store.Bytes, s.Store.Hits, s.Store.Misses,
@@ -260,8 +255,8 @@ func (s Stats) String() string {
 			s.Cluster.Backfills, s.Cluster.OwnerDownLocalRuns)
 	}
 	if s.EventsPublished > 0 || s.EventSubscribers > 0 {
-		fmt.Fprintf(&sb, "events: %d published, %d dropped, %d subscribers; ledger %d jobs (%d evicted)\n",
-			s.EventsPublished, s.EventsDropped, s.EventSubscribers, s.LedgerJobs, s.LedgerEvicted)
+		fmt.Fprintf(&sb, "events: %d published, %d dropped, %d subscribers\n",
+			s.EventsPublished, s.EventsDropped, s.EventSubscribers)
 	}
 	fmt.Fprintf(&sb, "guest: %d instructions executed\n", s.Instructions)
 	if t := s.Taint; t.Prepends+t.Unions+t.ShadowWrites > 0 {
@@ -389,15 +384,12 @@ var metricTable = []metricDef{
 	{"faros_events_published_total", "Lifecycle events published to the live event hub.", counter, always, func(s *Stats) uint64 { return s.EventsPublished }, nil},
 	{"faros_events_dropped_total", "Per-subscriber event deliveries dropped for slowness.", counter, always, func(s *Stats) uint64 { return s.EventsDropped }, nil},
 	{"faros_event_subscribers", "Current live event-stream subscribers.", gauge, always, func(s *Stats) uint64 { return uint64(s.EventSubscribers) }, nil},
-	{"faros_ledger_jobs", "Job timelines retained in the audit ledger.", gauge, always, func(s *Stats) uint64 { return uint64(s.LedgerJobs) }, nil},
-	{"faros_ledger_evicted_total", "Job timelines evicted whole from the audit ledger.", counter, always, func(s *Stats) uint64 { return s.LedgerEvicted }, nil},
 	{"faros_trace_ingested_total", "Traces ingested through POST /traces (new store entries only).", counter, always, func(s *Stats) uint64 { return s.Trace.Ingested }, nil},
 	{"faros_trace_bytes_total", "Encoded bytes of ingested traces.", counter, always, func(s *Stats) uint64 { return s.Trace.Bytes }, nil},
 	{"faros_trace_replays_total", "Analysis-only replays executed from stored traces.", counter, always, func(s *Stats) uint64 { return s.Trace.Replays }, nil},
 	{"faros_trace_digest_mismatch_total", "Trace submissions rejected on spec-hash or memory-image digest mismatch.", counter, always, func(s *Stats) uint64 { return s.Trace.DigestMismatch }, nil},
 	{"faros_cache_hits_total", "Submissions served from the result cache or store.", counter, always, func(s *Stats) uint64 { return s.CacheHits }, nil},
 	{"faros_cache_misses_total", "Cacheable submissions that missed the cache.", counter, always, func(s *Stats) uint64 { return s.CacheMisses }, nil},
-	{"faros_cache_expired_total", "Cache entries dropped at lookup because their TTL passed.", counter, always, func(s *Stats) uint64 { return s.CacheExpired }, nil},
 	{"faros_cache_skipped_degraded_total", "Degraded results the cache policy refused to insert.", counter, always, func(s *Stats) uint64 { return s.CacheSkippedDegraded }, nil},
 	{"faros_guest_instructions_total", "Guest instructions executed by completed jobs.", counter, always, func(s *Stats) uint64 { return s.Instructions }, nil},
 	{"faros_taint_prepends_total", "Provenance list prepends across completed FAROS jobs.", counter, always, func(s *Stats) uint64 { return s.Taint.Prepends }, nil},

@@ -48,7 +48,6 @@ func fullStats() Stats {
 		Trace:                TraceStats{Ingested: 29, Bytes: 30, Replays: 31, DigestMismatch: 32},
 		CacheHits:            33,
 		CacheMisses:          34,
-		CacheExpired:         35,
 		CacheSkippedDegraded: 36,
 		TriageEnabled:        true,
 		TriagePolicy:         "0123456789abcdef0123456789abcdef",
@@ -64,8 +63,6 @@ func fullStats() Stats {
 		EventsPublished:  47,
 		EventsDropped:    48,
 		EventSubscribers: 49,
-		LedgerJobs:       50,
-		LedgerEvicted:    51,
 		Instructions:     52,
 		FindingsByRule:   map[string]uint64{"injected_code_exec": 53, "export_table_read": 54},
 		Taint: core.TaintStats{Stats: taint.Stats{Prepends: 56, PrependMemoHits: 55, Unions: 58, UnionMemoHits: 57,

@@ -15,7 +15,8 @@
 // independently — the run is only aborted when its last waiter detaches.
 // Terminal jobs move from the active registry to a bounded retention ring
 // (count + age), so the service's memory stays flat under sustained
-// traffic while GET /jobs/{id} keeps answering for recently settled work.
+// traffic while GET /jobs/{id} and its event timeline keep answering for
+// recently settled work.
 package pipeline
 
 import (
@@ -145,8 +146,7 @@ type Result struct {
 	WallTime     time.Duration `json:"wall_ns"`
 	// Degraded carries the scenario's partial-failure error (recovered
 	// plugin panic, replay divergence) when the run completed degraded.
-	// Degraded results are not deterministic, so the cache skips them
-	// (or holds them only briefly — see Config.DegradedTTL).
+	// Degraded results are not deterministic, so the cache skips them.
 	Degraded string `json:"degraded,omitempty"`
 
 	// Risk is the run's aggregate triage score (the maximum across
@@ -176,8 +176,9 @@ type run struct {
 
 // Job is one submission's waiter handle. Coalesced submissions share a run
 // but each get their own Job, so cancelling one never poisons its peers.
-// All fields are guarded by the pool's mutex; read them through View or
-// after Wait.
+// A settled job stays in the retention ring, timeline included, until
+// count or age evicts it. All fields are guarded by the pool's mutex; read
+// them through View, JobEvents or after Wait.
 type Job struct {
 	ID       string
 	Hash     string
@@ -192,6 +193,11 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
+	expires   time.Time // retention-ring deadline; zero = no age limit
+
+	// events is the job's append-only timeline: every event published
+	// for it, stamped as streamed.
+	events []triage.Event
 
 	done chan struct{}
 }
@@ -211,12 +217,6 @@ type JobView struct {
 	Finished  time.Time `json:"finished"`
 	Error     string    `json:"error,omitempty"`
 	Result    *Result   `json:"result,omitempty"`
-}
-
-// retainedJob is a settled job's terminal view held in the retention ring.
-type retainedJob struct {
-	view    JobView
-	expires time.Time // zero = no age limit
 }
 
 // Runner executes one request; the default runs the scenario engine.
@@ -240,17 +240,10 @@ type Config struct {
 	// negative disables caching). Past it the least-recently-used entry
 	// is evicted.
 	CacheCap int
-	// CacheTTL expires cache entries this long after insertion
-	// (default 0 = entries never age out).
-	CacheTTL time.Duration
-	// DegradedTTL controls caching of degraded results (recovered plugin
-	// panic, replay divergence). 0 (the default) never caches them —
-	// every identical re-submission re-runs and gets a fresh chance at a
-	// clean result. >0 caches them for that long only.
-	DegradedTTL time.Duration
 	// JobRetention bounds how many terminal jobs stay addressable via
-	// View / GET /jobs/{id} after they settle (default 1024; negative
-	// disables retention — settled jobs are forgotten immediately).
+	// View / GET /jobs/{id} and JobEvents / GET /jobs/{id}/events after
+	// they settle (default 1024; negative disables retention — settled
+	// jobs are forgotten immediately).
 	JobRetention int
 	// JobRetentionAge expires retained jobs by age (default 15m;
 	// negative = no age limit).
@@ -272,9 +265,6 @@ type Config struct {
 	// different work — a stored trace re-scored under a new policy yields
 	// a new cached result instead of serving the old score.
 	Triage *triage.Policy
-	// LedgerJobs bounds how many job timelines the audit ledger retains
-	// (default 1024; oldest evicted whole).
-	LedgerJobs int
 	// NodeID identifies this process in cluster mode; it is stamped on
 	// every lifecycle event so a fleet-wide SSE consumer can tell which
 	// node originated each frame. Empty in single-node operation.
@@ -289,7 +279,7 @@ type Config struct {
 
 // ConfigError reports a rejected Config field. Construction fails loudly
 // instead of letting a nonsensical value (a negative worker count, a
-// negative TTL) silently coerce into some default at runtime.
+// negative queue depth) silently coerce into some default at runtime.
 type ConfigError struct {
 	Field  string
 	Value  any
@@ -311,12 +301,6 @@ func (c Config) Validate() error {
 	if c.QueueDepth < 0 {
 		return &ConfigError{"QueueDepth", c.QueueDepth, "queue depth cannot be negative (0 = default 256)"}
 	}
-	if c.CacheTTL < 0 {
-		return &ConfigError{"CacheTTL", c.CacheTTL, "cache TTL cannot be negative (0 = entries never age out)"}
-	}
-	if c.DegradedTTL < 0 {
-		return &ConfigError{"DegradedTTL", c.DegradedTTL, "degraded TTL cannot be negative (0 = never cache degraded results)"}
-	}
 	return nil
 }
 
@@ -333,10 +317,9 @@ var ErrDraining = errors.New("pipeline: pool draining")
 
 // cacheEntry is one cached result plus its eviction bookkeeping.
 type cacheEntry struct {
-	key     string
-	res     *Result
-	expires time.Time // zero = never
-	elem    *list.Element
+	key  string
+	res  *Result
+	elem *list.Element
 }
 
 // Pool is the analysis service: a job queue drained by a bounded set of
@@ -345,18 +328,17 @@ type cacheEntry struct {
 // tieredLocked, and every submission either tier answers counts as one
 // cache hit.
 type Pool struct {
-	cfg    Config
-	queue  chan *run
-	ledger *triage.Ledger
-	hub    *triage.Hub
+	cfg   Config
+	queue chan *run
+	hub   *triage.Hub
 
 	mu        sync.Mutex
 	jobs      map[string]*Job        // active (queued/running) waiter handles
 	inflight  map[string]*run        // cache key → queued/running run (dedup)
 	cache     map[string]*cacheEntry // cache key → completed result
 	cacheList *list.List             // least recently used at the front
-	retained  map[string]*retainedJob
-	retOrder  []string // retained job IDs, oldest first
+	retained  map[string]*Job        // settled jobs still addressable
+	retOrder  []string               // retained job IDs, oldest first
 	closed    bool
 	draining  bool
 	stats     Stats // live counters; gauges are filled in by Stats()
@@ -396,13 +378,12 @@ func New(cfg Config) (*Pool, error) {
 	p := &Pool{
 		cfg:       cfg,
 		queue:     make(chan *run, cfg.QueueDepth),
-		ledger:    triage.NewLedger(cfg.LedgerJobs),
 		hub:       triage.NewHub(),
 		jobs:      make(map[string]*Job),
 		inflight:  make(map[string]*run),
 		cache:     make(map[string]*cacheEntry),
 		cacheList: list.New(),
-		retained:  make(map[string]*retainedJob),
+		retained:  make(map[string]*Job),
 		stats:     newStats(),
 	}
 	p.wg.Add(cfg.Workers)
@@ -530,8 +511,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 			}
 			p.jobs[job.ID] = job
 			p.stats.JobsCoalesced++
-			p.emit(triage.Event{Type: triage.EventCoalesced, Job: job.ID,
-				Scenario: job.Scenario, Hash: job.Hash})
+			p.emitLocked(job, triage.Event{Type: triage.EventCoalesced})
 			return job, nil
 		}
 		if res, ok := p.tieredLocked(key); ok {
@@ -558,8 +538,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 		p.stats.CacheMisses++
 	}
 	p.stats.JobsSubmitted++
-	p.emit(triage.Event{Type: triage.EventSubmitted, Job: job.ID,
-		Scenario: job.Scenario, Hash: job.Hash})
+	p.emitLocked(job, triage.Event{Type: triage.EventSubmitted})
 	return job, nil
 }
 
@@ -600,8 +579,7 @@ func (p *Pool) cacheHitJobLocked(req Request, key string, res *Result) *Job {
 	job.finished = time.Now()
 	close(job.done)
 	p.retainLocked(job)
-	p.emit(triage.Event{Type: triage.EventCacheHit, Job: job.ID,
-		Scenario: job.Scenario, Hash: job.Hash, Risk: res.Risk})
+	p.emitLocked(job, triage.Event{Type: triage.EventCacheHit, Risk: res.Risk})
 	return job
 }
 
@@ -717,15 +695,22 @@ func (p *Pool) Backfill(res *Result) bool {
 	return took
 }
 
-// emit publishes one lifecycle event to the live stream and, when it is
-// job-scoped, appends the stamped copy to the audit ledger — the ledger
-// records exactly what streamed, sequence number included. Safe to call
-// with or without p.mu held (the hub and ledger have their own locks and
-// never call back into the pool).
-func (p *Pool) emit(e triage.Event) {
+// emit publishes one event to the live stream and returns the stamped
+// copy. Called bare it streams a jobless event (an admission rejection);
+// safe with or without p.mu held, since the hub never calls back into the
+// pool.
+func (p *Pool) emit(e triage.Event) triage.Event {
 	e.Time = time.Now()
 	e.Node = p.cfg.NodeID
-	p.ledger.Append(p.hub.Publish(e))
+	return p.hub.Publish(e)
+}
+
+// emitLocked publishes one of job's lifecycle events and appends the
+// stamped copy to the job's timeline, so the timeline records exactly what
+// streamed, sequence number included. p.mu must be held.
+func (p *Pool) emitLocked(job *Job, e triage.Event) {
+	e.Job, e.Scenario, e.Hash = job.ID, job.Scenario, job.Hash
+	job.events = append(job.events, p.emit(e))
 }
 
 // Subscribe attaches a live event-stream consumer (the GET /events SSE
@@ -733,9 +718,18 @@ func (p *Pool) emit(e triage.Event) {
 // the channel also closes when the pool shuts down.
 func (p *Pool) Subscribe(buf int) *triage.Subscriber { return p.hub.Subscribe(buf) }
 
-// JobEvents returns one job's audit-ledger timeline, oldest first;
-// ok=false when the job was never ledgered or its timeline was evicted.
-func (p *Pool) JobEvents(id string) ([]triage.Event, bool) { return p.ledger.Job(id) }
+// JobEvents returns a copy of one job's event timeline, oldest first. It
+// answers exactly while View does: ok=false for unknown jobs and for jobs
+// the retention ring has evicted.
+func (p *Pool) JobEvents(id string) ([]triage.Event, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	job, ok := p.lookupLocked(id)
+	if !ok {
+		return nil, false
+	}
+	return slices.Clone(job.events), true
+}
 
 // JobErr returns a waiter handle's typed terminal error (nil while
 // unsettled or when it settled cleanly). The HTTP layer uses it to map
@@ -890,17 +884,15 @@ func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist
 			p.stats.addEngine(res.Faros.Stats())
 		}
 		p.stats.observeLatency(wall)
-		if r.key != "" && p.storeLocked(r.key, result) && result.Degraded == "" {
+		if r.key != "" && p.storeLocked(r.key, result) {
 			persist = result
 		}
 		for _, w := range r.waiters {
 			if result.Degraded != "" {
-				p.emit(triage.Event{Type: triage.EventDegraded, Job: w.ID,
-					Scenario: w.Scenario, Hash: w.Hash, Detail: result.Degraded})
+				p.emitLocked(w, triage.Event{Type: triage.EventDegraded, Detail: result.Degraded})
 			}
 			for _, f := range result.Findings {
-				p.emit(triage.Event{Type: triage.EventFlagged, Job: w.ID,
-					Scenario: w.Scenario, Hash: w.Hash,
+				p.emitLocked(w, triage.Event{Type: triage.EventFlagged,
 					Rule: f.Rule, Risk: f.Risk, RiskRule: f.RiskRule})
 			}
 			p.settleLocked(w, StateDone, result, nil, now)
@@ -945,7 +937,7 @@ func (p *Pool) settleLocked(job *Job, state State, res *Result, err error, now t
 	close(job.done)
 	delete(p.jobs, job.ID)
 	p.retainLocked(job)
-	ev := triage.Event{Job: job.ID, Scenario: job.Scenario, Hash: job.Hash}
+	var ev triage.Event
 	switch state {
 	case StateDone:
 		ev.Type = triage.EventDone
@@ -960,7 +952,7 @@ func (p *Pool) settleLocked(job *Job, state State, res *Result, err error, now t
 			ev.Detail = err.Error()
 		}
 	}
-	p.emit(ev)
+	p.emitLocked(job, ev)
 }
 
 // BuildResult summarizes a scenario result as the one machine-readable
@@ -1028,14 +1020,13 @@ func (p *Pool) retainLocked(job *Job) {
 	}
 	now := time.Now()
 	p.sweepRetainedLocked(now)
-	rj := &retainedJob{view: p.viewLocked(job)}
 	if p.cfg.JobRetentionAge > 0 {
-		rj.expires = now.Add(p.cfg.JobRetentionAge)
+		job.expires = now.Add(p.cfg.JobRetentionAge)
 	}
 	if _, ok := p.retained[job.ID]; !ok {
 		p.retOrder = append(p.retOrder, job.ID)
 	}
-	p.retained[job.ID] = rj
+	p.retained[job.ID] = job
 	for p.cfg.JobRetention > 0 && len(p.retained) > p.cfg.JobRetention {
 		oldest := p.retOrder[0]
 		p.retOrder = p.retOrder[1:]
@@ -1047,12 +1038,12 @@ func (p *Pool) retainLocked(job *Job) {
 // the ring (uniform age means the front expires first); p.mu must be held.
 func (p *Pool) sweepRetainedLocked(now time.Time) {
 	for len(p.retOrder) > 0 {
-		rj := p.retained[p.retOrder[0]]
-		if rj == nil {
+		job := p.retained[p.retOrder[0]]
+		if job == nil {
 			p.retOrder = p.retOrder[1:]
 			continue
 		}
-		if rj.expires.IsZero() || now.Before(rj.expires) {
+		if job.expires.IsZero() || now.Before(job.expires) {
 			return
 		}
 		delete(p.retained, p.retOrder[0])
@@ -1060,18 +1051,11 @@ func (p *Pool) sweepRetainedLocked(now time.Time) {
 	}
 }
 
-// lookupCacheLocked returns a live cache entry, expiring it if its TTL
-// passed and otherwise moving it to the back of the eviction list; p.mu
-// must be held.
+// lookupCacheLocked returns a cache entry, moving it to the back of the
+// eviction list; p.mu must be held.
 func (p *Pool) lookupCacheLocked(key string) (*Result, bool) {
 	e, ok := p.cache[key]
 	if !ok {
-		return nil, false
-	}
-	if !e.expires.IsZero() && time.Now().After(e.expires) {
-		p.cacheList.Remove(e.elem)
-		delete(p.cache, key)
-		p.stats.CacheExpired++
 		return nil, false
 	}
 	p.cacheList.MoveToBack(e.elem)
@@ -1079,35 +1063,24 @@ func (p *Pool) lookupCacheLocked(key string) (*Result, bool) {
 }
 
 // storeLocked is the one cache insert; it reports whether it cached res.
-// It picks the entry's lifetime: CacheTTL for a clean result (0 = no age
-// limit), DegradedTTL for a degraded one, whose default 0 skips it — a
-// partial failure is not a deterministic outcome, and serving it would
-// poison every identical submission. While over capacity it evicts from
-// the front of the eviction list, the least-recently-used entry. p.mu must
-// be held.
+// A degraded result is skipped: a partial failure is not a deterministic
+// outcome, and serving it would poison every identical submission. While
+// over capacity it evicts from the front of the eviction list, the
+// least-recently-used entry. p.mu must be held.
 func (p *Pool) storeLocked(key string, res *Result) bool {
 	if p.cacheOff() {
 		return false
 	}
-	ttl := p.cfg.CacheTTL
 	if res.Degraded != "" {
-		if p.cfg.DegradedTTL == 0 {
-			p.stats.CacheSkippedDegraded++
-			return false
-		}
-		ttl = p.cfg.DegradedTTL
-	}
-	var expires time.Time
-	if ttl > 0 {
-		expires = time.Now().Add(ttl)
+		p.stats.CacheSkippedDegraded++
+		return false
 	}
 	if e, ok := p.cache[key]; ok {
 		e.res = res
-		e.expires = expires
 		p.cacheList.MoveToBack(e.elem)
 		return true
 	}
-	e := &cacheEntry{key: key, res: res, expires: expires}
+	e := &cacheEntry{key: key, res: res}
 	e.elem = p.cacheList.PushBack(e)
 	p.cache[key] = e
 	for len(p.cache) > p.cfg.CacheCap {
@@ -1170,17 +1143,28 @@ func (p *Pool) dropInflightLocked(r *run) {
 func (p *Pool) View(id string) (JobView, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	job, ok := p.lookupLocked(id)
+	if !ok {
+		return JobView{}, false
+	}
+	return p.viewLocked(job), true
+}
+
+// lookupLocked finds a job by ID: the active table, then the retention
+// ring, treating an age-expired entry as gone; p.mu must be held.
+func (p *Pool) lookupLocked(id string) (*Job, bool) {
 	if job, ok := p.jobs[id]; ok {
-		return p.viewLocked(job), true
+		return job, true
 	}
-	if rj, ok := p.retained[id]; ok {
-		if !rj.expires.IsZero() && time.Now().After(rj.expires) {
-			p.sweepRetainedLocked(time.Now())
-			return JobView{}, false
-		}
-		return rj.view, true
+	job, ok := p.retained[id]
+	if !ok {
+		return nil, false
 	}
-	return JobView{}, false
+	if now := time.Now(); !job.expires.IsZero() && now.After(job.expires) {
+		p.sweepRetainedLocked(now)
+		return nil, false
+	}
+	return job, true
 }
 
 func (p *Pool) viewLocked(job *Job) JobView {
@@ -1263,7 +1247,6 @@ func (p *Pool) Stats() Stats {
 		s.ClusterPeers = p.cfg.Cluster.PeerHealth()
 	}
 	s.EventsPublished, s.EventsDropped, s.EventSubscribers = p.hub.Stats()
-	s.LedgerJobs, s.LedgerEvicted = p.ledger.Stats()
 	s.BlockTable = vm.SharedBlockStats()
 	return s
 }

@@ -633,8 +633,7 @@ func TestJobRetentionAge(t *testing.T) {
 }
 
 // TestDegradedCachePolicy: degraded results (recovered panic, divergence)
-// are not cached by default — identical re-submissions re-run — and are
-// cached only briefly under DegradedTTL.
+// are never cached — identical re-submissions re-run.
 func TestDegradedCachePolicy(t *testing.T) {
 	degradedRunner := func(ctx context.Context, req Request) (*scenario.Result, error) {
 		res := stubResult(req.Spec.Name)
@@ -663,48 +662,6 @@ func TestDegradedCachePolicy(t *testing.T) {
 	}
 	if st.CacheEntries != 0 {
 		t.Errorf("cache holds %d entries, want 0", st.CacheEntries)
-	}
-
-	// With the knob on, degraded results are cached for the TTL only.
-	p2 := mustNew(t, Config{Workers: 1, DegradedTTL: 50 * time.Millisecond, Runner: degradedRunner})
-	defer p2.Close()
-	k1, _ := p2.Submit(Request{Spec: spec, Mode: ModeLive})
-	waitState(t, p2, k1, StateDone)
-	k2, _ := p2.Submit(Request{Spec: spec, Mode: ModeLive})
-	if view := waitState(t, p2, k2, StateDone); !view.CacheHit {
-		t.Error("DegradedTTL>0: degraded result not served within the TTL")
-	}
-	time.Sleep(150 * time.Millisecond)
-	k3, _ := p2.Submit(Request{Spec: spec, Mode: ModeLive})
-	if view := waitState(t, p2, k3, StateDone); view.CacheHit {
-		t.Error("degraded result outlived its TTL")
-	}
-	if st := p2.Stats(); st.CacheExpired == 0 {
-		t.Error("cache_expired counter never incremented")
-	}
-}
-
-// TestCacheTTL: clean results age out of the cache after CacheTTL.
-func TestCacheTTL(t *testing.T) {
-	release := make(chan struct{})
-	close(release)
-	p := mustNew(t, Config{Workers: 1, CacheTTL: 50 * time.Millisecond, Runner: blockingRunner(release)})
-	defer p.Close()
-
-	spec := samples.Spinner(1000)
-	j1, _ := p.Submit(Request{Spec: spec, Mode: ModeLive})
-	waitState(t, p, j1, StateDone)
-	j2, _ := p.Submit(Request{Spec: spec, Mode: ModeLive})
-	if view := waitState(t, p, j2, StateDone); !view.CacheHit {
-		t.Error("fresh entry missed within its TTL")
-	}
-	time.Sleep(150 * time.Millisecond)
-	j3, _ := p.Submit(Request{Spec: spec, Mode: ModeLive})
-	if view := waitState(t, p, j3, StateDone); view.CacheHit {
-		t.Error("entry served after its TTL")
-	}
-	if st := p.Stats(); st.CacheExpired != 1 {
-		t.Errorf("cache_expired = %d, want 1", st.CacheExpired)
 	}
 }
 

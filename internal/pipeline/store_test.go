@@ -321,8 +321,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"negative workers", Config{Workers: -1}, "Workers"},
 		{"negative queue", Config{QueueDepth: -4}, "QueueDepth"},
-		{"negative cache ttl", Config{CacheTTL: -time.Second}, "CacheTTL"},
-		{"negative degraded ttl", Config{DegradedTTL: -time.Minute}, "DegradedTTL"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -352,7 +350,6 @@ func TestConfigValidation(t *testing.T) {
 		{RatePerSec: -1},
 		{Burst: -2},
 		{ShedThreshold: 1.5},
-		{RetryAfter: -time.Second},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("AdmissionConfig %+v validated", bad)

@@ -35,8 +35,8 @@ func submitAndWait(t *testing.T, p *pipeline.Pool, req pipeline.Request) pipelin
 
 // TestTriageScoringEndToEnd is the tentpole acceptance path: a pool with
 // the default policy scores the reflective DLL injection high, stamps
-// every finding with its matched policy rule, and the job's audit ledger
-// carries the submitted → flagged → done timeline.
+// every finding with its matched policy rule, and the job's event timeline
+// carries the submitted → flagged → done stages.
 func TestTriageScoringEndToEnd(t *testing.T) {
 	p, err := pipeline.New(pipeline.Config{Workers: 2, Triage: triage.Default()})
 	if err != nil {
@@ -75,7 +75,7 @@ func TestTriageScoringEndToEnd(t *testing.T) {
 
 	events, ok := p.JobEvents(job.ID)
 	if !ok {
-		t.Fatalf("no ledger timeline for job %s", job.ID)
+		t.Fatalf("no timeline for job %s", job.ID)
 	}
 	var sawSubmitted, sawFlaggedHigh, sawDone bool
 	for _, e := range events {
@@ -94,7 +94,7 @@ func TestTriageScoringEndToEnd(t *testing.T) {
 		}
 	}
 	if !sawSubmitted || !sawFlaggedHigh || !sawDone {
-		t.Fatalf("ledger timeline missing stages: submitted=%v flagged(high)=%v done=%v in %+v",
+		t.Fatalf("timeline missing stages: submitted=%v flagged(high)=%v done=%v in %+v",
 			sawSubmitted, sawFlaggedHigh, sawDone, events)
 	}
 
@@ -330,7 +330,7 @@ func TestEventStreamSSE(t *testing.T) {
 	}
 }
 
-// TestJobEventsEndpoint covers the ledger's HTTP surface: a completed
+// TestJobEventsEndpoint covers the timeline's HTTP surface: a completed
 // job's timeline is fetchable at /jobs/{id}/events, and unknown jobs 404.
 func TestJobEventsEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t, pipeline.Config{Workers: 1, Triage: triage.Default()})
@@ -363,7 +363,7 @@ func TestJobEventsEndpoint(t *testing.T) {
 	}
 	for i := 1; i < len(body.Events); i++ {
 		if body.Events[i].Seq <= body.Events[i-1].Seq {
-			t.Fatalf("ledger out of order at %d: %+v", i, body.Events)
+			t.Fatalf("timeline out of order at %d: %+v", i, body.Events)
 		}
 	}
 

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Event types emitted by the analysis service. The ledger records the
-// job-scoped ones; the hub streams all of them.
+// Event types emitted by the analysis service. Each job's timeline records
+// the job-scoped ones; the hub streams all of them.
 const (
 	// EventSubmitted: a fresh run was accepted into the queue.
 	EventSubmitted = "submitted"
@@ -15,10 +15,10 @@ const (
 	// EventCacheHit: a submission was answered from the cache or store.
 	EventCacheHit = "cache_hit"
 	// EventShed: a submission was rejected by queue-saturation shedding
-	// (no job exists; streamed but not ledgered).
+	// (no job exists; streamed but on no timeline).
 	EventShed = "shed"
 	// EventRateLimited: a submission was rejected by the per-client rate
-	// limit (no job exists; streamed but not ledgered).
+	// limit (no job exists; streamed but on no timeline).
 	EventRateLimited = "rate_limited"
 	// EventDegraded: a job completed with a recovered partial failure.
 	EventDegraded = "degraded"
@@ -31,7 +31,7 @@ const (
 	EventCanceled = "canceled"
 )
 
-// Event is one audit-ledger entry / event-stream frame. Job-scoped
+// Event is one job-timeline entry / event-stream frame. Job-scoped
 // events carry the waiter-handle ID; admission rejections (shed,
 // rate_limited) have no job and exist only on the stream.
 type Event struct {
@@ -57,69 +57,6 @@ type Event struct {
 	RiskRule string `json:"risk_rule,omitempty"`
 	// Detail carries free-form context (degradation reason, shed cause).
 	Detail string `json:"detail,omitempty"`
-}
-
-// Ledger is the append-only per-job event timeline, bounded by job
-// count: when a new job arrives past the bound, the oldest job's
-// timeline is dropped whole (events within a job are never truncated —
-// append-only means a fetched timeline is always a prefix of the next
-// fetch).
-type Ledger struct {
-	mu      sync.Mutex
-	maxJobs int
-	jobs    map[string][]Event
-	order   []string // job IDs, oldest first
-	dropped uint64
-}
-
-// NewLedger returns a ledger retaining timelines for up to maxJobs jobs
-// (values < 1 fall back to 1024).
-func NewLedger(maxJobs int) *Ledger {
-	if maxJobs < 1 {
-		maxJobs = 1024
-	}
-	return &Ledger{maxJobs: maxJobs, jobs: make(map[string][]Event)}
-}
-
-// Append records one event under its job. Events without a job ID are
-// ignored (they have no timeline to belong to).
-func (l *Ledger) Append(e Event) {
-	if e.Job == "" {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.jobs[e.Job]; !ok {
-		l.order = append(l.order, e.Job)
-		for len(l.order) > l.maxJobs {
-			delete(l.jobs, l.order[0])
-			l.order = l.order[1:]
-			l.dropped++
-		}
-	}
-	l.jobs[e.Job] = append(l.jobs[e.Job], e)
-}
-
-// Job returns a copy of one job's timeline, in append order; ok=false
-// when the job was never ledgered (or its timeline was evicted).
-func (l *Ledger) Job(id string) ([]Event, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	evs, ok := l.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	out := make([]Event, len(evs))
-	copy(out, evs)
-	return out, true
-}
-
-// Stats returns the ledger's gauge values: jobs currently retained and
-// timelines evicted by the bound.
-func (l *Ledger) Stats() (jobs int, evicted uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.jobs), l.dropped
 }
 
 // Subscriber is one live event-stream consumer. Events arrive on
@@ -183,7 +120,7 @@ func (h *Hub) unsubscribe(s *Subscriber) {
 
 // Publish stamps the event with the next sequence number and fans it out
 // to every subscriber without blocking, returning the stamped event (the
-// caller ledgers exactly what was streamed).
+// caller records exactly what was streamed).
 func (h *Hub) Publish(e Event) Event {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -6,73 +6,6 @@ import (
 	"time"
 )
 
-func TestLedgerAppendAndFetch(t *testing.T) {
-	l := NewLedger(4)
-	l.Append(Event{Job: "j1", Type: EventSubmitted})
-	l.Append(Event{Job: "j1", Type: EventFlagged, Rule: "netflow-export", Risk: "high"})
-	l.Append(Event{Job: "j1", Type: EventDone})
-
-	evs, ok := l.Job("j1")
-	if !ok || len(evs) != 3 {
-		t.Fatalf("Job(j1) = %d events, ok=%v; want 3, true", len(evs), ok)
-	}
-	if evs[0].Type != EventSubmitted || evs[1].Type != EventFlagged || evs[2].Type != EventDone {
-		t.Fatalf("timeline out of append order: %+v", evs)
-	}
-	// The returned slice is a copy: mutating it must not corrupt the ledger.
-	evs[0].Type = "mutated"
-	again, _ := l.Job("j1")
-	if again[0].Type != EventSubmitted {
-		t.Fatal("Job returned a live reference to the timeline")
-	}
-	if _, ok := l.Job("nope"); ok {
-		t.Fatal("unknown job should report ok=false")
-	}
-	// Jobless events are ignored, not ledgered under "".
-	l.Append(Event{Type: EventShed})
-	if _, ok := l.Job(""); ok {
-		t.Fatal("jobless event must not create a timeline")
-	}
-}
-
-func TestLedgerEvictsOldestWholeTimelines(t *testing.T) {
-	l := NewLedger(2)
-	l.Append(Event{Job: "a", Type: EventSubmitted})
-	l.Append(Event{Job: "b", Type: EventSubmitted})
-	l.Append(Event{Job: "a", Type: EventDone}) // existing job: no eviction
-	l.Append(Event{Job: "c", Type: EventSubmitted})
-
-	if _, ok := l.Job("a"); ok {
-		t.Fatal("oldest job should have been evicted whole")
-	}
-	if evs, ok := l.Job("b"); !ok || len(evs) != 1 {
-		t.Fatalf("job b should survive intact, got ok=%v len=%d", ok, len(evs))
-	}
-	if _, ok := l.Job("c"); !ok {
-		t.Fatal("newest job missing")
-	}
-	jobs, evicted := l.Stats()
-	if jobs != 2 || evicted != 1 {
-		t.Fatalf("Stats = (%d, %d), want (2, 1)", jobs, evicted)
-	}
-}
-
-func TestLedgerFetchIsPrefixOfNextFetch(t *testing.T) {
-	l := NewLedger(8)
-	l.Append(Event{Job: "j", Type: EventSubmitted})
-	first, _ := l.Job("j")
-	l.Append(Event{Job: "j", Type: EventDone})
-	second, _ := l.Job("j")
-	if len(second) != len(first)+1 {
-		t.Fatalf("timeline shrank or jumped: %d -> %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("append-only violated at %d: %+v vs %+v", i, first[i], second[i])
-		}
-	}
-}
-
 func TestHubFanOutAndSequence(t *testing.T) {
 	h := NewHub()
 	s1 := h.Subscribe(8)
@@ -148,9 +81,8 @@ func TestHubClose(t *testing.T) {
 	late.Close() // must not panic on an unregistered subscriber
 }
 
-func TestHubAndLedgerConcurrency(t *testing.T) {
+func TestHubConcurrency(t *testing.T) {
 	h := NewHub()
-	l := NewLedger(64)
 	var wg sync.WaitGroup
 
 	// Churning subscribers while publishers run exercises the lock paths
@@ -174,8 +106,7 @@ func TestHubAndLedgerConcurrency(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				e := h.Publish(Event{Type: EventSubmitted, Job: "job"})
-				l.Append(e)
+				h.Publish(Event{Type: EventSubmitted, Job: "job"})
 			}
 		}(i)
 	}
@@ -191,9 +122,5 @@ func TestHubAndLedgerConcurrency(t *testing.T) {
 	published, _, _ := h.Stats()
 	if published != 800 {
 		t.Fatalf("published = %d, want 800", published)
-	}
-	evs, ok := l.Job("job")
-	if !ok || len(evs) != 800 {
-		t.Fatalf("ledger holds %d events, want 800", len(evs))
 	}
 }

@@ -1,6 +1,7 @@
 // Package triage turns raw FAROS detections into an operator-facing
 // product surface: declarative risk policies scored over provenance
-// graphs, an append-only per-job audit ledger, and a live event stream.
+// graphs, and the lifecycle events that per-job timelines record and a
+// live event stream carries.
 //
 // The paper's pitch is that provenance is the analyst's lens for
 // *understanding* an in-memory injection, not just flagging it. A policy
