@@ -1,5 +1,5 @@
 // Command benchgate is the CI bench-regression gate. It re-runs the perf
-// experiment (the measurement path behind BENCH_40.json) and compares the
+// experiment (the measurement path behind BENCH_42.json) and compares the
 // fresh numbers against the committed snapshot. It gates two ratios, each
 // FAROS over plain execution timed alternately in the same process, so
 // neither depends on the machine's speed:
@@ -15,8 +15,8 @@
 //
 // Usage:
 //
-//	benchgate                          # compare against ./BENCH_40.json
-//	benchgate -baseline BENCH_40.json -retries 2
+//	benchgate                          # compare against ./BENCH_42.json
+//	benchgate -baseline BENCH_42.json -retries 2
 //
 // Timing on shared runners is noisy, so a failing attempt is retried
 // (fresh measurement each time, fastest-of-N inside each attempt already);
@@ -54,7 +54,7 @@ var gates = []struct {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_40.json", "committed perf snapshot to gate against")
+	baselinePath := flag.String("baseline", "BENCH_42.json", "committed perf snapshot to gate against")
 	retries := flag.Int("retries", 2, "re-measurements before declaring a regression")
 	flag.Parse()
 

@@ -459,14 +459,10 @@ iterate:
 // Each access's page resolves once: its probe of the page-TLB slot
 // execFused would probe must hit with data set, and the store slot must
 // show the frame block-free at the current built count, so no pass
-// invalidates blocks or moves the epoch. A pass first checks every load
-// and declines (ending the batch before any of its effects) where
-// execFused would call out: a load that would need taintLoad (a shadow
-// page born under an entry filled without one) or whose provenance
-// carries the export-table tag (checkPolicy). It then applies the pass's
-// effects in micro-op order through the branches execFused takes, syncing
-// InstrCount where execFused does, and makes the back edge's bank
-// recheck. It returns fast as the passes it ran leave it.
+// invalidates blocks or moves the epoch. The shadow effects of the passes
+// run first (loopShadow), then the guest bytes and registers move through
+// the plain executor's byte mover (vm.CountedLoop.Move): neither reads
+// what the other writes. It returns fast as the passes it ran leave it.
 func (f *FAROS) loopBatch(m *vm.Machine, b *vm.Block, start uint32, entry uint64, retired, limit uint32, fast bool) (uint32, bool) {
 	var addr [vm.MaxLoopAccesses]uint32
 	regs := &m.CPU.Regs
@@ -477,80 +473,121 @@ func (f *FAROS) loopBatch(m *vm.Machine, b *vm.Block, start uint32, entry uint64
 	l := b.Loop
 	space := m.Space()
 	spaceGen := space.Gen()
-	tl, ts := &f.tlb[tlbLoad], &f.tlb[tlbStore]
+	var frames [vm.MaxLoopAccesses]*[mem.PageSize]byte
 	var idx [vm.MaxLoopAccesses]uint32
 	for k := range l.Body {
-		t := tl
+		t := &f.tlb[tlbLoad]
 		if k >= l.Loads {
-			t = ts
+			t = &f.tlb[tlbStore]
 		}
 		if _, st := t.probe(space, spaceGen, addr[k], 1, f.T.PageAllocs()); st == 0 || t.data == nil {
 			return 0, fast
 		}
-		idx[k] = addr[k] % mem.PageSize
+		frames[k], idx[k] = t.data, addr[k]%mem.PageSize
 	}
-	if l.Loads < len(l.Body) && !(ts.noBlocks && ts.builtAt == m.BlocksBuilt()) {
+	if ts := &f.tlb[tlbStore]; l.Loads < len(l.Body) && !(ts.noBlocks && ts.builtAt == m.BlocksBuilt()) {
 		return 0, fast
 	}
+	n, fast = f.loopShadow(m, b, &addr, &idx, entry, retired, n, fast)
+	if n == 0 {
+		return 0, fast
+	}
+	l.Move(regs, &frames, &idx, n)
+	f.stats.LoadsChecked += uint64(n) * uint64(l.Loads)
+	m.AddBatchedPasses(uint64(n))
+	return n, fast
+}
+
+// loopShadow applies the shadow effects of up to n passes of loopBatch's
+// loop, each access k at page offset idx[k]+p of its slot's page in pass
+// p, and returns how many passes it applied and fast as they leave it.
+// It works a run at a time: a run is the passes over which every load
+// reads the raw id it reads at the run's first pass. A run whose loads
+// carry the export-table tag, or that would need taintLoad (a shadow page
+// born under a load entry filled without one), is where the batch ends:
+// execFused calls out there. Within a run, passes apply their effects
+// through the branches execFused takes, in micro-op order, until one
+// leaves the register bank as it found it. From then on every pass is the
+// same: its loads write the same ids, its unions are memo hits
+// (taint.Store.CountUnionHits) and its store writes the same stamped id,
+// so the rest of the run takes one stamp, one range store
+// (taint.Store.MemSetRun) and one throttled-rescan step (recheckBankN).
+// Passes stay one at a time where that does not hold: a store that needs
+// taintStore (an untainted page under a tainted value, or a shadow page
+// the store slot has no ids for), more than one store per pass, and a
+// bank that never settles (a union past the list cap can alternate
+// between two lists). A store that runs ahead of a load on the same page
+// writes, d passes early, the byte that load reads: runs are cut to d
+// passes, so a run's ids are read before any of its stores.
+func (f *FAROS) loopShadow(m *vm.Machine, b *vm.Block, addr, idx *[vm.MaxLoopAccesses]uint32, entry uint64, retired, n uint32, fast bool) (uint32, bool) {
+	l := b.Loop
 	bank, T := f.bank, f.T
+	tl, ts := &f.tlb[tlbLoad], &f.tlb[tlbStore]
+	// The slots' shadow pages: no pass refills either entry.
+	lids, sids := tl.ids, ts.ids
 	loads, stores := l.Body[:l.Loads], l.Body[l.Loads:]
-	// The slots' shadow and data pages: no pass refills either entry.
-	lids, ldata, sids, sdata := tl.ids, tl.data, ts.ids, ts.data
-	var raws [vm.MaxLoopAccesses]taint.ProvID
-	var lastRaw taint.ProvID // one-entry memo over the export-tag test
-	lastExport := false
-	var p uint32
-pass:
-	for ; p < n; p++ {
-		// The loads' probe verdict, the same for each: no load changes
-		// shadow state.
-		tainted := len(loads) > 0 && tl.verdict(T.PageAllocs()) < 0
-		if tainted {
-			if lids == nil {
-				break // taintLoad would union through the store
-			}
-			for k := range loads {
-				raw := lids[idx[k]+p]
-				if raw != lastRaw {
-					lastRaw, lastExport = raw, T.Has(raw, taint.TagExportTable)
+	ahead := n
+	if tl.base == ts.base {
+		for j := range loads {
+			for k := range stores {
+				if d := idx[l.Loads+k] - idx[j]; idx[l.Loads+k] > idx[j] && d < ahead {
+					ahead = d
 				}
-				if lastExport {
-					break pass // checkPolicy runs in execFused
+			}
+		}
+	}
+	var raws [vm.MaxLoopAccesses]taint.ProvID
+	var p, end uint32
+	for p < n {
+		if len(loads) > 0 && lids == nil && tl.verdict(T.PageAllocs()) < 0 {
+			break // taintLoad would union through the store
+		}
+		if p == end {
+			// A new run: its loads' ids, and how far they stay put.
+			end = min(n, p+ahead)
+			for k := range loads {
+				var raw taint.ProvID
+				if lids != nil {
+					o := idx[k] + p
+					raw = lids[o]
+					for e := o + 1; e < idx[k]+end; e++ {
+						if lids[e] != raw {
+							end = e - idx[k]
+							break
+						}
+					}
+				}
+				if T.Has(raw, taint.TagExportTable) {
+					return p, fast // checkPolicy runs in execFused
 				}
 				raws[k] = raw
 			}
-		}
-		if p == 0 {
-			for k := range l.Body {
-				if u := &l.Body[k]; u.Kind == isa.UMoviLoad || u.Kind == isa.UMoviStore {
-					bank[u.B] = 0 // immediate: delete (Table I)
-					regs[u.B] = u.Imm2
+			if p == 0 {
+				for k := range l.Body {
+					if u := &l.Body[k]; u.Kind == isa.UMoviLoad || u.Kind == isa.UMoviStore {
+						bank[u.B] = 0 // immediate: delete (Table I)
+					}
 				}
 			}
 		}
+		before := *bank
+		var unions uint64
 		for k := range loads {
 			u := &loads[k]
-			var raw taint.ProvID
-			if tainted {
-				if raw = raws[k]; raw != 0 {
-					f.bankClean = false
-					fast = false
-				}
+			raw := raws[k]
+			if raw != 0 {
+				f.bankClean = false
+				fast = false
 			}
 			bank[u.A] = raw
-			regs[u.A] = uint32(ldata[idx[k]+p])
-			if u.Op != 0 {
-				if u.D == isa.NoIdx {
-					regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
-				} else {
-					if a, bb := bank[u.D], raw; bb != 0 && a != bb {
-						if a == 0 {
-							bank[u.D] = bb
-						} else {
-							bank[u.D] = T.Union(a, bb)
-						}
+			if u.Op != 0 && u.D != isa.NoIdx {
+				if a := bank[u.D]; raw != 0 && a != raw {
+					if a == 0 {
+						bank[u.D] = raw
+					} else {
+						bank[u.D] = T.Union(a, raw)
+						unions++
 					}
-					regs[u.D] = isa.EvalALU(u.Op, regs[u.D], regs[u.A])
 				}
 			}
 		}
@@ -562,11 +599,7 @@ pass:
 				if st < 0 && sids != nil {
 					if sid != 0 {
 						fast = false
-						if f.haveCur && sid == f.stampIn && f.curTag == f.stampTag && !f.cfg.NoProcessTags {
-							sid = f.stampOut
-						} else {
-							sid = f.stampStore(sid)
-						}
+						sid = f.stampStore(sid)
 					}
 					if !T.MemSame1(pa, sid, sids) {
 						T.MemSet1(pa, sid)
@@ -574,17 +607,53 @@ pass:
 				} else {
 					fast = false
 					m.InstrCount = entry + uint64(retired+p*uint32(b.NInstr)+l.At[j])
-					f.taintStore(space, addr[j]+p, 1, sid, pa, st)
+					f.taintStore(m.Space(), addr[j]+p, 1, sid, pa, st)
 				}
 			}
-			sdata[idx[j]+p] = byte(regs[u.A])
 		}
-		regs[l.I]++
 		f.recheckBank()
+		p++
+		if p == end || *bank != before {
+			continue
+		}
+		// The bank is settled: the run's other passes repeat this one.
+		if len(stores) > 1 {
+			continue
+		}
+		if len(stores) == 1 {
+			j := l.Loads
+			sid, st := bank[stores[0].A], ts.verdict(T.PageAllocs())
+			if !(sid == 0 && st > 0) {
+				if !(st < 0 && sids != nil) {
+					continue // taintStore, pass by pass
+				}
+				T.MemSetRun(ts.base|uint64(idx[j]+p), int(end-p), f.stampStore(sid))
+			}
+		}
+		T.CountUnionHits(unions * uint64(end-p))
+		f.recheckBankN(end - p)
+		p = end
 	}
-	f.stats.LoadsChecked += uint64(p) * uint64(len(loads))
-	m.AddBatchedPasses(uint64(p))
 	return p, fast
+}
+
+// recheckBankN is n passes of recheckBank over a bank none of them
+// changes: the counter advances by n, with the rescan where it crosses a
+// multiple of 16. The rescan's answer is the same at every crossing, so
+// one is enough, and a clean answer stops the counter there.
+func (f *FAROS) recheckBankN(n uint32) {
+	if f.bankClean {
+		return
+	}
+	if due := 16 - f.bankRecheck&15; due <= n {
+		f.bankRecheck += due
+		f.rescanBank()
+		if f.bankClean {
+			return
+		}
+		n -= due
+	}
+	f.bankRecheck += n
 }
 
 // fusedCommit finalizes a (possibly partial) fused block execution.

@@ -26,6 +26,7 @@ type batchRun struct {
 	f    *FAROS
 	p    *guest.Process
 	data uint32
+	code uint32
 }
 
 // batchDataLen is the data the counted loops address: three pages from
@@ -54,6 +55,21 @@ func (p perPassPlugin) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uin
 }
 
 func newBatchRun(t *testing.T, loop func(data, code uint32) vmtest.Counted, cfg Config, quantum uint64, mode int, export, rwx bool) *batchRun {
+	t.Helper()
+	r, l := spawnCounted(t, loop, cfg, quantum, mode, rwx)
+	f, p := r.f, r.p
+	nf := f.T.Single(f.T.InternNetflow(taint.NetflowTag{SrcIP: attackerAddr.IP, SrcPort: uint16(attackerAddr.Port)}))
+	f.memSetRange(p.Space, l.Src, int(l.N/2), nf)
+	if export {
+		f.memSetRange(p.Space, l.Src+l.N/2, 1, f.T.Single(f.exportTag))
+		f.memSetRange(p.Space, r.code, mem.PageSize, f.T.Prepend(nf, f.procTag(p)))
+	}
+	return r
+}
+
+// spawnCounted spawns the counted loop over untainted data, dispatched as
+// mode says, and returns the run and the loop.
+func spawnCounted(t *testing.T, loop func(data, code uint32) vmtest.Counted, cfg Config, quantum uint64, mode int, rwx bool) (*batchRun, vmtest.Counted) {
 	t.Helper()
 	k, err := guest.NewKernel()
 	if err != nil {
@@ -89,13 +105,7 @@ func newBatchRun(t *testing.T, loop func(data, code uint32) vmtest.Counted, cfg 
 	if err := p.Space.WriteBytes(data, vmtest.Pattern(batchDataLen)); err != nil {
 		t.Fatal(err)
 	}
-	nf := f.T.Single(f.T.InternNetflow(taint.NetflowTag{SrcIP: attackerAddr.IP, SrcPort: uint16(attackerAddr.Port)}))
-	f.memSetRange(p.Space, l.Src, int(l.N/2), nf)
-	if export {
-		f.memSetRange(p.Space, l.Src+l.N/2, 1, f.T.Single(f.exportTag))
-		f.memSetRange(p.Space, code, mem.PageSize, f.T.Prepend(nf, f.procTag(p)))
-	}
-	return &batchRun{k: k, f: f, p: p, data: data}
+	return &batchRun{k: k, f: f, p: p, data: data, code: code}, l
 }
 
 // engineCounters is the engine's Stats without the counters that depend on

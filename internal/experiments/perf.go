@@ -58,9 +58,11 @@ type perfTableVRow struct {
 // the taint-fast-path PR, BENCH_8.json at the block-dispatch PR,
 // BENCH_16.json at the one-pass-detect PR, BENCH_39.json as the bench
 // gate's first ratio baseline, BENCH_40.json once both executors batched
-// counted loops). The gate holds two ratios: GuestExecution's
-// slowdown, and Hollowing's, process_hollowing replayed without and with
-// FAROS, since the Table V workloads barely exercise the policy check.
+// counted loops, BENCH_42.json once FAROS's batches applied their shadow
+// effects a provenance run at a time). The gate holds two ratios:
+// GuestExecution's slowdown, and Hollowing's, process_hollowing replayed
+// without and with FAROS, since the Table V workloads barely exercise the
+// policy check.
 // Taint and Block are the engine's own counters from one FAROS run of the
 // benchmark workload — memo and whole-page fast paths, predecode
 // amortization, fused and untainted fast loops — next to the hit rates

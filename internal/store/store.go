@@ -249,29 +249,42 @@ func encodeEntry(writtenAt time.Time, payload []byte) []byte {
 	return buf
 }
 
+// CorruptError reports an entry file that failed verification; Reason
+// says how. Open and Get quarantine such files.
+type CorruptError struct {
+	Reason string
+}
+
+func (e *CorruptError) Error() string { return "store: " + e.Reason }
+
+// corrupt returns a *CorruptError with a formatted reason.
+func corrupt(format string, args ...any) error {
+	return &CorruptError{Reason: fmt.Sprintf(format, args...)}
+}
+
 // decodeEntry verifies an entry file and returns its payload. Any
 // deviation — short file, bad magic, unknown version, truncated payload
-// (torn write), trailing garbage, checksum mismatch (bit rot) — is an
-// error, and the caller quarantines the file.
+// (torn write), trailing garbage, checksum mismatch (bit rot) — is a
+// *CorruptError, and the caller quarantines the file.
 func decodeEntry(data []byte) (writtenAt time.Time, payload []byte, err error) {
 	if len(data) < headerSize {
-		return time.Time{}, nil, fmt.Errorf("store: entry truncated: %d bytes < %d header", len(data), headerSize)
+		return time.Time{}, nil, corrupt("entry truncated: %d bytes < %d header", len(data), headerSize)
 	}
 	if string(data[0:4]) != magic {
-		return time.Time{}, nil, fmt.Errorf("store: bad magic %q", data[0:4])
+		return time.Time{}, nil, corrupt("bad magic %q", data[0:4])
 	}
 	if data[4] != version {
-		return time.Time{}, nil, fmt.Errorf("store: unknown entry version %d", data[4])
+		return time.Time{}, nil, corrupt("unknown entry version %d", data[4])
 	}
 	writtenAt = time.Unix(0, int64(binary.BigEndian.Uint64(data[5:13])))
 	plen := binary.BigEndian.Uint64(data[13:21])
 	if plen != uint64(len(data)-headerSize) {
-		return time.Time{}, nil, fmt.Errorf("store: payload length %d, have %d bytes (torn write?)", plen, len(data)-headerSize)
+		return time.Time{}, nil, corrupt("payload length %d, have %d bytes (torn write?)", plen, len(data)-headerSize)
 	}
 	payload = data[headerSize:]
 	sum := sha256.Sum256(payload)
 	if !bytes.Equal(sum[:], data[21:21+sha256.Size]) {
-		return time.Time{}, nil, errors.New("store: payload checksum mismatch")
+		return time.Time{}, nil, corrupt("payload checksum mismatch")
 	}
 	return writtenAt, payload, nil
 }

@@ -2,6 +2,7 @@ package taint
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -312,6 +313,87 @@ func TestSummariesMatchListWalk(t *testing.T) {
 		}
 		if got := s.DistinctProcessCount(check); got != len(distinct) {
 			t.Fatalf("DistinctProcessCount(%d) = %d, walk says %d", check, got, len(distinct))
+		}
+	}
+}
+
+// TestMemSetRunMatchesPerByteStores holds MemSetRun to the block
+// executor's per-byte store onto a page with a shadow page: skipped while
+// the page is clean and the id is 0, else MemSame1 and, where that finds a
+// different id, MemSet1. Over random pages (runs of a few lists, gaps, and
+// pages whose only taint a run of zeros clears) the two must leave the
+// same shadow bytes, Stats, change count and watch events, and MemSetRun
+// must report the stores made before the page went clean.
+func TestMemSetRunMatchesPerByteStores(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		var stores [2]*Store
+		var events [2][]watchEvent
+		watched := trial%2 == 1
+		var ids []ProvID
+		for k := range stores {
+			s := NewStore(0)
+			ids = []ProvID{0, s.Single(Tag{Type: TagNetflow, Index: 1}), s.Single(Tag{Type: TagNetflow, Index: 2})}
+			if watched {
+				k := k
+				s.SetWatch(func(pa uint64, old, new ProvID) { events[k] = append(events[k], watchEvent{pa, old, new}) })
+			}
+			stores[k] = s
+		}
+		// One page: a few runs of ids, at least one tainted byte.
+		const frame = 5
+		base := uint64(frame * shadowPageSize)
+		for off := 0; off < 256; {
+			n, id := 1+rng.Intn(40), ids[rng.Intn(len(ids))]
+			for _, s := range stores {
+				s.MemSetRange(base+uint64(off), n, id)
+			}
+			off += n
+		}
+		one := base + uint64(rng.Intn(256))
+		for _, s := range stores {
+			s.MemSet(one, ids[1])
+		}
+		pa, n, id := base+uint64(rng.Intn(200)), 1+rng.Intn(100), ids[rng.Intn(len(ids))]
+		if trial%4 == 0 {
+			// A run of zeros over the page's only taint.
+			k, only := 1+rng.Intn(30), ids[1+rng.Intn(2)]
+			for _, s := range stores {
+				s.MemSetRange(base, shadowPageSize, 0)
+				s.MemSetRange(base+20, k, only)
+			}
+			pa, n, id = base+uint64(rng.Intn(20)), 60+rng.Intn(40), 0
+		}
+		events = [2][]watchEvent{}
+		got := stores[0].MemSetRun(pa, n, id)
+		ref, live, page := stores[1], stores[1].LivePtr(frame), stores[1].PageIDs(frame)
+		want := 0
+		for i := 0; i < n; i++ {
+			if id == 0 && *live == 0 {
+				continue
+			}
+			want = i + 1
+			if !ref.MemSame1(pa+uint64(i), id, page) {
+				ref.MemSet1(pa+uint64(i), id)
+			}
+		}
+		if id != 0 {
+			want = n
+		}
+		if got != want {
+			t.Fatalf("trial %d: MemSetRun(%#x, %d, %d) = %d, per-byte stores made %d", trial, pa, n, id, got, want)
+		}
+		if a, b := stores[0].Stats(), ref.Stats(); a != b {
+			t.Fatalf("trial %d: stats %+v, per-byte %+v", trial, a, b)
+		}
+		if a, b := stores[0].ChangeCount(), ref.ChangeCount(); a != b {
+			t.Fatalf("trial %d: changes %d, per-byte %d", trial, a, b)
+		}
+		if a, b := stores[0].PageIDs(frame), page; !slices.Equal(a, b) {
+			t.Fatalf("trial %d: shadow bytes diverged", trial)
+		}
+		if !slices.Equal(events[0], events[1]) {
+			t.Fatalf("trial %d: watch events %v, per-byte %v", trial, events[0], events[1])
 		}
 	}
 }

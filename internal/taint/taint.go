@@ -747,6 +747,57 @@ func (s *Store) MemSame1(pa uint64, id ProvID, ids []ProvID) bool {
 	return true
 }
 
+// MemSetRun applies n single-byte stores of id, to pa, pa+1, and on, over
+// a page that has a shadow page: each is MemSame1 then MemSet1, the block
+// executor's store onto a tainted page, with the same bookkeeping and
+// watch calls. A store of id 0 that clears the page's last taint ends the
+// run, since the executor skips untainted stores onto a clean page;
+// MemSetRun returns how many bytes it stored.
+func (s *Store) MemSetRun(pa uint64, n int, id ProvID) int {
+	page := s.page(pa / shadowPageSize)
+	if id == 0 && page.live == 0 {
+		return 0
+	}
+	ids := page.ids[pa%shadowPageSize:][:n]
+	for i, old := range ids {
+		if old == id {
+			continue
+		}
+		if old == 0 {
+			s.stats.TaintedBytes++
+			if page.live == 0 {
+				s.stats.TaintedPages++
+			}
+			page.live++
+		} else if id == 0 {
+			s.stats.TaintedBytes--
+			if page.live--; page.live == 0 {
+				s.stats.TaintedPages--
+			}
+		}
+		ids[i] = id
+		s.changes++
+		if s.watch != nil {
+			s.watch(pa+uint64(i), old, id)
+		}
+		if page.live == 0 {
+			n = i + 1
+			break
+		}
+	}
+	s.stats.ShadowWrites += uint64(n)
+	return n
+}
+
+// CountUnionHits counts n union requests answered from the memo table
+// without making them: an engine that has just made a set of unions and
+// would repeat them pass after pass with the same operands counts the
+// repeats in bulk.
+func (s *Store) CountUnionHits(n uint64) {
+	s.stats.Unions += n
+	s.stats.UnionMemoHits += n
+}
+
 // MemUnionFrom folds the provenance of n consecutive bytes into acc, left
 // to right — the accumulator form lets callers chain page-sized chunks with
 // exactly the per-byte union order, so the interned intermediate lists are

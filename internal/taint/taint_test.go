@@ -294,3 +294,55 @@ func TestStatsCounters(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
+
+// TestUnionFixpoint: folding a list into a union that already holds it
+// changes nothing while the union fits under the list cap:
+// Union(Union(a, b), b) == Union(a, b). Past the cap it does not hold: the
+// capped union keeps a's and b's newest tags and the very oldest, dropping
+// some of b's middle ones; the next fold appends them again and the cap
+// keeps another oldest tag. The fold then alternates between two lists, so
+// a third fold is back at the first. Repeated folds are memo hits either
+// way, but an accumulator can settle or alternate, which is why the
+// engine's run-at-a-time loop batch (core's loopShadow) checks that the
+// register bank settled instead of assuming it.
+func TestUnionFixpoint(t *testing.T) {
+	s := NewStore(0)
+	var tags [3 * DefaultListCap]Tag
+	for i := range tags {
+		tags[i] = s.InternNetflow(NetflowTag{SrcIP: "10.0.0.1", SrcPort: uint16(i + 1)})
+	}
+	// list interns tags[from:to], newest first.
+	list := func(from, to int) ProvID {
+		var id ProvID
+		for i := to - 1; i >= from; i-- {
+			id = s.Prepend(id, tags[i])
+		}
+		return id
+	}
+	var settled, alternating int
+	for la := 0; la <= DefaultListCap+4; la++ {
+		for lb := 1; lb <= DefaultListCap; lb++ {
+			for off := 0; off <= la; off++ {
+				a, b := list(0, la), list(off, off+lb)
+				ab := s.Union(a, b)
+				abb := s.Union(ab, b)
+				fits := max(la, off+lb) <= DefaultListCap
+				switch {
+				case abb == ab:
+					settled++
+				case fits:
+					t.Fatalf("a=tags[0:%d] b=tags[%d:%d]: Union(Union(a,b),b) = %v, Union(a,b) = %v", la, off, off+lb, s.Tags(abb), s.Tags(ab))
+				default:
+					alternating++
+				}
+				if abbb := s.Union(abb, b); abbb != ab {
+					t.Fatalf("a=tags[0:%d] b=tags[%d:%d]: a third fold gave %v, want %v", la, off, off+lb, s.Tags(abbb), s.Tags(ab))
+				}
+			}
+		}
+	}
+	if alternating == 0 {
+		t.Error("no union past the cap alternated: the engine's settle check may be dead weight")
+	}
+	t.Logf("%d folds settled, %d alternated past the cap", settled, alternating)
+}

@@ -834,11 +834,49 @@ func (m *Machine) loopBatch(b *Block, start, retired, limit uint32) uint32 {
 	if m.blockEpoch != epoch {
 		return 0
 	}
-	regs := &m.CPU.Regs
+	l.Move(&m.CPU.Regs, &frames, &idx, n)
+	m.bstats.BatchedPasses += uint64(n)
+	return n
+}
+
+// Move runs n ≥ 1 passes of the loop's guest effects: the MOVI base
+// writes, then pass by pass each load's byte (at idx[k]+p of frames[k])
+// into its register with its ALU op, each store's data byte out, and I
+// advanced by one. It is the byte mover both executors' batches share:
+// each resolves the accesses' pages first (no pass leaves them, see
+// LoopPasses) and keeps its own bookkeeping.
+func (l *CountedLoop) Move(regs *[isa.NumRegs]uint32, frames *[MaxLoopAccesses]*[mem.PageSize]byte, idx *[MaxLoopAccesses]uint32, n uint32) {
 	for k := range l.Body {
 		if u := &l.Body[k]; u.Kind == isa.UMoviLoad || u.Kind == isa.UMoviStore {
 			regs[u.B] = u.Imm2
 		}
+	}
+	if l.Loads == 1 && len(l.Body) <= 2 {
+		// The Table V shapes (a copy, an accumulate): one load, at most
+		// one store, over slices cut once.
+		u := &l.Body[0]
+		src := frames[0][idx[0]:][:n]
+		var dst []byte
+		var data uint8
+		if len(l.Body) == 2 {
+			dst, data = frames[1][idx[1]:][:n], l.Body[1].A
+		}
+		for p, b := range src {
+			v := uint32(b)
+			regs[u.A] = v
+			if u.Op != 0 {
+				if u.D == isa.NoIdx {
+					regs[u.A] = isa.EvalALU(u.Op, v, u.Imm)
+				} else {
+					regs[u.D] = isa.EvalALU(u.Op, regs[u.D], v)
+				}
+			}
+			if dst != nil {
+				dst[p] = byte(regs[data])
+			}
+			regs[l.I]++
+		}
+		return
 	}
 	loads, stores := l.Body[:l.Loads], l.Body[l.Loads:]
 	for p := uint32(0); p < n; p++ {
@@ -857,10 +895,8 @@ func (m *Machine) loopBatch(b *Block, start, retired, limit uint32) uint32 {
 		for k := range stores {
 			frames[l.Loads+k][idx[l.Loads+k]+p] = byte(regs[stores[k].A])
 		}
-		regs[l.I]++
+		regs[l.I]++ // a store may write I itself
 	}
-	m.bstats.BatchedPasses += uint64(n)
-	return n
 }
 
 // Iterates is the back-edge rule both block executors apply: a branch to

@@ -222,6 +222,10 @@ type Counted struct {
 	RegBase    bool
 	// ExitZ tests the exit with JZ (ECX == N) instead of JGE.
 	ExitZ bool
+	// Dst2, when nonzero, gives the loop a second store of each byte, to
+	// Dst2 (based on EBX under RegBase). An accumulate loop with a nonzero
+	// Dst also stores each loaded byte, to Dst and Dst2.
+	Dst2 uint32
 }
 
 // Emit appends the loop and a HLT to b.
@@ -231,6 +235,9 @@ func (c Counted) Emit(b *isa.Block) {
 	if c.RegBase {
 		b.Movi(isa.ESI, c.Src)
 		b.Movi(isa.EDI, c.Dst)
+		if c.Dst2 != 0 {
+			b.Movi(isa.EBX, c.Dst2)
+		}
 	}
 	b.Label("counted")
 	b.Cmpi(isa.ECX, c.N)
@@ -243,19 +250,30 @@ func (c Counted) Emit(b *isa.Block) {
 		b.Movi(isa.ESI, c.Src)
 	}
 	b.LdbIdx(isa.EAX, isa.ESI, isa.ECX)
-	switch {
-	case c.Accumulate:
+	if c.Accumulate {
 		b.Add(isa.EDX, isa.EAX)
-	case c.RegBase:
+	} else {
 		b.Xori(isa.EAX, 0x5A)
-		b.StbIdx(isa.EDI, isa.ECX, isa.EAX)
-	default:
-		b.Xori(isa.EAX, 0x5A)
-		b.Movi(isa.ESI, c.Dst)
-		b.StbIdx(isa.ESI, isa.ECX, isa.EAX)
+	}
+	if !c.Accumulate || c.Dst != 0 {
+		c.store(b, c.Dst, isa.EDI)
+		if c.Dst2 != 0 {
+			c.store(b, c.Dst2, isa.EBX)
+		}
 	}
 	b.Addi(isa.ECX, 1)
 	b.Jmp("counted")
 	b.Label("counted_done")
 	b.Hlt()
+}
+
+// store emits the store of EAX to dst+ECX: through base, set before the
+// loop, under RegBase, else through a MOVI into ESI.
+func (c Counted) store(b *isa.Block, dst uint32, base isa.Reg) {
+	if c.RegBase {
+		b.StbIdx(base, isa.ECX, isa.EAX)
+		return
+	}
+	b.Movi(isa.ESI, dst)
+	b.StbIdx(isa.ESI, isa.ECX, isa.EAX)
 }
